@@ -90,7 +90,7 @@ void chunk_parallel_selfcheck() {
 /// Scenarios × chunks fan-out-shape panel: the same K-scenario × C-chunk
 /// campaign run at the four (campaign jobs, solver_threads) corners.  (K, C)
 /// used to be the nested-pool configuration that oversubscribed K·C threads
-/// across two ThreadPools; every corner now shares the one work-stealing
+/// across two per-owner pools; every corner now shares the one work-stealing
 /// pool, so the knobs select the *fan-out shape* — which layers spawn tasks
 /// versus run inline — not the worker count: the global pool is created with
 /// hardware_concurrency workers and `ensure_workers` only grows it, so all

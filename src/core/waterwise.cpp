@@ -60,107 +60,41 @@ WaterWiseScheduler::WaterWiseScheduler(WaterWiseConfig config)
   // The paper requires the weights to sum to one; normalize defensively.
   config_.lambda_co2 /= sum;
   config_.lambda_h2o /= sum;
-  register_metrics();
-  if (config_.trace) obs::Trace::instance().set_enabled(true);
-}
-
-void WaterWiseScheduler::register_metrics() {
-  auto& r = registry_;
-  handles_.milp_solves = r.counter("sched.milp_solves");
-  handles_.soft_fallbacks = r.counter("sched.soft_fallbacks");
-  handles_.nodes_explored = r.counter("sched.nodes_explored");
-  handles_.simplex_iterations = r.counter("sched.simplex_iterations");
-  handles_.warm_started_nodes = r.counter("sched.warm_started_nodes");
-  handles_.phase1_nodes = r.counter("sched.phase1_nodes");
-  handles_.refactorizations = r.counter("sched.refactorizations");
-  handles_.ft_updates = r.counter("sched.ft_updates");
-  handles_.seeded_incumbents = r.counter("sched.seeded_incumbents");
-  handles_.presolve_rows_removed = r.counter("sched.presolve_rows_removed");
-  handles_.presolve_cols_removed = r.counter("sched.presolve_cols_removed");
-  handles_.presolve_nonzeros_removed =
-      r.counter("sched.presolve_nonzeros_removed");
-  handles_.chunks_planned = r.counter("sched.chunks_planned");
-  handles_.spill_jobs = r.counter("sched.spill_jobs");
-  handles_.spill_resolves = r.counter("sched.spill_resolves");
-  handles_.fault_events = r.counter("sched.fault_events");
-  handles_.degraded_windows = r.counter("sched.degraded_windows");
-  handles_.solve_retries = r.counter("sched.solve_retries");
-  handles_.fallback_placements = r.counter("sched.fallback_placements");
-  handles_.deferred_jobs = r.counter("sched.deferred_jobs");
-  handles_.windows = r.counter("sched.windows");
-  handles_.presolve_seconds = r.gauge("sched.presolve_seconds");
-  handles_.solve_seconds = r.gauge("sched.solve_seconds");
+  for (std::size_t i = 0; i < std::size(kStatsCounters); ++i)
+    handles_.stats_counters[i] = registry_.counter(kStatsCounters[i].key);
+  handles_.windows = registry_.counter("sched.windows");
+  for (std::size_t i = 0; i < std::size(kStatsGauges); ++i)
+    handles_.stats_gauges[i] = registry_.gauge(kStatsGauges[i].key);
   // Service-level distributions (ROADMAP item 4).  decision_latency is
   // wall-clock and observational; queue_depth and time_to_admission are
   // sim-time/count based and byte-deterministic.
   handles_.decision_latency_s =
-      r.histogram("service.decision_latency_s", 0.0, 2.0, 80);
-  handles_.queue_depth = r.histogram("service.queue_depth", 0.0, 2048.0, 64);
+      registry_.histogram("service.decision_latency_s", 0.0, 2.0, 80);
+  handles_.queue_depth =
+      registry_.histogram("service.queue_depth", 0.0, 2048.0, 64);
   handles_.time_to_admission_s =
-      r.histogram("service.time_to_admission_s", 0.0, 3600.0, 72);
-  // Work-stealing visibility (observational, like decision_latency_s):
-  // deltas of the global pool's counters around each window's fan-out.
-  handles_.tasks_stolen = r.counter("pool.tasks_stolen");
-  handles_.steal_attempts = r.counter("pool.steal_attempts");
-  handles_.pool_depth = r.gauge("pool.queue_depth");
+      registry_.histogram("service.time_to_admission_s", 0.0, 3600.0, 72);
+  if (config_.trace) obs::Trace::instance().set_enabled(true);
 }
 
 void WaterWiseScheduler::fold_stats(const SchedulerStats& delta) {
-  const auto add = [this](obs::Counter c, long v) {
-    if (v > 0) registry_.add(c, static_cast<std::uint64_t>(v));
-  };
-  add(handles_.milp_solves, delta.milp_solves);
-  add(handles_.soft_fallbacks, delta.soft_fallbacks);
-  add(handles_.nodes_explored, delta.nodes_explored);
-  add(handles_.simplex_iterations, delta.simplex_iterations);
-  add(handles_.warm_started_nodes, delta.warm_started_nodes);
-  add(handles_.phase1_nodes, delta.phase1_nodes);
-  add(handles_.refactorizations, delta.refactorizations);
-  add(handles_.ft_updates, delta.ft_updates);
-  add(handles_.seeded_incumbents, delta.seeded_incumbents);
-  add(handles_.presolve_rows_removed, delta.presolve_rows_removed);
-  add(handles_.presolve_cols_removed, delta.presolve_cols_removed);
-  add(handles_.presolve_nonzeros_removed, delta.presolve_nonzeros_removed);
-  add(handles_.chunks_planned, delta.chunks_planned);
-  add(handles_.spill_jobs, delta.spill_jobs);
-  add(handles_.spill_resolves, delta.spill_resolves);
-  add(handles_.fault_events, delta.fault_events);
-  add(handles_.degraded_windows, delta.degraded_windows);
-  add(handles_.solve_retries, delta.solve_retries);
-  add(handles_.fallback_placements, delta.fallback_placements);
-  add(handles_.deferred_jobs, delta.deferred_jobs);
-  registry_.add(handles_.presolve_seconds, delta.presolve_seconds);
-  registry_.add(handles_.solve_seconds, delta.solve_seconds);
+  for (std::size_t i = 0; i < std::size(kStatsCounters); ++i) {
+    const long v = delta.*kStatsCounters[i].member;
+    if (v > 0)
+      registry_.add(handles_.stats_counters[i], static_cast<std::uint64_t>(v));
+  }
+  for (std::size_t i = 0; i < std::size(kStatsGauges); ++i)
+    registry_.add(handles_.stats_gauges[i], delta.*kStatsGauges[i].member);
 }
 
-const SchedulerStats& WaterWiseScheduler::stats() const {
-  const auto get = [this](obs::Counter c) {
-    return static_cast<long>(registry_.counter_value(c));
-  };
-  SchedulerStats& s = stats_view_;
-  s.milp_solves = get(handles_.milp_solves);
-  s.soft_fallbacks = get(handles_.soft_fallbacks);
-  s.nodes_explored = get(handles_.nodes_explored);
-  s.simplex_iterations = get(handles_.simplex_iterations);
-  s.warm_started_nodes = get(handles_.warm_started_nodes);
-  s.phase1_nodes = get(handles_.phase1_nodes);
-  s.refactorizations = get(handles_.refactorizations);
-  s.ft_updates = get(handles_.ft_updates);
-  s.seeded_incumbents = get(handles_.seeded_incumbents);
-  s.presolve_rows_removed = get(handles_.presolve_rows_removed);
-  s.presolve_cols_removed = get(handles_.presolve_cols_removed);
-  s.presolve_nonzeros_removed = get(handles_.presolve_nonzeros_removed);
-  s.chunks_planned = get(handles_.chunks_planned);
-  s.spill_jobs = get(handles_.spill_jobs);
-  s.spill_resolves = get(handles_.spill_resolves);
-  s.fault_events = get(handles_.fault_events);
-  s.degraded_windows = get(handles_.degraded_windows);
-  s.solve_retries = get(handles_.solve_retries);
-  s.fallback_placements = get(handles_.fallback_placements);
-  s.deferred_jobs = get(handles_.deferred_jobs);
-  s.presolve_seconds = registry_.gauge_value(handles_.presolve_seconds);
-  s.solve_seconds = registry_.gauge_value(handles_.solve_seconds);
-  return stats_view_;
+SchedulerStats WaterWiseScheduler::stats() const {
+  SchedulerStats s;
+  for (std::size_t i = 0; i < std::size(kStatsCounters); ++i)
+    s.*kStatsCounters[i].member =
+        static_cast<long>(registry_.counter_value(handles_.stats_counters[i]));
+  for (std::size_t i = 0; i < std::size(kStatsGauges); ++i)
+    s.*kStatsGauges[i].member = registry_.gauge_value(handles_.stats_gauges[i]);
+  return s;
 }
 
 std::size_t WaterWiseScheduler::effective_solver_threads() const noexcept {
@@ -677,7 +611,8 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
 }
 
 std::vector<dc::Decision> WaterWiseScheduler::commit(
-    std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx) {
+    std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx,
+    SchedulerStats& window) {
   obs::Span span("sched.commit");
   span.arg("chunks", results.size());
   std::vector<dc::Decision> decisions;
@@ -702,9 +637,9 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
   std::vector<const dc::PendingJob*> unplaced;
   int next_index = 0;
   for (ChunkResult& r : results) {
-    // Registry accumulation in chunk-index order (results are sorted
-    // above), so counter and histogram bytes match at every thread count.
-    fold_stats(r.stats);
+    // Accumulation in chunk-index order (results are sorted above), so
+    // counter and histogram bytes match at every thread count.
+    window += r.stats;
     registry_.merge_shard(r.shard);
     decisions.insert(decisions.end(), r.decisions.begin(), r.decisions.end());
     for (std::size_t i = 0; i < spill.size(); ++i)
@@ -719,7 +654,7 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
   if (spill_total <= 0) {
     // No pooled quota left: every unplaced job is an explicit deferral to
     // the next batch window.
-    registry_.add(handles_.deferred_jobs, unplaced.size());
+    window.deferred_jobs += static_cast<long>(unplaced.size());
     return decisions;
   }
   const obs::Span spill_span("sched.spill");
@@ -738,8 +673,8 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
                           std::max(1, config_.max_jobs_per_solve))}));
   rest.jobs.resize(spill_jobs);
   rest.quota = std::move(spill);
-  registry_.add(handles_.spill_resolves);
-  registry_.add(handles_.spill_jobs, rest.jobs.size());
+  ++window.spill_resolves;
+  window.spill_jobs += static_cast<long>(rest.jobs.size());
   ChunkResult rr;
   try {
     rr = solve_one(rest, ctx);
@@ -749,15 +684,13 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
                              ") failed at window t=" + std::to_string(ctx.now) +
                              ": " + e.what());
   }
-  fold_stats(rr.stats);
+  window += rr.stats;
   registry_.merge_shard(rr.shard);
   decisions.insert(decisions.end(), rr.decisions.begin(), rr.decisions.end());
   // Whatever even the spill re-solve could not place defers explicitly:
   // jobs truncated from the spill chunk plus the re-solve's own unplaced.
-  registry_.add(
-      handles_.deferred_jobs,
-      static_cast<std::uint64_t>(
-          unplaced_total - static_cast<long>(rr.decisions.size())));
+  window.deferred_jobs +=
+      unplaced_total - static_cast<long>(rr.decisions.size());
   return decisions;
 }
 
@@ -773,14 +706,17 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule(
   const util::Stopwatch watch;
   registry_.add(handles_.windows);
   registry_.observe(handles_.queue_depth, static_cast<double>(batch.size()));
-  std::vector<dc::Decision> decisions = schedule_impl(batch, ctx);
+  SchedulerStats window;
+  std::vector<dc::Decision> decisions = schedule_impl(batch, ctx, window);
+  fold_stats(window);
   registry_.observe(handles_.decision_latency_s, watch.elapsed_seconds());
   span.arg("decisions", decisions.size());
   return decisions;
 }
 
 std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
-    const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
+    const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx,
+    SchedulerStats& window) {
   const int n = ctx.capacity->num_regions();
   if (!history_ || history_->observations() == 0) {
     // Lazily size the learner to the environment.
@@ -804,14 +740,14 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     caps[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
   // Degraded-mode state machine: observe this window, clamp faulty regions'
   // caps (serial — the machine is scheduler state, not chunk state).
-  update_region_health(ctx, caps);
+  update_region_health(ctx, caps, window);
   int total_cap = 0;
   for (const int c : caps) total_cap += c;
   if (batch.empty()) return {};
   if (total_cap <= 0) {
     // Nothing placeable this window (e.g. a total outage): every pending
     // job is an explicit deferral, re-examined next window.
-    registry_.add(handles_.deferred_jobs, batch.size());
+    window.deferred_jobs += static_cast<long>(batch.size());
     return {};
   }
 
@@ -829,13 +765,12 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
       selected.resize(static_cast<std::size_t>(total_cap));
   }
   // Jobs the slack manager (or cap truncation) left out defer explicitly.
-  registry_.add(handles_.deferred_jobs,
-                batch.size() - selected.size());
+  window.deferred_jobs += static_cast<long>(batch.size() - selected.size());
 
   // Plan -> solve -> commit: quota partition, pure per-chunk solves (fanned
   // across the pool when configured), deterministic in-order merge.
   std::vector<ChunkPlan> plans = plan_chunks(selected, caps);
-  registry_.add(handles_.chunks_planned, plans.size());
+  window.chunks_planned += static_cast<long>(plans.size());
   std::vector<ChunkResult> results(plans.size());
   // Exception safety across the fan-out: a throwing chunk solve records its
   // message in ChunkResult::error (never crosses the pool boundary raw);
@@ -863,29 +798,19 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     // chunk-index order, so steal interleavings cannot reach the outputs.
     util::WorkStealingPool& pool = util::WorkStealingPool::global();
     pool.ensure_workers(threads);
-    const std::uint64_t stolen_before = pool.tasks_stolen();
-    const std::uint64_t attempts_before = pool.steal_attempts();
-    {
-      util::TaskGroup group(pool);
-      for (std::size_t k = 0; k < plans.size(); ++k)
-        group.spawn([&guarded_solve, k] { guarded_solve(k); });
-      registry_.set(handles_.pool_depth,
-                    static_cast<double>(pool.queue_depth()));
-      group.wait();
-    }
-    // Observational steal visibility: deltas include steals performed for
-    // concurrently running scenarios, so these are never byte-compared.
-    registry_.add(handles_.tasks_stolen, pool.tasks_stolen() - stolen_before);
-    registry_.add(handles_.steal_attempts,
-                  pool.steal_attempts() - attempts_before);
+    util::TaskGroup group(pool);
+    for (std::size_t k = 0; k < plans.size(); ++k)
+      group.spawn([&guarded_solve, k] { guarded_solve(k); });
+    group.wait();
   } else {
     for (std::size_t k = 0; k < plans.size(); ++k) guarded_solve(k);
   }
-  return commit(std::move(results), ctx);
+  return commit(std::move(results), ctx, window);
 }
 
 void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
-                                              std::vector<int>& caps) {
+                                              std::vector<int>& caps,
+                                              SchedulerStats& window) {
   if (!config_.degraded.enabled) return;
   const DegradedModeConfig& dm = config_.degraded;
   const int n = ctx.capacity->num_regions();
@@ -920,7 +845,7 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
 
     const bool event = capacity_reduced || intensity_jump;
     if (event) {
-      registry_.add(handles_.fault_events);
+      ++window.fault_events;
       h.event_score = std::min(h.event_score + 1, 1000);
       h.clean_windows = 0;
     } else {
@@ -959,7 +884,7 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
     // backlog the moment the fault clears.
     auto& cap_ref = caps[static_cast<std::size_t>(r)];
     if (h.state == RegionHealth::State::Degraded) {
-      registry_.add(handles_.degraded_windows);
+      ++window.degraded_windows;
       cap_ref = std::min(
           cap_ref, static_cast<int>(std::floor(dm.degraded_cap_fraction *
                                                static_cast<double>(cap_now))));

@@ -47,9 +47,9 @@
 // shared pool; tests/core_scheduler_parallel_test.cpp,
 // bench_fig8/11/12's equivalence check, and bench_fig13's startup
 // self-check enforce it.  Work stealing is observable only through the
-// `pool.*` registry entries (tasks_stolen / steal_attempts counters and a
-// queue_depth gauge), which — like decision latency — are observational and
-// excluded from byte-identity comparisons.
+// process-wide `util::WorkStealingPool::global()` counters, which — like
+// decision latency — are observational and excluded from byte-identity
+// comparisons.
 //
 // Knobs: `WaterWiseConfig::solver_threads` (1 = serial, 0 = all cores) and
 // the `WW_SCHED_THREADS` environment switch, which overrides the config
@@ -70,9 +70,11 @@
 // failures (env::injected_solve_failure) to exercise the ladder.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -170,16 +172,16 @@ struct WaterWiseConfig {
 /// lifetime: how many MILPs ran, how big the trees were, and how much of
 /// the tree the warm-start path covered (Fig. 13 overhead attribution).
 ///
-/// Since the observability PR this struct is a *view*, not the store: the
-/// scheduler accumulates every counter in its `obs::Registry` (typed
-/// handles, thread-sharded, merged in chunk-index order) and `stats()`
-/// materializes this struct from the registry on access.  The struct keeps
-/// two other jobs: `solve_one()` fills one per chunk as the self-contained
-/// per-chunk delta (`ChunkResult::stats`), and `operator+=` remains the
-/// canonical field-by-field merge for tests and benches that fold several
-/// schedulers' lifetimes together.  Service-level distributions (decision
-/// latency, queue depth, time-to-admission) live only in the registry —
-/// see `WaterWiseScheduler::registry()` and README "Observability".
+/// The scheduler's `obs::Registry` is the store: every field is a `sched.*`
+/// registry entry, and `stats()` reads them back into this struct.  The
+/// struct is also the unit of accumulation — one per chunk
+/// (`ChunkResult::stats`) and one per batch window, folded into the
+/// registry once per window — and `operator+=` merges several schedulers'
+/// lifetimes for tests and benches.  Every field is listed once more, in
+/// kStatsCounters / kStatsGauges below; all per-field code loops over those
+/// tables.  Service-level distributions (decision latency, queue depth,
+/// time-to-admission) live only in the registry — see
+/// `WaterWiseScheduler::registry()` and README "Observability".
 struct SchedulerStats {
   long milp_solves = 0;
   long soft_fallbacks = 0;       ///< Hard model failed, soft model ran.
@@ -216,48 +218,11 @@ struct SchedulerStats {
   long deferred_jobs = 0;
 
   /// Merges another stats delta (per-chunk result, or another scheduler's
-  /// lifetime stats) into this one.  All accumulation routes through here.
-  SchedulerStats& operator+=(const SchedulerStats& o) noexcept {
-    milp_solves += o.milp_solves;
-    soft_fallbacks += o.soft_fallbacks;
-    nodes_explored += o.nodes_explored;
-    simplex_iterations += o.simplex_iterations;
-    warm_started_nodes += o.warm_started_nodes;
-    phase1_nodes += o.phase1_nodes;
-    refactorizations += o.refactorizations;
-    ft_updates += o.ft_updates;
-    seeded_incumbents += o.seeded_incumbents;
-    presolve_rows_removed += o.presolve_rows_removed;
-    presolve_cols_removed += o.presolve_cols_removed;
-    presolve_nonzeros_removed += o.presolve_nonzeros_removed;
-    presolve_seconds += o.presolve_seconds;
-    solve_seconds += o.solve_seconds;
-    chunks_planned += o.chunks_planned;
-    spill_jobs += o.spill_jobs;
-    spill_resolves += o.spill_resolves;
-    fault_events += o.fault_events;
-    degraded_windows += o.degraded_windows;
-    solve_retries += o.solve_retries;
-    fallback_placements += o.fallback_placements;
-    deferred_jobs += o.deferred_jobs;
-    return *this;
-  }
+  /// lifetime stats) into this one, field by field.
+  SchedulerStats& operator+=(const SchedulerStats& o) noexcept;
 
   /// Folds one milp::solve outcome into the counters.
-  void add_solve(const milp::Solution& sol) noexcept {
-    ++milp_solves;
-    nodes_explored += sol.nodes_explored;
-    simplex_iterations += sol.simplex_iterations;
-    warm_started_nodes += sol.warm_started_nodes;
-    phase1_nodes += sol.phase1_nodes;
-    refactorizations += sol.refactorizations;
-    ft_updates += sol.ft_updates;
-    presolve_rows_removed += sol.presolve_rows_removed;
-    presolve_cols_removed += sol.presolve_cols_removed;
-    presolve_nonzeros_removed += sol.presolve_nonzeros_removed;
-    presolve_seconds += sol.presolve_seconds;
-    solve_seconds += sol.solve_seconds;
-  }
+  void add_solve(const milp::Solution& sol) noexcept;
 
   /// Non-root branch-and-bound nodes across all solves (the population the
   /// warm-start path can cover); 0 when no tree ever branched.
@@ -275,6 +240,75 @@ struct SchedulerStats {
                : 0.0;
   }
 };
+
+/// One row of the SchedulerStats field table: the field's registry key, the
+/// field, and the milp::Solution diagnostic add_solve() folds into it
+/// (nullptr for counters the scheduler keeps itself).
+template <typename T>
+struct StatsField {
+  const char* key;
+  T SchedulerStats::*member;
+  T milp::Solution::*solution;
+};
+
+/// The SchedulerStats field table, `long` counters then `double` gauges.
+/// Registry registration, the per-window fold, the stats() view,
+/// operator+= and add_solve() all loop over it, so a new metric is one
+/// struct field plus one row here.
+inline constexpr StatsField<long> kStatsCounters[] = {
+    {"sched.milp_solves", &SchedulerStats::milp_solves, nullptr},
+    {"sched.soft_fallbacks", &SchedulerStats::soft_fallbacks, nullptr},
+    {"sched.nodes_explored", &SchedulerStats::nodes_explored,
+     &milp::Solution::nodes_explored},
+    {"sched.simplex_iterations", &SchedulerStats::simplex_iterations,
+     &milp::Solution::simplex_iterations},
+    {"sched.warm_started_nodes", &SchedulerStats::warm_started_nodes,
+     &milp::Solution::warm_started_nodes},
+    {"sched.phase1_nodes", &SchedulerStats::phase1_nodes,
+     &milp::Solution::phase1_nodes},
+    {"sched.refactorizations", &SchedulerStats::refactorizations,
+     &milp::Solution::refactorizations},
+    {"sched.ft_updates", &SchedulerStats::ft_updates,
+     &milp::Solution::ft_updates},
+    {"sched.seeded_incumbents", &SchedulerStats::seeded_incumbents, nullptr},
+    {"sched.presolve_rows_removed", &SchedulerStats::presolve_rows_removed,
+     &milp::Solution::presolve_rows_removed},
+    {"sched.presolve_cols_removed", &SchedulerStats::presolve_cols_removed,
+     &milp::Solution::presolve_cols_removed},
+    {"sched.presolve_nonzeros_removed",
+     &SchedulerStats::presolve_nonzeros_removed,
+     &milp::Solution::presolve_nonzeros_removed},
+    {"sched.chunks_planned", &SchedulerStats::chunks_planned, nullptr},
+    {"sched.spill_jobs", &SchedulerStats::spill_jobs, nullptr},
+    {"sched.spill_resolves", &SchedulerStats::spill_resolves, nullptr},
+    {"sched.fault_events", &SchedulerStats::fault_events, nullptr},
+    {"sched.degraded_windows", &SchedulerStats::degraded_windows, nullptr},
+    {"sched.solve_retries", &SchedulerStats::solve_retries, nullptr},
+    {"sched.fallback_placements", &SchedulerStats::fallback_placements,
+     nullptr},
+    {"sched.deferred_jobs", &SchedulerStats::deferred_jobs, nullptr},
+};
+inline constexpr StatsField<double> kStatsGauges[] = {
+    {"sched.presolve_seconds", &SchedulerStats::presolve_seconds,
+     &milp::Solution::presolve_seconds},
+    {"sched.solve_seconds", &SchedulerStats::solve_seconds,
+     &milp::Solution::solve_seconds},
+};
+
+inline SchedulerStats& SchedulerStats::operator+=(
+    const SchedulerStats& o) noexcept {
+  for (const auto& f : kStatsCounters) this->*f.member += o.*f.member;
+  for (const auto& f : kStatsGauges) this->*f.member += o.*f.member;
+  return *this;
+}
+
+inline void SchedulerStats::add_solve(const milp::Solution& sol) noexcept {
+  ++milp_solves;
+  for (const auto& f : kStatsCounters)
+    if (f.solution != nullptr) this->*f.member += sol.*f.solution;
+  for (const auto& f : kStatsGauges)
+    if (f.solution != nullptr) this->*f.member += sol.*f.solution;
+}
 
 /// One chunk's share of a batch window: the jobs it must decide and the
 /// per-region capacity quota reserved exclusively for it.  Quotas of the
@@ -322,9 +356,9 @@ class WaterWiseScheduler final : public dc::Scheduler {
   [[nodiscard]] const WaterWiseConfig& config() const noexcept {
     return config_;
   }
-  /// Lifetime solver diagnostics: a SchedulerStats view materialized from
-  /// the metrics registry on each call (see the SchedulerStats comment).
-  [[nodiscard]] const SchedulerStats& stats() const;
+  /// Lifetime solver diagnostics, read from the metrics registry on each
+  /// call (see the SchedulerStats comment).
+  [[nodiscard]] SchedulerStats stats() const;
 
   /// The scheduler's metrics registry: every SchedulerStats counter under
   /// "sched.*" plus the service-level distributions under "service.*"
@@ -359,11 +393,13 @@ class WaterWiseScheduler final : public dc::Scheduler {
   [[nodiscard]] ChunkResult solve_one(const ChunkPlan& plan,
                                       const dc::ScheduleContext& ctx) const;
 
-  /// Stage 3: merges results in chunk-index order (decisions, stats),
-  /// pools leftover quota, and re-solves spill-eligible jobs serially
-  /// against the pool.  The only stage that mutates scheduler state.
+  /// Stage 3: merges results in chunk-index order (decisions into the
+  /// return value, stats into `window`, registry shards), pools leftover
+  /// quota, and re-solves spill-eligible jobs serially against the pool.
+  /// The only stage that mutates scheduler state.
   [[nodiscard]] std::vector<dc::Decision> commit(
-      std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx);
+      std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx,
+      SchedulerStats& window);
 
  private:
   /// Builds and solves Eq. 8-13 for the chunk against `quota`; `soft`
@@ -391,45 +427,35 @@ class WaterWiseScheduler final : public dc::Scheduler {
   };
 
   /// Advances every region's state machine on this window's observations
-  /// (capacity losses, intensity jumps) and applies the Degraded/Recovery
-  /// hard-cap rails to `caps` in place.
+  /// (capacity losses, intensity jumps), counts fault events and degraded
+  /// windows into `window`, and applies the Degraded/Recovery hard-cap
+  /// rails to `caps` in place.
   void update_region_health(const dc::ScheduleContext& ctx,
-                            std::vector<int>& caps);
+                            std::vector<int>& caps, SchedulerStats& window);
 
   /// schedule() minus the observability wrapper (spans, latency/queue
-  /// histograms); keeps the decision logic free of instrumentation.
+  /// histograms); keeps the decision logic free of instrumentation.  All
+  /// of the window's counters accumulate into `window`.
   [[nodiscard]] std::vector<dc::Decision> schedule_impl(
-      const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx);
+      const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx,
+      SchedulerStats& window);
 
   /// Typed registry handles, resolved once at construction so the hot path
-  /// never does string lookups.  One counter per SchedulerStats long field,
-  /// one gauge per double field, plus the service-level histograms.
+  /// never does string lookups: one per kStatsCounters / kStatsGauges row,
+  /// plus the window counter and the service-level histograms.
   struct Handles {
-    obs::Counter milp_solves, soft_fallbacks, nodes_explored;
-    obs::Counter simplex_iterations, warm_started_nodes, phase1_nodes;
-    obs::Counter refactorizations, ft_updates, seeded_incumbents;
-    obs::Counter presolve_rows_removed, presolve_cols_removed;
-    obs::Counter presolve_nonzeros_removed;
-    obs::Counter chunks_planned, spill_jobs, spill_resolves;
-    obs::Counter fault_events, degraded_windows, solve_retries;
-    obs::Counter fallback_placements, deferred_jobs, windows;
-    obs::Gauge presolve_seconds, solve_seconds;
+    std::array<obs::Counter, std::size(kStatsCounters)> stats_counters;
+    std::array<obs::Gauge, std::size(kStatsGauges)> stats_gauges;
+    obs::Counter windows;
     obs::Hist decision_latency_s, queue_depth, time_to_admission_s;
-    /// Work-stealing visibility (observational, like decision_latency_s:
-    /// steal interleavings vary run to run and are never byte-compared).
-    obs::Counter tasks_stolen, steal_attempts;
-    obs::Gauge pool_depth;
   };
-  void register_metrics();
-  /// Folds a per-chunk SchedulerStats delta into the registry counters.
+  /// Folds one window's SchedulerStats delta into the registry.
   void fold_stats(const SchedulerStats& delta);
 
   WaterWiseConfig config_;
   std::unique_ptr<HistoryLearner> history_;
   obs::Registry registry_;
   Handles handles_;
-  /// Compatibility view rebuilt from the registry by stats().
-  mutable SchedulerStats stats_view_;
   std::vector<RegionHealth> health_;
   // No scheduler-local pool: multi-chunk windows fan out on the process
   // global util::WorkStealingPool, so campaign scenario tasks and chunk

@@ -35,13 +35,8 @@ bool refactor_every_pivot_forced() noexcept {
 
 SimplexSolver::SimplexSolver(const Model& model, SolverOptions options)
     : options_(options) {
-  // The deprecated eta_limit alias overrides update_budget when set, so
-  // pre-Forrest-Tomlin callers keep their refactorization cadence; the
-  // process-wide ablation switch overrides both.
-  update_budget_ = refactor_every_pivot_forced()
-                       ? 0
-                       : (options_.eta_limit > 0 ? options_.eta_limit
-                                                 : options_.update_budget);
+  // The process-wide ablation switch overrides the configured budget.
+  update_budget_ = refactor_every_pivot_forced() ? 0 : options_.update_budget;
   build_standard_form(model);
 }
 

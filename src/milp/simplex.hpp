@@ -167,8 +167,8 @@ class SimplexSolver {
 
   SolverOptions options_;
   /// Effective Forrest-Tomlin update budget: 0 under the
-  /// WW_REFACTOR_EVERY_PIVOT ablation switch, else the deprecated
-  /// eta_limit alias when set, else SolverOptions::update_budget.
+  /// WW_REFACTOR_EVERY_PIVOT ablation switch, else
+  /// SolverOptions::update_budget.
   int update_budget_ = 0;
   long iterations_ = 0;
   long iterations_this_solve_ = 0;

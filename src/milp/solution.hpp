@@ -120,11 +120,6 @@ struct SolverOptions {
   /// (BasisLU::fill_ratio()).  Growth degrades both solve cost and
   /// accuracy, so it triggers refactorization instead of a fixed eta cap.
   double fill_growth_limit = 3.0;
-  /// Deprecated: pre-Forrest-Tomlin name for the update cadence.  The eta
-  /// file is gone; a nonzero value overrides update_budget so existing
-  /// callers keep their refactorization cadence.  0 (the default) defers
-  /// to update_budget.
-  int eta_limit = 0;
   /// Entering-variable rule; Devex is the default, Dantzig kept for
   /// equivalence testing.  Both fall back to Bland's rule after
   /// `bland_iterations` for anti-cycling.

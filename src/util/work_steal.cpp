@@ -177,10 +177,10 @@ void WorkStealingPool::parallel_for(
     fn(0);
     return;
   }
-  // Legacy ThreadPool::parallel_for contract: fail fast (iterations queued
-  // after the first failure are skipped), drain every task before returning,
-  // and rethrow the exception of the lowest failing index — deterministic
-  // regardless of which worker stole what.
+  // Fail fast (iterations queued after the first failure are skipped),
+  // drain every task before returning, and rethrow the exception of the
+  // lowest failing index — deterministic regardless of which worker stole
+  // what.
   std::vector<std::exception_ptr> errors(n);
   std::atomic<bool> failed{false};
   TaskGroup group(*this);

@@ -2,7 +2,7 @@
 //
 // The campaign layer (dc::CampaignRunner) fans scenarios and the scheduler
 // (core::WaterWiseScheduler) fans chunk MILP solves. Running those two axes on
-// separate per-owner ThreadPools either oversubscribes (K·C tasks on K·C
+// separate per-owner pools either oversubscribes (K·C tasks on K·C
 // threads) or idles workers behind the nested-pool barrier. This pool merges
 // the axes: every worker owns a deque (owner pushes/pops the bottom, LIFO;
 // thieves steal the top, FIFO), so a scenario task running on a worker spawns
@@ -127,8 +127,7 @@ class WorkStealingPool {
   }
 
   /// Worker count a pool constructed with `requested` will have
-  /// (0 => hardware_concurrency, at least 1). Mirrors
-  /// ThreadPool::resolve_threads so call sites migrate 1:1.
+  /// (0 => hardware_concurrency, at least 1).
   [[nodiscard]] static std::size_t resolve_threads(
       std::size_t requested) noexcept;
 
@@ -139,10 +138,10 @@ class WorkStealingPool {
   void ensure_workers(std::size_t n);
 
   /// Runs fn(i) for i in [0, n) on the pool and waits, helping while
-  /// waiting. Matches the legacy ThreadPool contract: after the first
-  /// failure, still-queued iterations are skipped (fail-fast), every task is
-  /// drained before returning, and the exception for the *lowest* failing
-  /// index is rethrown — deterministic regardless of steal interleaving.
+  /// waiting. After the first failure, still-queued iterations are skipped
+  /// (fail-fast), every task is drained before returning, and the exception
+  /// for the *lowest* failing index is rethrown — deterministic regardless
+  /// of steal interleaving.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // --- Observational counters (never part of byte-identity comparisons) ---

@@ -114,7 +114,7 @@ TEST(RetryLadder, AllAttemptsInjectedStillPlacesEveryJobViaFallback) {
   for (const dc::Decision& d : placed) ids.insert(d.job_id);
   EXPECT_EQ(ids.size(), 12u) << "a job was placed twice";
 
-  const SchedulerStats& s = ww.stats();
+  const SchedulerStats s = ww.stats();
   // One chunk (default max_jobs_per_solve), three injected discards on it
   // (post-probe, post-primary, post-retry), one budgeted retry, and every
   // placement from the greedy fallback.

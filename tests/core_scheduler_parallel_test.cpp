@@ -6,9 +6,11 @@
 // construction even under adversarial tiny-capacity windows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/waterwise.hpp"
@@ -336,41 +338,77 @@ TEST(ChunkParallel, EffectiveThreadsResolvesConfigAndZero) {
 }
 
 TEST(ChunkParallel, StatsMergeIsFieldwiseAddition) {
+  // Distinct values in every field of both operands: a field that
+  // operator+= skips, or adds from the wrong member, shows up in the sum.
   SchedulerStats a;
-  a.milp_solves = 3;
-  a.soft_fallbacks = 1;
-  a.nodes_explored = 10;
-  a.simplex_iterations = 100;
+  a.milp_solves = 1;
+  a.soft_fallbacks = 2;
+  a.nodes_explored = 3;
+  a.simplex_iterations = 4;
+  a.warm_started_nodes = 5;
+  a.phase1_nodes = 6;
+  a.refactorizations = 7;
+  a.ft_updates = 8;
+  a.seeded_incumbents = 9;
+  a.presolve_rows_removed = 10;
+  a.presolve_cols_removed = 11;
+  a.presolve_nonzeros_removed = 12;
+  a.presolve_seconds = 0.25;
   a.solve_seconds = 0.5;
-  a.chunks_planned = 2;
-  a.fault_events = 2;
-  a.solve_retries = 1;
+  a.chunks_planned = 13;
+  a.spill_jobs = 14;
+  a.spill_resolves = 15;
+  a.fault_events = 16;
+  a.degraded_windows = 17;
+  a.solve_retries = 18;
+  a.fallback_placements = 19;
+  a.deferred_jobs = 20;
   SchedulerStats b;
-  b.milp_solves = 2;
-  b.nodes_explored = 4;
-  b.spill_resolves = 1;
-  b.spill_jobs = 3;
-  b.presolve_rows_removed = 7;
-  b.fault_events = 3;
-  b.degraded_windows = 4;
-  b.solve_retries = 2;
-  b.fallback_placements = 5;
-  b.deferred_jobs = 6;
+  b.milp_solves = 100;
+  b.soft_fallbacks = 200;
+  b.nodes_explored = 300;
+  b.simplex_iterations = 400;
+  b.warm_started_nodes = 500;
+  b.phase1_nodes = 600;
+  b.refactorizations = 700;
+  b.ft_updates = 800;
+  b.seeded_incumbents = 900;
+  b.presolve_rows_removed = 1000;
+  b.presolve_cols_removed = 1100;
+  b.presolve_nonzeros_removed = 1200;
+  b.presolve_seconds = 2.0;
+  b.solve_seconds = 4.0;
+  b.chunks_planned = 1300;
+  b.spill_jobs = 1400;
+  b.spill_resolves = 1500;
+  b.fault_events = 1600;
+  b.degraded_windows = 1700;
+  b.solve_retries = 1800;
+  b.fallback_placements = 1900;
+  b.deferred_jobs = 2000;
   a += b;
-  EXPECT_EQ(a.milp_solves, 5);
-  EXPECT_EQ(a.soft_fallbacks, 1);
-  EXPECT_EQ(a.nodes_explored, 14);
-  EXPECT_EQ(a.simplex_iterations, 100);
-  EXPECT_EQ(a.spill_resolves, 1);
-  EXPECT_EQ(a.spill_jobs, 3);
-  EXPECT_EQ(a.presolve_rows_removed, 7);
-  EXPECT_EQ(a.chunks_planned, 2);
-  EXPECT_DOUBLE_EQ(a.solve_seconds, 0.5);
-  EXPECT_EQ(a.fault_events, 5);
-  EXPECT_EQ(a.degraded_windows, 4);
-  EXPECT_EQ(a.solve_retries, 3);
-  EXPECT_EQ(a.fallback_placements, 5);
-  EXPECT_EQ(a.deferred_jobs, 6);
+  EXPECT_EQ(a.milp_solves, 101);
+  EXPECT_EQ(a.soft_fallbacks, 202);
+  EXPECT_EQ(a.nodes_explored, 303);
+  EXPECT_EQ(a.simplex_iterations, 404);
+  EXPECT_EQ(a.warm_started_nodes, 505);
+  EXPECT_EQ(a.phase1_nodes, 606);
+  EXPECT_EQ(a.refactorizations, 707);
+  EXPECT_EQ(a.ft_updates, 808);
+  EXPECT_EQ(a.seeded_incumbents, 909);
+  EXPECT_EQ(a.presolve_rows_removed, 1010);
+  EXPECT_EQ(a.presolve_cols_removed, 1111);
+  EXPECT_EQ(a.presolve_nonzeros_removed, 1212);
+  EXPECT_DOUBLE_EQ(a.presolve_seconds, 2.25);
+  EXPECT_DOUBLE_EQ(a.solve_seconds, 4.5);
+  EXPECT_EQ(a.chunks_planned, 1313);
+  EXPECT_EQ(a.spill_jobs, 1414);
+  EXPECT_EQ(a.spill_resolves, 1515);
+  EXPECT_EQ(a.fault_events, 1616);
+  EXPECT_EQ(a.degraded_windows, 1717);
+  EXPECT_EQ(a.solve_retries, 1818);
+  EXPECT_EQ(a.fallback_placements, 1919);
+  EXPECT_EQ(a.deferred_jobs, 2020);
 }
 
 TEST(ChunkParallel, TracingIsObservationalAcrossThreadsAndPresolve) {
@@ -473,23 +511,67 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreadsAndPresolve) {
 }
 
 TEST(ChunkParallel, StatsViewMatchesRegistry) {
-  // SchedulerStats is now a compat view over the registry: the two read
-  // paths must agree after a real windowed run.
+  // The registry is the store and stats() reads it back: after a real
+  // multi-chunk run every SchedulerStats field must equal its "sched.*"
+  // entry, and the registry must hold exactly those entries plus the
+  // window counter.  The lists below are written out on purpose, so a
+  // field missing from the scheduler's field table fails here.
   const DirectRig rig(30);
   WaterWiseConfig cfg;
   cfg.max_jobs_per_solve = 7;
   WaterWiseScheduler ww(cfg);
   (void)rig.run(ww, {9, 3, 17, 5, 11});
-  const SchedulerStats& stats = ww.stats();
-  const obs::Registry& reg = ww.registry();
-  ASSERT_NE(reg.find_counter("sched.milp_solves"), nullptr);
-  EXPECT_EQ(static_cast<std::uint64_t>(stats.milp_solves),
-            *reg.find_counter("sched.milp_solves"));
-  EXPECT_EQ(static_cast<std::uint64_t>(stats.chunks_planned),
-            *reg.find_counter("sched.chunks_planned"));
-  EXPECT_EQ(static_cast<std::uint64_t>(stats.simplex_iterations),
-            *reg.find_counter("sched.simplex_iterations"));
+  const SchedulerStats stats = ww.stats();
   EXPECT_GT(stats.milp_solves, 0);
+  EXPECT_GT(stats.chunks_planned, 1);
+
+  const obs::Registry& reg = ww.registry();
+  const std::vector<std::pair<std::string, long>> counters = {
+      {"sched.milp_solves", stats.milp_solves},
+      {"sched.soft_fallbacks", stats.soft_fallbacks},
+      {"sched.nodes_explored", stats.nodes_explored},
+      {"sched.simplex_iterations", stats.simplex_iterations},
+      {"sched.warm_started_nodes", stats.warm_started_nodes},
+      {"sched.phase1_nodes", stats.phase1_nodes},
+      {"sched.refactorizations", stats.refactorizations},
+      {"sched.ft_updates", stats.ft_updates},
+      {"sched.seeded_incumbents", stats.seeded_incumbents},
+      {"sched.presolve_rows_removed", stats.presolve_rows_removed},
+      {"sched.presolve_cols_removed", stats.presolve_cols_removed},
+      {"sched.presolve_nonzeros_removed", stats.presolve_nonzeros_removed},
+      {"sched.chunks_planned", stats.chunks_planned},
+      {"sched.spill_jobs", stats.spill_jobs},
+      {"sched.spill_resolves", stats.spill_resolves},
+      {"sched.fault_events", stats.fault_events},
+      {"sched.degraded_windows", stats.degraded_windows},
+      {"sched.solve_retries", stats.solve_retries},
+      {"sched.fallback_placements", stats.fallback_placements},
+      {"sched.deferred_jobs", stats.deferred_jobs},
+  };
+  for (const auto& [name, value] : counters) {
+    const std::uint64_t* got = reg.find_counter(name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_EQ(*got, static_cast<std::uint64_t>(value)) << name;
+  }
+  // Gauges have no by-name const lookup; gauge() on a copy returns the
+  // handle of the already registered name.
+  obs::Registry lookup = reg;
+  EXPECT_EQ(lookup.gauge_value(lookup.gauge("sched.presolve_seconds")),
+            stats.presolve_seconds);
+  EXPECT_EQ(lookup.gauge_value(lookup.gauge("sched.solve_seconds")),
+            stats.solve_seconds);
+
+  std::vector<std::string> keys;
+  const std::string json = reg.to_json();
+  for (std::size_t at = json.find("\"sched."); at != std::string::npos;
+       at = json.find("\"sched.", at + 1))
+    keys.push_back(json.substr(at + 1, json.find('"', at + 1) - at - 1));
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::string> expected = {"sched.presolve_seconds",
+                                       "sched.solve_seconds", "sched.windows"};
+  for (const auto& entry : counters) expected.push_back(entry.first);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreadsAndPresolve) {

@@ -172,7 +172,7 @@ TEST(WaterWise, SchedulerStatsAccumulateSolverCounters) {
   Rig rig;
   WaterWiseScheduler ww;
   (void)rig.run(ww);
-  const SchedulerStats& st = ww.stats();
+  const SchedulerStats st = ww.stats();
   EXPECT_GT(st.milp_solves, 0);
   // Presolve can decide a chunk model outright (empty reduced problem or
   // infeasibility proof), so some solves legitimately explore zero

@@ -2,8 +2,7 @@
 // of pivots long (no refactorization) checked against fresh factorizations
 // to <= 1e-9, singularity/instability forcing cases that must trigger a
 // refactorization instead of committing garbage, solver-level long-run
-// agreement with the refactorize-every-pivot path, and the deprecated
-// SolverOptions::eta_limit -> update_budget alias mapping.
+// agreement with the refactorize-every-pivot path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -284,43 +283,6 @@ TEST(FactorUpdate, SolverLongRunMatchesRefactorizeEveryPivot) {
     // in between (phase transitions refactorize a handful of times).
     EXPECT_GE(a.ft_updates, 200);
     EXPECT_LE(a.refactorizations, 5);
-  }
-}
-
-TEST(FactorUpdate, EtaLimitAliasMapsOntoUpdateBudget) {
-  // Deprecation shim pin: a nonzero eta_limit must behave exactly like
-  // setting update_budget to the same value — identical objectives *and*
-  // identical kernel counters — while eta_limit = 0 defers to
-  // update_budget.
-  const Model model = waterwise_shaped_model(48, 4);
-
-  SolverOptions via_alias;
-  via_alias.presolve = false;
-  via_alias.eta_limit = 5;
-  via_alias.update_budget = 9999;  // must be overridden by the alias
-  const Solution a = solve(model, via_alias);
-
-  SolverOptions via_budget;
-  via_budget.presolve = false;
-  via_budget.update_budget = 5;
-  const Solution b = solve(model, via_budget);
-
-  ASSERT_EQ(a.status, Status::Optimal);
-  ASSERT_EQ(b.status, Status::Optimal);
-  EXPECT_EQ(a.objective, b.objective);
-  EXPECT_EQ(a.simplex_iterations, b.simplex_iterations);
-  EXPECT_EQ(a.refactorizations, b.refactorizations);
-  EXPECT_EQ(a.ft_updates, b.ft_updates);
-
-  if (!refactor_every_pivot_forced()) {
-    // Control: the knob actually does something — a roomier budget
-    // refactorizes less.  (Skipped under WW_REFACTOR_EVERY_PIVOT, which
-    // deliberately flattens every cadence to zero.)
-    SolverOptions roomy;
-    roomy.presolve = false;
-    roomy.update_budget = 64;
-    const Solution c = solve(model, roomy);
-    EXPECT_LT(c.refactorizations, b.refactorizations);
   }
 }
 

@@ -1,8 +1,8 @@
 // Pricing-rule equivalence: Devex (candidate list) and Dantzig must land on
 // identical optimal objectives across the instance corpus, under forced
 // Bland fallback (Beale's cycling LP), and across forced refactorization
-// cadences (deprecated eta_limit alias sweep) — the knobs must change
-// speed, never answers.
+// cadences (update_budget sweep) — the knobs must change speed, never
+// answers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -131,28 +131,27 @@ TEST(Pricing, BealeTerminatesUnderForcedBlandWithEitherRule) {
   }
 }
 
-TEST(Pricing, EtaLimitSweepPreservesObjectives) {
-  // The deprecated eta_limit alias maps onto the Forrest-Tomlin update
-  // budget: 1 refactorizes after every pivot, 4 exercises short update
-  // chains, 64 matches the default.  All must agree — the update cadence
-  // is a pure representation change.
+TEST(Pricing, UpdateBudgetSweepPreservesObjectives) {
+  // Forrest-Tomlin update budget: 1 refactorizes after every pivot, 4
+  // exercises short update chains, 64 matches the default.  All must
+  // agree — the update cadence is a pure representation change.
   const std::vector<Model> models = corpus();
   for (std::size_t idx = 0; idx < models.size(); ++idx) {
     const Model& m = models[idx];
     double ref = 0.0;
     bool have_ref = false;
-    for (const int limit : {1, 4, 64}) {
+    for (const int budget : {1, 4, 64}) {
       SolverOptions opts;
-      opts.eta_limit = limit;
+      opts.update_budget = budget;
       const Solution sol = solve(m, opts);
       ASSERT_EQ(sol.status, Status::Optimal)
-          << "model " << idx << " eta_limit " << limit;
+          << "model " << idx << " update_budget " << budget;
       if (!have_ref) {
         ref = sol.objective;
         have_ref = true;
       } else {
         EXPECT_NEAR(sol.objective, ref, 1e-7)
-            << "model " << idx << " eta_limit " << limit;
+            << "model " << idx << " update_budget " << budget;
       }
     }
   }

@@ -5,7 +5,7 @@ The repo's standing invariant (ROADMAP.md) is that campaign aggregates are
 byte-identical across thread counts and ablation switches.  clang-tidy and
 the sanitizers catch races and UB, but not the *sources* of run-to-run
 divergence this codebase has actually been bitten by.  This lint enforces
-seven repo-specific bans, each escapable only by an explicit justification
+six repo-specific bans, each escapable only by an explicit justification
 comment on the offending line (or, when the 80-column limit forces it, a
 comment-only line immediately above):
 
@@ -36,19 +36,10 @@ pointer-keyed-container
 
 raw-thread-or-async
     `std::thread` / `std::jthread` / `std::async` are banned outside
-    util/thread_pool.* and util/work_steal.*.  All fan-out goes through the
-    work-stealing pool so the plan/solve/commit pipeline stays the single
-    place where concurrency is reasoned about; ad-hoc threads are where
-    completion-order commits sneak in.
-
-owner-thread-pool
-    Constructing `util::ThreadPool` outside src/util is banned.  Fan-out
-    goes through the process-global work-stealing pool
-    (`util::WorkStealingPool::global()` / `util::global_parallel_for` /
-    `util::TaskGroup`), so campaign scenario tasks and the chunk subtasks
-    their schedulers spawn share one set of workers; a per-owner pool
-    reintroduces the nested-pool oversubscription the unified pool removed.
-    Tests exercising the legacy pool in isolation may waive with det-ok.
+    util/work_steal.*.  All fan-out goes through the work-stealing pool so
+    the plan/solve/commit pipeline stays the single place where concurrency
+    is reasoned about; ad-hoc threads are where completion-order commits
+    sneak in.
 
 solver-path-time-limit
     Assigning `time_limit_seconds` in the scheduler paths (src/core,
@@ -95,10 +86,7 @@ SOLVER_PATHS = ("src/milp", "src/core", "src/dc")
 
 # Per-rule allowlists: files whose *job* is the banned construct.
 WALLCLOCK_ALLOWED = ("src/util/rng.", "src/util/timer.")
-THREAD_ALLOWED = ("src/util/thread_pool.", "src/util/work_steal.")
-# Rule 7: the legacy per-owner pool may only be constructed inside src/util
-# (its own implementation and the work-stealing pool's migration shims).
-OWNER_POOL_ALLOWED = ("src/util/",)
+THREAD_ALLOWED = ("src/util/work_steal.",)
 
 DET_OK_RE = re.compile(r"//\s*det-ok\b(?P<rest>[^\n]*)")
 
@@ -115,14 +103,6 @@ PTR_KEYED_RE = re.compile(
     r"\s*\*"
 )
 RAW_THREAD_RE = re.compile(r"std::(?:jthread\b|thread\b(?!_)|async\b)")
-# ThreadPool construction: declarations (`ThreadPool pool;`, `... pool(4);`,
-# `... pool{...};`), `new ThreadPool`, and make_unique<ThreadPool>.
-# Qualified references (`ThreadPool::resolve_threads`) and parameter
-# bindings (`ThreadPool& pool`) do not construct and are not matched.
-OWNER_POOL_RE = re.compile(
-    r"\bThreadPool\s+\w+\s*[({;=]"
-    r"|\bnew\s+(?:ww::)?(?:util::)?ThreadPool\b"
-    r"|\bmake_unique<\s*(?:ww::)?(?:util::)?ThreadPool\b")
 # Assignment only (`=`, not `==`): reading or comparing the limit is fine.
 TIME_LIMIT_RE = re.compile(r"\btime_limit_seconds\s*=(?!=)")
 
@@ -148,7 +128,6 @@ RULES = (
     "raw-thread-or-async",
     "solver-path-time-limit",
     "direct-output-in-lib-paths",
-    "owner-thread-pool",
 )
 
 
@@ -219,7 +198,6 @@ def lint_file(rel: str, text: str) -> list[Finding]:
     in_lib_output_path = in_any(rel, LIB_OUTPUT_PATHS)
     wallclock_allowed = in_any(rel, WALLCLOCK_ALLOWED)
     thread_allowed = in_any(rel, THREAD_ALLOWED)
-    owner_pool_allowed = in_any(rel, OWNER_POOL_ALLOWED)
 
     in_block = False
     prev_comment_det_ok = False
@@ -271,18 +249,9 @@ def lint_file(rel: str, text: str) -> list[Finding]:
         if not thread_allowed and RAW_THREAD_RE.search(code):
             report(
                 "raw-thread-or-async",
-                "raw std::thread/std::async outside util/thread_pool.* and "
-                "util/work_steal.*; fan out through the work-stealing pool "
-                "so commit order stays deterministic, or justify with "
-                "'// det-ok: ...'")
-        if not owner_pool_allowed and OWNER_POOL_RE.search(code):
-            report(
-                "owner-thread-pool",
-                "per-owner util::ThreadPool constructed outside src/util; "
-                "fan out through util::WorkStealingPool::global() (or "
-                "util::global_parallel_for / util::TaskGroup) so scenario "
-                "and chunk tasks share one scheduler, or justify with "
-                "'// det-ok: ...' (e.g. isolated legacy-pool test)")
+                "raw std::thread/std::async outside util/work_steal.*; fan "
+                "out through the work-stealing pool so commit order stays "
+                "deterministic, or justify with '// det-ok: ...'")
         if in_time_limit_path and TIME_LIMIT_RE.search(code):
             report(
                 "solver-path-time-limit",

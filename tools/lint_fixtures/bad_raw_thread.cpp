@@ -1,7 +1,7 @@
 // PATH: tests/fixture_test.cpp
 // EXPECT: 9:raw-thread-or-async
 // EXPECT: 10:raw-thread-or-async
-// Fixture: raw threads and std::async outside util/thread_pool.
+// Fixture: raw threads and std::async outside util/work_steal.
 #include <future>
 #include <thread>
 
