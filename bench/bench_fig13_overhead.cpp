@@ -33,8 +33,7 @@ void report(const char* label, const ww::dc::CampaignResult& res,
             << " s in milp::solve)\n";
   std::cout << "  kernel: " << solver.refactorizations
             << " LU refactorizations, " << solver.ft_updates
-            << " Forrest-Tomlin updates, " << solver.seeded_incumbents
-            << " greedy-seeded solves\n";
+            << " Forrest-Tomlin updates\n";
   std::cout << "  pipeline: " << solver.chunks_planned << " chunk plans, "
             << solver.spill_resolves << " spill re-solves covering "
             << solver.spill_jobs << " job(s)\n";

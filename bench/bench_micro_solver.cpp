@@ -280,9 +280,11 @@ BENCHMARK(BM_MilpSolveHardChunk)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MilpSolveSoftChunk(benchmark::State& state) {
-  // The soft-model pathology at paper scale: a full chunk whose delay rows
-  // all softened (Eq. 12-13), several thousand rows of per-pair penalty
-  // structure.  ~3800 rows at 400 x 10.
+  // The unfolded soft model at paper scale: a full chunk whose delay rows
+  // all softened (Eq. 12-13) as per-pair penalty columns and rows, ~3800
+  // rows at 400 x 10.  The scheduler folds those penalties into the
+  // assignment costs (the BM_MilpSolveHardChunk shape); this stays as a
+  // large-row solver stress case.
   const int jobs = static_cast<int>(state.range(0));
   const int regions = static_cast<int>(state.range(1));
   const milp::Model model = milp::soft_chunk_model(jobs, regions);

@@ -107,26 +107,21 @@ std::size_t WaterWiseScheduler::effective_solver_threads() const noexcept {
 milp::Solution WaterWiseScheduler::run_model(
     const std::vector<const dc::PendingJob*>& chunk,
     const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-    long budget_scale, int* out_num_assign_vars, SchedulerStats& stats) const {
+    long budget_scale, SchedulerStats& stats) const {
   const int m = static_cast<int>(chunk.size());
   const int n = static_cast<int>(quota.size());
   milp::Model model;
   // Unnamed variables/constraints (names are synthesized on demand for
   // debugging) and pre-sized vectors: a 400-job x 10-region chunk would
   // otherwise allocate thousands of "x_j_r" strings per batch window.
-  // The soft model adds up to one penalty variable and one delay row per
-  // (job, region) pair on top of the assignment block.
-  if (soft)
-    model.reserve(2 * m * n, m + n + m * n);
-  else
-    model.reserve(m * n, m + n);
+  // Both forms are exactly the m*n assignment columns and m+n rows.
+  model.reserve(m * n, m + n);
 
   // x_mn assignment binaries, laid out row-major (job-major).
   std::vector<int> x(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
   for (int j = 0; j < m; ++j)
     for (int r = 0; r < n; ++r)
       x[static_cast<std::size_t>(j * n + r)] = model.add_binary();
-  *out_num_assign_vars = m * n;
 
   // A region with no quota cannot take any job from this chunk.  The
   // capacity row (sum x <= 0) already implies it, but stating the fixings
@@ -139,13 +134,15 @@ milp::Solution WaterWiseScheduler::run_model(
                                 0.0);
   }
 
-  // Objective: Eq. 8 normalized footprint costs + history reference terms.
+  // Objective: Eq. 8 normalized footprint costs + history reference terms,
+  // plus the delay tolerance of Eq. 11 (hard) / Eq. 12-13 (soft).
   for (int j = 0; j < m; ++j) {
     const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
     std::vector<double> co2(static_cast<std::size_t>(n));
     std::vector<double> h2o(static_cast<std::size_t>(n));
     std::vector<double> usd(static_cast<std::size_t>(n));
     std::vector<double> perf(static_cast<std::size_t>(n));
+    std::vector<double> latency(static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) {
       // Decision-time estimates: current intensities, estimated E and t.
       const footprint::Breakdown fb = ctx.footprint->job_at(
@@ -156,10 +153,10 @@ milp::Solution WaterWiseScheduler::run_model(
       h2o[static_cast<std::size_t>(r)] = fb.water_l() + tb.water_l();
       usd[static_cast<std::size_t>(r)] = ctx.env->pue(r) * p.est_energy_kwh *
                                          ctx.env->electricity_price(r, ctx.now);
+      latency[static_cast<std::size_t>(r)] = ctx.env->transfer_latency_seconds(
+          p.job->home_region, r, p.job->package_bytes);
       perf[static_cast<std::size_t>(r)] =
-          ctx.env->transfer_latency_seconds(p.job->home_region, r,
-                                            p.job->package_bytes) /
-          std::max(1.0, p.est_exec_s);
+          latency[static_cast<std::size_t>(r)] / std::max(1.0, p.est_exec_s);
     }
     const double co2_max =
         std::max(1e-12, *std::max_element(co2.begin(), co2.end()));
@@ -169,7 +166,16 @@ milp::Solution WaterWiseScheduler::run_model(
         std::max(1e-12, *std::max_element(usd.begin(), usd.end()));
     const double perf_max =
         std::max(1e-12, *std::max_element(perf.begin(), perf.end()));
+    // The remaining delay allowance discounts time already spent waiting in
+    // the controller.
+    const double waited = ctx.now - p.first_seen;
+    const double allowance = std::max(
+        0.0,
+        ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
+    const double penalty_rate =
+        config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
     for (int r = 0; r < n; ++r) {
+      const int xi = x[static_cast<std::size_t>(j * n + r)];
       double cost = config_.lambda_co2 * co2[static_cast<std::size_t>(r)] / co2_max +
                     config_.lambda_h2o * h2o[static_cast<std::size_t>(r)] / h2o_max;
       if (config_.lambda_cost > 0.0)
@@ -181,12 +187,30 @@ milp::Solution WaterWiseScheduler::run_model(
                 (config_.lambda_co2 * history_->carbon_ref(r) +
                  config_.lambda_h2o * history_->water_ref(r));
       }
-      // Deterministic symmetry-breaking epsilon: jobs of the same benchmark
-      // share identical estimates, which otherwise makes the branch-and-
-      // bound tree explore exponentially many equivalent assignments.
+      // Deterministic tie-breaking epsilon: jobs of the same benchmark share
+      // identical estimates, so without it many assignments tie exactly and
+      // the decision would hinge on which tied vertex the simplex reaches
+      // first.  The epsilon makes the optimum unique.
       cost += 1e-9 * static_cast<double>(j * n + r);
-      model.set_objective_coefficient(x[static_cast<std::size_t>(j * n + r)],
-                                      cost);
+      // Eq. 11 states the delay tolerance as one row per job over the summed
+      // transfer latency.  Since exactly one x_mn is 1, that row forbids
+      // every region whose latency exceeds the allowance, so the hard form
+      // fixes x_mn = 0.  The soft form (Eq. 12-13) charges the exceedance
+      // instead: its penalty P_mn >= exceedance * x_mn has a positive cost
+      // and appears in no other row, so every optimum has
+      // P_mn = exceedance * x_mn and the penalty folds into x_mn's cost.
+      // Either way the model stays a transportation polytope (assignment
+      // equalities plus integral capacity rows, totally unimodular): the
+      // root LP vertex is integral and no solve needs to branch.
+      const double exceedance =
+          latency[static_cast<std::size_t>(r)] - allowance;
+      if (exceedance > 0.0) {
+        if (soft)
+          cost += penalty_rate * exceedance;
+        else
+          model.set_variable_bounds(xi, 0.0, 0.0);
+      }
+      model.set_objective_coefficient(xi, cost);
     }
   }
 
@@ -211,66 +235,6 @@ milp::Solution WaterWiseScheduler::run_model(
         static_cast<double>(quota[static_cast<std::size_t>(r)]));
   }
 
-  // Eq. 11 (hard) / Eq. 12-13 (soft): delay tolerance.  The remaining
-  // allowance discounts time already spent waiting in the controller.
-  //
-  // The hard model states Eq. 11 verbatim: one row per job over the summed
-  // transfer latency.  The soft model uses the paper's per-(job, region)
-  // penalty variables P_mn; because exactly one x_mn is 1, the two forms
-  // agree at integral points, but the per-pair form keeps the LP relaxation
-  // near-integral (a per-job penalty would let fractional solutions absorb
-  // the allowance "for free", opening a large LP/MIP gap that forces
-  // branch-and-bound to enumerate job subsets).
-  // Per-(job, region) soft-penalty bookkeeping, reused by the greedy seed:
-  // the penalty variable and the exceedance its placement would incur.
-  std::vector<int> soft_pvar(
-      static_cast<std::size_t>(m) * static_cast<std::size_t>(n), -1);
-  std::vector<double> soft_exceed(
-      static_cast<std::size_t>(m) * static_cast<std::size_t>(n), 0.0);
-  for (int j = 0; j < m; ++j) {
-    const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
-    const double waited = ctx.now - p.first_seen;
-    const double allowance = std::max(
-        0.0,
-        ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
-    const double penalty_rate =
-        config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
-    if (soft) {
-      // P_mn >= (L_mn - allowance_m) * x_mn: the exceedance this placement
-      // would cause, proportional to x so the relaxation has no penalty-free
-      // fractional region and LP vertices stay integral.
-      for (int r = 0; r < n; ++r) {
-        if (quota[static_cast<std::size_t>(r)] <= 0)
-          continue;  // x_mn fixed to 0 above; no penalty row needed
-        const double latency = ctx.env->transfer_latency_seconds(
-            p.job->home_region, r, p.job->package_bytes);
-        const double exceedance = latency - allowance;
-        if (exceedance <= 0.0) continue;  // placement cannot violate
-        const int pmn =
-            model.add_continuous(0.0, milp::kInfinity, penalty_rate);
-        (void)model.add_constraint(
-            {{x[static_cast<std::size_t>(j * n + r)], exceedance}, {pmn, -1.0}},
-            milp::Sense::LessEqual, 0.0);
-        soft_pvar[static_cast<std::size_t>(j * n + r)] = pmn;
-        soft_exceed[static_cast<std::size_t>(j * n + r)] = exceedance;
-      }
-      continue;
-    }
-    // Hard Eq. 11: since exactly one x_mn is 1, the summed-latency row is
-    // equivalent to forbidding every region whose transfer latency exceeds
-    // the allowance.  Expressing it as bound fixing (x_mn = 0) keeps the
-    // LP relaxation a pure transportation polytope — integral vertices,
-    // instant infeasibility detection — where an explicit row would admit
-    // fractional "free allowance" points and force branching.
-    for (int r = 0; r < n; ++r) {
-      const double latency = ctx.env->transfer_latency_seconds(
-          p.job->home_region, r, p.job->package_bytes);
-      if (latency > allowance)
-        model.set_variable_bounds(x[static_cast<std::size_t>(j * n + r)], 0.0,
-                                  0.0);
-    }
-  }
-
   milp::SolverOptions options = config_.solver;
   // Scheduler-path solver budgets are node/iteration counts only — a
   // wall-clock cap would make the decision stream depend on machine speed
@@ -287,85 +251,8 @@ milp::Solution WaterWiseScheduler::run_model(
                                  ? cap
                                  : options.max_iterations * budget_scale;
   }
-  if (!soft && config_.enable_soft_constraints) {
-    // With softening enabled the hard model is a feasibility probe: when its
-    // LP relaxation is fractionally feasible but no integral point exists
-    // (capacity overflow against tight delay rows), branch-and-bound would
-    // have to enumerate the tree to prove infeasibility.  Cap the probe's
-    // effort — an inconclusive probe falls through to the soft model
-    // (Algorithm 1, lines 10-11) exactly like a proven-infeasible one.
-    // A conservative (false-negative) probe is harmless: softening is
-    // always valid, so the probe gets a small budget.  In the soft-disabled
-    // ablation the hard model is the primary model and keeps (scaled) full
-    // budgets, so the ladder's retry rung has headroom to use.
-    options.max_nodes = std::min<long>(options.max_nodes, 200);
-  }
 
-  // Greedy seed incumbent: jobs most-constrained-first (longest estimated
-  // runtime, then chunk order), each placed at the cheapest admissible
-  // region with remaining quota.  The resulting feasible point enters
-  // branch-and-bound as the initial upper bound, so best-first search
-  // prunes from node 0 instead of waiting for its first dive to bottom out.
-  //
-  // The budget-capped *hard* model is a feasibility probe (Algorithm 1,
-  // lines 10-11): an inconclusive probe must stay unusable so the chunk
-  // falls through to the penalty-optimized soft model.  A seed would make
-  // the probe always usable and commit the raw greedy assignment instead,
-  // so seeding applies only to the soft model — where the weak relaxation
-  // actually branches — and to the soft-disabled ablation.
-  std::optional<milp::Solution> seed;
-  if (soft || !config_.enable_soft_constraints) {
-    std::vector<int> order(static_cast<std::size_t>(m));
-    for (int j = 0; j < m; ++j) order[static_cast<std::size_t>(j)] = j;
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return chunk[static_cast<std::size_t>(a)]->est_exec_s >
-             chunk[static_cast<std::size_t>(b)]->est_exec_s;
-    });
-    std::vector<int> quota_left(quota);
-    std::vector<double> vals(static_cast<std::size_t>(model.num_variables()),
-                             0.0);
-    bool ok = true;
-    for (const int j : order) {
-      int chosen = -1;
-      double chosen_cost = 0.0;
-      for (int r = 0; r < n; ++r) {
-        if (quota_left[static_cast<std::size_t>(r)] <= 0) continue;
-        const auto xi = static_cast<std::size_t>(x[static_cast<std::size_t>(
-            j * n + r)]);
-        const milp::Variable& v = model.variable(static_cast<int>(xi));
-        if (v.upper < 0.5) continue;  // hard-model delay forbids this region
-        double c = v.objective;
-        if (soft && soft_pvar[static_cast<std::size_t>(j * n + r)] >= 0)
-          c += model
-                   .variable(soft_pvar[static_cast<std::size_t>(j * n + r)])
-                   .objective *
-               soft_exceed[static_cast<std::size_t>(j * n + r)];
-        if (chosen < 0 || c < chosen_cost) {
-          chosen = r;
-          chosen_cost = c;
-        }
-      }
-      if (chosen < 0) {
-        ok = false;  // no admissible region left; let the solver decide
-        break;
-      }
-      --quota_left[static_cast<std::size_t>(chosen)];
-      const auto xi =
-          static_cast<std::size_t>(x[static_cast<std::size_t>(j * n + chosen)]);
-      vals[xi] = 1.0;
-      if (soft && soft_pvar[static_cast<std::size_t>(j * n + chosen)] >= 0)
-        vals[static_cast<std::size_t>(
-            soft_pvar[static_cast<std::size_t>(j * n + chosen)])] =
-            soft_exceed[static_cast<std::size_t>(j * n + chosen)];
-    }
-    if (ok) {
-      seed = milp::Solution::incumbent_from_heuristic(model, std::move(vals));
-      ++stats.seeded_incumbents;
-    }
-  }
-
-  milp::Solution sol =
-      milp::solve(model, options, seed ? &*seed : nullptr);
+  milp::Solution sol = milp::solve(model, options);
   stats.add_solve(sol);
   return sol;
 }
@@ -480,7 +367,6 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   out.index = plan.index;
   out.leftover = plan.quota;
   out.shard = registry_.make_shard();
-  int num_x = 0;
 
   obs::Span span("sched.chunk_solve");
   span.arg("chunk", plan.index);
@@ -524,18 +410,18 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   bool proven_infeasible = false;
   if (config_.enable_soft_constraints) {
     sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, &num_x, out.stats);
+                    /*budget_scale=*/1, out.stats);
     if (injected(0)) sol = milp::Solution{};
     if (!sol.usable()) {
       // Algorithm 1, lines 10-11: soften and retry.
       ++out.stats.soft_fallbacks;
       sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/true,
-                      /*budget_scale=*/1, &num_x, out.stats);
+                      /*budget_scale=*/1, out.stats);
       if (injected(1)) sol = milp::Solution{};
     }
   } else {
     sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, &num_x, out.stats);
+                    /*budget_scale=*/1, out.stats);
     proven_infeasible = sol.status == milp::Status::Infeasible;
     // An injected failure loses the outcome *and* the infeasibility proof.
     if (injected(1)) {
@@ -548,7 +434,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     ++out.stats.solve_retries;
     sol = run_model(plan.jobs, plan.quota, ctx,
                     /*soft=*/config_.enable_soft_constraints,
-                    config_.retry_budget_multiplier, &num_x, out.stats);
+                    config_.retry_budget_multiplier, out.stats);
     if (injected(2)) sol = milp::Solution{};
     if (sol.usable()) rung = 2;
   }

@@ -14,9 +14,12 @@
 // Algorithm 1 wraps the solver: when pending jobs exceed total capacity the
 // slack manager (Eq. 14) picks the most-urgent subset and the relaxed model
 // runs; when the hard model is infeasible the delay constraint is softened
-// with penalty variables P_m entering the objective at weight sigma
-// (Eq. 12-13).  Estimates of execution time and energy come from the online
-// means the simulator learns — the controller never sees true per-job values.
+// (Eq. 12-13): each placement's delay exceedance is charged at weight sigma.
+// The paper's penalty variables P_mn are substituted out (every optimum has
+// P_mn = exceedance_mn * x_mn), so the penalty is part of x_mn's cost and
+// both forms are the same root-integral transportation model.  Estimates
+// of execution time and energy come from the online means the simulator
+// learns — the controller never sees true per-job values.
 //
 // ## The plan -> solve -> commit pipeline
 //
@@ -191,9 +194,6 @@ struct SchedulerStats {
   long phase1_nodes = 0;         ///< Nodes that needed phase-1 artificials.
   long refactorizations = 0;     ///< Sparse-kernel LU factorizations.
   long ft_updates = 0;           ///< Forrest-Tomlin basis updates absorbed.
-  /// Solves handed a greedy seed candidate (the solver re-validates the
-  /// seed against bounds/rows/integrality before adopting it).
-  long seeded_incumbents = 0;
   /// Presolve reductions across all solves: model rows/columns/nonzeros the
   /// simplex never saw (delay-fixed columns, redundant capacity rows, ...)
   /// and the wall-clock the reductions cost (included in solve_seconds).
@@ -270,7 +270,6 @@ inline constexpr StatsField<long> kStatsCounters[] = {
      &milp::Solution::refactorizations},
     {"sched.ft_updates", &SchedulerStats::ft_updates,
      &milp::Solution::ft_updates},
-    {"sched.seeded_incumbents", &SchedulerStats::seeded_incumbents, nullptr},
     {"sched.presolve_rows_removed", &SchedulerStats::presolve_rows_removed,
      &milp::Solution::presolve_rows_removed},
     {"sched.presolve_cols_removed", &SchedulerStats::presolve_cols_removed,
@@ -402,14 +401,16 @@ class WaterWiseScheduler final : public dc::Scheduler {
       SchedulerStats& window);
 
  private:
-  /// Builds and solves Eq. 8-13 for the chunk against `quota`; `soft`
-  /// enables penalties; `budget_scale` multiplies the node/iteration budgets
-  /// (saturating) for the ladder's retry rung.  Solver counters accumulate
-  /// into `stats`.
+  /// Builds and solves Eq. 8-13 for the chunk against `quota`: the m*n
+  /// assignment columns (job-major, so `values[j * n + r]` is x_jr) and the
+  /// m+n assignment/capacity rows.  `soft` prices delay exceedance into the
+  /// assignment costs instead of forbidding it; `budget_scale` multiplies
+  /// the node/iteration budgets (saturating) for the ladder's retry rung.
+  /// Solver counters accumulate into `stats`.
   [[nodiscard]] milp::Solution run_model(
       const std::vector<const dc::PendingJob*>& chunk,
       const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-      long budget_scale, int* out_num_assign_vars, SchedulerStats& stats) const;
+      long budget_scale, SchedulerStats& stats) const;
 
   /// Per-region degraded-mode state (see DegradedModeConfig).  Updated once
   /// per batch window, serially, before the chunk fan-out.

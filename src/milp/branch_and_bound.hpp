@@ -9,10 +9,10 @@
 // snapshotted basis via the dual simplex (no phase 1); see simplex.hpp.
 // Both behaviours have SolverOptions kill switches (best_first, warm_start).
 //
-// WaterWise's scheduling program (assignment + capacity rows) is
-// near-transportation, so relaxations are almost always integral and the tree
-// rarely branches — the machinery exists for correctness when the delay rows
-// or penalty terms break integrality, and is stress-tested on knapsack and
+// WaterWise's scheduling program (assignment + capacity rows, with delay
+// penalties folded into the assignment costs) is a transportation problem,
+// so its root relaxation is integral and the tree never branches — the
+// machinery exists for general MILPs, and is stress-tested on knapsack and
 // weak-relaxation soft-penalty instances where branching is mandatory.
 #pragma once
 

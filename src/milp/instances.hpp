@@ -89,11 +89,13 @@ inline Model hard_chunk_model(int jobs, int regions, double fixed_fraction,
   return m;
 }
 
-/// The scheduler's *soft* chunk model (Eq. 12-13) at selectable scale: one
-/// penalty variable and one exceedance row per (job, remote region) pair
-/// whose latency overruns the allowance, exactly as run_model emits it.
-/// At 400 jobs x 10 regions this is a several-thousand-row program — the
-/// soft-model pathology at paper scale.
+/// The paper's *soft* chunk model (Eq. 12-13) in unfolded form, at
+/// selectable scale: one penalty variable and one exceedance row per (job,
+/// remote region) pair whose latency overruns the allowance.  The scheduler
+/// folds each penalty into its assignment column's cost instead (m*n
+/// columns, m+n rows); this form is the unfolded reference the equivalence
+/// tests fold and compare against, and a large-row solver stress case (at
+/// 400 jobs x 10 regions it is a several-thousand-row program).
 inline Model soft_chunk_model(int jobs, int regions, std::uint64_t seed = 13) {
   util::Rng rng(seed);
   Model m;

@@ -8,8 +8,11 @@
 // with another still trips a failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
@@ -138,6 +141,76 @@ TEST(MilpEquivalence, ConcurrentSolvesMatchSerialBitwise) {
       EXPECT_EQ(sols[i].values, ref.values) << tag;
       EXPECT_EQ(sols[i].nodes_explored, ref.nodes_explored) << tag;
       EXPECT_EQ(sols[i].simplex_iterations, ref.simplex_iterations) << tag;
+    }
+  }
+}
+
+/// The folded twin of a soft chunk model: every penalty row
+/// `e * x - p <= 0` (e > 0) is dropped together with its penalty column p,
+/// and cost(p) * e moves onto x's cost.  p has a positive cost and appears
+/// in no other row, so every optimum has p = e * x and the substitution is
+/// exact; the twin is the form the scheduler builds.
+Model fold_penalty_rows(const Model& m) {
+  std::vector<double> cost(m.variables().size());
+  std::vector<bool> penalty(m.variables().size(), false);
+  for (std::size_t v = 0; v < cost.size(); ++v)
+    cost[v] = m.variables()[v].objective;
+  std::vector<bool> folded(m.constraints().size(), false);
+  for (std::size_t i = 0; i < m.constraints().size(); ++i) {
+    const Constraint& c = m.constraints()[i];
+    if (c.sense != Sense::LessEqual || c.rhs != 0.0 || c.terms.size() != 2)
+      continue;
+    const Term& x = c.terms[0];
+    const Term& p = c.terms[1];
+    if (x.coeff <= 0.0 || p.coeff != -1.0) continue;
+    const auto pv = static_cast<std::size_t>(p.var);
+    cost[static_cast<std::size_t>(x.var)] += cost[pv] * x.coeff;
+    penalty[pv] = true;
+    folded[i] = true;
+  }
+  Model out;
+  std::vector<int> remap(cost.size(), -1);
+  for (std::size_t v = 0; v < cost.size(); ++v) {
+    if (penalty[v]) continue;
+    const Variable& var = m.variables()[v];
+    remap[v] = out.add_variable(var.lower, var.upper, var.type, cost[v]);
+  }
+  for (std::size_t i = 0; i < m.constraints().size(); ++i) {
+    if (folded[i]) continue;
+    const Constraint& c = m.constraints()[i];
+    std::vector<Term> terms;
+    terms.reserve(c.terms.size());
+    for (const Term& t : c.terms)
+      terms.push_back({remap[static_cast<std::size_t>(t.var)], t.coeff});
+    (void)out.add_constraint(std::move(terms), c.sense, c.rhs);
+  }
+  return out;
+}
+
+TEST(MilpEquivalence, FoldedSoftPenaltyIsExactAndRootIntegral) {
+  // The scheduler's soft model charges delay exceedance on the assignment
+  // costs instead of through penalty columns.  The folded model must reach
+  // the unfolded optimum and, being a transportation polytope, settle it
+  // at the root LP.
+  SolverOptions o;
+  o.mip_gap_rel = 0.0;  // both solves to proven optimality
+  for (const auto& [jobs, regions] : {std::pair{30, 4}, std::pair{100, 5}}) {
+    for (const std::uint64_t seed : {13ULL, 29ULL}) {
+      const Model unfolded = soft_chunk_model(jobs, regions, seed);
+      const Model folded = fold_penalty_rows(unfolded);
+      const std::string tag = std::to_string(jobs) + "x" +
+                              std::to_string(regions) +
+                              " seed=" + std::to_string(seed);
+      ASSERT_EQ(folded.num_variables(), jobs * regions) << tag;
+      ASSERT_EQ(folded.num_constraints(), jobs + regions) << tag;
+      const Solution ref = solve(unfolded, o);
+      const Solution got = solve(folded, o);
+      ASSERT_EQ(ref.status, Status::Optimal) << tag;
+      ASSERT_EQ(got.status, Status::Optimal) << tag;
+      EXPECT_NEAR(got.objective, ref.objective,
+                  1e-9 * std::max(1.0, std::abs(ref.objective)))
+          << tag;
+      EXPECT_LE(got.nodes_explored, 1) << tag;
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -100,16 +101,17 @@ Node build_tree(const Rng& stream, int depth) {
 
 /// Order-sensitive fold (h = h * 31 + child), so a commit in anything but
 /// child-index order changes the fingerprint — unlike a plain sum, which
-/// would hide reorderings.
-long serial_fold(const Node& n) {
-  long h = n.value;
+/// would hide reorderings.  Unsigned, so the fold wraps instead of
+/// overflowing.
+std::uint64_t serial_fold(const Node& n) {
+  auto h = static_cast<std::uint64_t>(n.value);
   for (const Node& kid : n.kids) h = h * 31 + serial_fold(kid);
   return h;
 }
 
-long parallel_fold(WorkStealingPool& pool, const Node& n) {
-  if (n.kids.empty()) return n.value;
-  std::vector<long> kid(n.kids.size(), 0);
+std::uint64_t parallel_fold(WorkStealingPool& pool, const Node& n) {
+  if (n.kids.empty()) return static_cast<std::uint64_t>(n.value);
+  std::vector<std::uint64_t> kid(n.kids.size(), 0);
   {
     TaskGroup group(pool);
     for (std::size_t i = 0; i < n.kids.size(); ++i)
@@ -118,8 +120,8 @@ long parallel_fold(WorkStealingPool& pool, const Node& n) {
       });
     group.wait();
   }
-  long h = n.value;
-  for (const long v : kid) h = h * 31 + v;  // commit in child-index order
+  auto h = static_cast<std::uint64_t>(n.value);
+  for (const std::uint64_t v : kid) h = h * 31 + v;  // child-index order
   return h;
 }
 
@@ -133,8 +135,8 @@ TEST(WorkStealingPool, RandomizedNestedForkJoinMatchesSerial) {
     for (std::uint64_t seed_idx = 0; seed_idx < 4; ++seed_idx) {
       const Node tree =
           build_tree(root.child("tree").child(seed_idx), depth);
-      const long want = serial_fold(tree);
-      const long got = parallel_fold(pool, tree);
+      const std::uint64_t want = serial_fold(tree);
+      const std::uint64_t got = parallel_fold(pool, tree);
       EXPECT_EQ(got, want) << "depth=" << depth << " seed=" << seed_idx;
     }
   }
