@@ -32,8 +32,7 @@ int main() {
     no_soft.cfg.enable_soft_constraints = false;
     // Without softening, every infeasible batch re-runs the hard model each
     // tick; keep the node budget tiny so the degraded variant is measured
-    // by outcome, not by solver spin.  (Deterministic budget only — the
-    // scheduler path neutralizes wall-clock limits.)
+    // by outcome, not by solver spin.
     no_soft.cfg.solver.max_nodes = 50;
     cases.push_back(no_soft);
 

@@ -25,8 +25,7 @@ void report(const char* label, const ww::dc::CampaignResult& res,
   std::cout << "  solver: " << solver.milp_solves << " MILPs, "
             << solver.nodes_explored << " nodes, "
             << solver.simplex_iterations << " simplex iterations, "
-            << solver.warm_started_nodes << "/" << solver.non_root_nodes()
-            << " non-root nodes warm-started ("
+            << solver.non_root_nodes() << " non-root nodes ("
             << solver.phase1_nodes << " phase-1 nodes, "
             << solver.soft_fallbacks << " soft fallbacks, "
             << util::Table::fixed(solver.solve_seconds, 3)

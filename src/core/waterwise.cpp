@@ -236,11 +236,6 @@ milp::Solution WaterWiseScheduler::run_model(
   }
 
   milp::SolverOptions options = config_.solver;
-  // Scheduler-path solver budgets are node/iteration counts only — a
-  // wall-clock cap would make the decision stream depend on machine speed
-  // and thread contention, breaking the byte-identity contract.
-  // det-ok: neutralizes the wall-clock limit; budgets are deterministic
-  options.time_limit_seconds = std::numeric_limits<double>::infinity();
   if (budget_scale > 1) {
     // Retry rung: relax the deterministic budgets (saturating multiply).
     const long cap = std::numeric_limits<long>::max();
@@ -604,11 +599,9 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx,
     SchedulerStats& window) {
   const int n = ctx.capacity->num_regions();
-  if (!history_ || history_->observations() == 0) {
-    // Lazily size the learner to the environment.
-    if (!history_)
-      history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
-  }
+  // Lazily size the learner to the environment.
+  if (!history_)
+    history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
 
   // Feed the history learner the current intensity landscape.
   {

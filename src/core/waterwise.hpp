@@ -163,8 +163,7 @@ struct WaterWiseConfig {
     // Scheduling batches must decide quickly; a best-incumbent answer at
     // the budget is still a valid (near-optimal) placement, and placements
     // within 0.01% of each other are operationally identical.  The budget
-    // is a node count — deterministic at any machine speed or thread count
-    // — never a wall-clock limit (see tools/lint_determinism.py).
+    // is a node count, deterministic at any machine speed or thread count.
     o.max_nodes = 20000;
     o.mip_gap_rel = 1e-4;
     return o;
@@ -172,8 +171,8 @@ struct WaterWiseConfig {
 };
 
 /// Aggregate Decision-Controller solver diagnostics over the scheduler's
-/// lifetime: how many MILPs ran, how big the trees were, and how much of
-/// the tree the warm-start path covered (Fig. 13 overhead attribution).
+/// lifetime: how many MILPs ran, how big the trees were, and what the
+/// simplex kernel and presolve did (Fig. 13 overhead attribution).
 ///
 /// The scheduler's `obs::Registry` is the store: every field is a `sched.*`
 /// registry entry, and `stats()` reads them back into this struct.  The
@@ -190,7 +189,6 @@ struct SchedulerStats {
   long soft_fallbacks = 0;       ///< Hard model failed, soft model ran.
   long nodes_explored = 0;       ///< Branch-and-bound nodes across solves.
   long simplex_iterations = 0;
-  long warm_started_nodes = 0;   ///< Nodes re-solved from a parent basis.
   long phase1_nodes = 0;         ///< Nodes that needed phase-1 artificials.
   long refactorizations = 0;     ///< Sparse-kernel LU factorizations.
   long ft_updates = 0;           ///< Forrest-Tomlin basis updates absorbed.
@@ -224,20 +222,10 @@ struct SchedulerStats {
   /// Folds one milp::solve outcome into the counters.
   void add_solve(const milp::Solution& sol) noexcept;
 
-  /// Non-root branch-and-bound nodes across all solves (the population the
-  /// warm-start path can cover); 0 when no tree ever branched.
+  /// Non-root branch-and-bound nodes across all solves; 0 when no tree
+  /// ever branched.
   [[nodiscard]] long non_root_nodes() const noexcept {
     return nodes_explored > milp_solves ? nodes_explored - milp_solves : 0;
-  }
-  /// Fraction of non-root nodes the warm-start path covered, in [0, 1].
-  /// 0 when nothing branched — report the raw counters alongside so a
-  /// branch-free workload is not mistaken for missing warm coverage.
-  [[nodiscard]] double warm_start_fraction() const noexcept {
-    const long non_root = non_root_nodes();
-    return non_root > 0
-               ? static_cast<double>(warm_started_nodes) /
-                     static_cast<double>(non_root)
-               : 0.0;
   }
 };
 
@@ -262,8 +250,6 @@ inline constexpr StatsField<long> kStatsCounters[] = {
      &milp::Solution::nodes_explored},
     {"sched.simplex_iterations", &SchedulerStats::simplex_iterations,
      &milp::Solution::simplex_iterations},
-    {"sched.warm_started_nodes", &SchedulerStats::warm_started_nodes,
-     &milp::Solution::warm_started_nodes},
     {"sched.phase1_nodes", &SchedulerStats::phase1_nodes,
      &milp::Solution::phase1_nodes},
     {"sched.refactorizations", &SchedulerStats::refactorizations,

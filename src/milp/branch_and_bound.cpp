@@ -65,26 +65,15 @@ std::string to_string_impl(Status s) {
 
 std::string to_string(Status s) { return to_string_impl(s); }
 
-Solution Solution::incumbent_from_heuristic(const Model& model,
-                                            std::vector<double> values) {
-  Solution sol;
-  sol.values = std::move(values);
-  sol.objective = model.objective_value(sol.values);
-  sol.has_incumbent = true;
-  sol.status = Status::NodeLimit;  // feasible, not proven optimal
-  sol.best_bound = kNegInf;
-  return sol;
-}
-
 BranchAndBound::BranchAndBound(const Model& model, SolverOptions options)
     : model_(model), options_(options) {}
 
-Solution BranchAndBound::solve(const Solution* seed) {
+Solution BranchAndBound::solve() {
   // Presolve lives in the milp::solve facade; route through it so a
   // directly-constructed BranchAndBound sees the same reductions.  The
   // facade clears the flag before solving the reduced model, so the tree
   // below always runs on a presolved (or deliberately raw) model.
-  if (options_.presolve) return ww::milp::solve(model_, options_, seed);
+  if (options_.presolve) return ww::milp::solve(model_, options_);
 
   const util::Stopwatch watch;
   SimplexSolver lp(model_, options_);
@@ -98,34 +87,6 @@ Solution BranchAndBound::solve(const Solution* seed) {
   Solution best;
   best.status = Status::Infeasible;
   double incumbent = std::numeric_limits<double>::infinity();
-  // Heuristic seed: adopt it as the initial incumbent when it is actually
-  // feasible.  While the incumbent is still the seed, pruning uses only the
-  // absolute gap — the relative gap could discard a tree solution within
-  // mip_gap_rel of the (possibly weak) heuristic, changing the answer the
-  // un-seeded tree would have returned.
-  bool incumbent_is_seed = false;
-  if (seed != nullptr && seed->has_incumbent &&
-      static_cast<int>(seed->values.size()) == n &&
-      model_.max_violation(seed->values) <= options_.feasibility_tolerance) {
-    // MILP feasibility also demands integrality, which max_violation does
-    // not check — a fractional (e.g. LP-relaxation) "seed" must be ignored
-    // or it would prune the subtree holding the true integral optimum.
-    bool integral = true;
-    for (int j = 0; j < n && integral; ++j) {
-      if (!is_int[static_cast<std::size_t>(j)]) continue;
-      const double v = seed->values[static_cast<std::size_t>(j)];
-      integral = std::abs(v - std::round(v)) <= options_.integrality_tolerance;
-    }
-    if (integral) {
-      best = *seed;
-      // Defensive recompute: the pruning bound must reflect these exact
-      // values even when a caller hand-built the seed with a stale
-      // objective field instead of using incumbent_from_heuristic.
-      best.objective = model_.objective_value(best.values);
-      incumbent = best.objective;
-      incumbent_is_seed = true;
-    }
-  }
   long nodes = 0;
   long total_iterations = 0;
   long warm_nodes = 0;
@@ -133,7 +94,7 @@ Solution BranchAndBound::solve(const Solution* seed) {
   long total_refactor = 0;
   long total_updates = 0;
   long next_seq = 0;
-  bool limits_hit = false;        ///< Node/time budget exhausted.
+  bool limits_hit = false;        ///< Node budget exhausted.
   bool subtree_dropped = false;   ///< A node LP hit its iteration limit.
   double root_bound = kNegInf;
   /// Bounds of nodes we could not resolve (limits); folded into best_bound
@@ -159,24 +120,11 @@ Solution BranchAndBound::solve(const Solution* seed) {
   }
   root.seq = next_seq++;
 
-  // Open nodes: a binary heap under best-first selection, a plain stack
-  // under DFS.  `current` carries the preferred child of the node just
-  // branched, so both modes dive toward an incumbent before backtracking.
+  // Open nodes: a binary heap on node bound.  `current` carries the
+  // preferred child of the node just branched, so the search dives toward
+  // an incumbent before backtracking to the best open bound.
   std::vector<Node> open;
   std::optional<Node> current(std::move(root));
-  const bool best_first = options_.best_first;
-
-  auto pop_open = [&]() -> Node {
-    if (best_first)
-      std::pop_heap(open.begin(), open.end(), worse_node);
-    Node nd = std::move(open.back());
-    open.pop_back();
-    return nd;
-  };
-  auto push_open = [&](Node&& nd) {
-    open.push_back(std::move(nd));
-    if (best_first) std::push_heap(open.begin(), open.end(), worse_node);
-  };
 
   for (;;) {
     Node node;
@@ -185,14 +133,15 @@ Solution BranchAndBound::solve(const Solution* seed) {
       node = std::move(*current);
       current.reset();
     } else if (!open.empty()) {
-      node = pop_open();
+      std::pop_heap(open.begin(), open.end(), worse_node);
+      node = std::move(open.back());
+      open.pop_back();
       from_heap = true;
     } else {
       break;
     }
 
-    if (nodes >= options_.max_nodes ||
-        watch.elapsed_seconds() > options_.time_limit_seconds) {
+    if (nodes >= options_.max_nodes) {
       // Budget exhausted: fold the in-hand node and every open node into
       // the unresolved bound in one pass (the limit can't un-trip, so
       // popping them through the heap would be pure teardown cost).
@@ -203,17 +152,14 @@ Solution BranchAndBound::solve(const Solution* seed) {
       open.clear();
       break;
     }
-    const double prune_margin =
-        incumbent_is_seed
-            ? options_.mip_gap_abs
-            : std::max(options_.mip_gap_abs,
-                       options_.mip_gap_rel * std::abs(incumbent));
+    const double prune_margin = std::max(
+        options_.mip_gap_abs, options_.mip_gap_rel * std::abs(incumbent));
     if (node.bound >= incumbent - prune_margin) {
-      // Pruned.  When this node came off the best-first heap, its bound is
-      // the minimum of the open set and the incumbent only improves, so
-      // every remaining open node is pruned too — discard them wholesale.
-      // (A dive child in `current` proves nothing about the heap.)
-      if (best_first && from_heap) {
+      // Pruned.  When this node came off the heap, its bound is the minimum
+      // of the open set and the incumbent only improves, so every remaining
+      // open node is pruned too — discard them wholesale.  (A dive child in
+      // `current` proves nothing about the heap.)
+      if (from_heap) {
         open.clear();
         break;
       }
@@ -308,16 +254,10 @@ Solution BranchAndBound::solve(const Solution* seed) {
           cand.values[static_cast<std::size_t>(j)] =
               std::round(cand.values[static_cast<std::size_t>(j)]);
       cand.objective = model_.objective_value(cand.values);
-      // Tree incumbents also take over from a seed on exact objective
-      // ties.  (Best effort: a tying node can still be gap-pruned before
-      // its integral solution is formed, in which case the seed's
-      // assignment is returned at the same objective.)
-      if (cand.objective < incumbent ||
-          (incumbent_is_seed && cand.objective <= incumbent)) {
+      if (cand.objective < incumbent) {
         incumbent = cand.objective;
         best = std::move(cand);
         best.has_incumbent = true;
-        incumbent_is_seed = false;
       }
       continue;
     }
@@ -358,14 +298,15 @@ Solution BranchAndBound::solve(const Solution* seed) {
     if (v - fl < 0.5) {
       up.seq = next_seq++;
       down.seq = next_seq++;
-      push_open(std::move(up));
+      open.push_back(std::move(up));
       current = std::move(down);
     } else {
       down.seq = next_seq++;
       up.seq = next_seq++;
-      push_open(std::move(down));
+      open.push_back(std::move(down));
       current = std::move(up);
     }
+    std::push_heap(open.begin(), open.end(), worse_node);
   }
 
   best.nodes_explored = nodes;
@@ -395,20 +336,18 @@ namespace {
 
 /// The raw dispatch: LP relaxation solver for continuous models,
 /// branch-and-bound otherwise.  Callers have already dealt with presolve.
-Solution solve_raw(const Model& model, const SolverOptions& options,
-                   const Solution* seed) {
+Solution solve_raw(const Model& model, const SolverOptions& options) {
   if (!model.has_integer_variables()) {
     SimplexSolver lp(model, options);
     return lp.solve();
   }
   BranchAndBound bb(model, options);
-  return bb.solve(seed);
+  return bb.solve();
 }
 
 /// solve() minus the tracing wrapper; callers go through solve().
-Solution solve_impl(const Model& model, SolverOptions options,
-                    const Solution* seed) {
-  if (!options.presolve) return solve_raw(model, options, seed);
+Solution solve_impl(const Model& model, SolverOptions options) {
+  if (!options.presolve) return solve_raw(model, options);
 
   // Presolve wrapper: reduce, solve the reduced model with presolve off,
   // then map the solution (values, duals, counters) back onto `model` so
@@ -433,7 +372,7 @@ Solution solve_impl(const Model& model, SolverOptions options,
                        ps.rows_removed == model.num_constraints();
   if (!decided && ps.bounds_tightened == 0 &&
       ps.rows_removed + ps.cols_removed < std::max<long>(4, scale / 50)) {
-    Solution sol = solve_raw(model, options, seed);
+    Solution sol = solve_raw(model, options);
     sol.presolve_seconds += ps.seconds;
     sol.solve_seconds += ps.seconds;
     return sol;
@@ -448,19 +387,7 @@ Solution solve_impl(const Model& model, SolverOptions options,
     sol.status = Status::Optimal;
     sol.has_incumbent = true;
   } else {
-    // A seed incumbent survives presolve when it agrees with every fixing;
-    // otherwise the tree simply starts unseeded (seeding is an
-    // acceleration, never a correctness requirement).
-    Solution red_seed;
-    const Solution* sp = nullptr;
-    std::vector<double> vals;
-    if (seed != nullptr && seed->has_incumbent &&
-        pre.reduce_point(seed->values, &vals,
-                         options.feasibility_tolerance)) {
-      red_seed = Solution::incumbent_from_heuristic(red, std::move(vals));
-      sp = &red_seed;
-    }
-    sol = solve_raw(red, options, sp);
+    sol = solve_raw(red, options);
   }
   pre.postsolve(model, sol);
   return sol;
@@ -468,12 +395,11 @@ Solution solve_impl(const Model& model, SolverOptions options,
 
 }  // namespace
 
-Solution solve(const Model& model, SolverOptions options,
-               const Solution* seed) {
+Solution solve(const Model& model, SolverOptions options) {
   // Span annotations are written after the solve and never read back, so
   // tracing cannot perturb the solver path (see src/obs/trace.hpp).
   obs::Span span("milp.solve");
-  Solution sol = solve_impl(model, options, seed);
+  Solution sol = solve_impl(model, options);
   span.arg("status", static_cast<int>(sol.status));
   span.arg("simplex_iterations", sol.simplex_iterations);
   span.arg("nodes_explored", sol.nodes_explored);

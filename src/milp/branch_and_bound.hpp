@@ -7,7 +7,9 @@
 // pseudocosts seeded from objective magnitudes.  Child nodes differ from
 // their parent by one tightened bound, so they re-solve from the parent's
 // snapshotted basis via the dual simplex (no phase 1); see simplex.hpp.
-// Both behaviours have SolverOptions kill switches (best_first, warm_start).
+// SolverOptions::warm_start = false forces cold node solves for equivalence
+// testing.  Node and iteration budgets bound every solve, so the search is
+// deterministic: the same model and options give the same tree.
 //
 // WaterWise's scheduling program (assignment + capacity rows, with delay
 // penalties folded into the assignment costs) is a transportation problem,
@@ -26,13 +28,8 @@ class BranchAndBound {
  public:
   BranchAndBound(const Model& model, SolverOptions options = {});
 
-  /// Solves the MILP.  `seed` may carry a heuristic feasible incumbent
-  /// (see Solution::incumbent_from_heuristic): its objective becomes the
-  /// initial upper bound so best-first search prunes from node 0.  The
-  /// seed only prunes within the *absolute* gap — a tree-found incumbent
-  /// strictly better than the seed always replaces it — so seeding never
-  /// degrades the answer.  Infeasible or malformed seeds are ignored.
-  [[nodiscard]] Solution solve(const Solution* seed = nullptr);
+  /// Solves the MILP.
+  [[nodiscard]] Solution solve();
 
  private:
   const Model& model_;
@@ -40,8 +37,7 @@ class BranchAndBound {
 };
 
 /// Facade: dispatches to pure LP when the model has no integer variables,
-/// branch-and-bound otherwise (forwarding an optional seed incumbent).
-[[nodiscard]] Solution solve(const Model& model, SolverOptions options = {},
-                             const Solution* seed = nullptr);
+/// branch-and-bound otherwise, with presolve around either when enabled.
+[[nodiscard]] Solution solve(const Model& model, SolverOptions options = {});
 
 }  // namespace ww::milp

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "obs/trace.hpp"
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace ww::milp {
@@ -24,15 +23,10 @@ constexpr int kMaxPasses = 10;
 
 }  // namespace
 
-bool presolve_enabled_by_default() noexcept {
-  // WW_PRESOLVE=off|0|false disables presolve process-wide: the ablation
-  // switch CI uses to run the whole test suite down the raw solver path.
-  static const bool enabled = [] {
-    const char* v = std::getenv("WW_PRESOLVE");
-    if (v == nullptr) return true;
-    const std::string s(v);
-    return !(s == "0" || s == "off" || s == "OFF" || s == "false");
-  }();
+bool presolve_enabled_by_default() {
+  // WW_PRESOLVE=off disables presolve process-wide: the ablation switch CI
+  // uses to run the whole test suite down the raw solver path.
+  static const bool enabled = util::env_switch("WW_PRESOLVE", true);
   return enabled;
 }
 
@@ -504,27 +498,6 @@ void Presolve::build_reduced(const Model& model) {
                                            row_sense_[iu], row_rhs_[iu]);
   }
   stats_.seconds += watch.elapsed_seconds();
-}
-
-bool Presolve::reduce_point(const std::vector<double>& x,
-                            std::vector<double>* out,
-                            double tolerance) const {
-  if (static_cast<int>(x.size()) != n_) return false;
-  // A point that contradicts a presolve fixing cannot be represented in the
-  // reduced space; substituted (free-singleton) columns need no check, the
-  // row equation determines them.
-  for (const Record& rec : records_) {
-    if (rec.kind != Record::Kind::FixedCol) continue;
-    if (std::abs(x[static_cast<std::size_t>(rec.col)] - rec.value) > tolerance)
-      return false;
-  }
-  out->assign(static_cast<std::size_t>(reduced_.num_variables()), 0.0);
-  for (int j = 0; j < n_; ++j) {
-    const auto ju = static_cast<std::size_t>(j);
-    if (col_map_[ju] >= 0)
-      (*out)[static_cast<std::size_t>(col_map_[ju])] = x[ju];
-  }
-  return true;
 }
 
 void Presolve::postsolve(const Model& original, Solution& sol) const {

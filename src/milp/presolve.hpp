@@ -28,9 +28,8 @@
 // hold exactly as they would for an unpresolved solve.
 //
 // Branch-and-bound runs entirely on the reduced model, so warm-start basis
-// snapshots, node counters, and seed incumbents (translated into the
-// reduced space by reduce_point) behave identically; only the final
-// Solution is mapped back.
+// snapshots and node counters behave identically; only the final Solution
+// is mapped back.
 #pragma once
 
 #include <vector>
@@ -78,14 +77,6 @@ class Presolve {
   /// Objective constant folded out by the reductions:
   /// original objective == reduced objective + offset.
   [[nodiscard]] double objective_offset() const noexcept { return offset_; }
-
-  /// Translates a full-space point (e.g. a heuristic seed incumbent) into
-  /// the reduced space.  Returns false when the point contradicts a
-  /// presolve fixing by more than `tolerance` — the caller should then
-  /// solve unseeded.
-  [[nodiscard]] bool reduce_point(const std::vector<double>& x,
-                                  std::vector<double>* out,
-                                  double tolerance) const;
 
   /// Maps a Solution of the reduced model back onto `original` in place:
   /// reconstructs values for every eliminated column, recovers duals and

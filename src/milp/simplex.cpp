@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace ww::milp {
@@ -20,16 +19,11 @@ constexpr double kInf = kInfinity;
 constexpr double kTinyPivot = 1e-11;
 }  // namespace
 
-bool refactor_every_pivot_forced() noexcept {
-  // WW_REFACTOR_EVERY_PIVOT=on|1|true drops the Forrest-Tomlin update
-  // budget to zero process-wide: every pivot refactorizes, the
-  // slow-but-simple ablation path CI cross-checks the update against.
-  static const bool forced = [] {
-    const char* v = std::getenv("WW_REFACTOR_EVERY_PIVOT");
-    if (v == nullptr) return false;
-    const std::string s(v);
-    return s == "1" || s == "on" || s == "ON" || s == "true";
-  }();
+bool refactor_every_pivot_forced() {
+  // WW_REFACTOR_EVERY_PIVOT=on drops the Forrest-Tomlin update budget to
+  // zero process-wide: every pivot refactorizes, the slow-but-simple
+  // ablation path CI cross-checks the update against.
+  static const bool forced = util::env_switch("WW_REFACTOR_EVERY_PIVOT", false);
   return forced;
 }
 

@@ -6,14 +6,12 @@
 
 namespace ww::milp {
 
-class Model;
-
 enum class Status {
   Optimal,          ///< Proven optimal (LP) or tree exhausted with incumbent.
   Infeasible,       ///< No feasible point exists.
   Unbounded,        ///< Objective unbounded below.
   IterationLimit,   ///< Simplex iteration limit hit.
-  NodeLimit,        ///< Branch-and-bound node/time limit; `values` holds the
+  NodeLimit,        ///< Branch-and-bound node limit; `values` holds the
                     ///< best incumbent if `has_incumbent`.
 };
 
@@ -65,28 +63,21 @@ struct Solution {
   [[nodiscard]] bool usable() const noexcept {
     return status == Status::Optimal || has_incumbent;
   }
-
-  /// Wraps a heuristic feasible point as a seed incumbent for
-  /// branch-and-bound (initial upper bound; pruning starts at node 0).
-  /// The objective is recomputed from the model so seeded and tree-found
-  /// incumbents compare on identical arithmetic.  Status is NodeLimit:
-  /// feasible but unproven.  Defined in branch_and_bound.cpp.
-  [[nodiscard]] static Solution incumbent_from_heuristic(
-      const Model& model, std::vector<double> values);
 };
 
 /// Process-wide default for SolverOptions::presolve: true unless the
-/// WW_PRESOLVE environment variable says off|0|false (the ablation switch
-/// CI uses to run the whole suite down the raw solver path).  Defined in
-/// presolve.cpp.
-[[nodiscard]] bool presolve_enabled_by_default() noexcept;
+/// WW_PRESOLVE environment variable says off (the ablation switch CI uses
+/// to run the whole suite down the raw solver path).  Values are parsed by
+/// util::env_switch, which throws on anything but on/off/1/0/true/false.
+/// Defined in presolve.cpp.
+[[nodiscard]] bool presolve_enabled_by_default();
 
 /// Process-wide switch forcing a refactorization after every simplex pivot
 /// (the slow-but-simple ablation path): true when the WW_REFACTOR_EVERY_PIVOT
-/// environment variable says on|1|true.  CI runs the whole suite this way so
-/// the Forrest-Tomlin update can always be cross-checked against fresh
-/// factorizations.  Defined in simplex.cpp.
-[[nodiscard]] bool refactor_every_pivot_forced() noexcept;
+/// environment variable says on (parsed like WW_PRESOLVE).  CI runs the
+/// whole suite this way so the Forrest-Tomlin update can always be
+/// cross-checked against fresh factorizations.  Defined in simplex.cpp.
+[[nodiscard]] bool refactor_every_pivot_forced();
 
 /// Entering-variable selection rule for the primal simplex.
 enum class Pricing {
@@ -100,7 +91,6 @@ struct SolverOptions {
   double integrality_tolerance = 1e-6; ///< |x - round(x)| for integer vars.
   long max_iterations = 200000;        ///< Simplex iterations per LP solve.
   long max_nodes = 200000;             ///< Branch-and-bound node budget.
-  double time_limit_seconds = 120.0;   ///< Wall-clock budget for the tree.
   double mip_gap_abs = 1e-9;           ///< Prune nodes within this of the
                                        ///< incumbent (absolute).
   double mip_gap_rel = 1e-6;           ///< ... or within this fraction.
@@ -129,9 +119,6 @@ struct SolverOptions {
   /// dual feasible, so phase 1 and its artificial columns are skipped).
   /// Disable to force cold solves at every node (equivalence testing).
   bool warm_start = true;
-  /// Best-first node selection (priority queue on node bound) with diving;
-  /// false restores pure depth-first diving.
-  bool best_first = true;
   /// Simplex iteration at which pricing falls back to Bland's rule for
   /// guaranteed termination on degenerate instances (the rule is active
   /// from this iteration onward).  0 = automatic (1000 + 20 * columns);

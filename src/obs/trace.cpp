@@ -2,9 +2,11 @@
 
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace ww::obs {
@@ -41,12 +43,10 @@ void Trace::set_enabled(bool on) noexcept {
 
 void Trace::configure_from_env() {
   const char* v = std::getenv("WW_TRACE");
-  if (v == nullptr) return;
-  const std::string s(v);
-  if (s.empty() || s == "0" || s == "off" || s == "OFF" || s == "false")
-    return;
-  if (!(s == "1" || s == "on" || s == "ON" || s == "true"))
-    set_output_path(s);
+  if (v == nullptr || *v == '\0') return;
+  const std::optional<bool> on = util::parse_switch(v);
+  if (on.has_value() && !*on) return;
+  if (!on.has_value()) set_output_path(v);
   set_enabled(true);
 }
 

@@ -57,7 +57,8 @@ class Trace {
   }
   void set_enabled(bool on) noexcept;
 
-  /// WW_TRACE unset/""/"0"/"off" leaves tracing disabled; "1"/"on" enables
+  /// WW_TRACE unset, empty or an off value (util::parse_switch: off/0/false
+  /// in any case) leaves tracing disabled; an on value (on/1/true) enables
   /// with the default output path ("ww_trace.json"); any other value
   /// enables and is taken as the output path.  Reads the environment on
   /// every call (benches invoke it once at startup).

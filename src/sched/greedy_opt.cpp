@@ -158,10 +158,6 @@ std::vector<dc::Decision> GreedyOptScheduler::schedule(
       const double transfer = ctx.env->transfer_latency_seconds(
           job.home_region, r, job.package_bytes);
       const double earliest = ctx.now + transfer;
-      if (earliest > latest_start + 1e-9 && !(r == job.home_region)) {
-        // Remote start can't honor the tolerance; still allow home region
-        // below if its earliest start fits.
-      }
       const double window = latest_start - earliest;
       const int steps = window > 0.0 ? config_.start_candidates : 1;
       for (int k = 0; k < steps; ++k) {

@@ -1,9 +1,28 @@
 #include "util/flags.hpp"
 
+#include <cctype>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace ww::util {
+
+std::optional<bool> parse_switch(std::string_view value) {
+  std::string s(value);
+  for (char& c : s)
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  if (s == "on" || s == "1" || s == "true") return true;
+  if (s == "off" || s == "0" || s == "false") return false;
+  return std::nullopt;
+}
+
+bool env_switch(const char* name, bool unset) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return unset;
+  if (const std::optional<bool> on = parse_switch(v)) return *on;
+  throw std::invalid_argument(std::string(name) + "='" + v +
+                              "': expected on/off, 1/0 or true/false");
+}
 
 Flags& Flags::define(const std::string& name, const std::string& help,
                      const std::string& default_value) {

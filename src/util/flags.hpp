@@ -1,4 +1,5 @@
-// Minimal command-line flag parser for the tools/ binaries.
+// Minimal command-line flag parser for the tools/ binaries, plus the on/off
+// parser the WW_* environment switches share.
 //
 // Supports `--name value`, `--name=value`, boolean `--name` switches, typed
 // accessors with defaults, required-flag validation, and auto-generated
@@ -8,9 +9,20 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ww::util {
+
+/// Parses an on/off switch value: on/1/true or off/0/false, in any case.
+/// std::nullopt for anything else.
+[[nodiscard]] std::optional<bool> parse_switch(std::string_view value);
+
+/// Reads the boolean environment switch `name`: `unset` when the variable
+/// is unset or empty, else its parse_switch() value.  Any other value
+/// throws std::invalid_argument naming the variable and the value, so a
+/// misspelt ablation switch cannot silently run the default path.
+[[nodiscard]] bool env_switch(const char* name, bool unset);
 
 class Flags {
  public:

@@ -348,7 +348,6 @@ TEST(ChunkParallel, StatsMergeIsFieldwiseAddition) {
   a.soft_fallbacks = 2;
   a.nodes_explored = 3;
   a.simplex_iterations = 4;
-  a.warm_started_nodes = 5;
   a.phase1_nodes = 6;
   a.refactorizations = 7;
   a.ft_updates = 8;
@@ -370,7 +369,6 @@ TEST(ChunkParallel, StatsMergeIsFieldwiseAddition) {
   b.soft_fallbacks = 200;
   b.nodes_explored = 300;
   b.simplex_iterations = 400;
-  b.warm_started_nodes = 500;
   b.phase1_nodes = 600;
   b.refactorizations = 700;
   b.ft_updates = 800;
@@ -392,7 +390,6 @@ TEST(ChunkParallel, StatsMergeIsFieldwiseAddition) {
   EXPECT_EQ(a.soft_fallbacks, 202);
   EXPECT_EQ(a.nodes_explored, 303);
   EXPECT_EQ(a.simplex_iterations, 404);
-  EXPECT_EQ(a.warm_started_nodes, 505);
   EXPECT_EQ(a.phase1_nodes, 606);
   EXPECT_EQ(a.refactorizations, 707);
   EXPECT_EQ(a.ft_updates, 808);
@@ -531,7 +528,6 @@ TEST(ChunkParallel, StatsViewMatchesRegistry) {
       {"sched.soft_fallbacks", stats.soft_fallbacks},
       {"sched.nodes_explored", stats.nodes_explored},
       {"sched.simplex_iterations", stats.simplex_iterations},
-      {"sched.warm_started_nodes", stats.warm_started_nodes},
       {"sched.phase1_nodes", stats.phase1_nodes},
       {"sched.refactorizations", stats.refactorizations},
       {"sched.ft_updates", stats.ft_updates},

@@ -181,31 +181,8 @@ TEST(WaterWise, SchedulerStatsAccumulateSolverCounters) {
   EXPECT_GT(st.nodes_explored, 0);
   EXPECT_GT(st.simplex_iterations, 0);
   EXPECT_GT(st.solve_seconds, 0.0);
-  // Warm-started + cold nodes can never exceed the tree.
-  EXPECT_LE(st.warm_started_nodes + st.phase1_nodes, st.nodes_explored);
-  const double frac = st.warm_start_fraction();
-  EXPECT_GE(frac, 0.0);
-  EXPECT_LE(frac, 1.0);
-}
-
-TEST(WaterWise, WarmAndColdSolverProduceIdenticalCampaigns) {
-  // The warm-start path is a pure optimization: disabling it must not
-  // change a single placement, so every campaign aggregate matches exactly.
-  Rig rig;
-  WaterWiseConfig warm_cfg;
-  warm_cfg.solver.warm_start = true;
-  WaterWiseConfig cold_cfg;
-  cold_cfg.solver.warm_start = false;
-  WaterWiseScheduler warm(warm_cfg);
-  WaterWiseScheduler cold(cold_cfg);
-  const auto a = rig.run(warm);
-  const auto b = rig.run(cold);
-  EXPECT_EQ(a.num_jobs, b.num_jobs);
-  EXPECT_EQ(a.total_carbon_g, b.total_carbon_g);
-  EXPECT_EQ(a.total_water_l, b.total_water_l);
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.jobs_per_region, b.jobs_per_region);
-  EXPECT_EQ(a.makespan_seconds, b.makespan_seconds);
+  // Cold phase-1 nodes can never exceed the tree.
+  EXPECT_LE(st.phase1_nodes, st.nodes_explored);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "milp/instances.hpp"
+
 namespace ww::milp {
 namespace {
 
@@ -128,6 +130,25 @@ TEST(BranchAndBound, NodeLimitReturnsIncumbentWhenFound) {
   } else {
     EXPECT_EQ(sol.status, Status::Optimal);
   }
+
+  // A weak-relaxation model (per-job free allowance) needs ~1200 nodes to
+  // prove optimality; a 200-node budget binds after diving has found an
+  // incumbent, so the limit must hand it back with a valid bound.
+  const Model weak = weak_relaxation_model(20, 4, 7.0);
+  SolverOptions budget;
+  budget.max_nodes = 200;
+  const Solution first = solve(weak, budget);
+  ASSERT_EQ(first.status, Status::NodeLimit);
+  ASSERT_TRUE(first.has_incumbent);
+  ASSERT_TRUE(first.usable());
+  EXPECT_LE(weak.max_violation(first.values), 1e-6);
+  EXPECT_LE(first.best_bound, first.objective);
+  // The budget counts nodes, not seconds, so a rerun stops at the same
+  // node with the same incumbent.
+  const Solution again = solve(weak, budget);
+  EXPECT_EQ(again.values, first.values);
+  EXPECT_EQ(again.objective, first.objective);
+  EXPECT_EQ(again.nodes_explored, first.nodes_explored);
 }
 
 TEST(BranchAndBound, LargerKnapsackMatchesDp) {

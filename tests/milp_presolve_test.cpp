@@ -2,7 +2,7 @@
 // solver across the instance corpus, targeted cases for each reduction
 // (singleton row, fixed column, redundant row, implied-free column
 // singleton, infeasibility detected in presolve, empty-problem fast path),
-// LP dual recovery through postsolve, and seed-incumbent translation.
+// and LP dual recovery through postsolve.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,11 +15,10 @@
 namespace ww::milp {
 namespace {
 
-Solution solve_with(const Model& m, bool presolve,
-                    const Solution* seed = nullptr) {
+Solution solve_with(const Model& m, bool presolve) {
   SolverOptions o;
   o.presolve = presolve;
-  return solve(m, o, seed);
+  return solve(m, o);
 }
 
 // --- round-trip equivalence across the corpus ------------------------------
@@ -351,71 +350,6 @@ TEST(Presolve, LagrangianIdentityHoldsAfterPostsolve) {
 }
 
 // --- seed translation ------------------------------------------------------
-
-TEST(Presolve, SeedIncumbentSurvivesReduction) {
-  // A feasible integral seed translated into the reduced space must leave
-  // the final objective identical to the unseeded solve (seeding is an
-  // acceleration only).
-  const int regions = 4;
-  const int jobs = 40;
-  const Model m = hard_chunk_model(jobs, regions, 0.4, 77);
-  std::vector<double> vals(static_cast<std::size_t>(m.num_variables()), 0.0);
-  // Greedy: each job to the admissible region with the most capacity left,
-  // so a tight capacity total still yields a feasible assignment.
-  std::vector<int> caps(regions, static_cast<int>(std::ceil(jobs / 4.0)) + 1);
-  for (int j = 0; j < jobs; ++j) {
-    int best = -1;
-    for (int r = 0; r < regions; ++r) {
-      const auto xi = static_cast<std::size_t>(j * regions + r);
-      if (m.variable(static_cast<int>(xi)).upper < 0.5) continue;
-      if (caps[static_cast<std::size_t>(r)] <= 0) continue;
-      if (best < 0 || caps[static_cast<std::size_t>(r)] >
-                          caps[static_cast<std::size_t>(best)])
-        best = r;
-    }
-    ASSERT_GE(best, 0) << "job " << j;
-    vals[static_cast<std::size_t>(j * regions + best)] = 1.0;
-    --caps[static_cast<std::size_t>(best)];
-  }
-  ASSERT_LE(m.max_violation(vals), 1e-9);
-  const Solution seed = Solution::incumbent_from_heuristic(m, vals);
-  const Solution seeded = solve_with(m, true, &seed);
-  const Solution unseeded = solve_with(m, true);
-  ASSERT_EQ(seeded.status, Status::Optimal);
-  EXPECT_NEAR(seeded.objective, unseeded.objective, 1e-9);
-
-  // A seed contradicting a presolve fixing is dropped, not propagated: the
-  // solve still returns the true optimum.
-  std::vector<double> bad = vals;
-  for (int v = 0; v < m.num_variables(); ++v) {
-    if (m.variable(v).upper < 0.5 && bad[static_cast<std::size_t>(v)] == 0.0) {
-      bad[static_cast<std::size_t>(v)] = 1.0;  // violates the x = 0 fixing
-      break;
-    }
-  }
-  const Solution bad_seed = Solution::incumbent_from_heuristic(m, bad);
-  const Solution sol = solve_with(m, true, &bad_seed);
-  ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_NEAR(sol.objective, unseeded.objective, 1e-9);
-}
-
-// --- reduce_point / postsolve plumbing -------------------------------------
-
-TEST(Presolve, ReducePointChecksFixings) {
-  Model m;
-  (void)m.add_continuous("x", 2.0, 2.0, 1.0);
-  (void)m.add_continuous("y", 0.0, 5.0, 1.0);
-  (void)m.add_constraint("r", {{0, 1.0}, {1, 1.0}}, Sense::LessEqual, 6.0);
-  Presolve pre;
-  ASSERT_EQ(pre.run(m, {}), Presolve::Result::Reduced);
-  pre.build_reduced(m);
-  std::vector<double> out;
-  EXPECT_TRUE(pre.reduce_point({2.0, 1.0}, &out, 1e-7));
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(
-                            pre.reduced().num_variables()));
-  EXPECT_FALSE(pre.reduce_point({3.0, 1.0}, &out, 1e-7));  // contradicts fix
-  EXPECT_FALSE(pre.reduce_point({2.0}, &out, 1e-7));       // wrong length
-}
 
 TEST(Presolve, StatusesPassThroughUnchanged) {
   // Unbounded and iteration-limited solves keep their status and counters

@@ -192,75 +192,5 @@ TEST(Pricing, WarmStartAgreesUnderDevexAndDantzig) {
   }
 }
 
-TEST(Seed, HeuristicIncumbentPrunesWithoutChangingAnswer) {
-  const Model m = weak_relaxation_model(10, 3, 4.0);
-  const Solution plain = solve(m);
-  ASSERT_EQ(plain.status, Status::Optimal);
-
-  // Seed with the solver's own optimum: the tree collapses (pruned from
-  // node 0 by the absolute gap) and the answer is unchanged.
-  const Solution seed = Solution::incumbent_from_heuristic(m, plain.values);
-  const Solution seeded = solve(m, {}, &seed);
-  ASSERT_EQ(seeded.status, Status::Optimal);
-  EXPECT_NEAR(seeded.objective, plain.objective, 1e-9);
-  EXPECT_LE(seeded.nodes_explored, plain.nodes_explored);
-
-  // An infeasible "seed" (violates capacity) must be ignored, not adopted.
-  std::vector<double> bogus(plain.values.size(), 1.0);
-  const Solution bad_seed = Solution::incumbent_from_heuristic(m, bogus);
-  const Solution unseeded = solve(m, {}, &bad_seed);
-  ASSERT_EQ(unseeded.status, Status::Optimal);
-  EXPECT_NEAR(unseeded.objective, plain.objective, 1e-9);
-}
-
-TEST(Seed, FractionalSeedIsIgnored) {
-  // LP-relaxation values satisfy every row and bound (max_violation == 0)
-  // but are fractional; adopting them as the incumbent would prune the
-  // subtree holding the true integral optimum.  The seed path must reject
-  // non-integral points.
-  const Model m = weak_relaxation_model(10, 3, 4.0);
-  SimplexSolver lp(m);
-  const Solution relax = lp.solve();
-  ASSERT_EQ(relax.status, Status::Optimal);
-  const Solution plain = solve(m);
-  ASSERT_EQ(plain.status, Status::Optimal);
-  ASSERT_LT(relax.objective, plain.objective - 1e-6);  // gap exists
-  const Solution seed = Solution::incumbent_from_heuristic(m, relax.values);
-  const Solution seeded = solve(m, {}, &seed);
-  ASSERT_EQ(seeded.status, Status::Optimal);
-  EXPECT_NEAR(seeded.objective, plain.objective, 1e-7);
-  for (int j = 0; j < m.num_variables(); ++j) {
-    if (m.variable(j).type == VarType::Continuous) continue;
-    const double v = seeded.values[static_cast<std::size_t>(j)];
-    EXPECT_NEAR(v, std::round(v), 1e-6) << "var " << j;
-  }
-}
-
-TEST(Seed, WeakSeedStillFindsTrueOptimum) {
-  // A deliberately poor (but feasible) seed must not cost optimality: the
-  // seed only prunes within the absolute gap, so strictly better tree
-  // incumbents always replace it.
-  const Model m = weak_relaxation_model(8, 3, 4.0);
-  const Solution plain = solve(m);
-  ASSERT_EQ(plain.status, Status::Optimal);
-  // Round-robin placement respects the capacity rows; lifting every
-  // penalty variable far above any exceedance satisfies the soft rows
-  // while making the seed objective terrible.
-  std::vector<double> vals(static_cast<std::size_t>(m.num_variables()), 0.0);
-  for (int j = 0; j < 8; ++j)
-    vals[static_cast<std::size_t>(j * 3 + j % 3)] = 1.0;
-  for (int j = 0; j < m.num_variables(); ++j) {
-    const Variable& v = m.variable(j);
-    if (v.type == VarType::Continuous && v.upper == kInfinity)
-      vals[static_cast<std::size_t>(j)] = 500.0;
-  }
-  ASSERT_LE(m.max_violation(vals), 1e-6);
-  const Solution seed = Solution::incumbent_from_heuristic(m, vals);
-  ASSERT_GT(seed.objective, plain.objective + 1.0);  // genuinely bad seed
-  const Solution seeded = solve(m, {}, &seed);
-  ASSERT_EQ(seeded.status, Status::Optimal);
-  EXPECT_NEAR(seeded.objective, plain.objective, 1e-7);
-}
-
 }  // namespace
 }  // namespace ww::milp

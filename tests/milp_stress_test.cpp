@@ -140,18 +140,5 @@ TEST(BranchAndBoundStress, MipGapPruningTerminatesSymmetricModel) {
   EXPECT_NEAR(sol.objective, 7.0, 1e-5);
 }
 
-TEST(BranchAndBoundStress, TimeLimitReturnsIncumbent) {
-  // A weak-relaxation model (per-job free allowance, the WaterWise
-  // pathology); with a tiny time budget the solver must still return a
-  // usable incumbent rather than nothing.
-  const Model m = weak_relaxation_model(20, 4, 7.0);
-  SolverOptions opts;
-  opts.time_limit_seconds = 0.3;
-  const Solution sol = solve(m, opts);
-  ASSERT_TRUE(sol.usable());
-  EXPECT_LE(m.max_violation(sol.values), 1e-6);
-  EXPECT_LE(sol.best_bound, sol.objective + 1e-9);
-}
-
 }  // namespace
 }  // namespace ww::milp

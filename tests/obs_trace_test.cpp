@@ -130,7 +130,7 @@ TEST_F(TraceTest, WorkerThreadsGetOwnBuffers) {
 
 TEST_F(TraceTest, ConfigureFromEnvSemantics) {
   Trace& trace = Trace::instance();
-  for (const char* off : {"", "0", "off", "OFF", "false"}) {
+  for (const char* off : {"", "0", "off", "OFF", "Off", "false", "FALSE"}) {
     setenv("WW_TRACE", off, 1);
     trace.configure_from_env();
     EXPECT_FALSE(Trace::enabled()) << "WW_TRACE='" << off << "'";
@@ -139,10 +139,13 @@ TEST_F(TraceTest, ConfigureFromEnvSemantics) {
   trace.configure_from_env();
   EXPECT_FALSE(Trace::enabled());
 
-  setenv("WW_TRACE", "1", 1);
-  trace.configure_from_env();
-  EXPECT_TRUE(Trace::enabled());
-  EXPECT_EQ(trace.output_path(), "ww_trace.json");
+  for (const char* on : {"1", "on", "On", "TRUE"}) {
+    trace.set_enabled(false);
+    setenv("WW_TRACE", on, 1);
+    trace.configure_from_env();
+    EXPECT_TRUE(Trace::enabled()) << "WW_TRACE='" << on << "'";
+    EXPECT_EQ(trace.output_path(), "ww_trace.json") << on;
+  }
   EXPECT_EQ(trace.metrics_path(), "ww_trace.metrics.json");
 
   setenv("WW_TRACE", "/tmp/run7.json", 1);

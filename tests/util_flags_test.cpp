@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+
 namespace ww::util {
 namespace {
 
@@ -86,6 +89,36 @@ TEST(Flags, HelpListsAllFlags) {
   EXPECT_NE(h.find("--name"), std::string::npos);
   EXPECT_NE(h.find("--verbose"), std::string::npos);
   EXPECT_NE(h.find("a numeric flag"), std::string::npos);
+}
+
+TEST(Switch, ParsesOnOffSpellingsInAnyCase) {
+  for (const char* on : {"on", "ON", "On", "1", "true", "TRUE", "True"})
+    EXPECT_EQ(parse_switch(on), true) << on;
+  for (const char* off : {"off", "OFF", "Off", "0", "false", "FALSE", "fAlSe"})
+    EXPECT_EQ(parse_switch(off), false) << off;
+  for (const char* other : {"", "yes", "no", "2", "of", " on", "trace.json"})
+    EXPECT_EQ(parse_switch(other), std::nullopt) << other;
+}
+
+TEST(Switch, EnvSwitchRejectsOtherValuesByName) {
+  const char* name = "WW_FLAGS_TEST_SWITCH";
+  unsetenv(name);
+  EXPECT_TRUE(env_switch(name, true));
+  EXPECT_FALSE(env_switch(name, false));
+  setenv(name, "", 1);  // empty counts as unset
+  EXPECT_TRUE(env_switch(name, true));
+  setenv(name, "Off", 1);
+  EXPECT_FALSE(env_switch(name, true));
+  setenv(name, "yes", 1);
+  try {
+    (void)env_switch(name, false);
+    ADD_FAILURE() << "env_switch accepted 'yes'";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(name), std::string::npos) << what;
+    EXPECT_NE(what.find("'yes'"), std::string::npos) << what;
+  }
+  unsetenv(name);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@ The repo's standing invariant (ROADMAP.md) is that campaign aggregates are
 byte-identical across thread counts and ablation switches.  clang-tidy and
 the sanitizers catch races and UB, but not the *sources* of run-to-run
 divergence this codebase has actually been bitten by.  This lint enforces
-six repo-specific bans, each escapable only by an explicit justification
+five repo-specific bans, each escapable only by an explicit justification
 comment on the offending line (or, when the 80-column limit forces it, a
 comment-only line immediately above):
 
@@ -41,14 +41,6 @@ raw-thread-or-async
     is reasoned about; ad-hoc threads are where completion-order commits
     sneak in.
 
-solver-path-time-limit
-    Assigning `time_limit_seconds` in the scheduler paths (src/core,
-    src/dc) is banned without a det-ok justification.  A wall-clock solver
-    budget lets machine load decide where branch-and-bound truncates, which
-    changes decision streams run to run; scheduler-path solves must bound
-    work with deterministic node/iteration budgets instead.  The milp
-    library itself, tests, and benches may still set wall-clock limits.
-
 direct-output-in-lib-paths
     `std::cout` / `std::cerr` / `printf` / `fprintf` are banned in the
     library paths (src/core, src/milp, src/dc, src/sched) without a det-ok
@@ -59,7 +51,9 @@ direct-output-in-lib-paths
     own the terminal and may print freely.
 
 A bare `// det-ok` with no justification text is itself an error: the
-annotation is a reviewed claim, not a mute button.
+annotation is a reviewed claim, not a mute button.  So is a justified
+`// det-ok` that waives no finding (`unused-det-ok`): a waiver must not
+outlive the code it excused.
 
 The lint is regex/context based on purpose — no libclang dependency, so it
 runs anywhere python3 exists (ctest registers it; CI runs it as a job).
@@ -103,14 +97,8 @@ PTR_KEYED_RE = re.compile(
     r"\s*\*"
 )
 RAW_THREAD_RE = re.compile(r"std::(?:jthread\b|thread\b(?!_)|async\b)")
-# Assignment only (`=`, not `==`): reading or comparing the limit is fine.
-TIME_LIMIT_RE = re.compile(r"\btime_limit_seconds\s*=(?!=)")
 
-# Rule 5 applies to the scheduler paths, where solves must be budgeted in
-# nodes/iterations (src/milp itself implements the limit and is exempt).
-TIME_LIMIT_PATHS = ("src/core", "src/dc")
-
-# Rule 6 applies to the library paths, which report through counters and
+# Rule 5 applies to the library paths, which report through counters and
 # the obs layer; drivers own stdout/stderr.
 LIB_OUTPUT_PATHS = ("src/core", "src/milp", "src/dc", "src/sched")
 DIRECT_OUTPUT_RE = re.compile(
@@ -126,8 +114,8 @@ RULES = (
     "wall-clock-or-adhoc-rng",
     "pointer-keyed-container",
     "raw-thread-or-async",
-    "solver-path-time-limit",
     "direct-output-in-lib-paths",
+    "unused-det-ok",
 )
 
 
@@ -194,13 +182,18 @@ def in_any(rel: str, prefixes) -> bool:
 def lint_file(rel: str, text: str) -> list[Finding]:
     findings: list[Finding] = []
     in_solver_path = in_any(rel, SOLVER_PATHS)
-    in_time_limit_path = in_any(rel, TIME_LIMIT_PATHS)
     in_lib_output_path = in_any(rel, LIB_OUTPUT_PATHS)
     wallclock_allowed = in_any(rel, WALLCLOCK_ALLOWED)
     thread_allowed = in_any(rel, THREAD_ALLOWED)
 
+    def unused(waiver_line: int):
+        findings.append(Finding(
+            rel, waiver_line, "unused-det-ok",
+            "det-ok waiver excuses no finding; delete it, or put it on "
+            "(or directly above) the line it justifies"))
+
     in_block = False
-    prev_comment_det_ok = False
+    pending = None  # line of a comment-only det-ok awaiting its code line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         m = DET_OK_RE.search(raw)
         justified = m is not None
@@ -214,16 +207,23 @@ def lint_file(rel: str, text: str) -> list[Finding]:
 
         code, in_block = strip_comments_and_strings(raw, in_block)
         if not code.strip() or INCLUDE_RE.match(raw):
-            # A comment-only det-ok line covers the next code line (the
-            # 80-column escape hatch).
-            prev_comment_det_ok = justified
+            # A comment-only det-ok line covers the next line, when that is
+            # code (the 80-column escape hatch).
+            if pending is not None:
+                unused(pending)
+            pending = line_no if justified else None
             continue
-        det_ok = justified or prev_comment_det_ok
-        prev_comment_det_ok = False
+        if justified and pending is not None:
+            unused(pending)  # the line carries its own waiver
+        waiver = line_no if justified else pending
+        pending = None
+        waived = False
 
         def report(rule: str, message: str):
-            if det_ok:
-                return  # justified on this line
+            nonlocal waived
+            if waiver is not None:
+                waived = True
+                return
             findings.append(Finding(rel, line_no, rule, message))
 
         if in_solver_path and UNORDERED_RE.search(code):
@@ -252,13 +252,6 @@ def lint_file(rel: str, text: str) -> list[Finding]:
                 "raw std::thread/std::async outside util/work_steal.*; fan "
                 "out through the work-stealing pool so commit order stays "
                 "deterministic, or justify with '// det-ok: ...'")
-        if in_time_limit_path and TIME_LIMIT_RE.search(code):
-            report(
-                "solver-path-time-limit",
-                "wall-clock solver budget assigned in a scheduler path; "
-                "machine load would decide where the tree truncates — bound "
-                "the solve with deterministic node/iteration budgets, or "
-                "justify with '// det-ok: ...'")
         if in_lib_output_path and DIRECT_OUTPUT_RE.search(code):
             report(
                 "direct-output-in-lib-paths",
@@ -267,6 +260,10 @@ def lint_file(rel: str, text: str) -> list[Finding]:
                 "registry/trace layer so driver stdout stays parseable and "
                 "thread-pool runs do not interleave, or justify with "
                 "'// det-ok: ...'")
+        if waiver is not None and not waived:
+            unused(waiver)
+    if pending is not None:
+        unused(pending)
     return findings
 
 
