@@ -30,10 +30,6 @@ int main() {
     Case no_soft = full;
     no_soft.label = "- soft constraints";
     no_soft.cfg.enable_soft_constraints = false;
-    // Without softening, every infeasible batch re-runs the hard model each
-    // tick; keep the node budget tiny so the degraded variant is measured
-    // by outcome, not by solver spin.
-    no_soft.cfg.solver.max_nodes = 50;
     cases.push_back(no_soft);
 
     Case no_slack = full;

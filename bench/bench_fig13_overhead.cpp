@@ -22,17 +22,10 @@ void report(const char* label, const ww::dc::CampaignResult& res,
             << " ms, overhead "
             << util::Table::fixed(res.mean_overhead_pct_of_exec(), 4)
             << "% of mean execution time\n";
-  std::cout << "  solver: " << solver.milp_solves << " MILPs, "
-            << solver.nodes_explored << " nodes, "
-            << solver.simplex_iterations << " simplex iterations, "
-            << solver.non_root_nodes() << " non-root nodes ("
-            << solver.phase1_nodes << " phase-1 nodes, "
+  std::cout << "  solver: " << solver.milp_solves << " transport solves, "
             << solver.soft_fallbacks << " soft fallbacks, "
             << util::Table::fixed(solver.solve_seconds, 3)
-            << " s in milp::solve)\n";
-  std::cout << "  kernel: " << solver.refactorizations
-            << " LU refactorizations, " << solver.ft_updates
-            << " Forrest-Tomlin updates\n";
+            << " s in sched::transport_assign\n";
   std::cout << "  pipeline: " << solver.chunks_planned << " chunk plans, "
             << solver.spill_resolves << " spill re-solves covering "
             << solver.spill_jobs << " job(s)\n";
@@ -41,12 +34,6 @@ void report(const char* label, const ww::dc::CampaignResult& res,
             << solver.solve_retries << " solve retries, "
             << solver.fallback_placements << " fallback placements, "
             << solver.deferred_jobs << " deferred job(s)\n";
-  std::cout << "  presolve: " << solver.presolve_rows_removed << " rows, "
-            << solver.presolve_cols_removed << " cols, "
-            << solver.presolve_nonzeros_removed
-            << " nonzeros removed before the simplex ("
-            << util::Table::fixed(solver.presolve_seconds * 1000.0, 3)
-            << " ms total)\n";
 
   // Time series in 10-minute buckets (paper plots minutes on the x-axis).
   util::Table series({"Sim minute", "Mean decision ms", "Overhead % of exec"});
@@ -240,11 +227,11 @@ int main() {
 
   core::SchedulerStats total = ww_borg.stats();
   total += ww_ali.stats();
-  std::cout << "\nBoth traces combined: " << total.milp_solves << " MILPs over "
-            << total.chunks_planned << " chunk plans, "
-            << total.simplex_iterations << " simplex iterations, "
-            << util::Table::fixed(total.solve_seconds, 3)
-            << " s in milp::solve (" << ww_borg.effective_solver_threads()
+  std::cout << "\nBoth traces combined: " << total.milp_solves
+            << " transport solves over " << total.chunks_planned
+            << " chunk plans, " << util::Table::fixed(total.solve_seconds, 3)
+            << " s in sched::transport_assign ("
+            << ww_borg.effective_solver_threads()
             << " solver thread(s) per scheduler)\n";
 
   std::cout << "\n";

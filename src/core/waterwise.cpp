@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -104,45 +103,30 @@ std::size_t WaterWiseScheduler::effective_solver_threads() const noexcept {
       configured <= 0 ? 0 : static_cast<std::size_t>(configured));
 }
 
-milp::Solution WaterWiseScheduler::run_model(
+sched::TransportSolution WaterWiseScheduler::run_model(
     const std::vector<const dc::PendingJob*>& chunk,
     const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-    long budget_scale, SchedulerStats& stats) const {
+    SchedulerStats& stats) const {
   const int m = static_cast<int>(chunk.size());
   const int n = static_cast<int>(quota.size());
-  milp::Model model;
-  // Unnamed variables/constraints (names are synthesized on demand for
-  // debugging) and pre-sized vectors: a 400-job x 10-region chunk would
-  // otherwise allocate thousands of "x_j_r" strings per batch window.
-  // Both forms are exactly the m*n assignment columns and m+n rows.
-  model.reserve(m * n, m + n);
-
-  // x_mn assignment binaries, laid out row-major (job-major).
-  std::vector<int> x(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
-  for (int j = 0; j < m; ++j)
-    for (int r = 0; r < n; ++r)
-      x[static_cast<std::size_t>(j * n + r)] = model.add_binary();
-
-  // A region with no quota cannot take any job from this chunk.  The
-  // capacity row (sum x <= 0) already implies it, but stating the fixings
-  // as explicit bounds lets presolve substitute the columns out (and drop
-  // the then-empty capacity row) before the simplex ever sees them.
-  for (int r = 0; r < n; ++r) {
-    if (quota[static_cast<std::size_t>(r)] > 0) continue;
-    for (int j = 0; j < m; ++j)
-      model.set_variable_bounds(x[static_cast<std::size_t>(j * n + r)], 0.0,
-                                0.0);
-  }
+  // Both forms are the m x n transportation problem: a dense job-major
+  // cost matrix, an allowed mask and the chunk's quota.
+  sched::TransportProblem problem;
+  problem.jobs = m;
+  problem.cost.resize(static_cast<std::size_t>(m) *
+                      static_cast<std::size_t>(n));
+  problem.allowed.assign(problem.cost.size(), 0);
+  problem.quota = quota;
 
   // Objective: Eq. 8 normalized footprint costs + history reference terms,
   // plus the delay tolerance of Eq. 11 (hard) / Eq. 12-13 (soft).
+  std::vector<double> co2(static_cast<std::size_t>(n));
+  std::vector<double> h2o(static_cast<std::size_t>(n));
+  std::vector<double> usd(static_cast<std::size_t>(n));
+  std::vector<double> perf(static_cast<std::size_t>(n));
+  std::vector<double> latency(static_cast<std::size_t>(n));
   for (int j = 0; j < m; ++j) {
     const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
-    std::vector<double> co2(static_cast<std::size_t>(n));
-    std::vector<double> h2o(static_cast<std::size_t>(n));
-    std::vector<double> usd(static_cast<std::size_t>(n));
-    std::vector<double> perf(static_cast<std::size_t>(n));
-    std::vector<double> latency(static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) {
       // Decision-time estimates: current intensities, estimated E and t.
       const footprint::Breakdown fb = ctx.footprint->job_at(
@@ -175,7 +159,6 @@ milp::Solution WaterWiseScheduler::run_model(
     const double penalty_rate =
         config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
     for (int r = 0; r < n; ++r) {
-      const int xi = x[static_cast<std::size_t>(j * n + r)];
       double cost = config_.lambda_co2 * co2[static_cast<std::size_t>(r)] / co2_max +
                     config_.lambda_h2o * h2o[static_cast<std::size_t>(r)] / h2o_max;
       if (config_.lambda_cost > 0.0)
@@ -189,66 +172,43 @@ milp::Solution WaterWiseScheduler::run_model(
       }
       // Deterministic tie-breaking epsilon: jobs of the same benchmark share
       // identical estimates, so without it many assignments tie exactly and
-      // the decision would hinge on which tied vertex the simplex reaches
-      // first.  The epsilon makes the optimum unique.
+      // the decision would hinge on how the solver breaks ties.  The
+      // epsilon makes the optimum unique.
       cost += 1e-9 * static_cast<double>(j * n + r);
       // Eq. 11 states the delay tolerance as one row per job over the summed
       // transfer latency.  Since exactly one x_mn is 1, that row forbids
       // every region whose latency exceeds the allowance, so the hard form
-      // fixes x_mn = 0.  The soft form (Eq. 12-13) charges the exceedance
+      // forbids the pair.  The soft form (Eq. 12-13) charges the exceedance
       // instead: its penalty P_mn >= exceedance * x_mn has a positive cost
       // and appears in no other row, so every optimum has
       // P_mn = exceedance * x_mn and the penalty folds into x_mn's cost.
-      // Either way the model stays a transportation polytope (assignment
-      // equalities plus integral capacity rows, totally unimodular): the
-      // root LP vertex is integral and no solve needs to branch.
+      // A region with no quota cannot take any job from this chunk.
       const double exceedance =
           latency[static_cast<std::size_t>(r)] - allowance;
+      bool allowed = quota[static_cast<std::size_t>(r)] > 0;
       if (exceedance > 0.0) {
         if (soft)
           cost += penalty_rate * exceedance;
         else
-          model.set_variable_bounds(xi, 0.0, 0.0);
+          allowed = false;
       }
-      model.set_objective_coefficient(xi, cost);
+      const std::size_t at = static_cast<std::size_t>(j * n + r);
+      problem.cost[at] = cost;
+      problem.allowed[at] = allowed ? 1 : 0;
     }
   }
 
-  // Eq. 9: each job placed exactly once.
-  for (int j = 0; j < m; ++j) {
-    std::vector<milp::Term> terms;
-    terms.reserve(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r)
-      terms.push_back({x[static_cast<std::size_t>(j * n + r)], 1.0});
-    (void)model.add_constraint(std::move(terms), milp::Sense::Equal, 1.0);
-  }
-
-  // Eq. 10: region capacity — this chunk's private quota, never the shared
-  // window capacity, so concurrent chunks cannot double-book a region.
-  for (int r = 0; r < n; ++r) {
-    std::vector<milp::Term> terms;
-    terms.reserve(static_cast<std::size_t>(m));
-    for (int j = 0; j < m; ++j)
-      terms.push_back({x[static_cast<std::size_t>(j * n + r)], 1.0});
-    (void)model.add_constraint(
-        std::move(terms), milp::Sense::LessEqual,
-        static_cast<double>(quota[static_cast<std::size_t>(r)]));
-  }
-
-  milp::SolverOptions options = config_.solver;
-  if (budget_scale > 1) {
-    // Retry rung: relax the deterministic budgets (saturating multiply).
-    const long cap = std::numeric_limits<long>::max();
-    options.max_nodes = options.max_nodes > cap / budget_scale
-                            ? cap
-                            : options.max_nodes * budget_scale;
-    options.max_iterations = options.max_iterations > cap / budget_scale
-                                 ? cap
-                                 : options.max_iterations * budget_scale;
-  }
-
-  milp::Solution sol = milp::solve(model, options);
-  stats.add_solve(sol);
+  const util::Stopwatch watch;
+  sched::TransportSolution sol = sched::transport_assign(problem);
+  stats.solve_seconds += watch.elapsed_seconds();
+  ++stats.milp_solves;
+#ifndef NDEBUG
+  // Debug builds (the sanitizer CI job among them) certify every solve.
+  std::string why;
+  if (sol.optimal() && !sched::certify(problem, sol, &why))
+    throw std::logic_error("WaterWise: transport solve failed its dual "
+                           "certificate: " + why);
+#endif
   return sol;
 }
 
@@ -357,7 +317,6 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
                                           const dc::ScheduleContext& ctx)
     const {
   if (config_.chunk_solve_hook) config_.chunk_solve_hook(plan.index);
-  const int n = static_cast<int>(plan.quota.size());
   ChunkResult out;
   out.index = plan.index;
   out.leftover = plan.quota;
@@ -367,74 +326,60 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   span.arg("chunk", plan.index);
   span.arg("jobs", plan.jobs.size());
   // Retry-ladder rung that produced the chunk's placements: 1 = primary
-  // MILP, 2 = relaxed-budget retry, 3 = greedy fallback.  Annotated on the
-  // span together with the per-solve solver counters.
+  // solve, 2 = retry, 3 = greedy fallback.  Annotated on the span together
+  // with the chunk's solve and retry counts.
   int rung = 1;
   const auto annotate = [&span, &out](int final_rung) {
     span.arg("rung", final_rung);
     span.arg("milp_solves", out.stats.milp_solves);
-    span.arg("simplex_iterations", out.stats.simplex_iterations);
-    span.arg("nodes_explored", out.stats.nodes_explored);
-    span.arg("ft_updates", out.stats.ft_updates);
-    span.arg("presolve_rows_removed", out.stats.presolve_rows_removed);
     span.arg("retries", out.stats.solve_retries);
     span.arg("decisions", out.decisions.size());
   };
 
-  // Injected solve failure (WW_FAULT_SOLVES / config): a pure function of
-  // (seed, window, chunk, attempt), so the same campaign hits the same
-  // ladder rungs at every thread count.  A hit discards the rung's outcome
-  // exactly as a real solver crash would.
-  const auto injected = [&](int attempt) {
-    if (!env::injected_solve_failure(config_.fault_seed, ctx.now, plan.index,
-                                     attempt, config_.solve_failure_rate))
-      return false;
-    ++out.stats.fault_events;
-    return true;
+  // One solve of the chunk model, nullopt when an injected failure
+  // (WW_FAULT_SOLVES / config) discards its outcome exactly as a solver
+  // crash would.  Injection is a pure function of (seed, window, chunk,
+  // attempt), so the same campaign hits the same ladder rungs at every
+  // thread count.
+  const auto attempt = [&](bool soft, int attempt_no)
+      -> std::optional<sched::TransportSolution> {
+    sched::TransportSolution sol =
+        run_model(plan.jobs, plan.quota, ctx, soft, out.stats);
+    if (env::injected_solve_failure(config_.fault_seed, ctx.now, plan.index,
+                                    attempt_no, config_.solve_failure_rate)) {
+      ++out.stats.fault_events;
+      return std::nullopt;
+    }
+    return sol;
   };
 
   // --- Retry-then-degrade ladder ------------------------------------------
-  // Rung 0: hard feasibility probe (soft-enabled path only).
-  // Rung 1: primary model (soft, or hard in the soft-disabled ablation).
-  // Rung 2: one retry of the primary model with relaxed node/iteration
-  //         budgets — skipped when the model is *proven* infeasible, since
-  //         a bigger tree can only re-prove it.
+  // Attempt 0: hard feasibility probe (soft-enabled path only).
+  // Attempt 1: primary model (soft, or hard in the soft-disabled ablation).
+  // Attempt 2: one plain retry of the primary model after an injected
+  //            failure.  The solver is exact, so a proven infeasibility is
+  //            final and never retried.
   // Rung 3: guaranteed-feasible greedy placement against the chunk quota.
   // Remainder: spill-eligible, then an explicit deferral — never a drop.
-  milp::Solution sol;
-  bool proven_infeasible = false;
+  std::optional<sched::TransportSolution> sol;
   if (config_.enable_soft_constraints) {
-    sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, out.stats);
-    if (injected(0)) sol = milp::Solution{};
-    if (!sol.usable()) {
+    sol = attempt(/*soft=*/false, 0);
+    if (!sol || !sol->optimal()) {
       // Algorithm 1, lines 10-11: soften and retry.
       ++out.stats.soft_fallbacks;
-      sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/true,
-                      /*budget_scale=*/1, out.stats);
-      if (injected(1)) sol = milp::Solution{};
+      sol = attempt(/*soft=*/true, 1);
     }
   } else {
-    sol = run_model(plan.jobs, plan.quota, ctx, /*soft=*/false,
-                    /*budget_scale=*/1, out.stats);
-    proven_infeasible = sol.status == milp::Status::Infeasible;
-    // An injected failure loses the outcome *and* the infeasibility proof.
-    if (injected(1)) {
-      sol = milp::Solution{};
-      proven_infeasible = false;
-    }
+    sol = attempt(/*soft=*/false, 1);
   }
 
-  if (!sol.usable() && !proven_infeasible) {
+  if (!sol) {
     ++out.stats.solve_retries;
-    sol = run_model(plan.jobs, plan.quota, ctx,
-                    /*soft=*/config_.enable_soft_constraints,
-                    config_.retry_budget_multiplier, out.stats);
-    if (injected(2)) sol = milp::Solution{};
-    if (sol.usable()) rung = 2;
+    sol = attempt(/*soft=*/config_.enable_soft_constraints, 2);
+    if (sol && sol->optimal()) rung = 2;
   }
 
-  if (!sol.usable()) {
+  if (!sol || !sol->optimal()) {
     // Rung 3: place what the quota admits via the deterministic greedy;
     // delay violations are allowed exactly when the soft model would have
     // traded them (the soft-disabled ablation keeps Eq. 11 hard, so there
@@ -464,22 +409,10 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     return out;
   }
 
-  for (int j = 0; j < static_cast<int>(plan.jobs.size()); ++j) {
-    const dc::PendingJob& p = *plan.jobs[static_cast<std::size_t>(j)];
-    int chosen = -1;
-    for (int r = 0; r < n; ++r) {
-      if (sol.values[static_cast<std::size_t>(j * n + r)] > 0.5) {
-        chosen = r;
-        break;
-      }
-    }
-    // Eq. 9 places every job and Eq. 10 caps placements at the quota, so
-    // both guards are defensive (a budget-limited incumbent is still
-    // feasible); an unplaced job is spill-eligible rather than dropped.
-    if (chosen < 0 || out.leftover[static_cast<std::size_t>(chosen)] <= 0) {
-      out.unplaced.push_back(&p);
-      continue;
-    }
+  for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
+    const dc::PendingJob& p = *plan.jobs[j];
+    // Eq. 9 places every job and Eq. 10 caps placements at the quota.
+    const int chosen = sol->region[j];
     --out.leftover[static_cast<std::size_t>(chosen)];
     const double start = ctx.now + ctx.env->transfer_latency_seconds(
                                        p.job->home_region, chosen,

@@ -1,7 +1,7 @@
 // WaterWise: the carbon- and water-footprint co-optimizing scheduler
 // (the paper's primary contribution, Sec. 4).
 //
-// Every batch window, the Decision Controller builds the MILP of Eq. 8-11
+// Every batch window, the Decision Controller builds the model of Eq. 8-11
 // over all pending jobs and the current (not future) carbon/water intensity
 // of every region:
 //
@@ -17,14 +17,18 @@
 // (Eq. 12-13): each placement's delay exceedance is charged at weight sigma.
 // The paper's penalty variables P_mn are substituted out (every optimum has
 // P_mn = exceedance_mn * x_mn), so the penalty is part of x_mn's cost and
-// both forms are the same root-integral transportation model.  Estimates
-// of execution time and energy come from the online means the simulator
-// learns — the controller never sees true per-job values.
+// both forms are the same min-cost transportation problem.  The delay row
+// forbids (job, region) pairs in the hard form, and a region without quota
+// takes no job.  sched::transport_assign (sched/transport.hpp) solves it
+// exactly; src/milp/ keeps the general MILP solver as the tests' reference
+// oracle.  Estimates of execution time and energy come from the online
+// means the simulator learns — the controller never sees true per-job
+// values.
 //
 // ## The plan -> solve -> commit pipeline
 //
 // Batches larger than `max_jobs_per_solve` decompose into independent chunk
-// MILPs.  Chunk solves are structured as a three-stage pipeline so they can
+// models.  Chunk solves are structured as a three-stage pipeline so they can
 // fan out across the process-global work-stealing pool
 // (`util::WorkStealingPool::global()`) without any shared mutable state:
 //
@@ -33,11 +37,11 @@
 //      repaired so every chunk's quota covers its job count).  Quotas are
 //      disjoint by construction, so concurrent chunks can never double-book
 //      a region.
-//   2. `solve_one()` is `const` and side-effect-free: it builds, presolves
-//      and branch-and-bounds one chunk against its private quota and returns
-//      a self-contained `ChunkResult` (decisions, a `SchedulerStats` delta,
-//      leftover quota, spill-eligible jobs).  Pure per-chunk work is what
-//      makes the fan-out sound at any thread count.
+//   2. `solve_one()` is `const` and side-effect-free: it builds and solves
+//      one chunk against its private quota and returns a self-contained
+//      `ChunkResult` (decisions, a `SchedulerStats` delta, leftover quota,
+//      spill-eligible jobs).  Pure per-chunk work is what makes the fan-out
+//      sound at any thread count.
 //   3. `commit()` merges results in chunk-index order — the only stage that
 //      touches scheduler state — returns unused quota to a spill pool, and
 //      re-solves any spill-eligible remainder serially against that pool.
@@ -61,16 +65,18 @@
 // ## Graceful degradation
 //
 // Chunk solves run a bounded retry-then-degrade ladder instead of a single
-// hard->soft fallback: hard probe -> (soft model) -> one retry with relaxed
-// node/iteration budgets -> guaranteed-feasible greedy placement
-// (sched::greedy_fallback_assign) -> explicit deferral.  Every rung is
-// deterministic — budgets are node/iteration counts, never wall-clock — and
-// every job ends placed or counted in `SchedulerStats::deferred_jobs`;
-// nothing is silently dropped.  A per-region Normal -> Degraded -> Recovery
-// state machine (DegradedModeConfig) watches capacity losses and observed
-// intensity jumps and clamps how much of a faulty region's capacity new
-// placements may claim.  `WW_FAULT_SOLVES` injects deterministic solve
-// failures (env::injected_solve_failure) to exercise the ladder.
+// hard->soft fallback: hard probe -> (soft model) -> one plain retry after
+// an injected failure -> guaranteed-feasible greedy placement
+// (sched::greedy_fallback_assign) -> explicit deferral.  The transportation
+// solver is exact and has no budget, so a solve ends optimal or proven
+// infeasible; only an injected failure loses an outcome.  Every rung is
+// deterministic, and every job ends placed or counted in
+// `SchedulerStats::deferred_jobs`; nothing is silently dropped.  A
+// per-region Normal -> Degraded -> Recovery state machine
+// (DegradedModeConfig) watches capacity losses and observed intensity jumps
+// and clamps how much of a faulty region's capacity new placements may
+// claim.  `WW_FAULT_SOLVES` injects deterministic solve failures
+// (env::injected_solve_failure) to exercise the ladder.
 #pragma once
 
 #include <array>
@@ -83,8 +89,8 @@
 
 #include "core/history.hpp"
 #include "dc/scheduler.hpp"
-#include "milp/branch_and_bound.hpp"
 #include "obs/registry.hpp"
+#include "sched/transport.hpp"
 #include "util/work_steal.hpp"
 
 namespace ww::core {
@@ -135,7 +141,7 @@ struct WaterWiseConfig {
   bool enable_slack_manager = true;     ///< Ablation knob.
   bool enable_history = true;           ///< Ablation knob.
   int max_jobs_per_solve = 400;  ///< Chunk very large batches for the solver.
-  /// Threads for the chunk MILP solves inside one batch window (the plan ->
+  /// Threads for the chunk solves inside one batch window (the plan ->
   /// solve -> commit pipeline): 1 = serial, 0 = all cores, N = fixed pool.
   /// Results are byte-identical at every setting; the WW_SCHED_THREADS
   /// environment switch overrides this process-wide.
@@ -148,8 +154,6 @@ struct WaterWiseConfig {
   /// byte-identical at every thread count.
   double solve_failure_rate = default_solve_failure_rate();
   std::uint64_t fault_seed = 0x57415457ULL;  ///< Stream id for injection.
-  /// Node/iteration budget multiplier for the ladder's retry rung.
-  long retry_budget_multiplier = 8;
   /// Convenience gate for span tracing: constructing a scheduler with this
   /// set enables the process-wide obs::Trace (equivalent to WW_TRACE=1 /
   /// --trace-out without a custom path).  Tracing is observational only —
@@ -158,21 +162,15 @@ struct WaterWiseConfig {
   /// Test hook, called with the chunk index before each chunk solve; lets
   /// tests inject exceptions into the pooled fan-out.  Must be thread-safe.
   std::function<void(int)> chunk_solve_hook;
-  milp::SolverOptions solver = [] {
-    milp::SolverOptions o;
-    // Scheduling batches must decide quickly; a best-incumbent answer at
-    // the budget is still a valid (near-optimal) placement, and placements
-    // within 0.01% of each other are operationally identical.  The budget
-    // is a node count, deterministic at any machine speed or thread count.
-    o.max_nodes = 20000;
-    o.mip_gap_rel = 1e-4;
-    return o;
-  }();
 };
 
 /// Aggregate Decision-Controller solver diagnostics over the scheduler's
-/// lifetime: how many MILPs ran, how big the trees were, and what the
-/// simplex kernel and presolve did (Fig. 13 overhead attribution).
+/// lifetime: how many chunk models were solved and how long the solves
+/// took (Fig. 13 overhead attribution), plus the pipeline and degradation
+/// counters.  The simplex, branch-and-bound and presolve counters
+/// (nodes_explored through presolve_seconds) described the general MILP
+/// solver that used to sit on this path; the transportation solver runs
+/// none of them, so they read 0.
 ///
 /// The scheduler's `obs::Registry` is the store: every field is a `sched.*`
 /// registry entry, and `stats()` reads them back into this struct.  The
@@ -185,7 +183,7 @@ struct WaterWiseConfig {
 /// time-to-admission) live only in the registry — see
 /// `WaterWiseScheduler::registry()` and README "Observability".
 struct SchedulerStats {
-  long milp_solves = 0;
+  long milp_solves = 0;          ///< Chunk model solves (transport_assign).
   long soft_fallbacks = 0;       ///< Hard model failed, soft model ran.
   long nodes_explored = 0;       ///< Branch-and-bound nodes across solves.
   long simplex_iterations = 0;
@@ -199,7 +197,7 @@ struct SchedulerStats {
   long presolve_cols_removed = 0;
   long presolve_nonzeros_removed = 0;
   double presolve_seconds = 0.0;
-  double solve_seconds = 0.0;    ///< Wall-clock inside milp::solve.
+  double solve_seconds = 0.0;    ///< Wall-clock inside transport_assign.
   /// Plan/solve/commit pipeline counters: chunk plans produced, jobs routed
   /// through the serial spill re-solve, and spill re-solves run.
   long chunks_planned = 0;
@@ -207,8 +205,8 @@ struct SchedulerStats {
   long spill_resolves = 0;
   /// Fault/degradation counters (see "Graceful degradation" above):
   /// injected-or-observed fault events, windows a region spent rail-capped
-  /// in Degraded state, relaxed-budget retry solves, greedy-ladder
-  /// placements, and jobs explicitly deferred to a later batch window.
+  /// in Degraded state, retries after an injected solve failure, greedy-
+  /// ladder placements, and jobs explicitly deferred to a later window.
   long fault_events = 0;
   long degraded_windows = 0;
   long solve_retries = 0;
@@ -219,9 +217,6 @@ struct SchedulerStats {
   /// lifetime stats) into this one, field by field.
   SchedulerStats& operator+=(const SchedulerStats& o) noexcept;
 
-  /// Folds one milp::solve outcome into the counters.
-  void add_solve(const milp::Solution& sol) noexcept;
-
   /// Non-root branch-and-bound nodes across all solves; 0 when no tree
   /// ever branched.
   [[nodiscard]] long non_root_nodes() const noexcept {
@@ -229,55 +224,42 @@ struct SchedulerStats {
   }
 };
 
-/// One row of the SchedulerStats field table: the field's registry key, the
-/// field, and the milp::Solution diagnostic add_solve() folds into it
-/// (nullptr for counters the scheduler keeps itself).
+/// One row of the SchedulerStats field table: the field's registry key and
+/// the field.
 template <typename T>
 struct StatsField {
   const char* key;
   T SchedulerStats::*member;
-  T milp::Solution::*solution;
 };
 
 /// The SchedulerStats field table, `long` counters then `double` gauges.
-/// Registry registration, the per-window fold, the stats() view,
-/// operator+= and add_solve() all loop over it, so a new metric is one
-/// struct field plus one row here.
+/// Registry registration, the per-window fold, the stats() view and
+/// operator+= all loop over it, so a new metric is one struct field plus
+/// one row here.
 inline constexpr StatsField<long> kStatsCounters[] = {
-    {"sched.milp_solves", &SchedulerStats::milp_solves, nullptr},
-    {"sched.soft_fallbacks", &SchedulerStats::soft_fallbacks, nullptr},
-    {"sched.nodes_explored", &SchedulerStats::nodes_explored,
-     &milp::Solution::nodes_explored},
-    {"sched.simplex_iterations", &SchedulerStats::simplex_iterations,
-     &milp::Solution::simplex_iterations},
-    {"sched.phase1_nodes", &SchedulerStats::phase1_nodes,
-     &milp::Solution::phase1_nodes},
-    {"sched.refactorizations", &SchedulerStats::refactorizations,
-     &milp::Solution::refactorizations},
-    {"sched.ft_updates", &SchedulerStats::ft_updates,
-     &milp::Solution::ft_updates},
-    {"sched.presolve_rows_removed", &SchedulerStats::presolve_rows_removed,
-     &milp::Solution::presolve_rows_removed},
-    {"sched.presolve_cols_removed", &SchedulerStats::presolve_cols_removed,
-     &milp::Solution::presolve_cols_removed},
+    {"sched.milp_solves", &SchedulerStats::milp_solves},
+    {"sched.soft_fallbacks", &SchedulerStats::soft_fallbacks},
+    {"sched.nodes_explored", &SchedulerStats::nodes_explored},
+    {"sched.simplex_iterations", &SchedulerStats::simplex_iterations},
+    {"sched.phase1_nodes", &SchedulerStats::phase1_nodes},
+    {"sched.refactorizations", &SchedulerStats::refactorizations},
+    {"sched.ft_updates", &SchedulerStats::ft_updates},
+    {"sched.presolve_rows_removed", &SchedulerStats::presolve_rows_removed},
+    {"sched.presolve_cols_removed", &SchedulerStats::presolve_cols_removed},
     {"sched.presolve_nonzeros_removed",
-     &SchedulerStats::presolve_nonzeros_removed,
-     &milp::Solution::presolve_nonzeros_removed},
-    {"sched.chunks_planned", &SchedulerStats::chunks_planned, nullptr},
-    {"sched.spill_jobs", &SchedulerStats::spill_jobs, nullptr},
-    {"sched.spill_resolves", &SchedulerStats::spill_resolves, nullptr},
-    {"sched.fault_events", &SchedulerStats::fault_events, nullptr},
-    {"sched.degraded_windows", &SchedulerStats::degraded_windows, nullptr},
-    {"sched.solve_retries", &SchedulerStats::solve_retries, nullptr},
-    {"sched.fallback_placements", &SchedulerStats::fallback_placements,
-     nullptr},
-    {"sched.deferred_jobs", &SchedulerStats::deferred_jobs, nullptr},
+     &SchedulerStats::presolve_nonzeros_removed},
+    {"sched.chunks_planned", &SchedulerStats::chunks_planned},
+    {"sched.spill_jobs", &SchedulerStats::spill_jobs},
+    {"sched.spill_resolves", &SchedulerStats::spill_resolves},
+    {"sched.fault_events", &SchedulerStats::fault_events},
+    {"sched.degraded_windows", &SchedulerStats::degraded_windows},
+    {"sched.solve_retries", &SchedulerStats::solve_retries},
+    {"sched.fallback_placements", &SchedulerStats::fallback_placements},
+    {"sched.deferred_jobs", &SchedulerStats::deferred_jobs},
 };
 inline constexpr StatsField<double> kStatsGauges[] = {
-    {"sched.presolve_seconds", &SchedulerStats::presolve_seconds,
-     &milp::Solution::presolve_seconds},
-    {"sched.solve_seconds", &SchedulerStats::solve_seconds,
-     &milp::Solution::solve_seconds},
+    {"sched.presolve_seconds", &SchedulerStats::presolve_seconds},
+    {"sched.solve_seconds", &SchedulerStats::solve_seconds},
 };
 
 inline SchedulerStats& SchedulerStats::operator+=(
@@ -285,14 +267,6 @@ inline SchedulerStats& SchedulerStats::operator+=(
   for (const auto& f : kStatsCounters) this->*f.member += o.*f.member;
   for (const auto& f : kStatsGauges) this->*f.member += o.*f.member;
   return *this;
-}
-
-inline void SchedulerStats::add_solve(const milp::Solution& sol) noexcept {
-  ++milp_solves;
-  for (const auto& f : kStatsCounters)
-    if (f.solution != nullptr) this->*f.member += sol.*f.solution;
-  for (const auto& f : kStatsGauges)
-    if (f.solution != nullptr) this->*f.member += sol.*f.solution;
 }
 
 /// One chunk's share of a batch window: the jobs it must decide and the
@@ -312,9 +286,10 @@ struct ChunkResult {
   std::vector<dc::Decision> decisions;
   /// Quota slots the solve did not consume; returned to the spill pool.
   std::vector<int> leftover;
-  /// Jobs the chunk could not place (solver budget exhausted, or the
-  /// soft-disabled ablation hit an infeasible hard model): eligible for one
-  /// serial spill re-solve against the pooled leftover quota.
+  /// Jobs the greedy rung could not place (quota exhausted, or the
+  /// soft-disabled ablation's Eq. 11 forbids every region with quota):
+  /// eligible for one serial spill re-solve against the pooled leftover
+  /// quota.
   std::vector<const dc::PendingJob*> unplaced;
   SchedulerStats stats;  ///< Per-chunk delta, merged by commit().
   /// Per-chunk registry slice (service histograms observed during the
@@ -387,16 +362,17 @@ class WaterWiseScheduler final : public dc::Scheduler {
       SchedulerStats& window);
 
  private:
-  /// Builds and solves Eq. 8-13 for the chunk against `quota`: the m*n
-  /// assignment columns (job-major, so `values[j * n + r]` is x_jr) and the
-  /// m+n assignment/capacity rows.  `soft` prices delay exceedance into the
-  /// assignment costs instead of forbidding it; `budget_scale` multiplies
-  /// the node/iteration budgets (saturating) for the ladder's retry rung.
-  /// Solver counters accumulate into `stats`.
-  [[nodiscard]] milp::Solution run_model(
+  /// Builds Eq. 8-13 for the chunk against `quota` as a transportation
+  /// problem (job-major m x n costs, forbidden pairs masked out) and solves
+  /// it with sched::transport_assign; `region[j]` of the result is job j's
+  /// region.  `soft` prices delay exceedance into the costs instead of
+  /// forbidding the pair.  The solve count and time accumulate into
+  /// `stats`.  Builds without NDEBUG certify every optimal solve and throw
+  /// std::logic_error on a failed certificate.
+  [[nodiscard]] sched::TransportSolution run_model(
       const std::vector<const dc::PendingJob*>& chunk,
       const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-      long budget_scale, SchedulerStats& stats) const;
+      SchedulerStats& stats) const;
 
   /// Per-region degraded-mode state (see DegradedModeConfig).  Updated once
   /// per batch window, serially, before the chunk fan-out.

@@ -13,9 +13,11 @@
 //
 // WaterWise's scheduling program (assignment + capacity rows, with delay
 // penalties folded into the assignment costs) is a transportation problem,
-// so its root relaxation is integral and the tree never branches — the
-// machinery exists for general MILPs, and is stress-tested on knapsack and
-// weak-relaxation soft-penalty instances where branching is mandatory.
+// so its root relaxation is integral and the tree never branches; the
+// scheduler solves it with sched::transport_assign instead, and this
+// solver is the tests' reference oracle for that one.  The tree exists for
+// general MILPs, and is stress-tested on knapsack and weak-relaxation
+// soft-penalty instances where branching is mandatory.
 #pragma once
 
 #include "milp/model.hpp"

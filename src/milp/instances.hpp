@@ -51,10 +51,11 @@ inline Model waterwise_shaped_model(int jobs, int regions,
   return m;
 }
 
-/// The scheduler's *hard* chunk model as WaterWiseScheduler::run_model
-/// actually emits it: assignment + capacity rows only, with the Eq. 11
-/// delay constraint expressed as explicit x_mn = 0 bound fixings
-/// (`fixed_fraction` of the remote pairs).  This is the shape presolve
+/// The scheduler's *hard* chunk model as a MILP: assignment + capacity rows
+/// only, with the Eq. 11 delay constraint expressed as explicit x_mn = 0
+/// bound fixings (`fixed_fraction` of the remote pairs).  The scheduler
+/// solves this model with sched::transport_assign; the tests compare that
+/// solver against milp::solve on these instances.  This is the shape presolve
 /// feeds on — fixed columns substitute out and capacity rows go redundant.
 /// The home region (r = 0) is never fixed, so the model stays feasible.
 inline Model hard_chunk_model(int jobs, int regions, double fixed_fraction,

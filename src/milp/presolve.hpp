@@ -3,8 +3,8 @@
 // from a raw one.
 //
 // A fixpoint loop applies, per pass:
-//   - fixed-variable substitution (lower == upper, including the scheduler's
-//     x_mn = 0 delay fixings): the column folds into the row rhs and an
+//   - fixed-variable substitution (lower == upper, including the chunk
+//     models' x_mn = 0 delay fixings): the column folds into the row rhs and an
 //     objective offset;
 //   - singleton-row conversion: a one-term row becomes a variable bound
 //     (Equal rows fix the variable) and the row is dropped;

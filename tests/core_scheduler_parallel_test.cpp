@@ -1,8 +1,7 @@
 // Plan/solve/commit pipeline coverage: the chunk-parallel scheduler must
 // produce byte-identical decision streams and campaign aggregates at every
-// `solver_threads` setting, in combination with the solver ablation knobs
-// (presolve on/off, Forrest-Tomlin vs refactorize-every-pivot), and the
-// quota partition must make region double-booking impossible by
+// `solver_threads` setting, with and without tracing and injected solve
+// faults, and the quota partition must make region double-booking impossible by
 // construction even under adversarial tiny-capacity windows.
 #include <gtest/gtest.h>
 
@@ -273,10 +272,9 @@ TEST(ChunkParallel, SpillResolveRecoversUnusedQuotaDeterministically) {
 TEST(ChunkParallel, CampaignAggregatesByteIdenticalAcrossThreadsAndAblations) {
   // The fig8/11/12 invariant at test scale: a full simulator campaign over
   // a bursty trace (chunking forced) must produce byte-identical per-job
-  // streams and aggregates for every solver_threads x presolve x
-  // factor-update combination.  The env-switch spellings of the same knobs
-  // (WW_PRESOLVE, WW_REFACTOR_EVERY_PIVOT, WW_SCHED_THREADS) are exercised
-  // by the CI ablation reruns of this whole suite.
+  // streams and aggregates for every solver_threads value.  The process
+  // switches (WW_SCHED_THREADS, WW_FAULT_SOLVES) are exercised by the CI
+  // ablation reruns of this whole suite.
   const env::Environment env = env::Environment::builtin(small_env());
   const footprint::FootprintModel fp(env);
   const auto jobs = burst_trace(50, 0.0);
@@ -284,41 +282,33 @@ TEST(ChunkParallel, CampaignAggregatesByteIdenticalAcrossThreadsAndAblations) {
   sim_cfg.tol = 0.5;
   sim_cfg.record_jobs = true;
 
-  auto run = [&](int threads, bool presolve, int update_budget) {
+  auto run = [&](int threads) {
     WaterWiseConfig cfg;
     cfg.max_jobs_per_solve = 7;
     cfg.solver_threads = threads;
-    cfg.solver.presolve = presolve;
-    cfg.solver.update_budget = update_budget;
     WaterWiseScheduler ww(cfg);
     dc::Simulator sim(env, fp, sim_cfg);
     return sim.run(jobs, ww);
   };
 
-  const dc::CampaignResult ref = run(1, true, 64);
+  const dc::CampaignResult ref = run(1);
   ASSERT_EQ(ref.num_jobs, 50);
-  for (const int threads : {1, 2, 4}) {
-    for (const bool presolve : {true, false}) {
-      for (const int update_budget : {64, 0}) {
-        const dc::CampaignResult res = run(threads, presolve, update_budget);
-        const std::string tag = "threads=" + std::to_string(threads) +
-                                (presolve ? " presolve" : " raw") +
-                                (update_budget ? " ft" : " every-pivot");
-        EXPECT_EQ(res.num_jobs, ref.num_jobs) << tag;
-        EXPECT_EQ(res.total_carbon_g, ref.total_carbon_g) << tag;
-        EXPECT_EQ(res.total_water_l, ref.total_water_l) << tag;
-        EXPECT_EQ(res.violations, ref.violations) << tag;
-        EXPECT_EQ(res.jobs_per_region, ref.jobs_per_region) << tag;
-        EXPECT_EQ(res.makespan_seconds, ref.makespan_seconds) << tag;
-        ASSERT_EQ(res.jobs.size(), ref.jobs.size()) << tag;
-        for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
-          EXPECT_EQ(res.jobs[i].job_id, ref.jobs[i].job_id) << tag;
-          EXPECT_EQ(res.jobs[i].exec_region, ref.jobs[i].exec_region)
-              << tag << " job " << i;
-          EXPECT_EQ(res.jobs[i].start_time, ref.jobs[i].start_time)
-              << tag << " job " << i;
-        }
-      }
+  for (const int threads : {2, 4}) {
+    const dc::CampaignResult res = run(threads);
+    const std::string tag = "threads=" + std::to_string(threads);
+    EXPECT_EQ(res.num_jobs, ref.num_jobs) << tag;
+    EXPECT_EQ(res.total_carbon_g, ref.total_carbon_g) << tag;
+    EXPECT_EQ(res.total_water_l, ref.total_water_l) << tag;
+    EXPECT_EQ(res.violations, ref.violations) << tag;
+    EXPECT_EQ(res.jobs_per_region, ref.jobs_per_region) << tag;
+    EXPECT_EQ(res.makespan_seconds, ref.makespan_seconds) << tag;
+    ASSERT_EQ(res.jobs.size(), ref.jobs.size()) << tag;
+    for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
+      EXPECT_EQ(res.jobs[i].job_id, ref.jobs[i].job_id) << tag;
+      EXPECT_EQ(res.jobs[i].exec_region, ref.jobs[i].exec_region)
+          << tag << " job " << i;
+      EXPECT_EQ(res.jobs[i].start_time, ref.jobs[i].start_time)
+          << tag << " job " << i;
     }
   }
 }
@@ -411,8 +401,8 @@ TEST(ChunkParallel, StatsMergeIsFieldwiseAddition) {
 TEST(ChunkParallel, TracingIsObservationalAcrossThreadsAndPresolve) {
   // The observability acceptance bar: span tracing on vs. off must leave
   // per-job streams, campaign aggregates, AND the deterministic registry
-  // metrics byte-identical for solver_threads {1, 2, 4} x presolve on/off.
-  // Wall-clock-derived metrics (decision latency, solve/presolve seconds)
+  // metrics byte-identical for solver_threads {1, 2, 4}.
+  // Wall-clock-derived metrics (decision latency, solve seconds)
   // are observational by design and are excluded from the comparison.
   const env::Environment env = env::Environment::builtin(small_env());
   const footprint::FootprintModel fp(env);
@@ -427,12 +417,11 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreadsAndPresolve) {
     std::string queue_depth_json;
     std::string admission_json;
   };
-  auto run = [&](int threads, bool presolve, bool tracing) {
+  auto run = [&](int threads, bool tracing) {
     obs::Trace::instance().set_enabled(tracing);
     WaterWiseConfig cfg;
     cfg.max_jobs_per_solve = 7;
     cfg.solver_threads = threads;
-    cfg.solver.presolve = presolve;
     WaterWiseScheduler ww(cfg);
     dc::Simulator sim(env, fp, sim_cfg);
     Run out;
@@ -440,7 +429,7 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreadsAndPresolve) {
     const obs::Registry& reg = ww.registry();
     const char* names[4] = {"sched.milp_solves", "sched.windows",
                             "sched.chunks_planned",
-                            "sched.simplex_iterations"};
+                            "sched.soft_fallbacks"};
     for (int i = 0; i < 4; ++i) {
       const std::uint64_t* c = reg.find_counter(names[i]);
       out.counters[static_cast<std::size_t>(i)] = c != nullptr ? *c : 0;
@@ -460,49 +449,42 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreadsAndPresolve) {
     return out;
   };
 
-  const Run ref = run(1, true, false);
+  const Run ref = run(1, false);
   ASSERT_EQ(ref.result.num_jobs, 50);
   EXPECT_GT(ref.counters[0], 0u);  // milp_solves registered and counted
   EXPECT_FALSE(ref.queue_depth_json.empty());
   for (const int threads : {1, 2, 4}) {
-    for (const bool presolve : {true, false}) {
-      // Solver-internal counters (simplex iterations) legitimately differ
-      // across the presolve ablation; tracing must not move them, so the
-      // traced run is compared against its own untraced baseline, while
-      // decision streams and service metrics match the global reference.
-      const Run base = run(threads, presolve, false);
-      const Run traced = run(threads, presolve, true);
-      const std::string tag = "threads=" + std::to_string(threads) +
-                              (presolve ? " presolve" : " raw");
+    const Run base = run(threads, false);
+    const Run traced = run(threads, true);
+    const std::string tag = "threads=" + std::to_string(threads);
+    for (const Run* res : {&base, &traced}) {
       for (int c = 0; c < 4; ++c)
-        EXPECT_EQ(traced.counters[static_cast<std::size_t>(c)],
-                  base.counters[static_cast<std::size_t>(c)])
+        EXPECT_EQ(res->counters[static_cast<std::size_t>(c)],
+                  ref.counters[static_cast<std::size_t>(c)])
             << tag << " counter " << c;
-      for (const Run* res : {&base, &traced}) {
-        EXPECT_EQ(res->result.num_jobs, ref.result.num_jobs) << tag;
-        EXPECT_EQ(res->result.total_carbon_g, ref.result.total_carbon_g)
+      EXPECT_EQ(res->result.num_jobs, ref.result.num_jobs) << tag;
+      EXPECT_EQ(res->result.total_carbon_g, ref.result.total_carbon_g)
+          << tag;
+      EXPECT_EQ(res->result.total_water_l, ref.result.total_water_l)
+          << tag;
+      EXPECT_EQ(res->result.violations, ref.result.violations) << tag;
+      EXPECT_EQ(res->result.jobs_per_region, ref.result.jobs_per_region)
+          << tag;
+      EXPECT_EQ(res->result.makespan_seconds, ref.result.makespan_seconds)
+          << tag;
+      ASSERT_EQ(res->result.jobs.size(), ref.result.jobs.size()) << tag;
+      for (std::size_t i = 0; i < ref.result.jobs.size(); ++i) {
+        EXPECT_EQ(res->result.jobs[i].job_id, ref.result.jobs[i].job_id)
             << tag;
-        EXPECT_EQ(res->result.total_water_l, ref.result.total_water_l)
-            << tag;
-        EXPECT_EQ(res->result.violations, ref.result.violations) << tag;
-        EXPECT_EQ(res->result.jobs_per_region, ref.result.jobs_per_region)
-            << tag;
-        EXPECT_EQ(res->result.makespan_seconds, ref.result.makespan_seconds)
-            << tag;
-        ASSERT_EQ(res->result.jobs.size(), ref.result.jobs.size()) << tag;
-        for (std::size_t i = 0; i < ref.result.jobs.size(); ++i) {
-          EXPECT_EQ(res->result.jobs[i].job_id, ref.result.jobs[i].job_id)
-              << tag;
-          EXPECT_EQ(res->result.jobs[i].exec_region,
-                    ref.result.jobs[i].exec_region)
-              << tag << " job " << i;
-          EXPECT_EQ(res->result.jobs[i].start_time,
-                    ref.result.jobs[i].start_time)
-              << tag << " job " << i;
-        }
-        EXPECT_EQ(res->queue_depth_json, ref.queue_depth_json) << tag;
-        EXPECT_EQ(res->admission_json, ref.admission_json) << tag;
+        EXPECT_EQ(res->result.jobs[i].exec_region,
+                  ref.result.jobs[i].exec_region)
+            << tag << " job " << i;
+        EXPECT_EQ(res->result.jobs[i].start_time,
+                  ref.result.jobs[i].start_time)
+            << tag << " job " << i;
       }
+      EXPECT_EQ(res->queue_depth_json, ref.queue_depth_json) << tag;
+      EXPECT_EQ(res->admission_json, ref.admission_json) << tag;
     }
   }
 }
@@ -573,8 +555,7 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreadsAndPresolve) {
   // The fault-determinism acceptance bar: with a generated FaultSchedule
   // attached (outages + forecast bias) AND injected solve failures layered
   // on top, a full simulator campaign must still produce byte-identical
-  // per-job streams and aggregates for solver_threads {1, 2, 4} x presolve
-  // on/off.
+  // per-job streams and aggregates for solver_threads {1, 2, 4}.
   env::FaultScheduleConfig fault_cfg;
   fault_cfg.seed = 31337;
   fault_cfg.horizon_seconds = 6.0 * 3600.0;
@@ -594,11 +575,10 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreadsAndPresolve) {
   sim_cfg.tol = 0.5;
   sim_cfg.record_jobs = true;
 
-  auto run = [&](int threads, bool presolve) {
+  auto run = [&](int threads) {
     WaterWiseConfig cfg;
     cfg.max_jobs_per_solve = 7;
     cfg.solver_threads = threads;
-    cfg.solver.presolve = presolve;
     cfg.solve_failure_rate = 0.35;
     cfg.fault_seed = fault_cfg.seed;
     WaterWiseScheduler ww(cfg);
@@ -607,27 +587,24 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreadsAndPresolve) {
     return sim.run(jobs, ww);
   };
 
-  const dc::CampaignResult ref = run(1, true);
+  const dc::CampaignResult ref = run(1);
   EXPECT_EQ(ref.num_jobs, 50);
-  for (const int threads : {1, 2, 4}) {
-    for (const bool presolve : {true, false}) {
-      const dc::CampaignResult res = run(threads, presolve);
-      const std::string tag = "threads=" + std::to_string(threads) +
-                              (presolve ? " presolve" : " raw");
-      EXPECT_EQ(res.num_jobs, ref.num_jobs) << tag;
-      EXPECT_EQ(res.total_carbon_g, ref.total_carbon_g) << tag;
-      EXPECT_EQ(res.total_water_l, ref.total_water_l) << tag;
-      EXPECT_EQ(res.violations, ref.violations) << tag;
-      EXPECT_EQ(res.jobs_per_region, ref.jobs_per_region) << tag;
-      EXPECT_EQ(res.makespan_seconds, ref.makespan_seconds) << tag;
-      ASSERT_EQ(res.jobs.size(), ref.jobs.size()) << tag;
-      for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
-        EXPECT_EQ(res.jobs[i].job_id, ref.jobs[i].job_id) << tag;
-        EXPECT_EQ(res.jobs[i].exec_region, ref.jobs[i].exec_region)
-            << tag << " job " << i;
-        EXPECT_EQ(res.jobs[i].start_time, ref.jobs[i].start_time)
-            << tag << " job " << i;
-      }
+  for (const int threads : {2, 4}) {
+    const dc::CampaignResult res = run(threads);
+    const std::string tag = "threads=" + std::to_string(threads);
+    EXPECT_EQ(res.num_jobs, ref.num_jobs) << tag;
+    EXPECT_EQ(res.total_carbon_g, ref.total_carbon_g) << tag;
+    EXPECT_EQ(res.total_water_l, ref.total_water_l) << tag;
+    EXPECT_EQ(res.violations, ref.violations) << tag;
+    EXPECT_EQ(res.jobs_per_region, ref.jobs_per_region) << tag;
+    EXPECT_EQ(res.makespan_seconds, ref.makespan_seconds) << tag;
+    ASSERT_EQ(res.jobs.size(), ref.jobs.size()) << tag;
+    for (std::size_t i = 0; i < ref.jobs.size(); ++i) {
+      EXPECT_EQ(res.jobs[i].job_id, ref.jobs[i].job_id) << tag;
+      EXPECT_EQ(res.jobs[i].exec_region, ref.jobs[i].exec_region)
+          << tag << " job " << i;
+      EXPECT_EQ(res.jobs[i].start_time, ref.jobs[i].start_time)
+          << tag << " job " << i;
     }
   }
 }
@@ -635,15 +612,15 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreadsAndPresolve) {
 TEST(ChunkParallel, CampaignMatrixByteIdenticalAcrossThreadsPresolveFaults) {
   // The unified-pool acceptance sweep: scenario fan-out (CampaignRunner
   // jobs > 1) and chunk fan-out (solver_threads > 1) share the one global
-  // work-stealing pool, swept over threads {1, 2, 4, 8} x presolve on/off
-  // x injected solve-fault rate {0, 0.35}.  Per fault rate, every
-  // combination must byte-match the serial presolve-on reference — per-job
-  // streams included — because stealing may reorder execution but results
-  // commit in scenario-index / chunk-index order.
+  // work-stealing pool, swept over threads {1, 2, 4, 8} x injected
+  // solve-fault rate {0, 0.35}.  Per fault rate, every thread count must
+  // byte-match the serial reference — per-job streams included — because
+  // stealing may reorder execution but results commit in scenario-index /
+  // chunk-index order.
   const auto jobs = burst_trace(24, 0.0);
   const double tols[3] = {0.25, 0.5, 1.0};
 
-  auto run_campaign = [&](int threads, bool presolve, double fault_rate) {
+  auto run_campaign = [&](int threads, double fault_rate) {
     dc::CampaignConfig ccfg;
     ccfg.jobs = static_cast<std::size_t>(threads);
     ccfg.seed = 17;
@@ -656,7 +633,6 @@ TEST(ChunkParallel, CampaignMatrixByteIdenticalAcrossThreadsPresolveFaults) {
         WaterWiseConfig cfg;
         cfg.max_jobs_per_solve = 6;  // 24 jobs -> 4 chunks per window
         cfg.solver_threads = threads;
-        cfg.solver.presolve = presolve;
         cfg.solve_failure_rate = fault_rate;
         cfg.fault_seed = 909;
         WaterWiseScheduler ww(cfg);
@@ -671,36 +647,32 @@ TEST(ChunkParallel, CampaignMatrixByteIdenticalAcrossThreadsPresolveFaults) {
   };
 
   for (const double fault_rate : {0.0, 0.35}) {
-    const auto ref = run_campaign(1, true, fault_rate);
+    const auto ref = run_campaign(1, fault_rate);
     ASSERT_EQ(ref.size(), 3u);
     ASSERT_EQ(ref[0].result.num_jobs, 24);
-    for (const int threads : {1, 2, 4, 8}) {
-      for (const bool presolve : {true, false}) {
-        if (threads == 1 && presolve) continue;  // the reference itself
-        const auto got = run_campaign(threads, presolve, fault_rate);
-        const std::string tag = "threads=" + std::to_string(threads) +
-                                (presolve ? " presolve" : " raw") +
-                                " faults=" + std::to_string(fault_rate);
-        ASSERT_EQ(got.size(), ref.size()) << tag;
-        for (std::size_t s = 0; s < ref.size(); ++s) {
-          const dc::CampaignResult& a = ref[s].result;
-          const dc::CampaignResult& b = got[s].result;
-          const std::string stag = tag + " " + ref[s].label;
-          EXPECT_EQ(got[s].label, ref[s].label) << tag;
-          EXPECT_EQ(b.num_jobs, a.num_jobs) << stag;
-          EXPECT_EQ(b.total_carbon_g, a.total_carbon_g) << stag;
-          EXPECT_EQ(b.total_water_l, a.total_water_l) << stag;
-          EXPECT_EQ(b.violations, a.violations) << stag;
-          EXPECT_EQ(b.jobs_per_region, a.jobs_per_region) << stag;
-          EXPECT_EQ(b.makespan_seconds, a.makespan_seconds) << stag;
-          ASSERT_EQ(b.jobs.size(), a.jobs.size()) << stag;
-          for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-            EXPECT_EQ(b.jobs[i].job_id, a.jobs[i].job_id) << stag;
-            EXPECT_EQ(b.jobs[i].exec_region, a.jobs[i].exec_region)
-                << stag << " job " << i;
-            EXPECT_EQ(b.jobs[i].start_time, a.jobs[i].start_time)
-                << stag << " job " << i;
-          }
+    for (const int threads : {2, 4, 8}) {
+      const auto got = run_campaign(threads, fault_rate);
+      const std::string tag = "threads=" + std::to_string(threads) +
+                              " faults=" + std::to_string(fault_rate);
+      ASSERT_EQ(got.size(), ref.size()) << tag;
+      for (std::size_t s = 0; s < ref.size(); ++s) {
+        const dc::CampaignResult& a = ref[s].result;
+        const dc::CampaignResult& b = got[s].result;
+        const std::string stag = tag + " " + ref[s].label;
+        EXPECT_EQ(got[s].label, ref[s].label) << tag;
+        EXPECT_EQ(b.num_jobs, a.num_jobs) << stag;
+        EXPECT_EQ(b.total_carbon_g, a.total_carbon_g) << stag;
+        EXPECT_EQ(b.total_water_l, a.total_water_l) << stag;
+        EXPECT_EQ(b.violations, a.violations) << stag;
+        EXPECT_EQ(b.jobs_per_region, a.jobs_per_region) << stag;
+        EXPECT_EQ(b.makespan_seconds, a.makespan_seconds) << stag;
+        ASSERT_EQ(b.jobs.size(), a.jobs.size()) << stag;
+        for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+          EXPECT_EQ(b.jobs[i].job_id, a.jobs[i].job_id) << stag;
+          EXPECT_EQ(b.jobs[i].exec_region, a.jobs[i].exec_region)
+              << stag << " job " << i;
+          EXPECT_EQ(b.jobs[i].start_time, a.jobs[i].start_time)
+              << stag << " job " << i;
         }
       }
     }

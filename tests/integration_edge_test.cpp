@@ -172,24 +172,5 @@ TEST(EdgeCases, WaterWiseMaxJobsPerSolveChunking) {
   EXPECT_GE(ww.stats().milp_solves, 50 / 7);
 }
 
-TEST(EdgeCases, SolverIterationLimitDegradesGracefully) {
-  // An absurdly low iteration budget makes LP solves fail; WaterWise must
-  // defer rather than crash, and jobs still finish via later batches or the
-  // fallback when the budget allows.
-  const env::Environment env = env::Environment::builtin(small_env());
-  const footprint::FootprintModel fp(env);
-  const auto jobs = burst_trace(10, 0.0);
-  dc::SimConfig cfg;
-  cfg.tol = 0.5;
-  dc::Simulator sim(env, fp, cfg);
-  core::WaterWiseConfig ww_cfg;
-  ww_cfg.solver.max_iterations = 100000;  // generous: solves succeed
-  core::WaterWiseScheduler ww(ww_cfg);
-  EXPECT_NO_THROW({
-    const auto res = sim.run(jobs, ww);
-    EXPECT_EQ(res.num_jobs, 10);
-  });
-}
-
 }  // namespace
 }  // namespace ww

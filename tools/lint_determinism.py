@@ -15,8 +15,9 @@ Rules
 -----
 unordered-in-solver-path
     `std::unordered_map` / `std::unordered_set` (and multi variants) may not
-    appear in the solver/commit/aggregate paths (src/milp, src/core, src/dc)
-    without a det-ok justification.  Hash-container iteration order is
+    appear in the solver/commit/aggregate paths (src/milp, src/core, src/dc,
+    and src/sched, home of the scheduler's transportation solver) without a
+    det-ok justification.  Hash-container iteration order is
     unspecified and changes across libstdc++ versions and ASLR; one range-for
     over one of these is enough to reorder decisions.  Lookup-only use is
     fine — say so in the annotation.
@@ -76,7 +77,7 @@ SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 EXCLUDED_PARTS = {"lint_fixtures", "build"}
 
 # Rule 1 applies only to the solver/commit/aggregate paths.
-SOLVER_PATHS = ("src/milp", "src/core", "src/dc")
+SOLVER_PATHS = ("src/milp", "src/core", "src/dc", "src/sched")
 
 # Per-rule allowlists: files whose *job* is the banned construct.
 WALLCLOCK_ALLOWED = ("src/util/rng.", "src/util/timer.")
