@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -11,41 +10,14 @@
 #include "env/faults.hpp"
 #include "obs/trace.hpp"
 #include "sched/greedy_opt.hpp"
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace ww::core {
 
-namespace {
-
-/// WW_SCHED_THREADS overrides WaterWiseConfig::solver_threads process-wide
-/// (mirroring WW_PRESOLVE / WW_REFACTOR_EVERY_PIVOT): a non-negative integer
-/// thread count, 0 = all cores.  Unset or unparsable leaves the config in
-/// charge.  Cached: the switch is a process property, not a per-call one.
-std::optional<int> sched_threads_override() noexcept {
-  static const std::optional<int> value = []() -> std::optional<int> {
-    const char* v = std::getenv("WW_SCHED_THREADS");
-    if (v == nullptr || *v == '\0') return std::nullopt;
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || parsed < 0 || parsed > 1024)
-      return std::nullopt;
-    return static_cast<int>(parsed);
-  }();
-  return value;
-}
-
-}  // namespace
-
-double default_solve_failure_rate() noexcept {
-  static const double value = [] {
-    const char* v = std::getenv("WW_FAULT_SOLVES");
-    if (v == nullptr || *v == '\0') return 0.0;
-    char* end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0' || !(parsed >= 0.0) || parsed > 1.0)
-      return 0.0;
-    return parsed;
-  }();
+double default_solve_failure_rate() {
+  static const double value =
+      util::env_double("WW_FAULT_SOLVES", 0.0, 1.0).value_or(0.0);
   return value;
 }
 
@@ -96,27 +68,44 @@ SchedulerStats WaterWiseScheduler::stats() const {
   return s;
 }
 
-std::size_t WaterWiseScheduler::effective_solver_threads() const noexcept {
-  const int configured =
-      sched_threads_override().value_or(config_.solver_threads);
+std::size_t WaterWiseScheduler::effective_solver_threads() const {
+  // WW_SCHED_THREADS overrides solver_threads process-wide.  Cached: the
+  // switch is a process property, not a per-call one.
+  static const std::optional<long> override_threads =
+      util::env_long("WW_SCHED_THREADS", 0, 1024);
+  const long configured = override_threads.value_or(config_.solver_threads);
   return util::WorkStealingPool::resolve_threads(
       configured <= 0 ? 0 : static_cast<std::size_t>(configured));
 }
 
-sched::TransportSolution WaterWiseScheduler::run_model(
+WindowSnapshot WaterWiseScheduler::take_snapshot(
+    const dc::ScheduleContext& ctx) const {
+  const int n = ctx.capacity->num_regions();
+  WindowSnapshot snap;
+  snap.intensity.reserve(static_cast<std::size_t>(n));
+  snap.price.reserve(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    snap.intensity.push_back(ctx.footprint->sample(r, ctx.now));
+    snap.price.push_back(ctx.env->electricity_price(r, ctx.now));
+  }
+  snap.history.reserve(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r)
+    snap.history.push_back(
+        config_.lambda_ref * (config_.lambda_co2 * history_->carbon_ref(r) +
+                              config_.lambda_h2o * history_->water_ref(r)));
+  return snap;
+}
+
+WaterWiseScheduler::ChunkCosts WaterWiseScheduler::build_costs(
     const std::vector<const dc::PendingJob*>& chunk,
-    const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
-    SchedulerStats& stats) const {
+    const dc::ScheduleContext& ctx, const WindowSnapshot& snapshot) const {
+  const obs::Span span("sched.model_build");
   const int m = static_cast<int>(chunk.size());
-  const int n = static_cast<int>(quota.size());
-  // Both forms are the m x n transportation problem: a dense job-major
-  // cost matrix, an allowed mask and the chunk's quota.
-  sched::TransportProblem problem;
-  problem.jobs = m;
-  problem.cost.resize(static_cast<std::size_t>(m) *
-                      static_cast<std::size_t>(n));
-  problem.allowed.assign(problem.cost.size(), 0);
-  problem.quota = quota;
+  const int n = static_cast<int>(snapshot.intensity.size());
+  ChunkCosts costs;
+  costs.base.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
+  costs.exceedance.resize(costs.base.size());
+  costs.penalty_rate.resize(static_cast<std::size_t>(m));
 
   // Objective: Eq. 8 normalized footprint costs + history reference terms,
   // plus the delay tolerance of Eq. 11 (hard) / Eq. 12-13 (soft).
@@ -124,23 +113,39 @@ sched::TransportSolution WaterWiseScheduler::run_model(
   std::vector<double> h2o(static_cast<std::size_t>(n));
   std::vector<double> usd(static_cast<std::size_t>(n));
   std::vector<double> perf(static_cast<std::size_t>(n));
-  std::vector<double> latency(static_cast<std::size_t>(n));
   for (int j = 0; j < m; ++j) {
     const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
+    const int home = p.job->home_region;
+    const footprint::Intensities& at_home =
+        snapshot.intensity.at(static_cast<std::size_t>(home));
+    // The remaining delay allowance discounts time already spent waiting in
+    // the controller.
+    const double waited = ctx.now - p.first_seen;
+    const double allowance = std::max(
+        0.0,
+        ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
+    costs.penalty_rate[static_cast<std::size_t>(j)] =
+        config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
     for (int r = 0; r < n; ++r) {
+      const std::size_t ri = static_cast<std::size_t>(r);
       // Decision-time estimates: current intensities, estimated E and t.
-      const footprint::Breakdown fb = ctx.footprint->job_at(
-          r, ctx.now, p.est_energy_kwh, p.est_exec_s);
+      const footprint::Intensities& at = snapshot.intensity[ri];
+      const footprint::Breakdown fb =
+          ctx.footprint->job_at(at, p.est_energy_kwh, p.est_exec_s);
       const footprint::Breakdown tb = ctx.footprint->transfer(
-          p.job->home_region, r, p.job->package_bytes, ctx.now);
-      co2[static_cast<std::size_t>(r)] = fb.carbon_g() + tb.carbon_g();
-      h2o[static_cast<std::size_t>(r)] = fb.water_l() + tb.water_l();
-      usd[static_cast<std::size_t>(r)] = ctx.env->pue(r) * p.est_energy_kwh *
-                                         ctx.env->electricity_price(r, ctx.now);
-      latency[static_cast<std::size_t>(r)] = ctx.env->transfer_latency_seconds(
-          p.job->home_region, r, p.job->package_bytes);
-      perf[static_cast<std::size_t>(r)] =
-          latency[static_cast<std::size_t>(r)] / std::max(1.0, p.est_exec_s);
+          home, r, p.job->package_bytes, at_home, at);
+      co2[ri] = fb.carbon_g() + tb.carbon_g();
+      h2o[ri] = fb.water_l() + tb.water_l();
+      usd[ri] = ctx.env->pue(r) * p.est_energy_kwh * snapshot.price[ri];
+      const double latency = ctx.env->transfer_latency_seconds(
+          home, r, p.job->package_bytes);
+      perf[ri] = latency / std::max(1.0, p.est_exec_s);
+      // Eq. 11 states the delay tolerance as one row per job over the
+      // summed transfer latency.  Since exactly one x_mn is 1, that row
+      // forbids every region whose latency exceeds the allowance; run_model
+      // forbids the pair (hard) or prices the exceedance (soft).
+      costs.exceedance[static_cast<std::size_t>(j * n + r)] =
+          latency - allowance;
     }
     const double co2_max =
         std::max(1e-12, *std::max_element(co2.begin(), co2.end()));
@@ -150,51 +155,54 @@ sched::TransportSolution WaterWiseScheduler::run_model(
         std::max(1e-12, *std::max_element(usd.begin(), usd.end()));
     const double perf_max =
         std::max(1e-12, *std::max_element(perf.begin(), perf.end()));
-    // The remaining delay allowance discounts time already spent waiting in
-    // the controller.
-    const double waited = ctx.now - p.first_seen;
-    const double allowance = std::max(
-        0.0,
-        ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
-    const double penalty_rate =
-        config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
     for (int r = 0; r < n; ++r) {
-      double cost = config_.lambda_co2 * co2[static_cast<std::size_t>(r)] / co2_max +
-                    config_.lambda_h2o * h2o[static_cast<std::size_t>(r)] / h2o_max;
+      const std::size_t ri = static_cast<std::size_t>(r);
+      double cost = config_.lambda_co2 * co2[ri] / co2_max +
+                    config_.lambda_h2o * h2o[ri] / h2o_max;
       if (config_.lambda_cost > 0.0)
-        cost += config_.lambda_cost * usd[static_cast<std::size_t>(r)] / usd_max;
+        cost += config_.lambda_cost * usd[ri] / usd_max;
       if (config_.lambda_perf > 0.0)
-        cost += config_.lambda_perf * perf[static_cast<std::size_t>(r)] / perf_max;
-      if (config_.enable_history) {
-        cost += config_.lambda_ref *
-                (config_.lambda_co2 * history_->carbon_ref(r) +
-                 config_.lambda_h2o * history_->water_ref(r));
-      }
+        cost += config_.lambda_perf * perf[ri] / perf_max;
+      if (config_.enable_history) cost += snapshot.history[ri];
       // Deterministic tie-breaking epsilon: jobs of the same benchmark share
       // identical estimates, so without it many assignments tie exactly and
       // the decision would hinge on how the solver breaks ties.  The
       // epsilon makes the optimum unique.
       cost += 1e-9 * static_cast<double>(j * n + r);
-      // Eq. 11 states the delay tolerance as one row per job over the summed
-      // transfer latency.  Since exactly one x_mn is 1, that row forbids
-      // every region whose latency exceeds the allowance, so the hard form
-      // forbids the pair.  The soft form (Eq. 12-13) charges the exceedance
-      // instead: its penalty P_mn >= exceedance * x_mn has a positive cost
-      // and appears in no other row, so every optimum has
-      // P_mn = exceedance * x_mn and the penalty folds into x_mn's cost.
-      // A region with no quota cannot take any job from this chunk.
-      const double exceedance =
-          latency[static_cast<std::size_t>(r)] - allowance;
-      bool allowed = quota[static_cast<std::size_t>(r)] > 0;
+      costs.base[static_cast<std::size_t>(j * n + r)] = cost;
+    }
+  }
+  return costs;
+}
+
+sched::TransportSolution WaterWiseScheduler::run_model(
+    const ChunkCosts& costs, const std::vector<int>& quota, bool soft,
+    SchedulerStats& stats) const {
+  // Both forms are the m x n transportation problem: a dense job-major
+  // cost matrix, an allowed mask and the chunk's quota.
+  sched::TransportProblem problem;
+  problem.jobs = static_cast<int>(costs.penalty_rate.size());
+  problem.cost = costs.base;
+  problem.allowed.resize(problem.cost.size());
+  problem.quota = quota;
+  std::size_t at = 0;
+  for (const double penalty_rate : costs.penalty_rate) {
+    for (const int q : quota) {
+      // The soft form (Eq. 12-13) charges the exceedance: its penalty
+      // P_mn >= exceedance * x_mn has a positive cost and appears in no
+      // other row, so every optimum has P_mn = exceedance * x_mn and the
+      // penalty folds into x_mn's cost.  A region with no quota cannot take
+      // any job from this chunk.
+      const double exceedance = costs.exceedance[at];
+      bool allowed = q > 0;
       if (exceedance > 0.0) {
         if (soft)
-          cost += penalty_rate * exceedance;
+          problem.cost[at] += penalty_rate * exceedance;
         else
           allowed = false;
       }
-      const std::size_t at = static_cast<std::size_t>(j * n + r);
-      problem.cost[at] = cost;
       problem.allowed[at] = allowed ? 1 : 0;
+      ++at;
     }
   }
 
@@ -314,7 +322,8 @@ std::vector<ChunkPlan> WaterWiseScheduler::plan_chunks(
 }
 
 ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
-                                          const dc::ScheduleContext& ctx)
+                                          const dc::ScheduleContext& ctx,
+                                          const WindowSnapshot& snapshot)
     const {
   if (config_.chunk_solve_hook) config_.chunk_solve_hook(plan.index);
   ChunkResult out;
@@ -336,6 +345,9 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     span.arg("decisions", out.decisions.size());
   };
 
+  // Every model form below reads this one cost table.
+  const ChunkCosts costs = build_costs(plan.jobs, ctx, snapshot);
+
   // One solve of the chunk model, nullopt when an injected failure
   // (WW_FAULT_SOLVES / config) discards its outcome exactly as a solver
   // crash would.  Injection is a pure function of (seed, window, chunk,
@@ -344,7 +356,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   const auto attempt = [&](bool soft, int attempt_no)
       -> std::optional<sched::TransportSolution> {
     sched::TransportSolution sol =
-        run_model(plan.jobs, plan.quota, ctx, soft, out.stats);
+        run_model(costs, plan.quota, soft, out.stats);
     if (env::injected_solve_failure(config_.fault_seed, ctx.now, plan.index,
                                     attempt_no, config_.solve_failure_rate)) {
       ++out.stats.fault_events;
@@ -426,7 +438,7 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
 
 std::vector<dc::Decision> WaterWiseScheduler::commit(
     std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx,
-    SchedulerStats& window) {
+    const WindowSnapshot& snapshot, SchedulerStats& window) {
   obs::Span span("sched.commit");
   span.arg("chunks", results.size());
   std::vector<dc::Decision> decisions;
@@ -491,7 +503,7 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
   window.spill_jobs += static_cast<long>(rest.jobs.size());
   ChunkResult rr;
   try {
-    rr = solve_one(rest, ctx);
+    rr = solve_one(rest, ctx, snapshot);
   } catch (const std::exception& e) {
     throw std::runtime_error("WaterWise: spill re-solve (chunk " +
                              std::to_string(rest.index) +
@@ -537,22 +549,20 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
 
   // Feed the history learner the current intensity landscape.
-  {
-    std::vector<double> ci(static_cast<std::size_t>(n));
-    std::vector<double> wi(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      ci[static_cast<std::size_t>(r)] = ctx.env->carbon_intensity(r, ctx.now);
-      wi[static_cast<std::size_t>(r)] = ctx.env->water_intensity(r, ctx.now);
-    }
-    history_->observe(ci, wi);
+  std::vector<double> ci(static_cast<std::size_t>(n));
+  std::vector<double> wi(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    ci[static_cast<std::size_t>(r)] = ctx.env->carbon_intensity(r, ctx.now);
+    wi[static_cast<std::size_t>(r)] = ctx.env->water_intensity(r, ctx.now);
   }
+  history_->observe(ci, wi);
 
   std::vector<int> caps(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
     caps[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
   // Degraded-mode state machine: observe this window, clamp faulty regions'
   // caps (serial — the machine is scheduler state, not chunk state).
-  update_region_health(ctx, caps, window);
+  update_region_health(ctx, ci, wi, caps, window);
   int total_cap = 0;
   for (const int c : caps) total_cap += c;
   if (batch.empty()) return {};
@@ -580,7 +590,9 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   window.deferred_jobs += static_cast<long>(batch.size() - selected.size());
 
   // Plan -> solve -> commit: quota partition, pure per-chunk solves (fanned
-  // across the pool when configured), deterministic in-order merge.
+  // across the pool when configured) that share the window's snapshot,
+  // deterministic in-order merge.
+  const WindowSnapshot snapshot = take_snapshot(ctx);
   std::vector<ChunkPlan> plans = plan_chunks(selected, caps);
   window.chunks_planned += static_cast<long>(plans.size());
   std::vector<ChunkResult> results(plans.size());
@@ -589,7 +601,7 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   // commit() re-throws the lowest-index failure with chunk/window context.
   const auto guarded_solve = [&](std::size_t k) {
     try {
-      results[k] = solve_one(plans[k], ctx);
+      results[k] = solve_one(plans[k], ctx, snapshot);
     } catch (const std::exception& e) {
       results[k].index = plans[k].index;
       results[k].error = e.what();
@@ -617,10 +629,12 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   } else {
     for (std::size_t k = 0; k < plans.size(); ++k) guarded_solve(k);
   }
-  return commit(std::move(results), ctx, window);
+  return commit(std::move(results), ctx, snapshot, window);
 }
 
 void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
+                                              const std::vector<double>& ci_obs,
+                                              const std::vector<double>& wi_obs,
                                               std::vector<int>& caps,
                                               SchedulerStats& window) {
   if (!config_.degraded.enabled) return;
@@ -639,8 +653,8 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
     // bias stepping in or out).
     const bool capacity_reduced = prev_max > 0 && cap_now < prev_max;
     const bool outage = prev_max > 0 && cap_now <= 0;
-    const double ci = ctx.env->carbon_intensity(r, ctx.now);
-    const double wi = ctx.env->water_intensity(r, ctx.now);
+    const double ci = ci_obs[static_cast<std::size_t>(r)];
+    const double wi = wi_obs[static_cast<std::size_t>(r)];
     bool intensity_jump = false;
     if (h.has_obs && ctx.now - h.last_obs_time <= dm.flap_window_s) {
       const double ci_rel =

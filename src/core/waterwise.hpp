@@ -25,6 +25,16 @@
 // means the simulator learns — the controller never sees true per-job
 // values.
 //
+// Apart from those estimates, every input of a job's costs is constant
+// within a window.  So after the history learner observes the window,
+// `schedule_impl` samples each region once into a `WindowSnapshot`: the
+// controller-view intensities (`footprint::Intensities`), the electricity
+// price and the weighted history term.  Each chunk fills its m x n cost
+// table from the snapshot (span `sched.model_build`), and transfer
+// distances come from the `env::TransferModel` table.  The arithmetic is
+// the per-pair footprint arithmetic, so decisions are bit-identical to
+// evaluating `job_at(r, now, ...)` per pair.
+//
 // ## The plan -> solve -> commit pipeline
 //
 // Batches larger than `max_jobs_per_solve` decompose into independent chunk
@@ -37,8 +47,9 @@
 //      repaired so every chunk's quota covers its job count).  Quotas are
 //      disjoint by construction, so concurrent chunks can never double-book
 //      a region.
-//   2. `solve_one()` is `const` and side-effect-free: it builds and solves
-//      one chunk against its private quota and returns a self-contained
+//   2. `solve_one()` is `const` and side-effect-free: it builds one chunk's
+//      cost table from the window snapshot, solves the chunk against its
+//      private quota and returns a self-contained
 //      `ChunkResult` (decisions, a `SchedulerStats` delta, leftover quota,
 //      spill-eligible jobs).  Pure per-chunk work is what makes the fan-out
 //      sound at any thread count.
@@ -60,7 +71,8 @@
 //
 // Knobs: `WaterWiseConfig::solver_threads` (1 = serial, 0 = all cores) and
 // the `WW_SCHED_THREADS` environment switch, which overrides the config
-// process-wide (mirroring `WW_PRESOLVE` / `WW_REFACTOR_EVERY_PIVOT`).
+// process-wide (mirroring `WW_PRESOLVE` / `WW_REFACTOR_EVERY_PIVOT`); a
+// value that is not an integer in [0, 1024] throws std::invalid_argument.
 //
 // ## Graceful degradation
 //
@@ -86,6 +98,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/history.hpp"
 #include "dc/scheduler.hpp"
@@ -96,10 +109,12 @@
 namespace ww::core {
 
 /// Probability in [0, 1] that a chunk solve outcome is discarded as an
-/// injected fault, from the `WW_FAULT_SOLVES` environment switch (unset or
-/// unparsable = 0, i.e. no injection).  Cached once per process, mirroring
-/// WW_SCHED_THREADS: fault campaigns are a process property.
-[[nodiscard]] double default_solve_failure_rate() noexcept;
+/// injected fault, from the `WW_FAULT_SOLVES` environment switch (unset =
+/// 0, i.e. no injection; anything but a number in [0, 1] throws
+/// std::invalid_argument naming the variable and the value).  Cached once
+/// per process, mirroring WW_SCHED_THREADS: fault campaigns are a process
+/// property.
+[[nodiscard]] double default_solve_failure_rate();
 
 /// Per-region Normal -> Degraded -> Recovery state machine thresholds.
 /// All triggers are event counts over batch windows — never wall-clock — so
@@ -269,6 +284,21 @@ inline SchedulerStats& SchedulerStats::operator+=(
   return *this;
 }
 
+/// The window-constant inputs of the Eq. 8 costs: every region sampled once
+/// per batch window, after the history learner observed the window.  Built
+/// serially by the scheduler, then only read, so all chunk solves of the
+/// window (pooled or the spill re-solve) share one by const reference.
+struct WindowSnapshot {
+  /// ctx.footprint->sample(r, ctx.now): the controller's view of region r.
+  std::vector<footprint::Intensities> intensity;
+  /// ctx.env->electricity_price(r, ctx.now), USD/kWh.
+  std::vector<double> price;
+  /// The weighted history term of Eq. 8,
+  /// lambda_ref * (lambda_co2 * CO2ref_r + lambda_h2o * H2Oref_r); the
+  /// costs read it only when enable_history is set.
+  std::vector<double> history;
+};
+
 /// One chunk's share of a batch window: the jobs it must decide and the
 /// per-region capacity quota reserved exclusively for it.  Quotas of the
 /// plans returned by one `plan_chunks()` call are disjoint and sum to the
@@ -332,7 +362,9 @@ class WaterWiseScheduler final : public dc::Scheduler {
 
   /// Thread count the chunk fan-out actually uses: WW_SCHED_THREADS when
   /// set, else config().solver_threads, with 0 resolving to all cores.
-  [[nodiscard]] std::size_t effective_solver_threads() const noexcept;
+  /// Throws std::invalid_argument when WW_SCHED_THREADS is set to anything
+  /// but an integer in [0, 1024].
+  [[nodiscard]] std::size_t effective_solver_threads() const;
 
   // --- The plan -> solve -> commit pipeline (public for tests/benches). ---
 
@@ -347,11 +379,13 @@ class WaterWiseScheduler final : public dc::Scheduler {
       const std::vector<int>& caps) const;
 
   /// Stage 2: solves one chunk against its private quota (hard model, then
-  /// the Algorithm-1 soft fallback) and extracts decisions.  Const and
-  /// side-effect-free — safe to run concurrently for different plans; all
-  /// diagnostics land in the returned ChunkResult.
+  /// the Algorithm-1 soft fallback) and extracts decisions.  Costs come
+  /// from the window's `snapshot`.  Const and side-effect-free — safe to
+  /// run concurrently for different plans; all diagnostics land in the
+  /// returned ChunkResult.
   [[nodiscard]] ChunkResult solve_one(const ChunkPlan& plan,
-                                      const dc::ScheduleContext& ctx) const;
+                                      const dc::ScheduleContext& ctx,
+                                      const WindowSnapshot& snapshot) const;
 
   /// Stage 3: merges results in chunk-index order (decisions into the
   /// return value, stats into `window`, registry shards), pools leftover
@@ -359,19 +393,39 @@ class WaterWiseScheduler final : public dc::Scheduler {
   /// The only stage that mutates scheduler state.
   [[nodiscard]] std::vector<dc::Decision> commit(
       std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx,
-      SchedulerStats& window);
+      const WindowSnapshot& snapshot, SchedulerStats& window);
 
  private:
-  /// Builds Eq. 8-13 for the chunk against `quota` as a transportation
-  /// problem (job-major m x n costs, forbidden pairs masked out) and solves
-  /// it with sched::transport_assign; `region[j]` of the result is job j's
-  /// region.  `soft` prices delay exceedance into the costs instead of
-  /// forbidding the pair.  The solve count and time accumulate into
-  /// `stats`.  Builds without NDEBUG certify every optimal solve and throw
-  /// std::logic_error on a failed certificate.
-  [[nodiscard]] sched::TransportSolution run_model(
+  /// One chunk's Eq. 8-13 cost table, built once per chunk and read by
+  /// every model form the retry ladder solves: the hard and soft forms
+  /// differ only in how they treat a positive delay exceedance.
+  struct ChunkCosts {
+    /// Job-major m x n: the normalized Eq. 8 cost, the history term and
+    /// the tie-break epsilon.
+    std::vector<double> base;
+    /// Job-major m x n: transfer latency minus the job's remaining delay
+    /// allowance (Eq. 11); positive means the pair violates it.
+    std::vector<double> exceedance;
+    /// Per job: the Eq. 12 penalty per second of exceedance.
+    std::vector<double> penalty_rate;
+  };
+
+  /// Fills the chunk's cost table from the window snapshot (span
+  /// `sched.model_build`).
+  [[nodiscard]] ChunkCosts build_costs(
       const std::vector<const dc::PendingJob*>& chunk,
-      const std::vector<int>& quota, const dc::ScheduleContext& ctx, bool soft,
+      const dc::ScheduleContext& ctx, const WindowSnapshot& snapshot) const;
+
+  /// Solves Eq. 8-13 for the chunk against `quota` as a transportation
+  /// problem (job-major m x n costs, forbidden pairs masked out) with
+  /// sched::transport_assign; `region[j]` of the result is job j's region.
+  /// `soft` adds penalty_rate * exceedance to a delay-violating pair's cost
+  /// instead of forbidding it, and a region with no quota takes no job.
+  /// The solve count and time accumulate into `stats`.  Builds without
+  /// NDEBUG certify every optimal solve and throw std::logic_error on a
+  /// failed certificate.
+  [[nodiscard]] sched::TransportSolution run_model(
+      const ChunkCosts& costs, const std::vector<int>& quota, bool soft,
       SchedulerStats& stats) const;
 
   /// Per-region degraded-mode state (see DegradedModeConfig).  Updated once
@@ -390,11 +444,18 @@ class WaterWiseScheduler final : public dc::Scheduler {
   };
 
   /// Advances every region's state machine on this window's observations
-  /// (capacity losses, intensity jumps), counts fault events and degraded
-  /// windows into `window`, and applies the Degraded/Recovery hard-cap
-  /// rails to `caps` in place.
+  /// (capacity losses, and jumps in the carbon and water intensities
+  /// `ci_obs` / `wi_obs` the history learner observed), counts fault events
+  /// and degraded windows into `window`, and applies the Degraded/Recovery
+  /// hard-cap rails to `caps` in place.
   void update_region_health(const dc::ScheduleContext& ctx,
+                            const std::vector<double>& ci_obs,
+                            const std::vector<double>& wi_obs,
                             std::vector<int>& caps, SchedulerStats& window);
+
+  /// Samples every region once for this window (see WindowSnapshot).
+  [[nodiscard]] WindowSnapshot take_snapshot(
+      const dc::ScheduleContext& ctx) const;
 
   /// schedule() minus the observability wrapper (spans, latency/queue
   /// histograms); keeps the decision logic free of instrumentation.  All

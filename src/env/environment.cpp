@@ -5,6 +5,33 @@
 
 namespace ww::env {
 
+namespace {
+
+/// Rejects a spec whose values would poison the footprint equations or the
+/// transfer table, naming the region and the field.
+void validate(const RegionSpec& spec) {
+  const std::string who = "Environment: region '" + spec.name + "'";
+  const auto reject = [&who](const char* field, double value,
+                             const char* rule) {
+    throw std::invalid_argument(who + ": " + field + " " +
+                                std::to_string(value) + " " + rule);
+  };
+  check_lat_lon(spec.latitude, spec.longitude, who);
+  // The negated comparisons also reject NaN.
+  if (!(spec.pue >= 1.0 && std::isfinite(spec.pue)))
+    reject("pue", spec.pue, "must be finite and >= 1");
+  if (spec.servers < 0)
+    throw std::invalid_argument(who + ": servers " +
+                                std::to_string(spec.servers) + " must be >= 0");
+  if (!(spec.wsf >= 0.0 && std::isfinite(spec.wsf)))
+    reject("wsf", spec.wsf, "must be finite and >= 0");
+  if (!(spec.price_usd_per_kwh >= 0.0 && std::isfinite(spec.price_usd_per_kwh)))
+    reject("price_usd_per_kwh", spec.price_usd_per_kwh,
+           "must be finite and >= 0");
+}
+
+}  // namespace
+
 Environment::Environment(std::vector<RegionSpec> specs,
                          EnvironmentConfig config)
     : config_(config) {
@@ -18,6 +45,7 @@ Environment::Environment(std::vector<RegionSpec> specs,
   regions_.reserve(specs.size());
   for (auto& spec : specs) {
     if (config_.pue_override) spec.pue = *config_.pue_override;
+    validate(spec);
     RegionRuntime rt;
     // Child streams are keyed by region *name* so a subset environment sees
     // exactly the same series for a region as the full environment does.

@@ -44,7 +44,11 @@ struct EnvironmentConfig {
 
 class Environment {
  public:
-  /// Builds an environment from explicit region specs.
+  /// Builds an environment from explicit region specs.  Throws
+  /// std::invalid_argument naming the region when a latitude/longitude is
+  /// non-finite or out of range, a PUE (pue_override included) is
+  /// non-finite or below 1, `servers` is negative, or `wsf` or
+  /// `price_usd_per_kwh` is negative or non-finite.
   Environment(std::vector<RegionSpec> specs, EnvironmentConfig config = {});
 
   /// The paper's five-region setup (Zurich, Madrid, Oregon, Milan, Mumbai).

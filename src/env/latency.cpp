@@ -6,17 +6,39 @@
 
 namespace ww::env {
 
+void check_lat_lon(double lat, double lon, const std::string& who) {
+  // The negated comparisons also reject NaN.
+  if (!(lat >= -90.0 && lat <= 90.0))
+    throw std::invalid_argument(who + ": latitude " + std::to_string(lat) +
+                                " is not in [-90, 90]");
+  if (!(lon >= -180.0 && lon <= 180.0))
+    throw std::invalid_argument(who + ": longitude " + std::to_string(lon) +
+                                " is not in [-180, 180]");
+}
+
 TransferModel::TransferModel(std::vector<std::pair<double, double>> lat_lon,
                              TransferConfig config)
-    : points_(std::move(lat_lon)), config_(config) {
-  if (points_.empty())
+    : n_(static_cast<int>(lat_lon.size())), config_(config) {
+  if (lat_lon.empty())
     throw std::invalid_argument("TransferModel: need at least one region");
+  for (int i = 0; i < n_; ++i) {
+    const auto& p = lat_lon[static_cast<std::size_t>(i)];
+    check_lat_lon(p.first, p.second,
+                  "TransferModel: region " + std::to_string(i));
+  }
+  km_.reserve(lat_lon.size() * lat_lon.size());
+  for (const auto& a : lat_lon)
+    for (const auto& b : lat_lon)
+      km_.push_back(haversine_km(a.first, a.second, b.first, b.second));
 }
 
 double TransferModel::distance_km(int from, int to) const {
-  const auto& a = points_.at(static_cast<std::size_t>(from));
-  const auto& b = points_.at(static_cast<std::size_t>(to));
-  return haversine_km(a.first, a.second, b.first, b.second);
+  if (from < 0 || from >= n_ || to < 0 || to >= n_)
+    throw std::out_of_range("TransferModel: region pair (" +
+                            std::to_string(from) + ", " + std::to_string(to) +
+                            ") out of range");
+  return km_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
+             static_cast<std::size_t>(to)];
 }
 
 double TransferModel::latency_seconds(int from, int to, double bytes) const {

@@ -5,9 +5,13 @@
 // carbon / water overheads are small but nonzero.  We model transfer latency
 // as propagation (great-circle distance over fiber with a routing stretch)
 // plus serialization at an effective WAN throughput, and transfer energy with
-// a per-byte WAN energy factor plus a small distance term.
+// a per-byte WAN energy factor plus a small distance term.  Region
+// locations never move, so the great-circle distances are computed once, at
+// construction, into an n x n table every transfer query reads.
 #pragma once
 
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace ww::env {
@@ -25,8 +29,15 @@ struct TransferConfig {
   double energy_kwh_per_gb_per_1000km = 6.0e-6;  ///< Distance-dependent hops.
 };
 
+/// Throws std::invalid_argument, prefixed with `who`, unless `lat` is a
+/// finite latitude in [-90, 90] and `lon` a finite longitude in
+/// [-180, 180].
+void check_lat_lon(double lat, double lon, const std::string& who);
+
 class TransferModel {
  public:
+  /// One (latitude, longitude) pair per region, in degrees; each must pass
+  /// check_lat_lon.
   TransferModel(std::vector<std::pair<double, double>> lat_lon,
                 TransferConfig config = {});
 
@@ -38,13 +49,14 @@ class TransferModel {
   /// for accounting purposes.
   [[nodiscard]] double energy_kwh(int from, int to, double bytes) const;
 
+  /// haversine_km between the two regions, read from the table; throws
+  /// std::out_of_range for an index outside [0, num_regions()).
   [[nodiscard]] double distance_km(int from, int to) const;
-  [[nodiscard]] int num_regions() const noexcept {
-    return static_cast<int>(points_.size());
-  }
+  [[nodiscard]] int num_regions() const noexcept { return n_; }
 
  private:
-  std::vector<std::pair<double, double>> points_;
+  int n_;
+  std::vector<double> km_;  ///< Row-major n x n haversine_km table.
   TransferConfig config_;
 };
 

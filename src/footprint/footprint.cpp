@@ -18,13 +18,22 @@ FootprintModel::FootprintModel(const env::Environment& env, ServerSpec server,
                                double embodied_scale)
     : env_(&env), server_(server), embodied_scale_(embodied_scale) {}
 
-Breakdown FootprintModel::operational_at(int r, double t,
-                                         double energy_kwh) const {
+Intensities FootprintModel::sample(int r, double t) const {
+  Intensities at;
+  at.ci = env_->carbon_intensity(r, t);
+  at.ewif = env_->ewif(r, t);
+  at.wue = env_->wue(r, t);
+  at.scarcity = 1.0 + env_->wsf(r, t);
+  at.pue = env_->pue(r);
+  return at;
+}
+
+Breakdown FootprintModel::operational(const Intensities& at,
+                                      double energy_kwh) {
   Breakdown b;
-  const double scarcity = 1.0 + env_->wsf(r, t);
-  b.operational_carbon_g = energy_kwh * env_->carbon_intensity(r, t);
-  b.offsite_water_l = env_->pue(r) * energy_kwh * env_->ewif(r, t) * scarcity;
-  b.onsite_water_l = energy_kwh * env_->wue(r, t) * scarcity;
+  b.operational_carbon_g = energy_kwh * at.ci;
+  b.offsite_water_l = at.pue * energy_kwh * at.ewif * at.scarcity;
+  b.onsite_water_l = energy_kwh * at.wue * at.scarcity;
   return b;
 }
 
@@ -36,9 +45,9 @@ void FootprintModel::add_embodied(Breakdown& b, double exec_seconds) const {
       embodied_scale_ * amortization * server_.embodied_water_l();
 }
 
-Breakdown FootprintModel::job_at(int r, double t, double energy_kwh,
+Breakdown FootprintModel::job_at(const Intensities& at, double energy_kwh,
                                  double exec_seconds) const {
-  Breakdown b = operational_at(r, t, energy_kwh);
+  Breakdown b = operational(at, energy_kwh);
   add_embodied(b, exec_seconds);
   return b;
 }
@@ -56,7 +65,7 @@ Breakdown FootprintModel::job_integrated(int r, double t_start,
     const double slice_end = std::min(t_end, (std::floor(t / 3600.0) + 1.0) * 3600.0);
     const double frac = (slice_end - t) / exec_seconds;
     const double mid = 0.5 * (t + slice_end);
-    const Breakdown slice = operational_at(r, mid, energy_kwh * frac);
+    const Breakdown slice = operational(sample(r, mid), energy_kwh * frac);
     total += slice;
     t = slice_end;
   }
@@ -66,15 +75,20 @@ Breakdown FootprintModel::job_integrated(int r, double t_start,
 
 Breakdown FootprintModel::transfer(int from, int to, double bytes,
                                    double t) const {
+  if (from == to) return {};
+  return transfer(from, to, bytes, sample(from, t), sample(to, t));
+}
+
+Breakdown FootprintModel::transfer(int from, int to, double bytes,
+                                   const Intensities& at_from,
+                                   const Intensities& at_to) const {
   Breakdown b;
   if (from == to) return b;
   const double energy = env_->transfer_energy_kwh(from, to, bytes);
   if (energy <= 0.0) return b;
   // Split the transfer energy across the two endpoints' grids.
-  const Breakdown a = operational_at(from, t, 0.5 * energy);
-  const Breakdown c = operational_at(to, t, 0.5 * energy);
-  b += a;
-  b += c;
+  b += operational(at_from, 0.5 * energy);
+  b += operational(at_to, 0.5 * energy);
   return b;
 }
 

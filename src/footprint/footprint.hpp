@@ -12,6 +12,13 @@
 //                    the scheduler uses for decisions (it has no future).
 //  * `integrated`  — intensities integrated hourly across the execution
 //                    interval; this is what the simulator's ledger records.
+//
+// Every formula reads an `Intensities` sample: `sample(r, t)` takes one
+// region's intensities at one instant, and the `(r, t)` entry points are
+// the sample overloads applied to `sample(r, t)`.  A caller that evaluates
+// many jobs at the same instant (the scheduler's batch window) samples
+// each region once and passes the samples; the results are bit-identical
+// because there is only one formula.
 #pragma once
 
 #include "env/environment.hpp"
@@ -55,15 +62,33 @@ struct Breakdown {
   Breakdown& operator+=(const Breakdown& o) noexcept;
 };
 
+/// One region's intensities at one instant, as its Environment reports
+/// them (fault overlay and sensitivity scales included).
+struct Intensities {
+  double ci = 0.0;        ///< Carbon intensity, gCO2/kWh.
+  double ewif = 0.0;      ///< Energy water intensity factor, L/kWh.
+  double wue = 0.0;       ///< Water usage effectiveness, L/kWh.
+  double scarcity = 1.0;  ///< 1 + WSF(t), the Eq. 2/3/6 scarcity weight.
+  double pue = 1.0;       ///< Power usage effectiveness.
+};
+
 class FootprintModel {
  public:
   /// `embodied_scale` is the +-10% sensitivity knob of Sec. 6.
   explicit FootprintModel(const env::Environment& env, ServerSpec server = {},
                           double embodied_scale = 1.0);
 
+  /// Region `r`'s intensities at instant `t`.
+  [[nodiscard]] Intensities sample(int r, double t) const;
+
   /// Footprint of running a job of `energy_kwh` / `exec_seconds` in region
   /// `r` with all intensities frozen at instant `t` (scheduler view).
   [[nodiscard]] Breakdown job_at(int r, double t, double energy_kwh,
+                                 double exec_seconds) const {
+    return job_at(sample(r, t), energy_kwh, exec_seconds);
+  }
+  /// The same footprint at already-sampled intensities `at`.
+  [[nodiscard]] Breakdown job_at(const Intensities& at, double energy_kwh,
                                  double exec_seconds) const;
 
   /// Footprint with intensities integrated hourly over
@@ -76,6 +101,11 @@ class FootprintModel {
   /// energy is billed at the mean of the two regions' intensities.
   [[nodiscard]] Breakdown transfer(int from, int to, double bytes,
                                    double t) const;
+  /// The same footprint with the endpoints' intensities already sampled
+  /// (`at_from` = sample(from, t), `at_to` = sample(to, t)).
+  [[nodiscard]] Breakdown transfer(int from, int to, double bytes,
+                                   const Intensities& at_from,
+                                   const Intensities& at_to) const;
 
   /// Eq. 6 convenience forward.
   [[nodiscard]] double water_intensity(int r, double t) const {
@@ -91,7 +121,9 @@ class FootprintModel {
   }
 
  private:
-  [[nodiscard]] Breakdown operational_at(int r, double t, double energy_kwh) const;
+  /// Eq. 1-3 operational terms of `energy_kwh` at intensities `at`.
+  [[nodiscard]] static Breakdown operational(const Intensities& at,
+                                             double energy_kwh);
   void add_embodied(Breakdown& b, double exec_seconds) const;
 
   const env::Environment* env_;

@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +23,45 @@ bool env_switch(const char* name, bool unset) {
   if (const std::optional<bool> on = parse_switch(v)) return *on;
   throw std::invalid_argument(std::string(name) + "='" + v +
                               "': expected on/off, 1/0 or true/false");
+}
+
+namespace {
+
+/// Parses the whole of `v` with `parse` (a strtol/strtod shape) into
+/// [lo, hi], or throws std::invalid_argument naming `name` and `v`.
+template <typename T, typename Parse>
+T parse_env_number(const char* name, const char* v, T lo, T hi,
+                   const char* what, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const T parsed = parse(v, &end);
+  // strtol/strtod skip leading blanks; a set value must be the number alone.
+  const bool whole = end != v && *end == '\0' &&
+                     std::isspace(static_cast<unsigned char>(*v)) == 0;
+  if (!whole || errno == ERANGE || !(parsed >= lo && parsed <= hi))
+    throw std::invalid_argument(std::string(name) + "='" + v +
+                                "': expected " + what + " in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  return parsed;
+}
+
+}  // namespace
+
+std::optional<long> env_long(const char* name, long lo, long hi) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  return parse_env_number<long>(
+      name, v, lo, hi, "an integer",
+      [](const char* s, char** end) { return std::strtol(s, end, 10); });
+}
+
+std::optional<double> env_double(const char* name, double lo, double hi) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  return parse_env_number<double>(
+      name, v, lo, hi, "a number",
+      [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 Flags& Flags::define(const std::string& name, const std::string& help,

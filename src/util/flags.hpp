@@ -1,5 +1,5 @@
-// Minimal command-line flag parser for the tools/ binaries, plus the on/off
-// parser the WW_* environment switches share.
+// Minimal command-line flag parser for the tools/ binaries, plus the
+// strict parsers the WW_* environment switches share.
 //
 // Supports `--name value`, `--name=value`, boolean `--name` switches, typed
 // accessors with defaults, required-flag validation, and auto-generated
@@ -23,6 +23,17 @@ namespace ww::util {
 /// throws std::invalid_argument naming the variable and the value, so a
 /// misspelt ablation switch cannot silently run the default path.
 [[nodiscard]] bool env_switch(const char* name, bool unset);
+
+/// Reads the integer environment variable `name`: std::nullopt when the
+/// variable is unset or empty, else its value, which must be a whole
+/// decimal integer in [lo, hi].  Any other value throws
+/// std::invalid_argument naming the variable and the value, as env_switch
+/// does.
+[[nodiscard]] std::optional<long> env_long(const char* name, long lo, long hi);
+
+/// As env_long, for a real number in [lo, hi] (NaN never qualifies).
+[[nodiscard]] std::optional<double> env_double(const char* name, double lo,
+                                               double hi);
 
 class Flags {
  public:

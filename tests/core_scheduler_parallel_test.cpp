@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -328,6 +329,55 @@ TEST(ChunkParallel, EffectiveThreadsResolvesConfigAndZero) {
     EXPECT_EQ(WaterWiseScheduler(four).effective_solver_threads(), 4u);
   }
   EXPECT_GE(WaterWiseScheduler(all).effective_solver_threads(), 1u);
+}
+
+// The process-wide switches are read once and cached, so each case runs in
+// a freshly executed child process ("threadsafe" death-test style) that sets
+// the variable first.  The child exits 0 when the value is accepted and
+// read back, 3 when it throws std::invalid_argument naming the variable and
+// the value.
+template <typename Read>
+void expect_switch_outcome(const char* name, const char* value, Read read,
+                           int code) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv(name, value, 1);
+        try {
+          std::exit(read() ? 0 : 1);
+        } catch (const std::invalid_argument& e) {
+          const std::string what = e.what();
+          const bool named =
+              what.find(std::string(name) + "='" + value + "'") !=
+              std::string::npos;
+          std::exit(named ? 3 : 2);
+        }
+      },
+      ::testing::ExitedWithCode(code), "")
+      << name << "=" << value;
+}
+
+TEST(ProcessSwitches, SchedThreadsAcceptsCountsAndRejectsTheRest) {
+  const auto threads_are = [](std::size_t want) {
+    return [want] {
+      return WaterWiseScheduler(WaterWiseConfig{}).effective_solver_threads() ==
+             want;
+    };
+  };
+  expect_switch_outcome("WW_SCHED_THREADS", "2", threads_are(2), 0);
+  expect_switch_outcome("WW_SCHED_THREADS", "4", threads_are(4), 0);
+  for (const char* bad : {"two", "1.5", "-1", "4096", "2x"})
+    expect_switch_outcome("WW_SCHED_THREADS", bad, threads_are(1), 3);
+}
+
+TEST(ProcessSwitches, FaultSolvesAcceptsRatesAndRejectsTheRest) {
+  const auto rate_is = [](double want) {
+    return [want] { return WaterWiseConfig{}.solve_failure_rate == want; };
+  };
+  expect_switch_outcome("WW_FAULT_SOLVES", "0.25", rate_is(0.25), 0);
+  expect_switch_outcome("WW_FAULT_SOLVES", "0", rate_is(0.0), 0);
+  for (const char* bad : {"1.5", "-0.1", "quarter", "nan", "0.25%"})
+    expect_switch_outcome("WW_FAULT_SOLVES", bad, rate_is(0.0), 3);
 }
 
 TEST(ChunkParallel, StatsMergeIsFieldwiseAddition) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "env/environment.hpp"
 
 namespace ww::env {
@@ -143,6 +148,98 @@ TEST_F(EnvironmentTest, TransferLatencyConsistent) {
 
 TEST(Environment, RejectsEmptyRegionList) {
   EXPECT_THROW(Environment({}, EnvironmentConfig{}), std::invalid_argument);
+}
+
+// --- Boundary validation: one test per rejected value ----------------------
+
+/// Builds the builtin regions with `mutate` applied to Madrid (index 1) and
+/// expects std::invalid_argument naming Madrid and `field`.
+template <typename Mutate>
+void expect_rejected(Mutate mutate, const std::string& field,
+                     EnvironmentConfig cfg = small_config()) {
+  auto specs = builtin_region_specs();
+  mutate(specs[1]);
+  try {
+    const Environment env(std::move(specs), cfg);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'Madrid'"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(EnvironmentValidation, RejectsNonFiniteLatitude) {
+  expect_rejected([](RegionSpec& s) { s.latitude = kNan; }, "latitude");
+}
+
+TEST(EnvironmentValidation, RejectsOutOfRangeLatitude) {
+  expect_rejected([](RegionSpec& s) { s.latitude = -90.5; }, "latitude");
+}
+
+TEST(EnvironmentValidation, RejectsNonFiniteLongitude) {
+  expect_rejected([](RegionSpec& s) { s.longitude = kInf; }, "longitude");
+}
+
+TEST(EnvironmentValidation, RejectsOutOfRangeLongitude) {
+  expect_rejected([](RegionSpec& s) { s.longitude = 181.0; }, "longitude");
+}
+
+TEST(EnvironmentValidation, RejectsPueBelowOne) {
+  expect_rejected([](RegionSpec& s) { s.pue = 0.95; }, "pue");
+}
+
+TEST(EnvironmentValidation, RejectsNonFinitePue) {
+  expect_rejected([](RegionSpec& s) { s.pue = kNan; }, "pue");
+}
+
+TEST(EnvironmentValidation, RejectsPueOverrideBelowOne) {
+  EnvironmentConfig cfg = small_config();
+  cfg.pue_override = 0.8;
+  // The override applies to every region; the first one is named.
+  try {
+    const Environment env = Environment::builtin(cfg);
+    ADD_FAILURE() << "accepted pue_override 0.8";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'Zurich'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EnvironmentValidation, RejectsNegativeServers) {
+  expect_rejected([](RegionSpec& s) { s.servers = -1; }, "servers");
+}
+
+TEST(EnvironmentValidation, RejectsNegativeWsf) {
+  expect_rejected([](RegionSpec& s) { s.wsf = -0.1; }, "wsf");
+}
+
+TEST(EnvironmentValidation, RejectsNonFiniteWsf) {
+  expect_rejected([](RegionSpec& s) { s.wsf = kInf; }, "wsf");
+}
+
+TEST(EnvironmentValidation, RejectsNegativePrice) {
+  expect_rejected([](RegionSpec& s) { s.price_usd_per_kwh = -0.01; },
+                  "price_usd_per_kwh");
+}
+
+TEST(EnvironmentValidation, RejectsNonFinitePrice) {
+  expect_rejected([](RegionSpec& s) { s.price_usd_per_kwh = kNan; },
+                  "price_usd_per_kwh");
+}
+
+TEST(EnvironmentValidation, AcceptsBoundaryValues) {
+  auto specs = builtin_region_specs();
+  specs[0].latitude = 90.0;
+  specs[0].longitude = -180.0;
+  specs[1].pue = 1.0;
+  specs[1].servers = 0;
+  specs[2].wsf = 0.0;
+  specs[2].price_usd_per_kwh = 0.0;
+  EXPECT_NO_THROW(Environment(std::move(specs), small_config()));
 }
 
 }  // namespace

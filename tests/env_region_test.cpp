@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "env/latency.hpp"
 #include "env/region.hpp"
 
@@ -95,6 +101,48 @@ TEST(Transfer, EnergyGrowsWithBytesAndDistance) {
 
 TEST(Transfer, RejectsEmpty) {
   EXPECT_THROW(TransferModel({}), std::invalid_argument);
+}
+
+TEST(Transfer, DistanceTableMatchesHaversineForEveryBuiltinPair) {
+  const auto specs = builtin_region_specs();
+  std::vector<std::pair<double, double>> points;
+  for (const auto& s : specs) points.emplace_back(s.latitude, s.longitude);
+  const TransferModel model(points);
+  ASSERT_EQ(model.num_regions(), static_cast<int>(specs.size()));
+  for (std::size_t a = 0; a < specs.size(); ++a) {
+    for (std::size_t b = 0; b < specs.size(); ++b) {
+      // Bitwise: the table stores the haversine_km result itself.
+      EXPECT_EQ(model.distance_km(static_cast<int>(a), static_cast<int>(b)),
+                haversine_km(specs[a].latitude, specs[a].longitude,
+                             specs[b].latitude, specs[b].longitude))
+          << a << "->" << b;
+    }
+  }
+}
+
+TEST(Transfer, BadRegionIndexThrowsOutOfRange) {
+  const TransferModel model({{47.38, 8.54}, {45.46, 9.19}});
+  EXPECT_THROW((void)model.distance_km(-1, 0), std::out_of_range);
+  EXPECT_THROW((void)model.distance_km(0, 2), std::out_of_range);
+  EXPECT_THROW((void)model.distance_km(2, 2), std::out_of_range);
+  EXPECT_THROW((void)model.latency_seconds(0, 2, 1e6), std::out_of_range);
+  EXPECT_THROW((void)model.energy_kwh(-1, 1, 1e6), std::out_of_range);
+}
+
+TEST(Transfer, RejectsBadCoordinatesNamingTheRegion) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::pair<double, double>& bad :
+       {std::pair{nan, 9.19}, std::pair{45.46, inf}, std::pair{90.5, 9.19},
+        std::pair{45.46, -180.5}}) {
+    try {
+      const TransferModel model({{47.38, 8.54}, bad});
+      ADD_FAILURE() << "accepted (" << bad.first << ", " << bad.second << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("region 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "env/faults.hpp"
 #include "footprint/footprint.hpp"
 
 namespace ww::footprint {
@@ -154,6 +158,109 @@ TEST_F(FootprintTest, TotalsAreComponentSums) {
   EXPECT_NEAR(b.carbon_g(), b.operational_carbon_g + b.embodied_carbon_g, 1e-12);
   EXPECT_NEAR(b.water_l(),
               b.offsite_water_l + b.onsite_water_l + b.embodied_water_l, 1e-12);
+}
+
+// --- Sample overloads: bit-identical to the (r, t) entry points -----------
+
+/// Field-by-field bitwise equality (EXPECT_EQ, not NEAR): the sample
+/// overloads must reproduce the (r, t) forms exactly.
+void expect_identical(const Breakdown& a, const Breakdown& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.operational_carbon_g, b.operational_carbon_g) << where;
+  EXPECT_EQ(a.embodied_carbon_g, b.embodied_carbon_g) << where;
+  EXPECT_EQ(a.offsite_water_l, b.offsite_water_l) << where;
+  EXPECT_EQ(a.onsite_water_l, b.onsite_water_l) << where;
+  EXPECT_EQ(a.embodied_water_l, b.embodied_water_l) << where;
+}
+
+/// The Eq. 1-3 operational terms written out against the Environment in
+/// the evaluation order the footprint model has always used, so the
+/// sample path is pinned to the formula, not only to itself.
+Breakdown reference_operational(const env::Environment& env, int r, double t,
+                                double e) {
+  Breakdown b;
+  const double scarcity = 1.0 + env.wsf(r, t);
+  b.operational_carbon_g = e * env.carbon_intensity(r, t);
+  b.offsite_water_l = env.pue(r) * e * env.ewif(r, t) * scarcity;
+  b.onsite_water_l = e * env.wue(r, t) * scarcity;
+  return b;
+}
+
+/// Checks every builtin region pair (from == to included) at several
+/// instants: job_at and transfer through samples equal the (r, t) forms,
+/// and both equal the written-out Eq. 1-3 reference.
+void expect_sample_forms_identical(const env::Environment& env,
+                                   const std::vector<double>& times) {
+  const FootprintModel model(env);
+  const int n = env.num_regions();
+  const double e = 0.0375;
+  const double exec = 431.0;
+  const double bytes = 3.7e8;
+  for (const double t : times) {
+    for (int r = 0; r < n; ++r) {
+      const std::string at = "r=" + std::to_string(r) +
+                             " t=" + std::to_string(t);
+      const Breakdown direct = model.job_at(r, t, e, exec);
+      expect_identical(model.job_at(model.sample(r, t), e, exec), direct, at);
+      Breakdown reference = reference_operational(env, r, t, e);
+      reference.embodied_carbon_g = direct.embodied_carbon_g;
+      reference.embodied_water_l = direct.embodied_water_l;
+      expect_identical(direct, reference, at + " vs Eq. 1-3");
+    }
+    for (int from = 0; from < n; ++from) {
+      for (int to = 0; to < n; ++to) {
+        const std::string at = std::to_string(from) + "->" +
+                               std::to_string(to) + " t=" + std::to_string(t);
+        const Breakdown direct = model.transfer(from, to, bytes, t);
+        expect_identical(model.transfer(from, to, bytes, model.sample(from, t),
+                                        model.sample(to, t)),
+                         direct, at);
+        Breakdown reference;
+        if (from != to) {
+          const double energy = env.transfer_energy_kwh(from, to, bytes);
+          reference += reference_operational(env, from, t, 0.5 * energy);
+          reference += reference_operational(env, to, t, 0.5 * energy);
+        }
+        expect_identical(direct, reference, at + " vs Eq. 1-3");
+      }
+    }
+  }
+}
+
+TEST_F(FootprintTest, SampleOverloadsMatchPointForms) {
+  expect_sample_forms_identical(env_, {0.0, 1799.5, 40000.0, 86400.0 * 3 + 17});
+}
+
+TEST(FootprintSample, SampleOverloadsMatchPointFormsUnderFaults) {
+  // A forecast-bias window (Controller view only) and a WSF shock (both
+  // views), active at some sampled instants and not at others.
+  env::FaultSchedule faults(5);
+  faults.add_forecast_bias(1, 3600.0, 10800.0, 1.8, 1.3);
+  faults.add_forecast_bias(4, 0.0, 7200.0, 0.6, 1.5);
+  faults.add_water_shock(1, 5000.0, 20000.0, 0.9);
+  faults.add_water_shock(3, 0.0, 9000.0, 1.2);
+  const std::vector<double> times = {100.0, 4000.0, 6000.0, 15000.0, 50000.0};
+  for (const env::FaultView view :
+       {env::FaultView::World, env::FaultView::Controller}) {
+    env::Environment env = env::Environment::builtin(small_config());
+    env.attach_faults(&faults, view);
+    expect_sample_forms_identical(env, times);
+  }
+
+  // The overlay is really active at t = 6000: the shock moves the sample's
+  // scarcity in both views and the bias moves only the Controller's CI.
+  env::Environment world = env::Environment::builtin(small_config());
+  env::Environment controller = env::Environment::builtin(small_config());
+  const env::Environment plain = env::Environment::builtin(small_config());
+  world.attach_faults(&faults, env::FaultView::World);
+  controller.attach_faults(&faults, env::FaultView::Controller);
+  const Intensities w = FootprintModel(world).sample(1, 6000.0);
+  const Intensities c = FootprintModel(controller).sample(1, 6000.0);
+  const Intensities p = FootprintModel(plain).sample(1, 6000.0);
+  EXPECT_DOUBLE_EQ(w.scarcity, p.scarcity + 0.9);
+  EXPECT_EQ(c.scarcity, w.scarcity);
+  EXPECT_EQ(w.ci, p.ci);
+  EXPECT_NE(c.ci, w.ci);
 }
 
 }  // namespace

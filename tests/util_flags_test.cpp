@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace ww::util {
 namespace {
@@ -118,6 +121,65 @@ TEST(Switch, EnvSwitchRejectsOtherValuesByName) {
     EXPECT_NE(what.find(name), std::string::npos) << what;
     EXPECT_NE(what.find("'yes'"), std::string::npos) << what;
   }
+  unsetenv(name);
+}
+
+/// Expects `read()` to throw std::invalid_argument naming `name` and `value`.
+template <typename Read>
+void expect_rejects(const char* name, const char* value, Read read) {
+  setenv(name, value, 1);
+  try {
+    (void)read();
+    ADD_FAILURE() << name << " accepted '" << value << "'";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(name), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("'") + value + "'"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Switch, EnvLongAcceptsIntegersInRange) {
+  const char* name = "WW_FLAGS_TEST_LONG";
+  unsetenv(name);
+  EXPECT_EQ(env_long(name, 0, 1024), std::nullopt);
+  setenv(name, "", 1);  // empty counts as unset
+  EXPECT_EQ(env_long(name, 0, 1024), std::nullopt);
+  for (const auto& [text, value] :
+       {std::pair{"0", 0L}, std::pair{"2", 2L}, std::pair{"4", 4L},
+        std::pair{"+8", 8L}, std::pair{"1024", 1024L}}) {
+    setenv(name, text, 1);
+    EXPECT_EQ(env_long(name, 0, 1024), value) << text;
+  }
+  unsetenv(name);
+}
+
+TEST(Switch, EnvLongRejectsMalformedAndOutOfRangeValues) {
+  const char* name = "WW_FLAGS_TEST_LONG";
+  for (const char* bad : {"two", "2.5", "1.0", "2 ", " 2", "0x2", "-1", "1025",
+                          "99999999999999999999999"})
+    expect_rejects(name, bad, [name] { return env_long(name, 0, 1024); });
+  unsetenv(name);
+}
+
+TEST(Switch, EnvDoubleAcceptsNumbersInRange) {
+  const char* name = "WW_FLAGS_TEST_DOUBLE";
+  unsetenv(name);
+  EXPECT_EQ(env_double(name, 0.0, 1.0), std::nullopt);
+  for (const auto& [text, value] :
+       {std::pair{"0", 0.0}, std::pair{"0.25", 0.25}, std::pair{"1", 1.0},
+        std::pair{"1e-3", 1e-3}, std::pair{".5", 0.5}}) {
+    setenv(name, text, 1);
+    EXPECT_EQ(env_double(name, 0.0, 1.0), value) << text;
+  }
+  unsetenv(name);
+}
+
+TEST(Switch, EnvDoubleRejectsMalformedAndOutOfRangeValues) {
+  const char* name = "WW_FLAGS_TEST_DOUBLE";
+  for (const char* bad : {"1.5", "-0.1", "nan", "inf", "quarter", "0.25x",
+                          " 0.25", "1e999"})
+    expect_rejects(name, bad, [name] { return env_double(name, 0.0, 1.0); });
   unsetenv(name);
 }
 
