@@ -27,15 +27,20 @@ class HistoryLearner {
   [[nodiscard]] double water_ref(int region) const;
 
   [[nodiscard]] int window() const noexcept { return window_; }
-  [[nodiscard]] int observations() const noexcept {
-    return static_cast<int>(carbon_.size());
-  }
+  [[nodiscard]] int observations() const noexcept { return count_; }
 
  private:
+  /// Window mean of region r over one ring, oldest observation first.
+  [[nodiscard]] double window_mean(const std::vector<double>& ring,
+                                   int region) const;
+
   int num_regions_;
   int window_;
-  std::deque<std::vector<double>> carbon_;
-  std::deque<std::vector<double>> water_;
+  int oldest_ = 0;  ///< Ring row of the oldest observation.
+  int count_ = 0;   ///< Observations held, at most window_.
+  /// Row-major window_ x num_regions_ rings of normalized observations.
+  std::vector<double> carbon_;
+  std::vector<double> water_;
 };
 
 }  // namespace ww::core

@@ -78,41 +78,43 @@ std::size_t WaterWiseScheduler::effective_solver_threads() const {
       configured <= 0 ? 0 : static_cast<std::size_t>(configured));
 }
 
-WindowSnapshot WaterWiseScheduler::take_snapshot(
-    const dc::ScheduleContext& ctx) const {
-  const int n = ctx.capacity->num_regions();
-  WindowSnapshot snap;
-  snap.intensity.reserve(static_cast<std::size_t>(n));
-  snap.price.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    snap.intensity.push_back(ctx.footprint->sample(r, ctx.now));
-    snap.price.push_back(ctx.env->electricity_price(r, ctx.now));
+void WaterWiseScheduler::take_snapshot(const dc::ScheduleContext& ctx,
+                                       WindowSnapshot& snap) const {
+  const auto n = static_cast<std::size_t>(ctx.capacity->num_regions());
+  snap.intensity.resize(n);
+  snap.price.resize(n);
+  snap.history.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const int ri = static_cast<int>(r);
+    snap.intensity[r] = ctx.footprint->sample(ri, ctx.now);
+    snap.price[r] = ctx.env->electricity_price(ri, ctx.now);
+    snap.history[r] =
+        config_.lambda_ref * (config_.lambda_co2 * history_->carbon_ref(ri) +
+                              config_.lambda_h2o * history_->water_ref(ri));
   }
-  snap.history.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r)
-    snap.history.push_back(
-        config_.lambda_ref * (config_.lambda_co2 * history_->carbon_ref(r) +
-                              config_.lambda_h2o * history_->water_ref(r)));
-  return snap;
 }
 
-WaterWiseScheduler::ChunkCosts WaterWiseScheduler::build_costs(
+void WaterWiseScheduler::build_costs(
     const std::vector<const dc::PendingJob*>& chunk,
-    const dc::ScheduleContext& ctx, const WindowSnapshot& snapshot) const {
+    const dc::ScheduleContext& ctx, const WindowSnapshot& snapshot,
+    ChunkWorkspace& ws) const {
   const obs::Span span("sched.model_build");
   const int m = static_cast<int>(chunk.size());
   const int n = static_cast<int>(snapshot.intensity.size());
-  ChunkCosts costs;
-  costs.base.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
-  costs.exceedance.resize(costs.base.size());
-  costs.penalty_rate.resize(static_cast<std::size_t>(m));
+  ws.base.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
+  ws.exceedance.resize(ws.base.size());
+  ws.penalty_rate.resize(static_cast<std::size_t>(m));
 
   // Objective: Eq. 8 normalized footprint costs + history reference terms,
   // plus the delay tolerance of Eq. 11 (hard) / Eq. 12-13 (soft).
-  std::vector<double> co2(static_cast<std::size_t>(n));
-  std::vector<double> h2o(static_cast<std::size_t>(n));
-  std::vector<double> usd(static_cast<std::size_t>(n));
-  std::vector<double> perf(static_cast<std::size_t>(n));
+  std::vector<double>& co2 = ws.co2;
+  std::vector<double>& h2o = ws.h2o;
+  std::vector<double>& usd = ws.usd;
+  std::vector<double>& perf = ws.perf;
+  co2.resize(static_cast<std::size_t>(n));
+  h2o.resize(static_cast<std::size_t>(n));
+  usd.resize(static_cast<std::size_t>(n));
+  perf.resize(static_cast<std::size_t>(n));
   for (int j = 0; j < m; ++j) {
     const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
     const int home = p.job->home_region;
@@ -124,7 +126,7 @@ WaterWiseScheduler::ChunkCosts WaterWiseScheduler::build_costs(
     const double allowance = std::max(
         0.0,
         ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
-    costs.penalty_rate[static_cast<std::size_t>(j)] =
+    ws.penalty_rate[static_cast<std::size_t>(j)] =
         config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
     for (int r = 0; r < n; ++r) {
       const std::size_t ri = static_cast<std::size_t>(r);
@@ -144,7 +146,7 @@ WaterWiseScheduler::ChunkCosts WaterWiseScheduler::build_costs(
       // summed transfer latency.  Since exactly one x_mn is 1, that row
       // forbids every region whose latency exceeds the allowance; run_model
       // forbids the pair (hard) or prices the exceedance (soft).
-      costs.exceedance[static_cast<std::size_t>(j * n + r)] =
+      ws.exceedance[static_cast<std::size_t>(j * n + r)] =
           latency - allowance;
     }
     const double co2_max =
@@ -169,31 +171,31 @@ WaterWiseScheduler::ChunkCosts WaterWiseScheduler::build_costs(
       // the decision would hinge on how the solver breaks ties.  The
       // epsilon makes the optimum unique.
       cost += 1e-9 * static_cast<double>(j * n + r);
-      costs.base[static_cast<std::size_t>(j * n + r)] = cost;
+      ws.base[static_cast<std::size_t>(j * n + r)] = cost;
     }
   }
-  return costs;
 }
 
-sched::TransportSolution WaterWiseScheduler::run_model(
-    const ChunkCosts& costs, const std::vector<int>& quota, bool soft,
+const sched::TransportSolution& WaterWiseScheduler::run_model(
+    ChunkWorkspace& ws, const std::vector<int>& quota, bool soft,
     SchedulerStats& stats) const {
   // Both forms are the m x n transportation problem: a dense job-major
-  // cost matrix, an allowed mask and the chunk's quota.
-  sched::TransportProblem problem;
-  problem.jobs = static_cast<int>(costs.penalty_rate.size());
-  problem.cost = costs.base;
+  // cost matrix, an allowed mask and the chunk's quota, filled into the
+  // workspace's problem in place.
+  sched::TransportProblem& problem = ws.problem;
+  problem.jobs = static_cast<int>(ws.penalty_rate.size());
+  problem.cost = ws.base;
   problem.allowed.resize(problem.cost.size());
   problem.quota = quota;
   std::size_t at = 0;
-  for (const double penalty_rate : costs.penalty_rate) {
+  for (const double penalty_rate : ws.penalty_rate) {
     for (const int q : quota) {
       // The soft form (Eq. 12-13) charges the exceedance: its penalty
       // P_mn >= exceedance * x_mn has a positive cost and appears in no
       // other row, so every optimum has P_mn = exceedance * x_mn and the
       // penalty folds into x_mn's cost.  A region with no quota cannot take
       // any job from this chunk.
-      const double exceedance = costs.exceedance[at];
+      const double exceedance = ws.exceedance[at];
       bool allowed = q > 0;
       if (exceedance > 0.0) {
         if (soft)
@@ -207,7 +209,8 @@ sched::TransportSolution WaterWiseScheduler::run_model(
   }
 
   const util::Stopwatch watch;
-  sched::TransportSolution sol = sched::transport_assign(problem);
+  sched::TransportSolution& sol = ws.solution;
+  sched::transport_assign(problem, sol, ws.solver);
   stats.solve_seconds += watch.elapsed_seconds();
   ++stats.milp_solves;
 #ifndef NDEBUG
@@ -223,13 +226,20 @@ sched::TransportSolution WaterWiseScheduler::run_model(
 std::vector<ChunkPlan> WaterWiseScheduler::plan_chunks(
     const std::vector<const dc::PendingJob*>& selected,
     const std::vector<int>& caps) const {
+  std::vector<ChunkPlan> plans;
+  plans.resize(fill_plans(selected, caps, plans));
+  return plans;
+}
+
+std::size_t WaterWiseScheduler::fill_plans(
+    const std::vector<const dc::PendingJob*>& selected,
+    const std::vector<int>& caps, std::vector<ChunkPlan>& plans) const {
   const int n = static_cast<int>(caps.size());
   const auto chunk_cap = static_cast<std::size_t>(
       std::max(1, config_.max_jobs_per_solve));
-  std::vector<ChunkPlan> plans;
-  if (selected.empty()) return plans;
+  if (selected.empty()) return 0;
   const std::size_t num_chunks = (selected.size() + chunk_cap - 1) / chunk_cap;
-  plans.resize(num_chunks);
+  if (plans.size() < num_chunks) plans.resize(num_chunks);
   for (std::size_t k = 0; k < num_chunks; ++k) {
     const std::size_t begin = k * chunk_cap;
     const std::size_t end = std::min(selected.size(), begin + chunk_cap);
@@ -243,7 +253,7 @@ std::vector<ChunkPlan> WaterWiseScheduler::plan_chunks(
     // The common case: one chunk owns the whole window's capacity, making
     // the pipeline placement-identical to a monolithic solve.
     plans[0].quota = caps;
-    return plans;
+    return 1;
   }
 
   // Apportion every region's capacity across chunks proportionally to chunk
@@ -251,7 +261,7 @@ std::vector<ChunkPlan> WaterWiseScheduler::plan_chunks(
   // lower chunk index.  All capacity is handed out — slots no chunk uses
   // flow back through ChunkResult::leftover into the spill pool.
   std::size_t total_jobs = 0;
-  for (const ChunkPlan& p : plans) total_jobs += p.jobs.size();
+  for (std::size_t k = 0; k < num_chunks; ++k) total_jobs += plans[k].jobs.size();
   std::vector<long> chunk_total(num_chunks, 0);
   std::vector<std::pair<double, std::size_t>> frac(num_chunks);
   for (int r = 0; r < n; ++r) {
@@ -318,18 +328,21 @@ std::vector<ChunkPlan> WaterWiseScheduler::plan_chunks(
       chunk_total[k] += 1;
     }
   }
-  return plans;
+  return num_chunks;
 }
 
-ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
-                                          const dc::ScheduleContext& ctx,
-                                          const WindowSnapshot& snapshot)
-    const {
-  if (config_.chunk_solve_hook) config_.chunk_solve_hook(plan.index);
-  ChunkResult out;
+void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
+                                   const dc::ScheduleContext& ctx,
+                                   const WindowSnapshot& snapshot,
+                                   ChunkResult& out) const {
   out.index = plan.index;
+  out.decisions.clear();
   out.leftover = plan.quota;
-  out.shard = registry_.make_shard();
+  out.unplaced.clear();
+  out.stats = SchedulerStats{};
+  out.admission_waits.clear();
+  out.error.clear();
+  if (config_.chunk_solve_hook) config_.chunk_solve_hook(plan.index);
 
   obs::Span span("sched.chunk_solve");
   span.arg("chunk", plan.index);
@@ -346,23 +359,24 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   };
 
   // Every model form below reads this one cost table.
-  const ChunkCosts costs = build_costs(plan.jobs, ctx, snapshot);
+  ChunkWorkspace& ws = out.workspace;
+  build_costs(plan.jobs, ctx, snapshot, ws);
 
-  // One solve of the chunk model, nullopt when an injected failure
+  // One solve of the chunk model, nullptr when an injected failure
   // (WW_FAULT_SOLVES / config) discards its outcome exactly as a solver
   // crash would.  Injection is a pure function of (seed, window, chunk,
   // attempt), so the same campaign hits the same ladder rungs at every
-  // thread count.
-  const auto attempt = [&](bool soft, int attempt_no)
-      -> std::optional<sched::TransportSolution> {
-    sched::TransportSolution sol =
-        run_model(costs, plan.quota, soft, out.stats);
+  // thread count.  Every attempt overwrites the workspace's solution.
+  const auto attempt = [&](bool soft,
+                           int attempt_no) -> const sched::TransportSolution* {
+    const sched::TransportSolution& sol =
+        run_model(ws, plan.quota, soft, out.stats);
     if (env::injected_solve_failure(config_.fault_seed, ctx.now, plan.index,
                                     attempt_no, config_.solve_failure_rate)) {
       ++out.stats.fault_events;
-      return std::nullopt;
+      return nullptr;
     }
-    return sol;
+    return &sol;
   };
 
   // --- Retry-then-degrade ladder ------------------------------------------
@@ -373,10 +387,10 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   //            final and never retried.
   // Rung 3: guaranteed-feasible greedy placement against the chunk quota.
   // Remainder: spill-eligible, then an explicit deferral — never a drop.
-  std::optional<sched::TransportSolution> sol;
+  const sched::TransportSolution* sol = nullptr;
   if (config_.enable_soft_constraints) {
     sol = attempt(/*soft=*/false, 0);
-    if (!sol || !sol->optimal()) {
+    if (sol == nullptr || !sol->optimal()) {
       // Algorithm 1, lines 10-11: soften and retry.
       ++out.stats.soft_fallbacks;
       sol = attempt(/*soft=*/true, 1);
@@ -385,13 +399,13 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     sol = attempt(/*soft=*/false, 1);
   }
 
-  if (!sol) {
+  if (sol == nullptr) {
     ++out.stats.solve_retries;
     sol = attempt(/*soft=*/config_.enable_soft_constraints, 2);
-    if (sol && sol->optimal()) rung = 2;
+    if (sol != nullptr && sol->optimal()) rung = 2;
   }
 
-  if (!sol || !sol->optimal()) {
+  if (sol == nullptr || !sol->optimal()) {
     // Rung 3: place what the quota admits via the deterministic greedy;
     // delay violations are allowed exactly when the soft model would have
     // traded them (the soft-disabled ablation keeps Eq. 11 hard, so there
@@ -415,10 +429,10 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
                                                       p->job->package_bytes);
       out.decisions.push_back(dc::Decision{p->job->id, r, start, 1.0});
       // Sim-time wait from first sighting to admission: deterministic.
-      out.shard.observe(handles_.time_to_admission_s, ctx.now - p->first_seen);
+      out.admission_waits.push_back(ctx.now - p->first_seen);
     }
     annotate(3);
-    return out;
+    return;
   }
 
   for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
@@ -430,57 +444,62 @@ ChunkResult WaterWiseScheduler::solve_one(const ChunkPlan& plan,
                                        p.job->home_region, chosen,
                                        p.job->package_bytes);
     out.decisions.push_back(dc::Decision{p.job->id, chosen, start, 1.0});
-    out.shard.observe(handles_.time_to_admission_s, ctx.now - p.first_seen);
+    out.admission_waits.push_back(ctx.now - p.first_seen);
   }
   annotate(rung);
-  return out;
 }
 
 std::vector<dc::Decision> WaterWiseScheduler::commit(
-    std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx,
-    const WindowSnapshot& snapshot, SchedulerStats& window) {
+    std::size_t num_chunks, const dc::ScheduleContext& ctx,
+    SchedulerStats& window) {
   obs::Span span("sched.commit");
-  span.arg("chunks", results.size());
+  span.arg("chunks", num_chunks);
   std::vector<dc::Decision> decisions;
-  if (results.empty()) return decisions;
-  // Deterministic reduction: chunk-index order, never completion order.
-  std::sort(results.begin(), results.end(),
-            [](const ChunkResult& a, const ChunkResult& b) {
-              return a.index < b.index;
-            });
+  if (num_chunks == 0) return decisions;
+  // Slot k holds chunk k, so every loop below runs in chunk-index order,
+  // never completion order.
 
   // Fail fast on any chunk whose solve threw inside the pooled fan-out:
   // surface the lowest-index failure with chunk/window context instead of
   // committing a batch that silently lost a chunk's decisions.
-  for (const ChunkResult& r : results) {
+  for (std::size_t k = 0; k < num_chunks; ++k) {
+    const ChunkResult& r = slots_[k];
     if (r.error.empty()) continue;
     throw std::runtime_error("WaterWise: chunk " + std::to_string(r.index) +
                              " solve failed at window t=" +
                              std::to_string(ctx.now) + ": " + r.error);
   }
 
-  std::vector<int> spill(results.front().leftover.size(), 0);
-  std::vector<const dc::PendingJob*> unplaced;
-  int next_index = 0;
-  for (ChunkResult& r : results) {
-    // Accumulation in chunk-index order (results are sorted above), so
-    // counter and histogram bytes match at every thread count.
+  // Admission waits go straight into the registry, so a histogram's
+  // integer bins do not depend on how the samples were grouped.
+  const auto merge = [&](const ChunkResult& r) {
     window += r.stats;
-    registry_.merge_shard(r.shard);
+    for (const double wait : r.admission_waits)
+      registry_.observe(handles_.time_to_admission_s, wait);
     decisions.insert(decisions.end(), r.decisions.begin(), r.decisions.end());
-    for (std::size_t i = 0; i < spill.size(); ++i)
-      spill[i] += r.leftover[i];
-    unplaced.insert(unplaced.end(), r.unplaced.begin(), r.unplaced.end());
-    next_index = r.index + 1;
+  };
+  std::size_t placed = 0;
+  for (std::size_t k = 0; k < num_chunks; ++k)
+    placed += slots_[k].decisions.size();
+  decisions.reserve(placed);
+  spill_.assign(slots_[0].leftover.size(), 0);
+  unplaced_.clear();
+  for (std::size_t k = 0; k < num_chunks; ++k) {
+    const ChunkResult& r = slots_[k];
+    merge(r);
+    for (std::size_t i = 0; i < spill_.size(); ++i)
+      spill_[i] += r.leftover[i];
+    unplaced_.insert(unplaced_.end(), r.unplaced.begin(), r.unplaced.end());
   }
 
   long spill_total = 0;
-  for (const int s : spill) spill_total += s;
-  if (unplaced.empty()) return decisions;
+  for (const int s : spill_) spill_total += s;
+  if (unplaced_.empty()) return decisions;
+  const auto unplaced_total = static_cast<long>(unplaced_.size());
   if (spill_total <= 0) {
     // No pooled quota left: every unplaced job is an explicit deferral to
     // the next batch window.
-    window.deferred_jobs += static_cast<long>(unplaced.size());
+    window.deferred_jobs += unplaced_total;
     return decisions;
   }
   const obs::Span spill_span("sched.spill");
@@ -489,34 +508,29 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
   // quota, exactly as a serial scheduler with the same quotas would.  Jobs
   // beyond the pool (or beyond one chunk's worth) stay pending and reappear
   // in the next batch window, matching the pre-pipeline deferral behavior.
-  ChunkPlan rest;
-  rest.index = next_index;
-  const long unplaced_total = static_cast<long>(unplaced.size());
-  rest.jobs = std::move(unplaced);
-  const auto spill_jobs = static_cast<std::size_t>(
-      std::min<long>({static_cast<long>(rest.jobs.size()), spill_total,
-                      static_cast<long>(
-                          std::max(1, config_.max_jobs_per_solve))}));
-  rest.jobs.resize(spill_jobs);
-  rest.quota = std::move(spill);
+  spill_plan_.index = static_cast<int>(num_chunks);
+  const auto spill_jobs = static_cast<std::size_t>(std::min<long>(
+      {unplaced_total, spill_total,
+       static_cast<long>(std::max(1, config_.max_jobs_per_solve))}));
+  spill_plan_.jobs.assign(
+      unplaced_.begin(),
+      unplaced_.begin() + static_cast<std::ptrdiff_t>(spill_jobs));
+  spill_plan_.quota = spill_;
   ++window.spill_resolves;
-  window.spill_jobs += static_cast<long>(rest.jobs.size());
-  ChunkResult rr;
+  window.spill_jobs += static_cast<long>(spill_jobs);
   try {
-    rr = solve_one(rest, ctx, snapshot);
+    solve_one(spill_plan_, ctx, snapshot_, spill_result_);
   } catch (const std::exception& e) {
     throw std::runtime_error("WaterWise: spill re-solve (chunk " +
-                             std::to_string(rest.index) +
+                             std::to_string(spill_plan_.index) +
                              ") failed at window t=" + std::to_string(ctx.now) +
                              ": " + e.what());
   }
-  window += rr.stats;
-  registry_.merge_shard(rr.shard);
-  decisions.insert(decisions.end(), rr.decisions.begin(), rr.decisions.end());
+  merge(spill_result_);
   // Whatever even the spill re-solve could not place defers explicitly:
   // jobs truncated from the spill chunk plus the re-solve's own unplaced.
   window.deferred_jobs +=
-      unplaced_total - static_cast<long>(rr.decisions.size());
+      unplaced_total - static_cast<long>(spill_result_.decisions.size());
   return decisions;
 }
 
@@ -549,22 +563,22 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
 
   // Feed the history learner the current intensity landscape.
-  std::vector<double> ci(static_cast<std::size_t>(n));
-  std::vector<double> wi(static_cast<std::size_t>(n));
+  ci_.resize(static_cast<std::size_t>(n));
+  wi_.resize(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    ci[static_cast<std::size_t>(r)] = ctx.env->carbon_intensity(r, ctx.now);
-    wi[static_cast<std::size_t>(r)] = ctx.env->water_intensity(r, ctx.now);
+    ci_[static_cast<std::size_t>(r)] = ctx.env->carbon_intensity(r, ctx.now);
+    wi_[static_cast<std::size_t>(r)] = ctx.env->water_intensity(r, ctx.now);
   }
-  history_->observe(ci, wi);
+  history_->observe(ci_, wi_);
 
-  std::vector<int> caps(static_cast<std::size_t>(n));
+  caps_.resize(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
-    caps[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
+    caps_[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
   // Degraded-mode state machine: observe this window, clamp faulty regions'
   // caps (serial — the machine is scheduler state, not chunk state).
-  update_region_health(ctx, ci, wi, caps, window);
+  update_region_health(ctx, ci_, wi_, caps_, window);
   int total_cap = 0;
-  for (const int c : caps) total_cap += c;
+  for (const int c : caps_) total_cap += c;
   if (batch.empty()) return {};
   if (total_cap <= 0) {
     // Nothing placeable this window (e.g. a total outage): every pending
@@ -574,62 +588,61 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   }
 
   // Algorithm 1: oversubscription goes through the slack manager.
-  std::vector<const dc::PendingJob*> selected;
+  selected_.clear();
   if (static_cast<int>(batch.size()) > total_cap && config_.enable_slack_manager) {
     const auto order = select_most_urgent(
         batch, ctx, static_cast<std::size_t>(total_cap));
-    selected.reserve(order.size());
-    for (const std::size_t i : order) selected.push_back(&batch[i]);
+    for (const std::size_t i : order) selected_.push_back(&batch[i]);
   } else {
-    selected.reserve(batch.size());
-    for (const auto& p : batch) selected.push_back(&p);
-    if (static_cast<int>(selected.size()) > total_cap)
-      selected.resize(static_cast<std::size_t>(total_cap));
+    for (const auto& p : batch) selected_.push_back(&p);
+    if (static_cast<int>(selected_.size()) > total_cap)
+      selected_.resize(static_cast<std::size_t>(total_cap));
   }
   // Jobs the slack manager (or cap truncation) left out defer explicitly.
-  window.deferred_jobs += static_cast<long>(batch.size() - selected.size());
+  window.deferred_jobs += static_cast<long>(batch.size() - selected_.size());
 
   // Plan -> solve -> commit: quota partition, pure per-chunk solves (fanned
   // across the pool when configured) that share the window's snapshot,
-  // deterministic in-order merge.
-  const WindowSnapshot snapshot = take_snapshot(ctx);
-  std::vector<ChunkPlan> plans = plan_chunks(selected, caps);
-  window.chunks_planned += static_cast<long>(plans.size());
-  std::vector<ChunkResult> results(plans.size());
+  // deterministic in-order merge.  Slot k receives chunk k.
+  take_snapshot(ctx, snapshot_);
+  const std::size_t num_chunks = fill_plans(selected_, caps_, plans_);
+  window.chunks_planned += static_cast<long>(num_chunks);
+  if (slots_.size() < num_chunks) slots_.resize(num_chunks);
   // Exception safety across the fan-out: a throwing chunk solve records its
   // message in ChunkResult::error (never crosses the pool boundary raw);
   // commit() re-throws the lowest-index failure with chunk/window context.
   const auto guarded_solve = [&](std::size_t k) {
     try {
-      results[k] = solve_one(plans[k], ctx, snapshot);
+      solve_one(plans_[k], ctx, snapshot_, slots_[k]);
     } catch (const std::exception& e) {
-      results[k].index = plans[k].index;
-      results[k].error = e.what();
+      slots_[k].index = plans_[k].index;
+      slots_[k].error = e.what();
     } catch (...) {
-      results[k].index = plans[k].index;
-      results[k].error = "unknown exception";
+      slots_[k].index = plans_[k].index;
+      slots_[k].error = "unknown exception";
     }
   };
   const std::size_t threads = effective_solver_threads();
-  if (threads > 1 && plans.size() > 1) {
+  if (threads > 1 && num_chunks > 1) {
     // Fan chunk solves onto the process-global work-stealing pool.  When
     // this window is itself a task on that pool (a campaign scenario), the
     // spawns land on the current worker's own deque and idle workers steal
     // them — one scheduler for both axes, no nested-pool oversubscription.
     // TaskGroup::wait() helps while waiting, so this thread executes
     // pending chunks instead of parking.  guarded_solve never throws
-    // (errors land in ChunkResult::error), and commit() below merges in
-    // chunk-index order, so steal interleavings cannot reach the outputs.
+    // (errors land in ChunkResult::error), each task writes only its own
+    // slot and workspace, and commit() below merges in chunk-index order,
+    // so steal interleavings cannot reach the outputs.
     util::WorkStealingPool& pool = util::WorkStealingPool::global();
     pool.ensure_workers(threads);
     util::TaskGroup group(pool);
-    for (std::size_t k = 0; k < plans.size(); ++k)
+    for (std::size_t k = 0; k < num_chunks; ++k)
       group.spawn([&guarded_solve, k] { guarded_solve(k); });
     group.wait();
   } else {
-    for (std::size_t k = 0; k < plans.size(); ++k) guarded_solve(k);
+    for (std::size_t k = 0; k < num_chunks; ++k) guarded_solve(k);
   }
-  return commit(std::move(results), ctx, snapshot, window);
+  return commit(num_chunks, ctx, window);
 }
 
 void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,

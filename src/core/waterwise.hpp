@@ -47,26 +47,38 @@
 //      repaired so every chunk's quota covers its job count).  Quotas are
 //      disjoint by construction, so concurrent chunks can never double-book
 //      a region.
-//   2. `solve_one()` is `const` and side-effect-free: it builds one chunk's
-//      cost table from the window snapshot, solves the chunk against its
-//      private quota and returns a self-contained
-//      `ChunkResult` (decisions, a `SchedulerStats` delta, leftover quota,
-//      spill-eligible jobs).  Pure per-chunk work is what makes the fan-out
-//      sound at any thread count.
+//   2. `solve_one()` is `const` and writes only its result slot: it builds
+//      one chunk's cost table from the window snapshot, solves the chunk
+//      against its private quota and fills a self-contained `ChunkResult`
+//      (decisions, a `SchedulerStats` delta, leftover quota, spill-eligible
+//      jobs, admission-wait samples).  Pure per-chunk work is what makes
+//      the fan-out sound at any thread count.
 //   3. `commit()` merges results in chunk-index order — the only stage that
-//      touches scheduler state — returns unused quota to a spill pool, and
-//      re-solves any spill-eligible remainder serially against that pool.
+//      touches scheduler state — observes the admission waits into the
+//      registry, returns unused quota to a spill pool, and re-solves any
+//      spill-eligible remainder serially against that pool.
+//
+// Workspace ownership: the scheduler owns all window scratch and refills it
+// every window — the observed intensities, capacities, selection, snapshot
+// and chunk plans, and one `ChunkResult` slot per chunk index.  Each slot
+// owns a `ChunkWorkspace` (cost table, normalisers, transport problem,
+// solution and solver scratch), so a pooled chunk solve touches only its
+// own slot; no buffer is thread-local and none is locked.  Once the
+// buffers have grown to the largest batch, a single-chunk window allocates
+// only the decision vector schedule() returns
+// (tests/core_window_alloc_test.cpp).
 //
 // Determinism contract: each `ChunkResult` is a pure function of its
 // `ChunkPlan` (the solver itself is deterministic and keeps no global
-// state), and the commit order is the chunk index, never completion order.
-// Decision streams and campaign aggregates are therefore byte-identical for
-// every `solver_threads` value and under any steal interleaving of the
-// shared pool; tests/core_scheduler_parallel_test.cpp,
-// bench_fig8/11/12's equivalence check, and bench_fig13's startup
-// self-check enforce it.  Work stealing is observable only through the
-// process-wide `util::WorkStealingPool::global()` counters, which — like
-// decision latency — are observational and excluded from byte-identity
+// state; a reused slot is overwritten in full), and the commit order is
+// the chunk index, never completion order.  Decision streams and campaign
+// aggregates are therefore byte-identical for every `solver_threads`
+// value and under any steal interleaving of the shared pool;
+// tests/core_scheduler_parallel_test.cpp, bench_fig8/11/12's equivalence
+// check, and bench_fig13's startup self-check enforce it.  Work stealing
+// is observable only through the process-wide
+// `util::WorkStealingPool::global()` counters, which — like decision
+// latency — are observational and excluded from byte-identity
 // comparisons.
 //
 // Knobs: `WaterWiseConfig::solver_threads` (1 = serial, 0 = all cores) and
@@ -285,9 +297,10 @@ inline SchedulerStats& SchedulerStats::operator+=(
 }
 
 /// The window-constant inputs of the Eq. 8 costs: every region sampled once
-/// per batch window, after the history learner observed the window.  Built
-/// serially by the scheduler, then only read, so all chunk solves of the
-/// window (pooled or the spill re-solve) share one by const reference.
+/// per batch window, after the history learner observed the window.  Filled
+/// serially by the scheduler into its reused snapshot, then only read, so
+/// all chunk solves of the window (pooled or the spill re-solve) share one
+/// by const reference.
 struct WindowSnapshot {
   /// ctx.footprint->sample(r, ctx.now): the controller's view of region r.
   std::vector<footprint::Intensities> intensity;
@@ -309,8 +322,33 @@ struct ChunkPlan {
   std::vector<int> quota;  ///< Per-region slots this chunk alone may use.
 };
 
-/// Self-contained outcome of one pure chunk solve: everything `commit()`
-/// needs, nothing shared with any other chunk.
+/// Scratch for one chunk solve, reused window after window: the chunk's
+/// Eq. 8-13 cost table, the per-region normaliser vectors it is built
+/// with, and the transportation problem, solution and solver scratch.
+/// Each result slot owns one, so concurrent chunk solves share nothing.
+struct ChunkWorkspace {
+  /// Job-major m x n: the normalized Eq. 8 cost, the history term and the
+  /// tie-break epsilon.  Every model form the retry ladder solves reads it;
+  /// the hard and soft forms differ only in how they treat a positive
+  /// delay exceedance.
+  std::vector<double> base;
+  /// Job-major m x n: transfer latency minus the job's remaining delay
+  /// allowance (Eq. 11); positive means the pair violates it.
+  std::vector<double> exceedance;
+  /// Per job: the Eq. 12 penalty per second of exceedance.
+  std::vector<double> penalty_rate;
+  /// Per region, for the job being costed: carbon, water, electricity cost
+  /// and transfer stretch, before each is normalized by its max over the
+  /// regions.
+  std::vector<double> co2, h2o, usd, perf;
+  sched::TransportProblem problem;
+  sched::TransportSolution solution;
+  sched::TransportWorkspace solver;
+};
+
+/// Outcome of one pure chunk solve: everything `commit()` needs, nothing
+/// shared with any other chunk.  The scheduler keeps one slot per chunk
+/// index and refills it every window, so its vectors keep their capacity.
 struct ChunkResult {
   int index = 0;
   std::vector<dc::Decision> decisions;
@@ -322,15 +360,16 @@ struct ChunkResult {
   /// quota.
   std::vector<const dc::PendingJob*> unplaced;
   SchedulerStats stats;  ///< Per-chunk delta, merged by commit().
-  /// Per-chunk registry slice (service histograms observed during the
-  /// solve, e.g. time-to-admission per placed job).  Filled in isolation by
-  /// the worker, folded by commit() in chunk-index order so histogram bins
-  /// are byte-identical at every thread count.
-  obs::Shard shard;
+  /// Sim-time wait from first sighting to admission of each placed job, in
+  /// decision order.  commit() observes them into
+  /// service.time_to_admission_s in chunk-index order, so the histogram's
+  /// integer bins are byte-identical at every thread count.
+  std::vector<double> admission_waits;
   /// Non-empty when the chunk solve threw: commit() re-throws fail-fast with
   /// this message plus chunk/window context, lowest chunk index first, so an
   /// exception inside the pooled fan-out can never be swallowed.
   std::string error;
+  ChunkWorkspace workspace;
 };
 
 class WaterWiseScheduler final : public dc::Scheduler {
@@ -379,54 +418,50 @@ class WaterWiseScheduler final : public dc::Scheduler {
       const std::vector<int>& caps) const;
 
   /// Stage 2: solves one chunk against its private quota (hard model, then
-  /// the Algorithm-1 soft fallback) and extracts decisions.  Costs come
-  /// from the window's `snapshot`.  Const and side-effect-free — safe to
-  /// run concurrently for different plans; all diagnostics land in the
-  /// returned ChunkResult.
-  [[nodiscard]] ChunkResult solve_one(const ChunkPlan& plan,
-                                      const dc::ScheduleContext& ctx,
-                                      const WindowSnapshot& snapshot) const;
-
-  /// Stage 3: merges results in chunk-index order (decisions into the
-  /// return value, stats into `window`, registry shards), pools leftover
-  /// quota, and re-solves spill-eligible jobs serially against the pool.
-  /// The only stage that mutates scheduler state.
-  [[nodiscard]] std::vector<dc::Decision> commit(
-      std::vector<ChunkResult>&& results, const dc::ScheduleContext& ctx,
-      const WindowSnapshot& snapshot, SchedulerStats& window);
+  /// the Algorithm-1 soft fallback) and extracts decisions into `out`,
+  /// overwriting it and reusing its buffers and workspace.  Costs come from
+  /// the window's `snapshot`.  Const and writes only `out`, so it is safe
+  /// to run concurrently for different plans into different slots.
+  void solve_one(const ChunkPlan& plan, const dc::ScheduleContext& ctx,
+                 const WindowSnapshot& snapshot, ChunkResult& out) const;
 
  private:
-  /// One chunk's Eq. 8-13 cost table, built once per chunk and read by
-  /// every model form the retry ladder solves: the hard and soft forms
-  /// differ only in how they treat a positive delay exceedance.
-  struct ChunkCosts {
-    /// Job-major m x n: the normalized Eq. 8 cost, the history term and
-    /// the tie-break epsilon.
-    std::vector<double> base;
-    /// Job-major m x n: transfer latency minus the job's remaining delay
-    /// allowance (Eq. 11); positive means the pair violates it.
-    std::vector<double> exceedance;
-    /// Per job: the Eq. 12 penalty per second of exceedance.
-    std::vector<double> penalty_rate;
-  };
+  /// plan_chunks() into `plans`: fills the first N plans, reusing their
+  /// buffers, and returns N.  `plans` grows when N exceeds its size and
+  /// never shrinks, so entries past N keep their capacity for later
+  /// windows.
+  std::size_t fill_plans(const std::vector<const dc::PendingJob*>& selected,
+                         const std::vector<int>& caps,
+                         std::vector<ChunkPlan>& plans) const;
 
-  /// Fills the chunk's cost table from the window snapshot (span
-  /// `sched.model_build`).
-  [[nodiscard]] ChunkCosts build_costs(
-      const std::vector<const dc::PendingJob*>& chunk,
-      const dc::ScheduleContext& ctx, const WindowSnapshot& snapshot) const;
+  /// Stage 3: merges the first `num_chunks` result slots in chunk-index
+  /// order (decisions into the return value, stats into `window`,
+  /// admission waits into the registry), pools leftover quota, and
+  /// re-solves spill-eligible jobs serially against the pool.  The only
+  /// stage that mutates scheduler state.
+  [[nodiscard]] std::vector<dc::Decision> commit(
+      std::size_t num_chunks, const dc::ScheduleContext& ctx,
+      SchedulerStats& window);
+
+  /// Fills the cost table of `ws` for the chunk from the window snapshot
+  /// (span `sched.model_build`).
+  void build_costs(const std::vector<const dc::PendingJob*>& chunk,
+                   const dc::ScheduleContext& ctx,
+                   const WindowSnapshot& snapshot, ChunkWorkspace& ws) const;
 
   /// Solves Eq. 8-13 for the chunk against `quota` as a transportation
   /// problem (job-major m x n costs, forbidden pairs masked out) with
-  /// sched::transport_assign; `region[j]` of the result is job j's region.
-  /// `soft` adds penalty_rate * exceedance to a delay-violating pair's cost
-  /// instead of forbidding it, and a region with no quota takes no job.
-  /// The solve count and time accumulate into `stats`.  Builds without
-  /// NDEBUG certify every optimal solve and throw std::logic_error on a
-  /// failed certificate.
-  [[nodiscard]] sched::TransportSolution run_model(
-      const ChunkCosts& costs, const std::vector<int>& quota, bool soft,
-      SchedulerStats& stats) const;
+  /// sched::transport_assign, filling `ws.problem` in place from the cost
+  /// table and solving into `ws.solution`, which it returns; `region[j]` is
+  /// job j's region.  `soft` adds penalty_rate * exceedance to a
+  /// delay-violating pair's cost instead of forbidding it, and a region
+  /// with no quota takes no job.  The solve count and time accumulate into
+  /// `stats`.  Builds without NDEBUG certify every optimal solve and throw
+  /// std::logic_error on a failed certificate.
+  const sched::TransportSolution& run_model(ChunkWorkspace& ws,
+                                            const std::vector<int>& quota,
+                                            bool soft,
+                                            SchedulerStats& stats) const;
 
   /// Per-region degraded-mode state (see DegradedModeConfig).  Updated once
   /// per batch window, serially, before the chunk fan-out.
@@ -453,9 +488,10 @@ class WaterWiseScheduler final : public dc::Scheduler {
                             const std::vector<double>& wi_obs,
                             std::vector<int>& caps, SchedulerStats& window);
 
-  /// Samples every region once for this window (see WindowSnapshot).
-  [[nodiscard]] WindowSnapshot take_snapshot(
-      const dc::ScheduleContext& ctx) const;
+  /// Samples every region once for this window into `snap` (see
+  /// WindowSnapshot).
+  void take_snapshot(const dc::ScheduleContext& ctx,
+                     WindowSnapshot& snap) const;
 
   /// schedule() minus the observability wrapper (spans, latency/queue
   /// histograms); keeps the decision logic free of instrumentation.  All
@@ -481,6 +517,20 @@ class WaterWiseScheduler final : public dc::Scheduler {
   obs::Registry registry_;
   Handles handles_;
   std::vector<RegionHealth> health_;
+  // Window scratch, refilled every window so a steady-state window does not
+  // allocate: the observed intensities, capacities, selection and snapshot,
+  // the chunk plans with one result slot per chunk index (both only grow),
+  // and commit's spill pool, spill plan and spill slot.
+  std::vector<double> ci_, wi_;
+  std::vector<int> caps_;
+  std::vector<const dc::PendingJob*> selected_;
+  WindowSnapshot snapshot_;
+  std::vector<ChunkPlan> plans_;
+  std::vector<ChunkResult> slots_;
+  std::vector<int> spill_;
+  std::vector<const dc::PendingJob*> unplaced_;
+  ChunkPlan spill_plan_;
+  ChunkResult spill_result_;
   // No scheduler-local pool: multi-chunk windows fan out on the process
   // global util::WorkStealingPool, so campaign scenario tasks and chunk
   // subtasks share one set of workers (no nested-pool oversubscription).

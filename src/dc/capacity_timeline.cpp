@@ -32,19 +32,27 @@ int CapacityTimeline::max_occupancy(double start, double end) const {
   return peak;
 }
 
+void CapacityTimeline::add_delta(double t, int delta) {
+  const auto it = std::lower_bound(
+      deltas_.begin(), deltas_.end(), t,
+      [](const std::pair<double, int>& e, double key) { return e.first < key; });
+  if (it != deltas_.end() && it->first == t)
+    it->second += delta;
+  else
+    deltas_.insert(it, {t, delta});
+}
+
 void CapacityTimeline::reserve(double start, double end) {
   if (!(end > start))
     throw std::invalid_argument("CapacityTimeline: end must exceed start");
-  deltas_[start] += 1;
-  deltas_[end] -= 1;
+  add_delta(start, +1);
+  add_delta(end, -1);
 }
 
 void CapacityTimeline::prune(double now) {
   auto it = deltas_.begin();
-  while (it != deltas_.end() && it->first <= now) {
-    base_ += it->second;
-    it = deltas_.erase(it);
-  }
+  for (; it != deltas_.end() && it->first <= now; ++it) base_ += it->second;
+  deltas_.erase(deltas_.begin(), it);
 }
 
 }  // namespace ww::dc

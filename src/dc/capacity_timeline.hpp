@@ -5,10 +5,14 @@
 // future-interval queries for the greedy-optimal oracles, which reserve
 // (region, start-time) slots against future availability.  Events older than
 // the prune point fold into a base count so the structure stays small over
-// multi-day campaigns.
+// multi-day campaigns.  The deltas live in one time-sorted vector, so a
+// steady campaign reserves and prunes without allocating once the vector
+// has grown to the region's working set.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 namespace ww::dc {
 
@@ -41,9 +45,14 @@ class CapacityTimeline {
   }
 
  private:
+  /// Adds `delta` to the event at time t, creating it in sorted position.
+  /// An event whose net delta returns to zero stays (and counts).
+  void add_delta(double t, int delta);
+
   int capacity_;
   int base_ = 0;  ///< Reservations spanning the pruned horizon.
-  std::map<double, int> deltas_;
+  /// (time, net occupancy change), strictly increasing in time.
+  std::vector<std::pair<double, int>> deltas_;
 };
 
 }  // namespace ww::dc

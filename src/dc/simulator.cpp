@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "trace/benchmark_profile.hpp"
@@ -59,23 +61,22 @@ class TimelineView final : public CapacityView {
 };
 
 /// Online per-benchmark mean estimates of execution time and energy.
+/// Indexed by benchmark; run() has checked every job's index.
 class EstimateDb {
  public:
   void observe(const trace::Job& job) {
-    auto& e = entries_[job.benchmark];
+    Entry& e = entries_[static_cast<std::size_t>(job.benchmark)];
     e.exec.add(job.exec_seconds);
     e.energy.add(job.energy_kwh());
   }
   [[nodiscard]] double est_exec(const trace::Job& job) const {
-    const auto it = entries_.find(job.benchmark);
-    if (it != entries_.end() && it->second.exec.count() >= 3)
-      return it->second.exec.mean();
+    const Entry& e = entries_[static_cast<std::size_t>(job.benchmark)];
+    if (e.exec.count() >= 3) return e.exec.mean();
     return trace::profile(job.benchmark).mean_exec_s;
   }
   [[nodiscard]] double est_energy(const trace::Job& job) const {
-    const auto it = entries_.find(job.benchmark);
-    if (it != entries_.end() && it->second.energy.count() >= 3)
-      return it->second.energy.mean();
+    const Entry& e = entries_[static_cast<std::size_t>(job.benchmark)];
+    if (e.energy.count() >= 3) return e.energy.mean();
     const auto& p = trace::profile(job.benchmark);
     return p.mean_power_w * p.mean_exec_s / 3.6e6;
   }
@@ -85,10 +86,8 @@ class EstimateDb {
     util::RunningStats exec;
     util::RunningStats energy;
   };
-  // Keyed by benchmark id; accessed via observe()/find() only, so the
-  // unspecified bucket order can never reach an estimate or an output.
-  // det-ok: lookup-only, never iterated
-  std::unordered_map<int, Entry> entries_;
+  std::vector<Entry> entries_ =
+      std::vector<Entry>(static_cast<std::size_t>(trace::num_benchmarks()));
 };
 
 struct FinishEvent {
@@ -96,6 +95,45 @@ struct FinishEvent {
   std::size_t job_index;
   bool operator>(const FinishEvent& o) const { return time > o.time; }
 };
+
+/// Job id -> trace index, sorted by id.  Throws std::invalid_argument when
+/// two jobs share an id: a finish event would otherwise be charged to the
+/// wrong job.
+std::vector<std::pair<std::uint64_t, std::size_t>> index_by_id(
+    const std::vector<trace::Job>& jobs) {
+  std::vector<std::pair<std::uint64_t, std::size_t>> table;
+  table.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) table.emplace_back(jobs[i].id, i);
+  std::sort(table.begin(), table.end());
+  for (std::size_t i = 1; i < table.size(); ++i)
+    if (table[i].first == table[i - 1].first)
+      throw std::invalid_argument("Simulator: job " +
+                                  std::to_string(table[i].first) +
+                                  " appears more than once in the trace");
+  return table;
+}
+
+/// Throws std::invalid_argument, naming the job, when a field would stall
+/// the event loop (a submit time that never becomes due, a run that never
+/// ends) or corrupt the ledger and the estimates (a negative power or
+/// package size, a region or benchmark that does not exist).
+void validate_job(const trace::Job& job, int num_regions) {
+  const auto reject = [&job](const char* why) {
+    throw std::invalid_argument("Simulator: job " + std::to_string(job.id) +
+                                " has " + why);
+  };
+  if (!std::isfinite(job.submit_time)) reject("a non-finite submit_time");
+  if (!std::isfinite(job.exec_seconds) || !(job.exec_seconds > 0.0))
+    reject("a non-finite or non-positive exec_seconds");
+  if (!std::isfinite(job.avg_power_watts) || job.avg_power_watts < 0.0)
+    reject("a negative or non-finite avg_power_watts");
+  if (!std::isfinite(job.package_bytes) || job.package_bytes < 0.0)
+    reject("a negative or non-finite package_bytes");
+  if (job.home_region < 0 || job.home_region >= num_regions)
+    reject("a home_region outside the environment's regions");
+  if (job.benchmark < 0 || job.benchmark >= trace::num_benchmarks())
+    reject("a benchmark outside the profile table");
+}
 
 }  // namespace
 
@@ -126,11 +164,13 @@ std::vector<int> Simulator::region_capacities() const {
 
 CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
                               Scheduler& scheduler) {
+  const int num_regions = env_->num_regions();
+  for (const trace::Job& job : jobs) validate_job(job, num_regions);
   for (std::size_t i = 1; i < jobs.size(); ++i)
     if (jobs[i].submit_time < jobs[i - 1].submit_time)
       throw std::invalid_argument("Simulator: trace must be submit-sorted");
-
-  const int num_regions = env_->num_regions();
+  const std::vector<std::pair<std::uint64_t, std::size_t>> trace_index =
+      index_by_id(jobs);
   std::vector<CapacityTimeline> timelines;
   {
     const std::vector<int> caps = region_capacities();
@@ -147,11 +187,10 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
 
   EstimateDb estimates;
   std::vector<PendingJob> pending;
-  // Job-id -> trace-index translation for finish events; written on arrival,
-  // read with at() when a decision lands — never iterated, so bucket order
-  // cannot perturb the finish heap (which orders by time, not insertion).
-  // det-ok: lookup-only, never iterated
-  std::unordered_map<std::uint64_t, std::size_t> job_index_by_id;
+  // Per trace index: placed by a decision.  A job is pending exactly when
+  // it has arrived and is not placed, so a decision's job is found through
+  // trace_index and these flags, and `pending` is compacted once per window.
+  std::vector<std::uint8_t> placed(jobs.size(), 0);
   std::priority_queue<FinishEvent, std::vector<FinishEvent>, std::greater<>>
       finish_heap;
 
@@ -181,7 +220,6 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
       p.job = &jobs[next_arrival];
       p.first_seen = now;
       pending.push_back(p);
-      job_index_by_id[jobs[next_arrival].id] = next_arrival;
       ++next_arrival;
     }
 
@@ -217,11 +255,15 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
       const obs::Span apply_span("sim.apply");
       std::size_t applied = 0;
       for (const Decision& d : decisions) {
-        const auto pit =
-            std::find_if(pending.begin(), pending.end(),
-                         [&](const PendingJob& p) { return p.job->id == d.job_id; });
-        if (pit == pending.end()) continue;  // stale/duplicate decision
-        const trace::Job& job = *pit->job;
+        const auto id_it = std::lower_bound(
+            trace_index.begin(), trace_index.end(),
+            std::pair<std::uint64_t, std::size_t>{d.job_id, 0});
+        if (id_it == trace_index.end() || id_it->first != d.job_id)
+          continue;  // unknown job
+        const std::size_t ji = id_it->second;
+        if (ji >= next_arrival || placed[ji] != 0)
+          continue;  // not yet arrived, or a stale/duplicate decision
+        const trace::Job& job = jobs[ji];
         if (d.region < 0 || d.region >= num_regions) continue;
         if (!(d.power_scale > 0.0) || d.power_scale > 1.0) continue;
 
@@ -283,10 +325,19 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
           result.jobs.push_back(o);
         }
 
-        finish_heap.push(FinishEvent{end, job_index_by_id.at(job.id)});
-        pending.erase(pit);
+        finish_heap.push(FinishEvent{end, ji});
+        placed[ji] = 1;
         ++applied;
       }
+      // One stable pass drops the placed jobs, so the jobs left pending keep
+      // their order and every later batch is unchanged.
+      if (applied > 0)
+        pending.erase(std::remove_if(pending.begin(), pending.end(),
+                                     [&](const PendingJob& p) {
+                                       return placed[static_cast<std::size_t>(
+                                                  p.job - jobs.data())] != 0;
+                                     }),
+                      pending.end());
       stalled_batches = applied == 0 ? stalled_batches + 1 : 0;
       if (stalled_batches > 200000)
         throw std::runtime_error(

@@ -39,6 +39,10 @@ class Simulator {
             const footprint::FootprintModel& footprint, SimConfig config = {});
 
   /// Runs the whole campaign; `jobs` must be sorted by submit_time.
+  /// Throws std::invalid_argument, naming the job id, for a non-finite
+  /// submit_time, a non-finite or non-positive exec_seconds, a negative or
+  /// non-finite avg_power_watts or package_bytes, a home_region or
+  /// benchmark out of range, or an id that appears twice.
   [[nodiscard]] CampaignResult run(const std::vector<trace::Job>& jobs,
                                    Scheduler& scheduler);
 

@@ -1,6 +1,5 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -31,16 +30,6 @@ void write_json_string(std::ostream& out, const std::string& s) {
 }
 
 }  // namespace
-
-void Shard::add(Counter c, std::uint64_t delta) noexcept {
-  if (!c.valid() || c.id >= counters_.size()) return;
-  counters_[c.id] += delta;
-}
-
-void Shard::observe(Hist h, double sample) noexcept {
-  if (!h.valid() || h.id >= hists_.size()) return;
-  hists_[h.id].add(sample);
-}
 
 Counter Registry::counter(const std::string& name) {
   const auto it = counter_ids_.find(name);
@@ -113,24 +102,6 @@ const std::uint64_t* Registry::find_counter(const std::string& name) const {
 const util::Histogram* Registry::find_hist(const std::string& name) const {
   const auto it = hist_ids_.find(name);
   return it == hist_ids_.end() ? nullptr : &hists_[it->second];
-}
-
-Shard Registry::make_shard() const {
-  Shard shard;
-  shard.counters_.assign(counters_.size(), 0);
-  shard.hists_.reserve(hists_.size());
-  for (const util::Histogram& h : hists_)
-    shard.hists_.emplace_back(h.lo(), h.hi(), h.bins());
-  return shard;
-}
-
-void Registry::merge_shard(const Shard& shard) {
-  // A shard minted before later registrations is shorter than the registry;
-  // the missing tail slots simply contribute nothing.
-  const std::size_t nc = std::min(shard.counters_.size(), counters_.size());
-  for (std::size_t i = 0; i < nc; ++i) counters_[i] += shard.counters_[i];
-  const std::size_t nh = std::min(shard.hists_.size(), hists_.size());
-  for (std::size_t i = 0; i < nh; ++i) hists_[i].merge(shard.hists_[i]);
 }
 
 void Registry::write_json(std::ostream& out) const {

@@ -4,11 +4,13 @@
 // Determinism contract (the reason this exists instead of a third-party
 // metrics client): every exported artifact is reproducible given the same
 // inputs.  Registration order defines handle ids; JSON export iterates
-// name-ordered; thread-sharded accumulation happens in `Shard` objects that
-// the *caller* folds back in a deterministic order (the scheduler commits
-// chunk shards in chunk-index order, never completion order).  The registry
-// itself is single-writer: registration and mutation happen on the owning
-// thread, worker threads only ever touch their own Shard.
+// name-ordered.  The registry is single-writer: registration and mutation
+// happen on the owning thread only.  Work done on other threads reports
+// back through plain values its owner records in a deterministic order:
+// the scheduler's chunk solves return their admission-wait samples in
+// their result slot, and commit observes them in chunk-index order, never
+// completion order.  Histogram bins are integer counts, so the exported
+// bytes do not depend on how the samples were grouped.
 //
 // Wall-clock derived samples (decision latency) are observational — they
 // may differ run to run and are exported for humans, while counters and
@@ -49,32 +51,6 @@ struct Hist {
   }
 };
 
-class Registry;
-
-/// Thread-local accumulation slice with the same counter/histogram layout
-/// as the registry that minted it (`Registry::make_shard`).  A worker fills
-/// its shard in isolation; the owner folds shards back with `merge_shard`
-/// in a deterministic order.  Default-constructed shards are empty and
-/// merge as no-ops, so carrying one in a result struct costs nothing when
-/// unused.  Gauges are deliberately absent: a "last write wins" cell has no
-/// order-independent merge.
-class Shard {
- public:
-  Shard() = default;
-
-  void add(Counter c, std::uint64_t delta = 1) noexcept;
-  void observe(Hist h, double sample) noexcept;
-
-  [[nodiscard]] bool empty() const noexcept {
-    return counters_.empty() && hists_.empty();
-  }
-
- private:
-  friend class Registry;
-  std::vector<std::uint64_t> counters_;
-  std::vector<util::Histogram> hists_;
-};
-
 class Registry {
  public:
   /// Register-or-lookup by name.  Re-registering an existing name returns
@@ -99,14 +75,6 @@ class Registry {
   [[nodiscard]] const std::uint64_t* find_counter(
       const std::string& name) const;
   [[nodiscard]] const util::Histogram* find_hist(const std::string& name) const;
-
-  /// Empty shard whose slots mirror every counter/histogram registered so
-  /// far (histograms copy their layout with zeroed bins).
-  [[nodiscard]] Shard make_shard() const;
-  /// Folds a shard's counts into the registry.  Commutative and
-  /// associative, so any *fixed* fold order gives identical bytes; callers
-  /// supply that order (chunk index, scenario index).
-  void merge_shard(const Shard& shard);
 
   /// Name-ordered JSON: counters and gauges as flat maps, histograms with
   /// layout, totals, p50/p95/p99 (util::Histogram::quantile), and bin

@@ -69,21 +69,30 @@ bool on_path(const std::vector<int>& pred, int r, int s) {
 
 }  // namespace
 
-TransportSolution transport_assign(const TransportProblem& p) {
+void transport_assign(const TransportProblem& p, TransportSolution& out,
+                      TransportWorkspace& ws) {
   const double scale = checked_scale(p);
   const int m = p.jobs;
   const int n = p.regions();
-  TransportSolution out;
+  out.status = TransportSolution::Status::Infeasible;
+  out.objective = 0.0;
   out.region.assign(static_cast<std::size_t>(m), -1);
-  std::vector<int> load(static_cast<std::size_t>(n), 0);
+  out.u.clear();
+  out.v.clear();
+  std::vector<int>& load = ws.load;
+  load.assign(static_cast<std::size_t>(n), 0);
   const auto free_quota = [&](int r) {
     const auto i = static_cast<std::size_t>(r);
     return load[i] < p.quota[i];
   };
-  std::vector<double> w(at(n, n, 0));
-  std::vector<int> via(w.size());
-  std::vector<double> dist(static_cast<std::size_t>(n));
-  std::vector<int> pred(static_cast<std::size_t>(n));
+  std::vector<double>& w = ws.w;
+  std::vector<int>& via = ws.via;
+  std::vector<double>& dist = ws.dist;
+  std::vector<int>& pred = ws.pred;
+  w.resize(at(n, n, 0));
+  via.resize(w.size());
+  dist.resize(static_cast<std::size_t>(n));
+  pred.resize(static_cast<std::size_t>(n));
 
   for (int k = 0; k < m; ++k) {
     // Shortest path from job k to a region with free quota: k's own arcs,
@@ -122,9 +131,8 @@ TransportSolution transport_assign(const TransportProblem& p) {
     if (t < 0) {
       // No augmenting path: jobs 0..k already need more allowed quota than
       // exists, so max flow < m.
-      TransportSolution infeasible;
-      infeasible.status = TransportSolution::Status::Infeasible;
-      return infeasible;
+      out.region.clear();
+      return;
     }
     ++load[static_cast<std::size_t>(t)];
     int r = t;
@@ -175,6 +183,12 @@ TransportSolution transport_assign(const TransportProblem& p) {
     out.u[static_cast<std::size_t>(j)] =
         p.cost[at(j, n, r)] - out.v[static_cast<std::size_t>(r)];
   }
+}
+
+TransportSolution transport_assign(const TransportProblem& p) {
+  TransportSolution out;
+  TransportWorkspace ws;
+  transport_assign(p, out, ws);
   return out;
 }
 

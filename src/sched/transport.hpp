@@ -65,8 +65,26 @@ struct TransportSolution {
   }
 };
 
-/// Solves `p` exactly.  Throws std::invalid_argument when the matrix sizes
-/// disagree with `jobs` x regions or an allowed cost is not finite.
+/// Solver scratch: the per-region load, the n x n residual arcs and the
+/// Bellman-Ford labels.  Reusing one across solves keeps them
+/// allocation-free once the buffers have grown to the largest instance.
+struct TransportWorkspace {
+  std::vector<int> load;
+  std::vector<double> w;
+  std::vector<int> via;
+  std::vector<double> dist;
+  std::vector<int> pred;
+};
+
+/// Solves `p` exactly into `out`, reusing the capacity of `out`'s and
+/// `ws`'s vectors.  An infeasible instance leaves `region`, `u` and `v`
+/// empty and the objective 0.  Throws std::invalid_argument when the
+/// matrix sizes disagree with `jobs` x regions or an allowed cost is not
+/// finite.
+void transport_assign(const TransportProblem& p, TransportSolution& out,
+                      TransportWorkspace& ws);
+
+/// Value-returning form of the above with fresh buffers.
 [[nodiscard]] TransportSolution transport_assign(const TransportProblem& p);
 
 /// Checks that `s` is an optimal solution of `p` by its dual certificate:

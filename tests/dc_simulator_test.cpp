@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "dc/simulator.hpp"
 #include "sched/basic.hpp"
 #include "trace/generator.hpp"
@@ -20,9 +24,30 @@ std::vector<trace::Job> small_trace(std::uint64_t seed = 3,
 
 class SimulatorTest : public ::testing::Test {
  protected:
+  /// run() must throw std::invalid_argument naming job `id`.
+  void expect_rejected(const std::vector<trace::Job>& jobs, std::uint64_t id) {
+    Simulator sim(env_, fp_, SimConfig{});
+    sched::BaselineScheduler baseline;
+    try {
+      (void)sim.run(jobs, baseline);
+      ADD_FAILURE() << "run() accepted the trace";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("job " + std::to_string(id)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
   env::Environment env_ = env::Environment::builtin(small_env());
   footprint::FootprintModel fp_{env_};
 };
+
+/// The first 20 jobs of a small Borg trace.
+std::vector<trace::Job> twenty_jobs() {
+  auto jobs = small_trace(19, 0.05);
+  jobs.resize(20);
+  return jobs;
+}
 
 TEST_F(SimulatorTest, AllJobsRunExactlyOnce) {
   const auto jobs = small_trace();
@@ -151,6 +176,163 @@ TEST_F(SimulatorTest, RejectsUnsortedTrace) {
   Simulator sim(env_, fp_, SimConfig{});
   sched::BaselineScheduler baseline;
   EXPECT_THROW((void)sim.run(jobs, baseline), std::invalid_argument);
+}
+
+TEST_F(SimulatorTest, RejectsNonFiniteSubmitTime) {
+  // A NaN submit time passes the sort check and never becomes due; the run
+  // must reject it up front instead of spinning forever.
+  auto jobs = twenty_jobs();
+  jobs.back().submit_time = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(jobs, jobs.back().id);
+  jobs.back().submit_time = std::numeric_limits<double>::infinity();
+  expect_rejected(jobs, jobs.back().id);
+}
+
+TEST_F(SimulatorTest, RejectsNonPositiveOrNonFiniteExecSeconds) {
+  for (const double bad : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto jobs = twenty_jobs();
+    jobs[3].exec_seconds = bad;
+    expect_rejected(jobs, jobs[3].id);
+  }
+}
+
+TEST_F(SimulatorTest, RejectsNegativeOrNonFinitePowerAndPackage) {
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto jobs = twenty_jobs();
+    jobs[5].avg_power_watts = bad;
+    expect_rejected(jobs, jobs[5].id);
+    jobs = twenty_jobs();
+    jobs[6].package_bytes = bad;
+    expect_rejected(jobs, jobs[6].id);
+  }
+}
+
+TEST_F(SimulatorTest, RejectsHomeRegionOutOfRange) {
+  for (const int bad : {-1, env_.num_regions()}) {
+    auto jobs = twenty_jobs();
+    jobs[7].home_region = bad;
+    expect_rejected(jobs, jobs[7].id);
+  }
+}
+
+TEST_F(SimulatorTest, RejectsUnknownBenchmark) {
+  auto jobs = twenty_jobs();
+  jobs[8].benchmark = -1;
+  expect_rejected(jobs, jobs[8].id);
+}
+
+TEST_F(SimulatorTest, RejectsDuplicateJobIds) {
+  auto jobs = twenty_jobs();
+  jobs[12].id = jobs[4].id;
+  expect_rejected(jobs, jobs[4].id);
+}
+
+/// Places every job at home, except that in its first window it places
+/// only the first job and, in hostile mode, also returns one decision the
+/// simulator must skip for each rejection rule.  Records every batch.
+class FilterProbe final : public Scheduler {
+ public:
+  explicit FilterProbe(bool hostile) : hostile_(hostile) {}
+
+  [[nodiscard]] std::string name() const override { return "FilterProbe"; }
+
+  [[nodiscard]] std::vector<Decision> schedule(
+      const std::vector<PendingJob>& batch,
+      const ScheduleContext& ctx) override {
+    std::vector<std::uint64_t> ids;
+    ids.reserve(batch.size());
+    for (const PendingJob& p : batch) ids.push_back(p.job->id);
+    batches.push_back(ids);
+    std::vector<Decision> out;
+    out.reserve(batch.size() + 8);
+    if (batches.size() > 1) {
+      for (const PendingJob& p : batch)
+        out.push_back(Decision{p.job->id, p.job->home_region, ctx.now, 1.0});
+      return out;
+    }
+    const auto home = [&](std::size_t i) {
+      return Decision{ids[i], batch[i].job->home_region, ctx.now, 1.0};
+    };
+    out.push_back(home(0));
+    if (!hostile_) return out;
+    out.push_back(home(0));  // duplicate of an applied decision
+    Decision unknown = home(1);
+    unknown.job_id = 999999;  // no such job
+    out.push_back(unknown);
+    Decision bad_region = home(1);
+    bad_region.region = ctx.capacity->num_regions();
+    out.push_back(bad_region);
+    Decision negative_region = home(1);
+    negative_region.region = -1;
+    out.push_back(negative_region);
+    Decision too_early = home(2);  // remote, but starts before the transfer
+    too_early.region = (batch[2].job->home_region + 1) %
+                       ctx.capacity->num_regions();
+    out.push_back(too_early);
+    Decision zero_power = home(3);
+    zero_power.power_scale = 0.0;
+    out.push_back(zero_power);
+    Decision over_power = home(4);
+    over_power.power_scale = 1.5;
+    out.push_back(over_power);
+    return out;
+  }
+
+  std::vector<std::vector<std::uint64_t>> batches;
+
+ private:
+  bool hostile_;
+};
+
+TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
+  // Eight jobs arrive together, so the first window holds all of them.
+  std::vector<trace::Job> jobs(8);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = 100 + 7 * i;
+    jobs[i].home_region = static_cast<int>(i % 3);
+    jobs[i].exec_seconds = 120.0 + 10.0 * static_cast<double>(i);
+    jobs[i].avg_power_watts = 150.0;
+    jobs[i].package_bytes = 5e8;
+  }
+  ASSERT_GT(env_.transfer_latency_seconds(jobs[2].home_region,
+                                          jobs[2].home_region + 1,
+                                          jobs[2].package_bytes),
+            1e-3);
+  SimConfig cfg;
+  cfg.record_jobs = true;
+  Simulator sim(env_, fp_, cfg);
+  FilterProbe clean(false);
+  FilterProbe hostile(true);
+  const CampaignResult want = sim.run(jobs, clean);
+  const CampaignResult got = sim.run(jobs, hostile);
+
+  // Every skipped decision leaves its job pending: the second batch is the
+  // first minus the one applied job, in the original order.
+  ASSERT_GE(hostile.batches.size(), 2u);
+  std::vector<std::uint64_t> rest(hostile.batches[0].begin() + 1,
+                                  hostile.batches[0].end());
+  EXPECT_EQ(hostile.batches[0].size(), jobs.size());
+  EXPECT_EQ(hostile.batches[1], rest);
+  EXPECT_EQ(hostile.batches, clean.batches);
+
+  // Otherwise the run is the clean run, job for job.
+  EXPECT_EQ(got.num_jobs, static_cast<long>(jobs.size()));
+  ASSERT_EQ(got.jobs.size(), want.jobs.size());
+  for (std::size_t i = 0; i < got.jobs.size(); ++i) {
+    const JobOutcome& g = got.jobs[i];
+    const JobOutcome& w = want.jobs[i];
+    EXPECT_EQ(g.job_id, w.job_id);
+    EXPECT_EQ(g.exec_region, w.exec_region);
+    EXPECT_EQ(g.start_time, w.start_time);
+    EXPECT_EQ(g.finish_time, w.finish_time);
+    EXPECT_EQ(g.exec_seconds, w.exec_seconds);
+    EXPECT_EQ(g.carbon_g, w.carbon_g);
+    EXPECT_EQ(g.water_l, w.water_l);
+  }
+  EXPECT_EQ(got.total_carbon_g, want.total_carbon_g);
+  EXPECT_EQ(got.total_water_l, want.total_water_l);
 }
 
 TEST_F(SimulatorTest, EmptyTrace) {

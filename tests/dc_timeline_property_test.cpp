@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "dc/capacity_timeline.hpp"
@@ -93,6 +95,89 @@ TEST_P(TimelineProperty, FitsConsistentWithMaxOccupancy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TimelineProperty, ::testing::Range(0, 20));
+
+/// Reference: the per-time delta map the sorted vector replaced, with the
+/// same prune folding and the same event count (entries whose net delta
+/// returned to zero included).
+class MapTimeline {
+ public:
+  void reserve(double start, double end) {
+    deltas_[start] += 1;
+    deltas_[end] -= 1;
+  }
+  void prune(double now) {
+    auto it = deltas_.begin();
+    while (it != deltas_.end() && it->first <= now) {
+      base_ += it->second;
+      it = deltas_.erase(it);
+    }
+  }
+  [[nodiscard]] int occupancy_at(double t) const {
+    int occ = base_;
+    for (const auto& [time, delta] : deltas_) {
+      if (time > t) break;
+      occ += delta;
+    }
+    return occ;
+  }
+  [[nodiscard]] int max_occupancy(double start, double end) const {
+    int occ = base_;
+    auto it = deltas_.begin();
+    for (; it != deltas_.end() && it->first <= start; ++it) occ += it->second;
+    int peak = occ;
+    for (; it != deltas_.end() && it->first < end; ++it) {
+      occ += it->second;
+      peak = std::max(peak, occ);
+    }
+    return peak;
+  }
+  [[nodiscard]] std::size_t event_count() const { return deltas_.size(); }
+  [[nodiscard]] const std::map<double, int>& deltas() const { return deltas_; }
+
+ private:
+  int base_ = 0;
+  std::map<double, int> deltas_;
+};
+
+class TimelineMatchesMap : public ::testing::TestWithParam<int> {};
+
+TEST_P(TimelineMatchesMap, SameQueriesAndEventCount) {
+  // Times on a coarse integer grid, so starts and ends coincide often and
+  // many events net to zero (one reservation ending where another starts).
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 71 + 13);
+  CapacityTimeline tl(1000000);
+  MapTimeline ref;
+  double now = 0.0;
+  bool saw_zero_delta = false;
+  for (int step = 0; step < 600; ++step) {
+    const double start =
+        now + static_cast<double>(rng.uniform_int(0, 12));
+    const double end = start + static_cast<double>(rng.uniform_int(1, 8));
+    tl.reserve(start, end);
+    ref.reserve(start, end);
+    if (rng.bernoulli(0.15) && !ref.deltas().empty()) {
+      // Prune exactly at an existing event time.
+      const auto pick = static_cast<std::ptrdiff_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ref.deltas().size()) - 1));
+      now = std::max(now, std::next(ref.deltas().begin(), pick)->first);
+      tl.prune(now);
+      ref.prune(now);
+    }
+    ASSERT_EQ(tl.event_count(), ref.event_count())
+        << "param " << GetParam() << " step " << step;
+    for (const auto& [time, delta] : ref.deltas())
+      saw_zero_delta = saw_zero_delta || delta == 0;
+    for (double t = now; t <= now + 24.0; t += 0.5) {
+      ASSERT_EQ(tl.occupancy_at(t), ref.occupancy_at(t))
+          << "param " << GetParam() << " step " << step << " t " << t;
+      ASSERT_EQ(tl.max_occupancy(t, t + 3.0), ref.max_occupancy(t, t + 3.0))
+          << "param " << GetParam() << " step " << step << " t " << t;
+    }
+  }
+  EXPECT_TRUE(saw_zero_delta);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, TimelineMatchesMap, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace ww::dc

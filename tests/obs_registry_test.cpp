@@ -35,49 +35,7 @@ TEST(Registry, InvalidHandlesAreIgnored) {
   r.add(Gauge{}, 1.0);
   r.set(Gauge{}, 1.0);
   r.observe(Hist{}, 1.0);
-  Shard shard = r.make_shard();
-  shard.add(Counter{});
-  shard.observe(Hist{}, 1.0);
-  r.merge_shard(shard);
   EXPECT_EQ(r.counter_value(c), 0u);
-}
-
-TEST(Registry, ShardFoldOrderIndependent) {
-  // Counter adds and histogram observes are commutative and associative,
-  // so folding shards in any fixed order yields identical bytes — the
-  // property the scheduler's chunk-index-ordered commit relies on.
-  const auto run = [](const std::vector<int>& order) {
-    Registry r;
-    const Counter c = r.counter("solves");
-    const Hist h = r.histogram("depth", 0.0, 100.0, 10);
-    std::vector<Shard> shards;
-    for (int k = 0; k < 4; ++k) {
-      Shard s = r.make_shard();
-      for (int i = 0; i <= k; ++i) {
-        s.add(c);
-        s.observe(h, 10.0 * k + i);
-      }
-      shards.push_back(std::move(s));
-    }
-    for (const int i : order) r.merge_shard(shards[i]);
-    return r.to_json();
-  };
-  const std::string forward = run({0, 1, 2, 3});
-  EXPECT_EQ(forward, run({3, 2, 1, 0}));
-  EXPECT_EQ(forward, run({2, 0, 3, 1}));
-}
-
-TEST(Registry, ShardMintedEarlyMergesSafely) {
-  // A shard minted before later registrations is shorter than the
-  // registry; merging it must not touch the newer slots.
-  Registry r;
-  const Counter c0 = r.counter("early");
-  Shard shard = r.make_shard();
-  shard.add(c0, 5);
-  const Counter c1 = r.counter("late");
-  r.merge_shard(shard);
-  EXPECT_EQ(r.counter_value(c0), 5u);
-  EXPECT_EQ(r.counter_value(c1), 0u);
 }
 
 TEST(Registry, JsonIsNameOrderedAndParseable) {

@@ -378,6 +378,27 @@ TEST(Transport, MatchesBruteForceOnSeededSmallInstances) {
   EXPECT_GT(tied, 50);
 }
 
+TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
+  // One solution and workspace carried across instances of varying size,
+  // infeasible ones included, must give the bytes a fresh solve gives.
+  TransportSolution reused;
+  TransportWorkspace ws;
+  for (const bool ties : {false, true}) {
+    util::Rng rng(ties ? 78 : 42);
+    for (int trial = 0; trial < 300; ++trial) {
+      const TransportProblem p = random_small(rng, ties);
+      const TransportSolution fresh = transport_assign(p);
+      transport_assign(p, reused, ws);
+      const std::string tag = "trial " + std::to_string(trial);
+      ASSERT_EQ(reused.status, fresh.status) << tag;
+      EXPECT_EQ(reused.region, fresh.region) << tag;
+      EXPECT_EQ(reused.objective, fresh.objective) << tag;
+      EXPECT_EQ(reused.u, fresh.u) << tag;
+      EXPECT_EQ(reused.v, fresh.v) << tag;
+    }
+  }
+}
+
 TEST(Transport, MatchesMilpOnChunkModelCorpora) {
   struct Case {
     const char* name;
