@@ -94,7 +94,7 @@ enum class Policy {
 /// aggregate are byte-identical.  Prints a one-line verdict; returns false
 /// on divergence (bench_fig13's startup self-check exits nonzero on it).
 /// Under a WW_SCHED_THREADS override the four runs collapse onto the forced
-/// thread count, exactly like the WW_PRESOLVE sweep under its override.
+/// thread count.
 [[nodiscard]] bool check_chunk_parallel_equivalence(
     const std::vector<trace::Job>& jobs, const CampaignSpec& spec,
     core::WaterWiseConfig ww_config = {});

@@ -20,8 +20,8 @@
 // both forms are the same min-cost transportation problem.  The delay row
 // forbids (job, region) pairs in the hard form, and a region without quota
 // takes no job.  sched::transport_assign (sched/transport.hpp) solves it
-// exactly; src/milp/ keeps the general MILP solver as the tests' reference
-// oracle.  Estimates of execution time and energy come from the online
+// exactly; src/milp/ keeps a dense-simplex oracle that the tests check it
+// against.  Estimates of execution time and energy come from the online
 // means the simulator learns — the controller never sees true per-job
 // values.
 //
@@ -83,8 +83,8 @@
 //
 // Knobs: `WaterWiseConfig::solver_threads` (1 = serial, 0 = all cores) and
 // the `WW_SCHED_THREADS` environment switch, which overrides the config
-// process-wide (mirroring `WW_PRESOLVE` / `WW_REFACTOR_EVERY_PIVOT`); a
-// value that is not an integer in [0, 1024] throws std::invalid_argument.
+// process-wide; a value that is not an integer in [0, 1024] throws
+// std::invalid_argument.
 //
 // ## Graceful degradation
 //

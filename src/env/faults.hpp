@@ -22,8 +22,8 @@
 //
 // Windows are generated from util::Rng named seed streams, so an injected
 // campaign is a pure function of (trace, schedule seed): byte-identical at
-// any WW_SCHED_THREADS / WW_PRESOLVE setting.  Tests and storm benches can
-// also place windows explicitly via the add_*() methods.
+// any WW_SCHED_THREADS setting.  Tests and storm benches can also place
+// windows explicitly via the add_*() methods.
 //
 // The module also hosts the deterministic solve-failure predicate the
 // scheduler's retry ladder consumes: a pure hash of (seed, window time,
@@ -132,7 +132,7 @@ class FaultSchedule {
 /// ladder: true when the injected fault campaign fails the solve attempt
 /// `attempt` of chunk `chunk_index` in the batch window at time `now`.
 /// A pure hash of its arguments — no stream state — so the same (window,
-/// chunk, attempt) fails at every thread count, presolve mode, and run.
+/// chunk, attempt) fails at every thread count and in every run.
 [[nodiscard]] bool injected_solve_failure(std::uint64_t seed, double now,
                                           int chunk_index, int attempt,
                                           double rate) noexcept;

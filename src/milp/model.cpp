@@ -3,47 +3,27 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 
 namespace ww::milp {
 
-int Model::add_variable(std::string name, double lower, double upper,
-                        VarType type, double objective) {
+int Model::add_variable(double lower, double upper, VarType type,
+                        double objective) {
   if (type == VarType::Binary) {
     lower = 0.0;
     upper = 1.0;
   }
   if (lower > upper)
-    throw std::invalid_argument(
-        "Model: variable '" +
-        (name.empty() ? "x" + std::to_string(variables_.size()) : name) +
-        "' has lower > upper");
-  variables_.push_back(
-      Variable{std::move(name), lower, upper, type, objective});
+    throw std::invalid_argument("Model: variable x" +
+                                std::to_string(variables_.size()) +
+                                " has lower > upper");
+  variables_.push_back(Variable{lower, upper, type, objective});
   return static_cast<int>(variables_.size()) - 1;
 }
 
 void Model::reserve(int variables, int constraints) {
   variables_.reserve(static_cast<std::size_t>(std::max(variables, 0)));
   constraints_.reserve(static_cast<std::size_t>(std::max(constraints, 0)));
-}
-
-int Model::add_continuous(std::string name, double lower, double upper,
-                          double objective) {
-  return add_variable(std::move(name), lower, upper, VarType::Continuous,
-                      objective);
-}
-
-int Model::add_binary(std::string name, double objective) {
-  return add_variable(std::move(name), 0.0, 1.0, VarType::Binary, objective);
-}
-
-void Model::set_objective_coefficient(int var, double coeff) {
-  variables_.at(static_cast<std::size_t>(var)).objective = coeff;
-}
-
-void Model::add_objective_coefficient(int var, double delta) {
-  variables_.at(static_cast<std::size_t>(var)).objective += delta;
 }
 
 void Model::set_variable_bounds(int var, double lower, double upper) {
@@ -54,46 +34,26 @@ void Model::set_variable_bounds(int var, double lower, double upper) {
   v.upper = upper;
 }
 
-int Model::add_constraint(std::string name, std::vector<Term> terms,
-                          Sense sense, double rhs) {
-  // Merge duplicate variables and drop exact zeros.  Per-key accumulation
-  // order follows the input term order, and `clean` below is re-sorted by
-  // variable index before it is stored, so the map's iteration order never
-  // reaches the constraint row.
-  // det-ok: output re-sorted by variable index below
-  std::unordered_map<int, double> merged;
-  for (const Term& t : terms) {
+int Model::add_constraint(std::vector<Term> terms, Sense sense, double rhs) {
+  for (const Term& t : terms)
     if (t.var < 0 || t.var >= num_variables())
-      throw std::out_of_range(
-          "Model: constraint '" +
-          (name.empty() ? "c" + std::to_string(constraints_.size()) : name) +
-          "' references unknown variable");
-    merged[t.var] += t.coeff;
-  }
+      throw std::out_of_range("Model: constraint c" +
+                              std::to_string(constraints_.size()) +
+                              " references unknown variable");
+  // Stable sort keeps duplicates in input order, so each merged
+  // coefficient is summed in the order the caller gave its terms.
+  std::stable_sort(terms.begin(), terms.end(),
+                   [](const Term& a, const Term& b) { return a.var < b.var; });
   std::vector<Term> clean;
-  clean.reserve(merged.size());
-  for (const auto& [var, coeff] : merged)
-    if (coeff != 0.0) clean.push_back(Term{var, coeff});
-  std::sort(clean.begin(), clean.end(),
-            [](const Term& a, const Term& b) { return a.var < b.var; });
-  constraints_.push_back(Constraint{std::move(name), std::move(clean), sense, rhs});
+  clean.reserve(terms.size());
+  for (std::size_t i = 0; i < terms.size();) {
+    Term sum{terms[i].var, 0.0};
+    for (; i < terms.size() && terms[i].var == sum.var; ++i)
+      sum.coeff += terms[i].coeff;
+    if (sum.coeff != 0.0) clean.push_back(sum);
+  }
+  constraints_.push_back(Constraint{std::move(clean), sense, rhs});
   return static_cast<int>(constraints_.size()) - 1;
-}
-
-std::string Model::variable_name(int i) const {
-  const auto& stored = variables_.at(static_cast<std::size_t>(i)).name;
-  return stored.empty() ? "x" + std::to_string(i) : stored;
-}
-
-std::string Model::constraint_name(int i) const {
-  const auto& stored = constraints_.at(static_cast<std::size_t>(i)).name;
-  return stored.empty() ? "c" + std::to_string(i) : stored;
-}
-
-bool Model::has_integer_variables() const noexcept {
-  return std::any_of(variables_.begin(), variables_.end(), [](const Variable& v) {
-    return v.type != VarType::Continuous;
-  });
 }
 
 double Model::objective_value(const std::vector<double>& x) const {

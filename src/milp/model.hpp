@@ -1,20 +1,21 @@
 // Mixed-integer linear program model builder.
 //
-// This replaces the paper's PuLP/GLPK dependency: WaterWise's Decision
-// Controller (Eq. 8-13) builds its program through this API and solves it
-// with ww::milp::solve().  Convention: minimize c^T x subject to row
-// constraints and variable bounds; integrality per variable.
+// The paper's Decision Controller states Eq. 8-13 as a PuLP/GLPK program.
+// This builder states the same program for the tests: instances.hpp builds
+// the scheduler's chunk models with it, and milp::solve (oracle.hpp) solves
+// them as the reference for sched::transport_assign.  Convention: minimize
+// c^T x subject to row constraints and variable bounds; each variable is
+// continuous or binary.
 #pragma once
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ww::milp {
 
 inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-enum class VarType { Continuous, Binary, Integer };
+enum class VarType { Continuous, Binary };
 enum class Sense { LessEqual, GreaterEqual, Equal };
 
 /// One nonzero of a constraint row.
@@ -24,7 +25,6 @@ struct Term {
 };
 
 struct Variable {
-  std::string name;
   double lower = 0.0;
   double upper = kInfinity;
   VarType type = VarType::Continuous;
@@ -32,7 +32,6 @@ struct Variable {
 };
 
 struct Constraint {
-  std::string name;
   std::vector<Term> terms;
   Sense sense = Sense::LessEqual;
   double rhs = 0.0;
@@ -41,43 +40,25 @@ struct Constraint {
 class Model {
  public:
   /// Returns the new variable's index.  Binary forces bounds to [0, 1].
-  /// Names are optional debug metadata: the unnamed overloads store an
-  /// empty string (no heap traffic on the model-build hot path) and
-  /// variable_name()/constraint_name() synthesize an "x<i>"/"c<i>" label
-  /// on demand for printing and error messages.
-  int add_variable(std::string name, double lower, double upper,
-                   VarType type = VarType::Continuous, double objective = 0.0);
   int add_variable(double lower, double upper,
-                   VarType type = VarType::Continuous, double objective = 0.0) {
-    return add_variable(std::string(), lower, upper, type, objective);
-  }
-  int add_continuous(std::string name, double lower, double upper,
-                     double objective = 0.0);
+                   VarType type = VarType::Continuous, double objective = 0.0);
   int add_continuous(double lower, double upper, double objective = 0.0) {
-    return add_continuous(std::string(), lower, upper, objective);
+    return add_variable(lower, upper, VarType::Continuous, objective);
   }
-  int add_binary(std::string name, double objective = 0.0);
   int add_binary(double objective = 0.0) {
-    return add_binary(std::string(), objective);
+    return add_variable(0.0, 1.0, VarType::Binary, objective);
   }
 
-  /// Pre-sizes the variable/constraint vectors so chunked model builds
-  /// (thousands of columns per scheduling window) do not reallocate.
+  /// Pre-sizes the variable/constraint vectors for a model of known shape.
   void reserve(int variables, int constraints);
 
-  void set_objective_coefficient(int var, double coeff);
-  /// Adds `delta` to the variable's current objective coefficient.
-  void add_objective_coefficient(int var, double delta);
   /// Tightens/replaces a variable's bounds (e.g. fixing a binary to 0).
   void set_variable_bounds(int var, double lower, double upper);
 
   /// Returns the new constraint's index.  Duplicate variables within `terms`
-  /// are merged.
-  int add_constraint(std::string name, std::vector<Term> terms, Sense sense,
-                     double rhs);
-  int add_constraint(std::vector<Term> terms, Sense sense, double rhs) {
-    return add_constraint(std::string(), std::move(terms), sense, rhs);
-  }
+  /// are merged and exact zeros dropped; the stored row is sorted by
+  /// variable index.
+  int add_constraint(std::vector<Term> terms, Sense sense, double rhs);
 
   [[nodiscard]] int num_variables() const noexcept {
     return static_cast<int>(variables_.size());
@@ -97,13 +78,6 @@ class Model {
   [[nodiscard]] const std::vector<Constraint>& constraints() const noexcept {
     return constraints_;
   }
-
-  /// Stored name, or a synthesized "x<i>" / "c<i>" label when the entity
-  /// was added through an unnamed overload.
-  [[nodiscard]] std::string variable_name(int i) const;
-  [[nodiscard]] std::string constraint_name(int i) const;
-
-  [[nodiscard]] bool has_integer_variables() const noexcept;
 
   /// Objective value of an assignment (no feasibility check).
   [[nodiscard]] double objective_value(const std::vector<double>& x) const;

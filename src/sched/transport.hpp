@@ -20,8 +20,8 @@
 // the end of the path go to the lowest-index region with free quota, so
 // the result is a pure function of the input.  Cost is O(m^2 n + m n^3).
 //
-// src/milp/ solves the same model through its general MILP stack; the
-// tests use it as the reference oracle for this solver.
+// The tests check this solver against src/milp/'s dense-simplex oracle
+// on the same models.
 #pragma once
 
 #include <cstdint>

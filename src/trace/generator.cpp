@@ -1,10 +1,15 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
+#include <vector>
 
 #include "util/csv.hpp"
 
@@ -93,6 +98,37 @@ void write_trace_csv(std::ostream& out, const std::vector<Job>& jobs) {
   }
 }
 
+namespace {
+
+constexpr std::size_t kNumColumns = 7;
+
+/// Parses the whole of field `col` (0-based, named `name`) of `row` as a
+/// T, or throws naming the line and the column.  std::from_chars takes no
+/// leading blanks or '+', and no '-' for an unsigned T.
+template <typename T>
+T parse_field(const std::vector<std::string>& row, std::size_t line,
+              std::size_t col, const char* name) {
+  const std::string& field = row[col];
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  const char* expected = "an unsigned integer";
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+    expected = "a finite number";
+  } else if constexpr (std::is_signed_v<T>) {
+    expected = "an integer";
+  }
+  if (!ok)
+    throw std::runtime_error("read_trace_csv: line " + std::to_string(line) +
+                             ", column " + std::to_string(col + 1) + " (" +
+                             name + "): '" + field + "' is not " + expected);
+  return value;
+}
+
+}  // namespace
+
 std::vector<Job> read_trace_csv(std::istream& in) {
   const util::CsvReader reader(in);
   const auto& rows = reader.rows();
@@ -101,16 +137,19 @@ std::vector<Job> read_trace_csv(std::istream& in) {
   jobs.reserve(rows.size() - 1);
   for (std::size_t i = 1; i < rows.size(); ++i) {  // skip header
     const auto& r = rows[i];
-    if (r.size() < 7)
-      throw std::runtime_error("read_trace_csv: malformed row");
+    const std::size_t line = i + 1;
+    if (r.size() != kNumColumns)
+      throw std::runtime_error("read_trace_csv: line " + std::to_string(line) +
+                               ": expected " + std::to_string(kNumColumns) +
+                               " columns, got " + std::to_string(r.size()));
     Job j;
-    j.id = std::stoull(r[0]);
-    j.submit_time = std::stod(r[1]);
-    j.home_region = std::stoi(r[2]);
-    j.benchmark = std::stoi(r[3]);
-    j.exec_seconds = std::stod(r[4]);
-    j.avg_power_watts = std::stod(r[5]);
-    j.package_bytes = std::stod(r[6]);
+    j.id = parse_field<std::uint64_t>(r, line, 0, "id");
+    j.submit_time = parse_field<double>(r, line, 1, "submit_time");
+    j.home_region = parse_field<int>(r, line, 2, "home_region");
+    j.benchmark = parse_field<int>(r, line, 3, "benchmark");
+    j.exec_seconds = parse_field<double>(r, line, 4, "exec_seconds");
+    j.avg_power_watts = parse_field<double>(r, line, 5, "avg_power_watts");
+    j.package_bytes = parse_field<double>(r, line, 6, "package_bytes");
     jobs.push_back(j);
   }
   return jobs;

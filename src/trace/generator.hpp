@@ -45,6 +45,13 @@ struct TraceConfig {
 /// CSV persistence (header + one row per job), for sharing traces between
 /// binaries and for offline inspection.
 void write_trace_csv(std::ostream& out, const std::vector<Job>& jobs);
+/// Reads what write_trace_csv writes.  Every row must have exactly seven
+/// fields, each parsed whole: the id an unsigned decimal integer (no
+/// sign), the region and benchmark decimal integers, and the rest finite
+/// numbers; no blanks or trailing characters.  A bad row throws
+/// std::runtime_error naming its line (the header is line 1; blank lines
+/// are not counted) and, for a bad field, its column.  Value ranges (region,
+/// benchmark, positive times) are dc::Simulator::run's to check.
 [[nodiscard]] std::vector<Job> read_trace_csv(std::istream& in);
 
 }  // namespace ww::trace

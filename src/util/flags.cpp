@@ -17,14 +17,6 @@ std::optional<bool> parse_switch(std::string_view value) {
   return std::nullopt;
 }
 
-bool env_switch(const char* name, bool unset) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return unset;
-  if (const std::optional<bool> on = parse_switch(v)) return *on;
-  throw std::invalid_argument(std::string(name) + "='" + v +
-                              "': expected on/off, 1/0 or true/false");
-}
-
 namespace {
 
 /// Parses the whole of `v` with `parse` (a strtol/strtod shape) into

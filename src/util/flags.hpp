@@ -18,17 +18,11 @@ namespace ww::util {
 /// std::nullopt for anything else.
 [[nodiscard]] std::optional<bool> parse_switch(std::string_view value);
 
-/// Reads the boolean environment switch `name`: `unset` when the variable
-/// is unset or empty, else its parse_switch() value.  Any other value
-/// throws std::invalid_argument naming the variable and the value, so a
-/// misspelt ablation switch cannot silently run the default path.
-[[nodiscard]] bool env_switch(const char* name, bool unset);
-
 /// Reads the integer environment variable `name`: std::nullopt when the
 /// variable is unset or empty, else its value, which must be a whole
 /// decimal integer in [lo, hi].  Any other value throws
-/// std::invalid_argument naming the variable and the value, as env_switch
-/// does.
+/// std::invalid_argument naming the variable and the value, so a misspelt
+/// setting cannot silently run the default path.
 [[nodiscard]] std::optional<long> env_long(const char* name, long lo, long hi);
 
 /// As env_long, for a real number in [lo, hi] (NaN never qualifies).

@@ -14,7 +14,6 @@
 // Substrates.
 #include "env/environment.hpp"    // regions, energy mixes, weather, WSF
 #include "footprint/footprint.hpp"// Eq. 1-6 carbon/water model
-#include "milp/branch_and_bound.hpp"  // MILP solver (ww::milp::solve)
 #include "trace/generator.hpp"    // Borg-/Alibaba-like traces
 
 // Simulation.

@@ -448,7 +448,7 @@ TEST(ChunkParallel, StatsMergeIsFieldwiseAddition) {
   EXPECT_EQ(a.deferred_jobs, 2020);
 }
 
-TEST(ChunkParallel, TracingIsObservationalAcrossThreadsAndPresolve) {
+TEST(ChunkParallel, TracingIsObservationalAcrossThreads) {
   // The observability acceptance bar: span tracing on vs. off must leave
   // per-job streams, campaign aggregates, AND the deterministic registry
   // metrics byte-identical for solver_threads {1, 2, 4}.
@@ -601,7 +601,7 @@ TEST(ChunkParallel, StatsViewMatchesRegistry) {
   EXPECT_EQ(keys, expected);
 }
 
-TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreadsAndPresolve) {
+TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreads) {
   // The fault-determinism acceptance bar: with a generated FaultSchedule
   // attached (outages + forecast bias) AND injected solve failures layered
   // on top, a full simulator campaign must still produce byte-identical
@@ -659,7 +659,7 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreadsAndPresolve) {
   }
 }
 
-TEST(ChunkParallel, CampaignMatrixByteIdenticalAcrossThreadsPresolveFaults) {
+TEST(ChunkParallel, CampaignMatrixByteIdenticalAcrossThreadsAndFaults) {
   // The unified-pool acceptance sweep: scenario fan-out (CampaignRunner
   // jobs > 1) and chunk fan-out (solver_threads > 1) share the one global
   // work-stealing pool, swept over threads {1, 2, 4, 8} x injected

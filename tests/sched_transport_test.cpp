@@ -1,11 +1,12 @@
 // sched::transport_assign against two oracles: exhaustive enumeration on
 // small seeded instances (<= 8 jobs x 5 regions, with forbidden pairs,
 // zero quotas, all-forbidden rows, infeasible quotas and exact ties), and
-// milp::solve on the scheduler-shaped hard/soft chunk corpora and random
-// 25-400-job instances.  Objectives and feasibility must agree to 1e-9
-// relative; assignments must agree except at a near-tie, where the MILP's
-// assignment costs the same within that tolerance.  Every optimal answer
-// must also pass sched::certify, the dual certificate.
+// the dense-simplex milp::solve on the scheduler-shaped hard/soft chunk
+// corpora and random 25-400-job instances.  Objectives and feasibility
+// must agree to 1e-9 relative; assignments must agree except at a
+// near-tie, where the oracle's assignment costs the same within that
+// tolerance.  Every optimal answer must also pass sched::certify, the dual
+// certificate.
 #include "sched/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -18,9 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "milp/branch_and_bound.hpp"
 #include "milp/instances.hpp"
 #include "milp/model.hpp"
+#include "milp/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace ww::sched {
@@ -187,9 +188,7 @@ std::vector<int> milp_regions(const milp::Solution& s, int jobs,
 /// unless the MILP's assignment costs the same within that tolerance.
 void expect_matches_milp(const TransportProblem& p, const milp::Model& model,
                          const std::string& tag) {
-  milp::SolverOptions o;
-  o.mip_gap_rel = 0.0;  // proven optimality
-  const milp::Solution ref = milp::solve(model, o);
+  const milp::Solution ref = milp::solve(model);
   const TransportSolution got = transport_assign(p);
   ASSERT_TRUE(ref.status == milp::Status::Optimal ||
               ref.status == milp::Status::Infeasible)

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/arrival.hpp"
 #include "trace/benchmark_profile.hpp"
@@ -193,6 +195,78 @@ TEST(TraceCsv, RoundTrips) {
 TEST(TraceCsv, EmptyStream) {
   std::istringstream in("");
   EXPECT_TRUE(read_trace_csv(in).empty());
+}
+
+constexpr const char* kHeader =
+    "id,submit_time,home_region,benchmark,exec_seconds,avg_power_watts,"
+    "package_bytes\n";
+constexpr const char* kGoodRow = "7,12.5,2,1,300,100,1e6\n";
+
+/// Expects read_trace_csv to reject `bad` as the second data row (line 3),
+/// with an error naming that line and `column` (1-based), or only the
+/// line when `column` is 0.
+void expect_rejected(const std::string& bad, int column) {
+  std::istringstream in(std::string(kHeader) + kGoodRow + bad + "\n");
+  try {
+    (void)read_trace_csv(in);
+    ADD_FAILURE() << "accepted: " << bad;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    if (column > 0) {
+      EXPECT_NE(what.find("column " + std::to_string(column)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(TraceCsv, AcceptsWellFormedRows) {
+  std::istringstream in(std::string(kHeader) + kGoodRow +
+                        "18446744073709551615,0,0,9,1.5e-3,0,0\n");
+  const auto jobs = read_trace_csv(in);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].id, 7u);
+  EXPECT_EQ(jobs[0].submit_time, 12.5);
+  EXPECT_EQ(jobs[0].home_region, 2);
+  EXPECT_EQ(jobs[0].package_bytes, 1e6);
+  EXPECT_EQ(jobs[1].id, 18446744073709551615u);
+  EXPECT_EQ(jobs[1].exec_seconds, 1.5e-3);
+}
+
+TEST(TraceCsv, RejectsSignedId) {
+  // std::stoull used to wrap -1 to 2^64 - 1.
+  expect_rejected("-1,12.5,2,1,300,100,1e6", 1);
+  expect_rejected("+1,12.5,2,1,300,100,1e6", 1);
+  expect_rejected("18446744073709551616,12.5,2,1,300,100,1e6", 1);  // 2^64
+}
+
+TEST(TraceCsv, RejectsTrailingCharacters) {
+  expect_rejected("7,12abc,2,1,300,100,1e6", 2);
+  expect_rejected("7,12.5,2,1,300,100,1e6 ", 7);
+  expect_rejected("7, 12.5,2,1,300,100,1e6", 2);
+}
+
+TEST(TraceCsv, RejectsFractionalIntegerField) {
+  expect_rejected("7,12.5,2.9,1,300,100,1e6", 3);
+  expect_rejected("7,12.5,2,1.0,300,100,1e6", 4);
+}
+
+TEST(TraceCsv, RejectsNonFiniteNumber) {
+  expect_rejected("7,12.5,2,1,nan,100,1e6", 5);
+  expect_rejected("7,12.5,2,1,300,inf,1e6", 6);
+  expect_rejected("7,-infinity,2,1,300,100,1e6", 2);
+  expect_rejected("7,12.5,2,1,300,100,1e999", 7);  // overflows to inf
+}
+
+TEST(TraceCsv, RejectsWrongFieldCount) {
+  expect_rejected("7,12.5,2,1,300,100", 0);
+  expect_rejected("7,12.5,2,1,300,100,1e6,", 0);
+}
+
+TEST(TraceCsv, ReportsTheFirstBadField) {
+  // Columns 1, 2, 3 and 5 are all bad; the error names column 1.
+  expect_rejected("-1,12abc,2.9,1,nan,100,1e6", 1);
 }
 
 TEST(TraceConfig, Validation) {

@@ -103,27 +103,6 @@ TEST(Switch, ParsesOnOffSpellingsInAnyCase) {
     EXPECT_EQ(parse_switch(other), std::nullopt) << other;
 }
 
-TEST(Switch, EnvSwitchRejectsOtherValuesByName) {
-  const char* name = "WW_FLAGS_TEST_SWITCH";
-  unsetenv(name);
-  EXPECT_TRUE(env_switch(name, true));
-  EXPECT_FALSE(env_switch(name, false));
-  setenv(name, "", 1);  // empty counts as unset
-  EXPECT_TRUE(env_switch(name, true));
-  setenv(name, "Off", 1);
-  EXPECT_FALSE(env_switch(name, true));
-  setenv(name, "yes", 1);
-  try {
-    (void)env_switch(name, false);
-    ADD_FAILURE() << "env_switch accepted 'yes'";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(name), std::string::npos) << what;
-    EXPECT_NE(what.find("'yes'"), std::string::npos) << what;
-  }
-  unsetenv(name);
-}
-
 /// Expects `read()` to throw std::invalid_argument naming `name` and `value`.
 template <typename Read>
 void expect_rejects(const char* name, const char* value, Read read) {
