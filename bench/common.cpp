@@ -83,7 +83,7 @@ dc::CampaignResult run_campaign(const std::vector<trace::Job>& jobs,
     observed_env->attach_faults(spec.faults, env::FaultView::Controller);
     observed_fp.emplace(*observed_env, footprint::ServerSpec{},
                         spec.embodied_scale);
-    simulator.set_fault_injection(spec.faults, &*observed_env, &*observed_fp);
+    simulator.set_fault_injection(spec.faults, &*observed_fp);
   }
   return simulator.run(jobs, scheduler);
 }

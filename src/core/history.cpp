@@ -13,6 +13,8 @@ HistoryLearner::HistoryLearner(int num_regions, int window)
       static_cast<std::size_t>(window) * static_cast<std::size_t>(num_regions);
   carbon_.assign(cells, 0.0);
   water_.assign(cells, 0.0);
+  carbon_mean_.assign(static_cast<std::size_t>(num_regions), 0.0);
+  water_mean_.assign(static_cast<std::size_t>(num_regions), 0.0);
 }
 
 namespace {
@@ -43,27 +45,27 @@ void HistoryLearner::observe(const std::vector<double>& carbon_intensity,
       static_cast<std::size_t>(row) * static_cast<std::size_t>(num_regions_);
   normalize_into(carbon_intensity, carbon_.data() + at);
   normalize_into(water_intensity, water_.data() + at);
-}
 
-double HistoryLearner::window_mean(const std::vector<double>& ring,
-                                   int region) const {
-  if (count_ == 0) return 0.0;
-  double total = 0.0;
+  // Window means for every region: one walk over the held rows, oldest
+  // first, so each region's sum adds in the order a per-region mean would.
+  const auto n = static_cast<std::size_t>(num_regions_);
+  std::fill(carbon_mean_.begin(), carbon_mean_.end(), 0.0);
+  std::fill(water_mean_.begin(), water_mean_.end(), 0.0);
+  row = oldest_;
   for (int i = 0; i < count_; ++i) {
-    const int row = (oldest_ + i) % window_;
-    total += ring[static_cast<std::size_t>(row) *
-                      static_cast<std::size_t>(num_regions_) +
-                  static_cast<std::size_t>(region)];
+    const double* c = carbon_.data() + static_cast<std::size_t>(row) * n;
+    const double* w = water_.data() + static_cast<std::size_t>(row) * n;
+    for (std::size_t r = 0; r < n; ++r) {
+      carbon_mean_[r] += c[r];
+      water_mean_[r] += w[r];
+    }
+    if (++row == window_) row = 0;
   }
-  return total / static_cast<double>(count_);
-}
-
-double HistoryLearner::carbon_ref(int region) const {
-  return window_mean(carbon_, region);
-}
-
-double HistoryLearner::water_ref(int region) const {
-  return window_mean(water_, region);
+  const auto held = static_cast<double>(count_);
+  for (std::size_t r = 0; r < n; ++r) {
+    carbon_mean_[r] /= held;
+    water_mean_[r] /= held;
+  }
 }
 
 }  // namespace ww::core

@@ -4,9 +4,13 @@
 // footprint of every region over a sliding window (default 10 observations,
 // weight lambda_ref = 0.1), nudging placements away from regions that have
 // been persistently expensive and damping oscillation between regions.
+//
+// The window means are computed at observe time, once per observation for
+// all regions, so carbon_ref / water_ref are array reads.  Each region's
+// sum runs oldest observation first, exactly as a per-call mean would.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <vector>
 
 namespace ww::core {
@@ -22,18 +26,18 @@ class HistoryLearner {
                const std::vector<double>& water_intensity);
 
   /// Window-mean normalized carbon footprint of region r (0 before any
-  /// observation).
-  [[nodiscard]] double carbon_ref(int region) const;
-  [[nodiscard]] double water_ref(int region) const;
+  /// observation), as of the last observe().
+  [[nodiscard]] double carbon_ref(int region) const {
+    return carbon_mean_[static_cast<std::size_t>(region)];
+  }
+  [[nodiscard]] double water_ref(int region) const {
+    return water_mean_[static_cast<std::size_t>(region)];
+  }
 
   [[nodiscard]] int window() const noexcept { return window_; }
   [[nodiscard]] int observations() const noexcept { return count_; }
 
  private:
-  /// Window mean of region r over one ring, oldest observation first.
-  [[nodiscard]] double window_mean(const std::vector<double>& ring,
-                                   int region) const;
-
   int num_regions_;
   int window_;
   int oldest_ = 0;  ///< Ring row of the oldest observation.
@@ -41,6 +45,9 @@ class HistoryLearner {
   /// Row-major window_ x num_regions_ rings of normalized observations.
   std::vector<double> carbon_;
   std::vector<double> water_;
+  /// Per-region window means, refreshed by every observe().
+  std::vector<double> carbon_mean_;
+  std::vector<double> water_mean_;
 };
 
 }  // namespace ww::core

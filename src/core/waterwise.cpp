@@ -81,13 +81,14 @@ std::size_t WaterWiseScheduler::effective_solver_threads() const {
 void WaterWiseScheduler::take_snapshot(const dc::ScheduleContext& ctx,
                                        WindowSnapshot& snap) const {
   const auto n = static_cast<std::size_t>(ctx.capacity->num_regions());
-  snap.intensity.resize(n);
   snap.price.resize(n);
   snap.history.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
     const int ri = static_cast<int>(r);
-    snap.intensity[r] = ctx.footprint->sample(ri, ctx.now);
-    snap.price[r] = ctx.env->electricity_price(ri, ctx.now);
+    // Only the Sec. 7 cost term reads the price.
+    snap.price[r] = config_.lambda_cost > 0.0
+                        ? ctx.env->electricity_price(ri, ctx.now)
+                        : 0.0;
     snap.history[r] =
         config_.lambda_ref * (config_.lambda_co2 * history_->carbon_ref(ri) +
                               config_.lambda_h2o * history_->water_ref(ri));
@@ -111,10 +112,13 @@ void WaterWiseScheduler::build_costs(
   std::vector<double>& h2o = ws.h2o;
   std::vector<double>& usd = ws.usd;
   std::vector<double>& perf = ws.perf;
+  // The Sec. 7 terms are filled only when the objective weighs them.
+  const bool use_usd = config_.lambda_cost > 0.0;
+  const bool use_perf = config_.lambda_perf > 0.0;
   co2.resize(static_cast<std::size_t>(n));
   h2o.resize(static_cast<std::size_t>(n));
-  usd.resize(static_cast<std::size_t>(n));
-  perf.resize(static_cast<std::size_t>(n));
+  usd.resize(use_usd ? static_cast<std::size_t>(n) : 0);
+  perf.resize(use_perf ? static_cast<std::size_t>(n) : 0);
   for (int j = 0; j < m; ++j) {
     const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
     const int home = p.job->home_region;
@@ -138,10 +142,11 @@ void WaterWiseScheduler::build_costs(
           home, r, p.job->package_bytes, at_home, at);
       co2[ri] = fb.carbon_g() + tb.carbon_g();
       h2o[ri] = fb.water_l() + tb.water_l();
-      usd[ri] = ctx.env->pue(r) * p.est_energy_kwh * snapshot.price[ri];
+      if (use_usd)
+        usd[ri] = ctx.env->pue(r) * p.est_energy_kwh * snapshot.price[ri];
       const double latency = ctx.env->transfer_latency_seconds(
           home, r, p.job->package_bytes);
-      perf[ri] = latency / std::max(1.0, p.est_exec_s);
+      if (use_perf) perf[ri] = latency / std::max(1.0, p.est_exec_s);
       // Eq. 11 states the delay tolerance as one row per job over the
       // summed transfer latency.  Since exactly one x_mn is 1, that row
       // forbids every region whose latency exceeds the allowance; run_model
@@ -154,17 +159,18 @@ void WaterWiseScheduler::build_costs(
     const double h2o_max =
         std::max(1e-12, *std::max_element(h2o.begin(), h2o.end()));
     const double usd_max =
-        std::max(1e-12, *std::max_element(usd.begin(), usd.end()));
+        use_usd ? std::max(1e-12, *std::max_element(usd.begin(), usd.end()))
+                : 0.0;
     const double perf_max =
-        std::max(1e-12, *std::max_element(perf.begin(), perf.end()));
+        use_perf
+            ? std::max(1e-12, *std::max_element(perf.begin(), perf.end()))
+            : 0.0;
     for (int r = 0; r < n; ++r) {
       const std::size_t ri = static_cast<std::size_t>(r);
       double cost = config_.lambda_co2 * co2[ri] / co2_max +
                     config_.lambda_h2o * h2o[ri] / h2o_max;
-      if (config_.lambda_cost > 0.0)
-        cost += config_.lambda_cost * usd[ri] / usd_max;
-      if (config_.lambda_perf > 0.0)
-        cost += config_.lambda_perf * perf[ri] / perf_max;
+      if (use_usd) cost += config_.lambda_cost * usd[ri] / usd_max;
+      if (use_perf) cost += config_.lambda_perf * perf[ri] / perf_max;
       if (config_.enable_history) cost += snapshot.history[ri];
       // Deterministic tie-breaking epsilon: jobs of the same benchmark share
       // identical estimates, so without it many assignments tie exactly and
@@ -557,17 +563,31 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule(
 std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx,
     SchedulerStats& window) {
+#ifndef NDEBUG
+  // The intensities come from ctx.footprint and every other environment
+  // read from ctx.env; one controller view means one environment.
+  if (&ctx.footprint->environment() != ctx.env)
+    throw std::logic_error(
+        "WaterWise: ScheduleContext footprint is not built over its env");
+#endif
   const int n = ctx.capacity->num_regions();
   // Lazily size the learner to the environment.
   if (!history_)
     history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
 
-  // Feed the history learner the current intensity landscape.
-  ci_.resize(static_cast<std::size_t>(n));
-  wi_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    ci_[static_cast<std::size_t>(r)] = ctx.env->carbon_intensity(r, ctx.now);
-    wi_[static_cast<std::size_t>(r)] = ctx.env->water_intensity(r, ctx.now);
+  // Sample every region once; the history learner, the health machine and
+  // the chunk costs all read these samples.  wi is Eq. 6, the expression
+  // env::Environment::water_intensity evaluates.
+  const auto nr = static_cast<std::size_t>(n);
+  snapshot_.intensity.resize(nr);
+  ci_.resize(nr);
+  wi_.resize(nr);
+  for (std::size_t r = 0; r < nr; ++r) {
+    snapshot_.intensity[r] =
+        ctx.footprint->sample(static_cast<int>(r), ctx.now);
+    const footprint::Intensities& at = snapshot_.intensity[r];
+    ci_[r] = at.ci;
+    wi_[r] = (at.wue + at.pue * at.ewif) * at.scarcity;
   }
   history_->observe(ci_, wi_);
 

@@ -26,11 +26,15 @@
 // values.
 //
 // Apart from those estimates, every input of a job's costs is constant
-// within a window.  So after the history learner observes the window,
-// `schedule_impl` samples each region once into a `WindowSnapshot`: the
-// controller-view intensities (`footprint::Intensities`), the electricity
-// price and the weighted history term.  Each chunk fills its m x n cost
-// table from the snapshot (span `sched.model_build`), and transfer
+// within a window.  So `schedule_impl` first samples each region once into
+// a `WindowSnapshot`: the controller-view intensities
+// (`footprint::Intensities`), sampled before the history observe.  The
+// history learner and the degraded-mode health machine read their carbon
+// and water intensities from those samples, so the controller never reads
+// a region twice in one window.  Once the learner has observed, the
+// snapshot adds the weighted history term and, only when the Sec. 7 cost
+// term is weighted, the electricity price.  Each chunk fills its m x n
+// cost table from the snapshot (span `sched.model_build`), and transfer
 // distances come from the `env::TransferModel` table.  The arithmetic is
 // the per-pair footprint arithmetic, so decisions are bit-identical to
 // evaluating `job_at(r, now, ...)` per pair.
@@ -297,14 +301,15 @@ inline SchedulerStats& SchedulerStats::operator+=(
 }
 
 /// The window-constant inputs of the Eq. 8 costs: every region sampled once
-/// per batch window, after the history learner observed the window.  Filled
-/// serially by the scheduler into its reused snapshot, then only read, so
-/// all chunk solves of the window (pooled or the spill re-solve) share one
-/// by const reference.
+/// per batch window.  Filled serially by the scheduler into its reused
+/// snapshot, then only read, so all chunk solves of the window (pooled or
+/// the spill re-solve) share one by const reference.
 struct WindowSnapshot {
-  /// ctx.footprint->sample(r, ctx.now): the controller's view of region r.
+  /// ctx.footprint->sample(r, ctx.now): the controller's view of region r,
+  /// sampled before the history observe, which reads it.
   std::vector<footprint::Intensities> intensity;
-  /// ctx.env->electricity_price(r, ctx.now), USD/kWh.
+  /// ctx.env->electricity_price(r, ctx.now), USD/kWh; 0 unless
+  /// lambda_cost > 0 (nothing else reads it).
   std::vector<double> price;
   /// The weighted history term of Eq. 8,
   /// lambda_ref * (lambda_co2 * CO2ref_r + lambda_h2o * H2Oref_r); the
@@ -339,7 +344,8 @@ struct ChunkWorkspace {
   std::vector<double> penalty_rate;
   /// Per region, for the job being costed: carbon, water, electricity cost
   /// and transfer stretch, before each is normalized by its max over the
-  /// regions.
+  /// regions.  `usd` and `perf` are filled only when lambda_cost /
+  /// lambda_perf is positive.
   std::vector<double> co2, h2o, usd, perf;
   sched::TransportProblem problem;
   sched::TransportSolution solution;
@@ -480,7 +486,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
 
   /// Advances every region's state machine on this window's observations
   /// (capacity losses, and jumps in the carbon and water intensities
-  /// `ci_obs` / `wi_obs` the history learner observed), counts fault events
+  /// `ci_obs` / `wi_obs` the history learner observed, both read from the
+  /// window snapshot), counts fault events
   /// and degraded windows into `window`, and applies the Degraded/Recovery
   /// hard-cap rails to `caps` in place.
   void update_region_health(const dc::ScheduleContext& ctx,
@@ -488,8 +495,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
                             const std::vector<double>& wi_obs,
                             std::vector<int>& caps, SchedulerStats& window);
 
-  /// Samples every region once for this window into `snap` (see
-  /// WindowSnapshot).
+  /// Fills the price and history rows of `snap` for this window (see
+  /// WindowSnapshot); the intensities are already sampled.
   void take_snapshot(const dc::ScheduleContext& ctx,
                      WindowSnapshot& snap) const;
 

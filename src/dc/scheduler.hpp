@@ -50,6 +50,11 @@ class CapacityView {
                                           double end) const = 0;
 };
 
+/// What a scheduler may observe at one batch window.  `footprint` must be
+/// built over `env` (`&footprint->environment() == env`): the two are one
+/// controller view, and WaterWise reads intensities through the footprint
+/// model and everything else through the environment.  WaterWise checks
+/// this in builds without NDEBUG and throws std::logic_error.
 struct ScheduleContext {
   double now = 0.0;
   double tol = 0.25;  ///< Delay tolerance (fraction; 0.25 = 25%).

@@ -236,7 +236,9 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
       ctx.tol = config_.tol;
       // Under fault injection the controller observes the biased Controller
       // view; the ledger below keeps integrating the true World view.
-      ctx.env = observed_env_ != nullptr ? observed_env_ : env_;
+      ctx.env = observed_footprint_ != nullptr
+                    ? &observed_footprint_->environment()
+                    : env_;
       ctx.footprint =
           observed_footprint_ != nullptr ? observed_footprint_ : footprint_;
       view.set_now(now);

@@ -50,16 +50,15 @@ class Simulator {
   /// borrowed and must outlive the simulator.  `faults` drives the effective
   /// per-region capacity (outages and flaps gate *new* placements; running
   /// jobs drain through — degraded infrastructure stops accepting work, it
-  /// does not kill work in flight).  `observed_env` / `observed_fp`, when
-  /// given, replace the ScheduleContext's environment/footprint so the
-  /// controller sees the biased Controller view while the ledger keeps
-  /// integrating the true World view.  Pass nullptrs to detach.
+  /// does not kill work in flight).  `observed_fp`, when given, replaces
+  /// the ScheduleContext's footprint model and, with it, its environment
+  /// (`observed_fp->environment()`), so the controller sees the biased
+  /// Controller view while the ledger keeps integrating the true World
+  /// view.  Pass nullptrs to detach.
   void set_fault_injection(
       const env::FaultSchedule* faults,
-      const env::Environment* observed_env = nullptr,
       const footprint::FootprintModel* observed_fp = nullptr) noexcept {
     faults_ = faults;
-    observed_env_ = observed_env;
     observed_footprint_ = observed_fp;
   }
 
@@ -72,7 +71,6 @@ class Simulator {
   const footprint::FootprintModel* footprint_;
   SimConfig config_;
   const env::FaultSchedule* faults_ = nullptr;
-  const env::Environment* observed_env_ = nullptr;
   const footprint::FootprintModel* observed_footprint_ = nullptr;
 };
 

@@ -35,24 +35,20 @@ double checked_scale(const TransportProblem& p) {
   return scale;
 }
 
-/// The residual arcs between regions under the first `assigned` jobs'
-/// placement: w[r * n + s] is the least c_ks - c_kr over allowed jobs k in
-/// r, and via[r * n + s] the lowest-index job attaining it (-1: no arc).
-void move_arcs(const TransportProblem& p, const std::vector<int>& region,
-               int assigned, std::vector<double>& w, std::vector<int>& via) {
+/// Adds job k's moves out of its region r to the residual arcs: w[r * n +
+/// s] is the least c_ks - c_kr over allowed jobs k in r, and via[r * n + s]
+/// the job attaining it (-1: no arc).  Strict `<`, so when jobs are added
+/// in ascending index order a tie keeps the lowest-index job.
+void add_moves(const TransportProblem& p, int k, int r, std::vector<double>& w,
+               std::vector<int>& via) {
   const int n = p.regions();
-  std::fill(w.begin(), w.end(), kInf);
-  std::fill(via.begin(), via.end(), -1);
-  for (int k = 0; k < assigned; ++k) {
-    const int r = region[static_cast<std::size_t>(k)];
-    const double here = p.cost[at(k, n, r)];
-    for (int s = 0; s < n; ++s) {
-      if (s == r || p.allowed[at(k, n, s)] == 0) continue;
-      const double d = p.cost[at(k, n, s)] - here;
-      if (d < w[at(r, n, s)]) {
-        w[at(r, n, s)] = d;
-        via[at(r, n, s)] = k;
-      }
+  const double here = p.cost[at(k, n, r)];
+  for (int s = 0; s < n; ++s) {
+    if (s == r || p.allowed[at(k, n, s)] == 0) continue;
+    const double d = p.cost[at(k, n, s)] - here;
+    if (d < w[at(r, n, s)]) {
+      w[at(r, n, s)] = d;
+      via[at(r, n, s)] = k;
     }
   }
 }
@@ -85,25 +81,29 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
     const auto i = static_cast<std::size_t>(r);
     return load[i] < p.quota[i];
   };
+  // The residual arcs of the jobs placed so far (see add_moves), kept up
+  // to date insertion by insertion.
   std::vector<double>& w = ws.w;
   std::vector<int>& via = ws.via;
+  std::vector<std::uint8_t>& stale = ws.stale;
   std::vector<double>& dist = ws.dist;
   std::vector<int>& pred = ws.pred;
-  w.resize(at(n, n, 0));
-  via.resize(w.size());
+  w.assign(at(n, n, 0), kInf);
+  via.assign(w.size(), -1);
+  stale.assign(static_cast<std::size_t>(n), 0);
   dist.resize(static_cast<std::size_t>(n));
   pred.resize(static_cast<std::size_t>(n));
 
   for (int k = 0; k < m; ++k) {
     // Shortest path from job k to a region with free quota: k's own arcs,
-    // then at most n - 1 Bellman-Ford passes over the region arcs.
-    move_arcs(p, out.region, k, w, via);
+    // then at most n - 1 Bellman-Ford passes over the region arcs (none
+    // exist before the first job is placed).
     for (int r = 0; r < n; ++r) {
       dist[static_cast<std::size_t>(r)] =
           p.allowed[at(k, n, r)] != 0 ? p.cost[at(k, n, r)] : kInf;
       pred[static_cast<std::size_t>(r)] = -1;
     }
-    for (int pass = 1; pass < n; ++pass) {
+    for (int pass = 1; pass < n && k > 0; ++pass) {
       bool changed = false;
       for (int r = 0; r < n; ++r) {
         const double dr = dist[static_cast<std::size_t>(r)];
@@ -139,9 +139,32 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
     while (pred[static_cast<std::size_t>(r)] >= 0) {
       const int from = pred[static_cast<std::size_t>(r)];
       out.region[static_cast<std::size_t>(via[at(from, n, r)])] = r;
+      stale[static_cast<std::size_t>(r)] = 1;
+      stale[static_cast<std::size_t>(from)] = 1;
       r = from;
     }
     out.region[static_cast<std::size_t>(k)] = r;
+
+    // Arc upkeep.  Only the rows of regions whose job set changed move.  A
+    // direct placement adds job k, the highest index so far, to row r.  A
+    // path changes every region on it: reset those rows and rebuild them in
+    // one ascending pass over jobs 0..k, as a full rebuild would.
+    if (stale[static_cast<std::size_t>(r)] == 0) {
+      add_moves(p, k, r, w, via);
+      continue;
+    }
+    for (int s = 0; s < n; ++s) {
+      if (stale[static_cast<std::size_t>(s)] == 0) continue;
+      std::fill_n(w.begin() + static_cast<std::ptrdiff_t>(at(s, n, 0)), n,
+                  kInf);
+      std::fill_n(via.begin() + static_cast<std::ptrdiff_t>(at(s, n, 0)), n,
+                  -1);
+    }
+    for (int j = 0; j <= k; ++j) {
+      const int rj = out.region[static_cast<std::size_t>(j)];
+      if (stale[static_cast<std::size_t>(rj)] != 0) add_moves(p, j, rj, w, via);
+    }
+    std::fill(stale.begin(), stale.end(), 0);
   }
 
   out.status = TransportSolution::Status::Optimal;
@@ -155,7 +178,7 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
   // exactly reduced cost >= 0 once u_j = c_j,region(j) - v_region(j).
   // Regions that reach no free quota start from `big`, an arc to a virtual
   // free region longer than any simple path is negative, so D stays >= 0.
-  move_arcs(p, out.region, m, w, via);
+  // The arcs are those of the final assignment.
   const double big = 2.0 * static_cast<double>(n) * scale;
   for (int r = 0; r < n; ++r)
     dist[static_cast<std::size_t>(r)] = free_quota(r) ? 0.0 : big;

@@ -16,9 +16,17 @@
 // jobs are inserted in index order, and each insertion runs one shortest
 // augmenting path over the n region nodes with Bellman-Ford.  The arc
 // r -> s weighs the least c_ks - c_kr over allowed jobs k currently in r
-// (moving that job from r to s).  Relaxations use strict `<` and ties for
-// the end of the path go to the lowest-index region with free quota, so
-// the result is a pure function of the input.  Cost is O(m^2 n + m n^3).
+// (moving that job from r to s; ties keep the lowest-index job).
+// Relaxations use strict `<` and ties for the end of the path go to the
+// lowest-index region with free quota, so the result is a pure function
+// of the input.
+//
+// The arcs are kept up to date across insertions instead of rebuilt.  A
+// job placed directly, with no moves, adds its O(n) arcs to its region's
+// row.  A path that moves jobs changes only the rows of the regions on
+// it; those are reset and rebuilt in one ascending pass over the placed
+// jobs.  So a chunk costs O(m n^3 + a m n), where a <= m counts the
+// insertions that move jobs.
 //
 // The tests check this solver against src/milp/'s dense-simplex oracle
 // on the same models.
@@ -65,13 +73,16 @@ struct TransportSolution {
   }
 };
 
-/// Solver scratch: the per-region load, the n x n residual arcs and the
-/// Bellman-Ford labels.  Reusing one across solves keeps them
+/// Solver scratch: the per-region load, the n x n residual arcs, the
+/// per-region flags marking arc rows a path invalidated, and the
+/// Bellman-Ford labels.  Every solve refills them, so a reused workspace
+/// carries nothing from one solve to the next, and reuse keeps them
 /// allocation-free once the buffers have grown to the largest instance.
 struct TransportWorkspace {
   std::vector<int> load;
   std::vector<double> w;
   std::vector<int> via;
+  std::vector<std::uint8_t> stale;
   std::vector<double> dist;
   std::vector<int> pred;
 };

@@ -3,8 +3,9 @@
 // MILP attempt is failed by injection, injected failures stay byte-identical
 // across solver thread counts, a total outage defers explicitly and places
 // everything after the blackout, a chunk-solve exception surfaces fail-fast
-// with chunk/window context, and the per-region state machine walks
-// Normal -> Degraded -> Recovery -> Normal with its hard-cap rails engaged.
+// with chunk/window context, the per-region state machine walks
+// Normal -> Degraded -> Recovery -> Normal with its hard-cap rails engaged,
+// and the controller under fault injection sees one environment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,6 +196,78 @@ TEST(TotalOutage, DefersExplicitlyAndPlacesEverythingAfterTheBlackout) {
   // against (max_capacity_seen is 0 throughout the blackout).  Transition
   // coverage lives in DegradedMode.StateMachineDegradesThenRecovers.
   EXPECT_EQ(ww.stats().degraded_windows, 0);
+}
+
+/// WaterWise, counting the contexts the simulator hands out whose
+/// footprint model is not built over their environment, or whose
+/// environment is not `expected`.
+class ViewRecorder final : public dc::Scheduler {
+ public:
+  explicit ViewRecorder(const env::Environment* expected)
+      : expected_(expected) {}
+  [[nodiscard]] std::string name() const override { return "recorder"; }
+  [[nodiscard]] std::vector<dc::Decision> schedule(
+      const std::vector<dc::PendingJob>& batch,
+      const dc::ScheduleContext& ctx) override {
+    ++windows;
+    if (&ctx.footprint->environment() != ctx.env) ++mismatched;
+    if (ctx.env != expected_) ++unexpected_env;
+    return ww_.schedule(batch, ctx);
+  }
+  int windows = 0;
+  int mismatched = 0;
+  int unexpected_env = 0;
+
+ private:
+  const env::Environment* expected_;
+  WaterWiseScheduler ww_;
+};
+
+TEST(FaultInjection, ControllerSeesTheObservedFootprintsEnvironment) {
+  // The observed footprint model alone names the controller's view: the
+  // context's environment is the one that model is built over, never the
+  // ledger's World view.
+  env::FaultSchedule faults(5);
+  faults.add_outage(0, 0.0, 600.0);
+  env::Environment world = env::Environment::builtin(small_env());
+  world.attach_faults(&faults, env::FaultView::World);
+  env::Environment observed = env::Environment::builtin(small_env());
+  observed.attach_faults(&faults, env::FaultView::Controller);
+  const footprint::FootprintModel world_fp(world);
+  const footprint::FootprintModel observed_fp(observed);
+  dc::SimConfig sim_cfg;
+  sim_cfg.tol = 0.5;
+
+  const auto jobs = burst_trace(3, 0.0);
+  for (const bool inject : {false, true}) {
+    dc::Simulator sim(world, world_fp, sim_cfg);
+    if (inject) sim.set_fault_injection(&faults, &observed_fp);
+    ViewRecorder rec(inject ? &observed : &world);
+    (void)sim.run(jobs, rec);
+    ASSERT_GT(rec.windows, 0);
+    EXPECT_EQ(rec.mismatched, 0) << "inject=" << inject;
+    EXPECT_EQ(rec.unexpected_env, 0) << "inject=" << inject;
+  }
+}
+
+TEST(ScheduleContext, FootprintOverAnotherEnvironmentThrowsInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the context check runs only in builds without NDEBUG";
+#else
+  const DirectRig rig(3);
+  const env::Environment other = env::Environment::builtin(small_env());
+  const footprint::FootprintModel other_fp(other);
+  const FixedCapacity view({5, 5, 5, 5, 5});
+  dc::ScheduleContext ctx;
+  ctx.tol = 0.5;
+  ctx.env = &rig.env;
+  ctx.footprint = &other_fp;
+  ctx.capacity = &view;
+  WaterWiseScheduler ww;
+  EXPECT_THROW((void)ww.schedule(rig.batch, ctx), std::logic_error);
+  ctx.footprint = &rig.fp;
+  EXPECT_EQ(ww.schedule(rig.batch, ctx).size(), rig.batch.size());
+#endif
 }
 
 TEST(ChunkFailFast, ExceptionInPooledSolveSurfacesWithChunkContext) {

@@ -1,10 +1,12 @@
 // Decision-Controller correctness: on small batches, the placement chosen by
-// WaterWise's MILP must minimize the Eq. 8 objective among all feasible
+// WaterWise's MILP must minimize the Eq. 8 objective (plus the Sec. 7 cost
+// and performance terms when they are weighted) among all feasible
 // assignments, where the reference objective is computed independently by
 // exhaustive enumeration using the same public formulas (footprint model,
 // transfer model, history refs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -50,7 +52,9 @@ struct Enumerator {
   const std::vector<int>& caps;
   WaterWiseConfig cfg;
 
-  /// Eq. 8 objective of a full assignment (job -> region), hard-feasibility
+  /// Eq. 8 objective of a full assignment (job -> region), plus the Sec. 7
+  /// cost and performance terms at their configured weights, each
+  /// normalized by its per-job max over the regions; hard-feasibility
   /// check included; returns +inf when infeasible.  History refs are zero
   /// for a first-batch schedule *observation*: the scheduler observes once
   /// before solving, so refs reflect exactly one observation.
@@ -73,18 +77,31 @@ struct Enumerator {
         return std::numeric_limits<double>::infinity();  // Eq. 11
       std::vector<double> co2(static_cast<std::size_t>(n));
       std::vector<double> h2o(static_cast<std::size_t>(n));
+      std::vector<double> usd(static_cast<std::size_t>(n));
+      std::vector<double> perf(static_cast<std::size_t>(n));
       for (int q = 0; q < n; ++q) {
+        const auto qi = static_cast<std::size_t>(q);
         const footprint::Breakdown fb =
             fp.job_at(q, ctx.now, p.est_energy_kwh, p.est_exec_s);
         const footprint::Breakdown tb =
             fp.transfer(p.job->home_region, q, p.job->package_bytes, ctx.now);
-        co2[static_cast<std::size_t>(q)] = fb.carbon_g() + tb.carbon_g();
-        h2o[static_cast<std::size_t>(q)] = fb.water_l() + tb.water_l();
+        co2[qi] = fb.carbon_g() + tb.carbon_g();
+        h2o[qi] = fb.water_l() + tb.water_l();
+        // Sec. 7: electricity cost and transfer-induced service stretch.
+        usd[qi] = env.pue(q) * p.est_energy_kwh *
+                  env.electricity_price(q, ctx.now);
+        perf[qi] = env.transfer_latency_seconds(p.job->home_region, q,
+                                                p.job->package_bytes) /
+                   std::max(1.0, p.est_exec_s);
       }
-      const double co2_max = *std::max_element(co2.begin(), co2.end());
-      const double h2o_max = *std::max_element(h2o.begin(), h2o.end());
-      total += cfg.lambda_co2 * co2[static_cast<std::size_t>(r)] / co2_max +
-               cfg.lambda_h2o * h2o[static_cast<std::size_t>(r)] / h2o_max;
+      const auto max_of = [](const std::vector<double>& v) {
+        return std::max(1e-12, *std::max_element(v.begin(), v.end()));
+      };
+      const auto ri = static_cast<std::size_t>(r);
+      total += cfg.lambda_co2 * co2[ri] / max_of(co2) +
+               cfg.lambda_h2o * h2o[ri] / max_of(h2o) +
+               cfg.lambda_cost * usd[ri] / max_of(usd) +
+               cfg.lambda_perf * perf[ri] / max_of(perf);
       total += cfg.lambda_ref * (cfg.lambda_co2 * hist.carbon_ref(r) +
                                  cfg.lambda_h2o * hist.water_ref(r));
     }
@@ -92,12 +109,12 @@ struct Enumerator {
   }
 };
 
-class ObjectiveEnumeration : public ::testing::TestWithParam<int> {};
-
-TEST_P(ObjectiveEnumeration, MilpMatchesBruteForce) {
+/// Schedules one seeded batch of 2-4 jobs with `cfg` and checks that the
+/// placement reaches the brute-force optimum of the Enumerator objective.
+void expect_brute_force_optimum(int seed, WaterWiseConfig cfg) {
   const env::Environment env = env::Environment::builtin(small_env());
   const footprint::FootprintModel fp(env);
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 911 + 17);
+  util::Rng rng(static_cast<std::uint64_t>(seed) * 911 + 17);
 
   const int jobs_n = static_cast<int>(rng.uniform_int(2, 4));
   std::vector<trace::Job> jobs;
@@ -132,7 +149,6 @@ TEST_P(ObjectiveEnumeration, MilpMatchesBruteForce) {
   ctx.footprint = &fp;
   ctx.capacity = &cap;
 
-  WaterWiseConfig cfg;
   // This test asserts the MILP reaches the brute-force optimum; an injected
   // solve failure (WW_FAULT_SOLVES fault-mode sweep) would legitimately
   // route the chunk to the greedy fallback, which only approximates it.
@@ -175,7 +191,26 @@ TEST_P(ObjectiveEnumeration, MilpMatchesBruteForce) {
   for (const auto& d : decisions)
     chosen[static_cast<std::size_t>(d.job_id)] = d.region;
   const double achieved = en.objective(chosen, hist);
-  EXPECT_NEAR(achieved, best, 1e-5) << "param " << GetParam();
+  EXPECT_NEAR(achieved, best, 1e-5)
+      << "seed " << seed << " lambda_cost " << cfg.lambda_cost
+      << " lambda_perf " << cfg.lambda_perf;
+}
+
+class ObjectiveEnumeration : public ::testing::TestWithParam<int> {};
+
+TEST_P(ObjectiveEnumeration, MilpMatchesBruteForce) {
+  expect_brute_force_optimum(GetParam(), WaterWiseConfig{});
+}
+
+TEST_P(ObjectiveEnumeration, Sec7TermsMatchBruteForce) {
+  // The scheduler skips the Sec. 7 terms whose weight is 0.  Weighting
+  // only the cost term, only the performance term, or both proves that
+  // skipping a zero-weight term never drops a weighted one.
+  WaterWiseConfig cfg;
+  const int which = GetParam() % 3;
+  if (which != 1) cfg.lambda_cost = 0.4;
+  if (which != 0) cfg.lambda_perf = 0.6;
+  expect_brute_force_optimum(GetParam(), cfg);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ObjectiveEnumeration, ::testing::Range(0, 25));

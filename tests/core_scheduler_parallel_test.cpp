@@ -633,7 +633,7 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreads) {
     cfg.fault_seed = fault_cfg.seed;
     WaterWiseScheduler ww(cfg);
     dc::Simulator sim(world, world_fp, sim_cfg);
-    sim.set_fault_injection(&faults, &observed, &observed_fp);
+    sim.set_fault_injection(&faults, &observed_fp);
     return sim.run(jobs, ww);
   };
 

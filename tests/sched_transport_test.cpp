@@ -2,7 +2,8 @@
 // small seeded instances (<= 8 jobs x 5 regions, with forbidden pairs,
 // zero quotas, all-forbidden rows, infeasible quotas and exact ties), and
 // the dense-simplex milp::solve on the scheduler-shaped hard/soft chunk
-// corpora and random 25-400-job instances.  Objectives and feasibility
+// corpora and random 25-400-job instances.  A tie-heavy corpus pins the
+// exact assignments where several optima exist.  Objectives and feasibility
 // must agree to 1e-9 relative; assignments must agree except at a
 // near-tie, where the oracle's assignment costs the same within that
 // tolerance.  Every optimal answer must also pass sched::certify, the dual
@@ -17,6 +18,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "milp/instances.hpp"
@@ -106,6 +108,36 @@ TransportProblem random_small(util::Rng& rng, bool ties) {
   if (forbid_row && p.jobs > 0) {
     const int j = static_cast<int>(rng.uniform_int(0, p.jobs - 1));
     for (int r = 0; r < n; ++r) p.allowed[at(j, n, r)] = 0;
+  }
+  return p;
+}
+
+/// Tie-heavy instance: integer costs in {0, 1, 2} plus a bias that rises
+/// with the region index (0, 1 or 2), so most jobs want the same few
+/// regions and many assignments and moves cost exactly the same.  Quotas
+/// are tight: region r gets the number of jobs j with j % regions == r,
+/// plus at most two spare slots in all.  That assignment stays feasible
+/// (j % regions is always allowed), and the insertions must keep
+/// displacing earlier jobs along paths of up to four moves.
+TransportProblem tie_heavy(util::Rng& rng, int jobs, int regions) {
+  TransportProblem p;
+  p.jobs = jobs;
+  p.quota.assign(static_cast<std::size_t>(regions), 0);
+  for (int j = 0; j < jobs; ++j)
+    ++p.quota[static_cast<std::size_t>(j % regions)];
+  for (int spare = static_cast<int>(rng.uniform_int(0, 2)); spare > 0;
+       --spare)
+    ++p.quota[static_cast<std::size_t>(rng.uniform_int(0, regions - 1))];
+  p.cost.resize(at(jobs, regions, 0));
+  p.allowed.resize(p.cost.size());
+  for (int j = 0; j < jobs; ++j) {
+    for (int r = 0; r < regions; ++r) {
+      const double bias = static_cast<double>(3 * r / regions);
+      p.cost[at(j, regions, r)] =
+          bias + static_cast<double>(rng.uniform_int(0, 2));
+      p.allowed[at(j, regions, r)] =
+          r == j % regions || rng.bernoulli(0.5) ? 1 : 0;
+    }
   }
   return p;
 }
@@ -396,6 +428,77 @@ TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
       EXPECT_EQ(reused.v, fresh.v) << tag;
     }
   }
+  // Alternating sizes: a large solve, a single job, then a mid-size one
+  // over a different region count.  Arcs, move flags or labels left over
+  // from an earlier solve would change the later answers.
+  util::Rng rng(79);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [jobs, regions] :
+         {std::pair{40, 6}, std::pair{1, 6}, std::pair{25, 4}}) {
+      const TransportProblem p = tie_heavy(rng, jobs, regions);
+      const TransportSolution fresh = transport_assign(p);
+      transport_assign(p, reused, ws);
+      const std::string tag = std::to_string(jobs) + "x" +
+                              std::to_string(regions) + " round " +
+                              std::to_string(round);
+      ASSERT_TRUE(fresh.optimal()) << tag;
+      ASSERT_EQ(reused.status, fresh.status) << tag;
+      EXPECT_EQ(reused.region, fresh.region) << tag;
+      EXPECT_EQ(reused.objective, fresh.objective) << tag;
+      EXPECT_EQ(reused.u, fresh.u) << tag;
+      EXPECT_EQ(reused.v, fresh.v) << tag;
+    }
+  }
+}
+
+TEST(Transport, TieHeavyCorpusKeepsItsAssignments) {
+  // Many exact ties among costs and among moves, tight quotas and paths of
+  // up to four moves: the instances where the order in which the residual
+  // arcs are kept decides which of several optimal assignments comes out.
+  // The expected region vectors (one digit per job) are the solver's
+  // answers from before its arcs were maintained incrementally.
+  constexpr std::pair<int, int> kSizes[] = {
+      {12, 3}, {25, 5}, {40, 4}, {60, 6}, {60, 10}};
+  const char* const kExpected[] = {
+      // 12 x 3; the longest paths move 1, 1, 1 jobs.
+      "121100010012",
+      "112022012010",
+      "101202102012",
+      // 25 x 5; the longest paths move 2, 2, 1 jobs.
+      "2100141231342414220303304",
+      "0131442042112343023410230",
+      "3203001334410301212102224",
+      // 40 x 4; the longest paths move 2, 2, 2 jobs.
+      "0113220132211133232321130103030201000223",
+      "0322101003131113211320220323020023230112",
+      "2120311300210321310301230322012301213203",
+      // 60 x 6; the longest paths move 3, 3, 2 jobs.
+      "011504141543015243321030422253330241312302055240015244113545",
+      "252324444305303051231235231345202341005110144415010340512552",
+      "053053411445030145112445512205332342310245012445103324102302",
+      // 60 x 10; the longest paths move 3, 3, 4 jobs.
+      "828375725596801049431513847386912320076664416034927750502819",
+      "201340696845536567272427480913540405615731839227688603171986",
+      "935624617811281491579390873304422590608056324357742609886157",
+  };
+  util::Rng rng(8117);
+  std::size_t i = 0;
+  for (const auto& [jobs, regions] : kSizes) {
+    for (int rep = 0; rep < 3; ++rep, ++i) {
+      const TransportProblem p = tie_heavy(rng, jobs, regions);
+      const TransportSolution s = transport_assign(p);
+      const std::string tag = std::to_string(jobs) + "x" +
+                              std::to_string(regions) + " rep " +
+                              std::to_string(rep);
+      ASSERT_TRUE(s.optimal()) << tag;
+      std::string why;
+      EXPECT_TRUE(certify(p, s, &why)) << tag << ": " << why;
+      std::string digits;
+      for (const int r : s.region) digits += static_cast<char>('0' + r);
+      EXPECT_EQ(digits, kExpected[i]) << tag;
+    }
+  }
+  EXPECT_EQ(i, std::size(kExpected));
 }
 
 TEST(Transport, MatchesMilpOnChunkModelCorpora) {
