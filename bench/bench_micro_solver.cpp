@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark): the scheduler's chunk solve
 // (sched::transport_assign) at WaterWise chunk sizes, capacity-timeline
-// operations, footprint evaluation and the observability primitives — the
-// hot paths behind the Fig. 13 overhead numbers.
+// operations, footprint evaluation, the observability primitives and
+// campaign set-up (trace generation, environment build) — the hot paths
+// behind the Fig. 13 overhead numbers.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "dc/capacity_timeline.hpp"
 #include "env/environment.hpp"
@@ -14,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sched/transport.hpp"
+#include "trace/generator.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -162,6 +165,33 @@ void BM_EnvironmentQuery(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_EnvironmentQuery);
+
+// Campaign set-up, layer by layer: one Alibaba-rate trace (arrival thinning
+// plus per-job sampling), and one builtin Environment built and read for
+// its first simulated day, which generates exactly one day block per
+// region series.
+void BM_GenerateTrace(benchmark::State& state) {
+  const trace::TraceConfig config = trace::alibaba_config(1, 0.25);
+  std::size_t jobs = 0;
+  for (auto _ : state) {
+    const std::vector<trace::Job> trace = trace::generate_trace(config);
+    jobs = trace.size();
+    benchmark::DoNotOptimize(trace.data());
+  }
+  state.SetLabel(std::to_string(jobs) + " jobs");
+}
+BENCHMARK(BM_GenerateTrace)->Unit(benchmark::kMillisecond);
+
+void BM_EnvironmentFirstDay(benchmark::State& state) {
+  for (auto _ : state) {
+    const env::Environment env = env::Environment::builtin();
+    double acc = 0.0;
+    for (int r = 0; r < env.num_regions(); ++r)
+      for (int h = 0; h < 24; ++h) acc += env.water_intensity(r, h * 3600.0);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_EnvironmentFirstDay)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,0 +1,30 @@
+#include "env/day_blocks.hpp"
+
+#include <stdexcept>
+#include <string>
+
+namespace ww::env {
+
+namespace {
+constexpr std::size_t kHoursPerBlock = 24;
+}  // namespace
+
+DayBlocks::DayBlocks(int horizon_hours, const char* who)
+    : hours_(horizon_hours > 0 ? static_cast<std::size_t>(horizon_hours) : 0) {
+  if (horizon_hours <= 0)
+    throw std::invalid_argument(std::string(who) +
+                                ": horizon must be positive");
+}
+
+void DayBlocks::grow(std::size_t hour) const {
+  const std::lock_guard<std::mutex> lock(grow_mutex_);
+  // Another reader may have generated this day while we waited.
+  const std::size_t begin = ready_.load(std::memory_order_relaxed);
+  if (hour < begin) return;
+  const std::size_t end =
+      std::min(hours_, (hour / kHoursPerBlock + 1) * kHoursPerBlock);
+  generate(begin, end);
+  ready_.store(end, std::memory_order_release);
+}
+
+}  // namespace ww::env

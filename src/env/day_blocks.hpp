@@ -1,0 +1,80 @@
+// Generate-on-first-read bookkeeping for the hourly environment series.
+//
+// The energy-mix and weather models draw their hourly rows from one RNG
+// stream in hour order, so row h depends on every row before it.  A
+// campaign reads a few days of a horizon of hundreds, so instead of
+// generating the whole horizon at construction a model generates whole
+// days, in order, the first time a query reaches past the rows it already
+// has.  The rows drawn are the same in either case, so every value is
+// bit-identical to a full-horizon build whatever order queries come in.
+//
+// The generated prefix only grows and a row is never rewritten, so a
+// reader needs only the watermark: an acquire load that sees hour h ready
+// also sees row h.  Growth takes a mutex, so const queries from several
+// threads are safe.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <mutex>
+
+namespace ww::env {
+
+class DayBlocks {
+ public:
+  virtual ~DayBlocks() = default;
+
+  DayBlocks(const DayBlocks&) = delete;
+  DayBlocks& operator=(const DayBlocks&) = delete;
+
+  [[nodiscard]] int horizon_hours() const noexcept {
+    return static_cast<int>(hours_);
+  }
+
+ protected:
+  /// Throws std::invalid_argument, prefixed by `who`, unless
+  /// horizon_hours > 0.  Generates nothing.
+  DayBlocks(int horizon_hours, const char* who);
+
+  /// Interpolation point of time t (seconds): the hours on either side,
+  /// clamped to [0, horizon), and the weight of the later one.  Both rows
+  /// are readable when this returns.
+  struct Point {
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+  };
+  [[nodiscard]] Point locate(double t_seconds) const;
+
+  /// Linear interpolation of an hourly series at time t (seconds).
+  [[nodiscard]] double interpolate(const double* series,
+                                   double t_seconds) const {
+    const Point p = locate(t_seconds);
+    return series[p.lo] * (1.0 - p.frac) + series[p.hi] * p.frac;
+  }
+
+ private:
+  /// Writes rows [begin, end), in order, continuing the model's generator
+  /// state from row begin - 1.  Called under the growth mutex only.
+  virtual void generate(std::size_t begin, std::size_t end) const = 0;
+
+  /// Generates the days up to and including the one holding `hour`.
+  void grow(std::size_t hour) const;
+
+  std::size_t hours_;
+  mutable std::atomic<std::size_t> ready_{0};  ///< Rows [0, ready_) exist.
+  mutable std::mutex grow_mutex_;
+};
+
+inline DayBlocks::Point DayBlocks::locate(double t_seconds) const {
+  const double h = std::max(0.0, t_seconds / 3600.0);
+  const auto lo =
+      static_cast<std::size_t>(std::min(h, static_cast<double>(hours_ - 1)));
+  const std::size_t hi = std::min(lo + 1, hours_ - 1);
+  // The fast path: one acquire load, inlined into every query.
+  if (hi >= ready_.load(std::memory_order_acquire)) grow(hi);
+  return {lo, hi, std::clamp(h - static_cast<double>(lo), 0.0, 1.0)};
+}
+
+}  // namespace ww::env

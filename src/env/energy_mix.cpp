@@ -32,9 +32,12 @@ double daylight_factor(double hour_of_day, double day_of_year) {
 
 EnergyMixModel::EnergyMixModel(MixConfig config, util::Rng rng,
                                int horizon_hours)
-    : config_(config) {
-  if (horizon_hours <= 0)
-    throw std::invalid_argument("EnergyMixModel: horizon must be positive");
+    : DayBlocks(horizon_hours, "EnergyMixModel"),
+      config_(config),
+      innovation_(config_.wind_noise *
+                  std::sqrt(1.0 - config_.wind_noise_rho *
+                                      config_.wind_noise_rho)),
+      rng_(rng) {
   // Normalize base shares.
   double total = std::accumulate(config_.base_share.begin(),
                                  config_.base_share.end(), 0.0);
@@ -42,17 +45,15 @@ EnergyMixModel::EnergyMixModel(MixConfig config, util::Rng rng,
     throw std::invalid_argument("EnergyMixModel: base shares must be positive");
   for (double& s : config_.base_share) s /= total;
 
-  samples_.resize(static_cast<std::size_t>(horizon_hours));
-  ci_.resize(samples_.size());
-  ewif_em_.resize(samples_.size());
-  ewif_wri_.resize(samples_.size());
+  const auto n = static_cast<std::size_t>(horizon_hours);
+  samples_ = std::make_unique_for_overwrite<Shares[]>(n);
+  ci_ = std::make_unique_for_overwrite<double[]>(n);
+  ewif_em_ = std::make_unique_for_overwrite<double[]>(n);
+  ewif_wri_ = std::make_unique_for_overwrite<double[]>(n);
+}
 
-  double wind_swing = 0.0;
-  const double innovation =
-      config_.wind_noise *
-      std::sqrt(1.0 - config_.wind_noise_rho * config_.wind_noise_rho);
-
-  for (int h = 0; h < horizon_hours; ++h) {
+void EnergyMixModel::generate(std::size_t begin, std::size_t end) const {
+  for (std::size_t h = begin; h < end; ++h) {
     const double day_of_year = std::fmod(static_cast<double>(h) / 24.0, 365.0);
     const double hour_of_day = static_cast<double>(h % 24);
 
@@ -65,9 +66,10 @@ EnergyMixModel::EnergyMixModel(MixConfig config, util::Rng rng,
     share[idx(EnergySource::Solar)] *= solar_mult;
 
     // Wind swings stochastically with hourly persistence.
-    wind_swing = config_.wind_noise_rho * wind_swing + innovation * rng.normal();
+    wind_swing_ =
+        config_.wind_noise_rho * wind_swing_ + innovation_ * rng_.normal();
     share[idx(EnergySource::Wind)] *=
-        std::max(0.05, 1.0 + std::clamp(wind_swing, -0.9, 0.9));
+        std::max(0.05, 1.0 + std::clamp(wind_swing_, -0.9, 0.9));
 
     // Hydro follows the melt season (peak ~May, day 135).
     const double hydro_mult =
@@ -107,8 +109,7 @@ EnergyMixModel::EnergyMixModel(MixConfig config, util::Rng rng,
       share[idx(EnergySource::Gas)] += fossil_needed;
     }
 
-    auto& out = samples_[static_cast<std::size_t>(h)];
-    out = share;
+    samples_[h] = share;
 
     double ci = 0.0;
     double wem = 0.0;
@@ -118,42 +119,25 @@ EnergyMixModel::EnergyMixModel(MixConfig config, util::Rng rng,
       wem += share[idx(s)] * env::ewif(s, WaterDataset::ElectricityMaps);
       wwri += share[idx(s)] * env::ewif(s, WaterDataset::WorldResourcesInstitute);
     }
-    ci_[static_cast<std::size_t>(h)] = ci;
-    ewif_em_[static_cast<std::size_t>(h)] = wem;
-    ewif_wri_[static_cast<std::size_t>(h)] = wwri;
+    ci_[h] = ci;
+    ewif_em_[h] = wem;
+    ewif_wri_[h] = wwri;
   }
 }
 
-std::array<double, kNumEnergySources> EnergyMixModel::shares_at(
-    double t_seconds) const {
-  const double h = std::max(0.0, t_seconds / 3600.0);
-  const auto lo = static_cast<std::size_t>(
-      std::min(h, static_cast<double>(samples_.size() - 1)));
-  return samples_[lo];
-}
-
 double EnergyMixModel::share(EnergySource source, double t_seconds) const {
-  return shares_at(t_seconds)[idx(source)];
+  return samples_[locate(t_seconds).lo][idx(source)];
 }
-
-namespace {
-double interp(const std::vector<double>& v, double t_seconds) {
-  const double h = std::max(0.0, t_seconds / 3600.0);
-  const auto lo =
-      static_cast<std::size_t>(std::min(h, static_cast<double>(v.size() - 1)));
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = std::clamp(h - static_cast<double>(lo), 0.0, 1.0);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-}  // namespace
 
 double EnergyMixModel::carbon_intensity(double t_seconds) const {
-  return interp(ci_, t_seconds);
+  return interpolate(ci_.get(), t_seconds);
 }
 
 double EnergyMixModel::ewif(double t_seconds, WaterDataset dataset) const {
-  return dataset == WaterDataset::ElectricityMaps ? interp(ewif_em_, t_seconds)
-                                                  : interp(ewif_wri_, t_seconds);
+  return interpolate(dataset == WaterDataset::ElectricityMaps
+                         ? ewif_em_.get()
+                         : ewif_wri_.get(),
+                     t_seconds);
 }
 
 }  // namespace ww::env

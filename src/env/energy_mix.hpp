@@ -12,8 +12,9 @@
 #pragma once
 
 #include <array>
-#include <vector>
+#include <memory>
 
+#include "env/day_blocks.hpp"
 #include "env/energy_source.hpp"
 #include "util/rng.hpp"
 
@@ -28,8 +29,9 @@ struct MixConfig {
   double wind_noise_rho = 0.80;      ///< Hourly persistence of wind swings.
 };
 
-/// Deterministic, precomputed hourly generation-share series.
-class EnergyMixModel {
+/// Deterministic hourly generation-share series, generated a day at a time
+/// on first read (env/day_blocks.hpp).  Queries are const and thread-safe.
+class EnergyMixModel final : public DayBlocks {
  public:
   EnergyMixModel(MixConfig config, util::Rng rng, int horizon_hours);
 
@@ -45,16 +47,22 @@ class EnergyMixModel {
   [[nodiscard]] const MixConfig& config() const noexcept { return config_; }
 
  private:
-  [[nodiscard]] std::array<double, kNumEnergySources> shares_at(
-      double t_seconds) const;
+  using Shares = std::array<double, kNumEnergySources>;
+
+  void generate(std::size_t begin, std::size_t end) const override;
 
   MixConfig config_;
-  /// samples_[h][s]: share of source s in hour h.
-  std::vector<std::array<double, kNumEnergySources>> samples_;
-  /// Hourly mix-weighted aggregates (cached for fast queries).
-  std::vector<double> ci_;
-  std::vector<double> ewif_em_;
-  std::vector<double> ewif_wri_;
+  double innovation_;  ///< Wind AR(1) innovation scale.
+  // Generator state, advanced one hour per generated row.
+  mutable util::Rng rng_;
+  mutable double wind_swing_ = 0.0;
+  // Hourly rows, allocated at full horizon and left uninitialised, so the
+  // pages of days never read are never touched.  samples_[h][s] is the
+  // share of source s in hour h; the rest are its mix-weighted aggregates.
+  std::unique_ptr<Shares[]> samples_;
+  std::unique_ptr<double[]> ci_;
+  std::unique_ptr<double[]> ewif_em_;
+  std::unique_ptr<double[]> ewif_wri_;
 };
 
 }  // namespace ww::env

@@ -1,7 +1,10 @@
 #include "env/environment.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace ww::env {
 
@@ -37,6 +40,18 @@ Environment::Environment(std::vector<RegionSpec> specs,
     : config_(config) {
   if (specs.empty())
     throw std::invalid_argument("Environment: need at least one region");
+  if (!(config_.horizon_days > 0 &&
+        config_.horizon_days <= std::numeric_limits<int>::max() / 24))
+    throw std::invalid_argument("Environment: horizon_days " +
+                                std::to_string(config_.horizon_days) +
+                                " must be positive and its hours fit an int");
+  for (const auto& [field, scale] :
+       {std::pair{"carbon_intensity_scale", config_.carbon_intensity_scale},
+        std::pair{"water_intensity_scale", config_.water_intensity_scale}})
+    if (!(scale >= 0.0 && std::isfinite(scale)))
+      throw std::invalid_argument(std::string("Environment: ") + field + " " +
+                                  std::to_string(scale) +
+                                  " must be finite and >= 0");
   const int horizon_hours = config_.horizon_days * 24;
   const util::Rng root(config_.seed);
 

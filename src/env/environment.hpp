@@ -34,7 +34,10 @@ enum class FaultView { World, Controller };
 
 struct EnvironmentConfig {
   std::uint64_t seed = 20250612;
-  int horizon_days = 400;  ///< Precomputed series length.
+  /// Series length.  Hourly rows are generated a day at a time on first
+  /// read, so a long horizon costs only the days a run reads (plus address
+  /// space for the rest).
+  int horizon_days = 400;
   WaterDataset dataset = WaterDataset::ElectricityMaps;
   std::optional<double> pue_override;  ///< Force one PUE across regions.
   double carbon_intensity_scale = 1.0; ///< Sensitivity knob.
@@ -48,7 +51,10 @@ class Environment {
   /// std::invalid_argument naming the region when a latitude/longitude is
   /// non-finite or out of range, a PUE (pue_override included) is
   /// non-finite or below 1, `servers` is negative, or `wsf` or
-  /// `price_usd_per_kwh` is negative or non-finite.
+  /// `price_usd_per_kwh` is negative or non-finite.  Also throws, naming the
+  /// field, when `horizon_days` is not positive or its hours overflow int,
+  /// or `carbon_intensity_scale` or `water_intensity_scale` is negative or
+  /// non-finite.
   Environment(std::vector<RegionSpec> specs, EnvironmentConfig config = {});
 
   /// The paper's five-region setup (Zurich, Madrid, Oregon, Milan, Mumbai).

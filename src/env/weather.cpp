@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace ww::env {
 
@@ -16,14 +15,16 @@ double wue_from_wet_bulb(double wet_bulb_c) {
 
 WeatherModel::WeatherModel(WeatherConfig config, util::Rng rng,
                            int horizon_hours)
-    : config_(config) {
-  if (horizon_hours <= 0)
-    throw std::invalid_argument("WeatherModel: horizon must be positive");
-  samples_.resize(static_cast<std::size_t>(horizon_hours));
-  double noise = 0.0;
-  const double innovation =
-      config_.noise_stddev_c * std::sqrt(1.0 - config_.noise_rho * config_.noise_rho);
-  for (int h = 0; h < horizon_hours; ++h) {
+    : DayBlocks(horizon_hours, "WeatherModel"),
+      config_(config),
+      innovation_(config_.noise_stddev_c *
+                  std::sqrt(1.0 - config_.noise_rho * config_.noise_rho)),
+      rng_(rng),
+      samples_(std::make_unique_for_overwrite<double[]>(
+          static_cast<std::size_t>(horizon_hours))) {}
+
+void WeatherModel::generate(std::size_t begin, std::size_t end) const {
+  for (std::size_t h = begin; h < end; ++h) {
     const double day = static_cast<double>(h) / 24.0;
     const double hour_of_day = static_cast<double>(h % 24);
     const double annual =
@@ -32,19 +33,13 @@ WeatherModel::WeatherModel(WeatherConfig config, util::Rng rng,
     const double diurnal =
         config_.diurnal_amplitude_c *
         std::cos(2.0 * M_PI * (hour_of_day - config_.peak_hour_utc) / 24.0);
-    noise = config_.noise_rho * noise + innovation * rng.normal();
-    samples_[static_cast<std::size_t>(h)] =
-        config_.mean_c + annual + diurnal + noise;
+    noise_ = config_.noise_rho * noise_ + innovation_ * rng_.normal();
+    samples_[h] = config_.mean_c + annual + diurnal + noise_;
   }
 }
 
 double WeatherModel::wet_bulb_c(double t_seconds) const {
-  const double h = std::max(0.0, t_seconds / 3600.0);
-  const auto lo = static_cast<std::size_t>(
-      std::min(h, static_cast<double>(samples_.size() - 1)));
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = std::clamp(h - static_cast<double>(lo), 0.0, 1.0);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  return interpolate(samples_.get(), t_seconds);
 }
 
 }  // namespace ww::env

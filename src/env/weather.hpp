@@ -8,8 +8,9 @@
 // curve: monotonically increasing in wet-bulb temperature.
 #pragma once
 
-#include <vector>
+#include <memory>
 
+#include "env/day_blocks.hpp"
 #include "util/rng.hpp"
 
 namespace ww::env {
@@ -29,11 +30,12 @@ struct WeatherConfig {
   double peak_hour_utc = 14.0;   ///< Warmest hour of day.
 };
 
-/// Deterministic, precomputed hourly wet-bulb series.
-class WeatherModel {
+/// Deterministic hourly wet-bulb series.
+class WeatherModel final : public DayBlocks {
  public:
-  /// `horizon_hours` samples are generated from `rng` at construction; all
-  /// later queries are pure lookups + interpolation (bit-reproducible).
+  /// `horizon_hours` samples are drawn from `rng`, a day at a time on first
+  /// read (env/day_blocks.hpp); every value is the same whatever order the
+  /// queries come in.  Queries are const and thread-safe.
   WeatherModel(WeatherConfig config, util::Rng rng, int horizon_hours);
 
   /// Wet-bulb temperature at time t (seconds since epoch start); linear
@@ -45,13 +47,18 @@ class WeatherModel {
   }
 
   [[nodiscard]] const WeatherConfig& config() const noexcept { return config_; }
-  [[nodiscard]] int horizon_hours() const noexcept {
-    return static_cast<int>(samples_.size());
-  }
 
  private:
+  void generate(std::size_t begin, std::size_t end) const override;
+
   WeatherConfig config_;
-  std::vector<double> samples_;  ///< Hourly wet-bulb temperatures.
+  double innovation_;  ///< AR(1) innovation scale.
+  // Generator state, advanced one hour per generated sample.
+  mutable util::Rng rng_;
+  mutable double noise_ = 0.0;
+  /// Hourly wet-bulb temperatures, allocated at full horizon and left
+  /// uninitialised, so the pages of days never read are never touched.
+  std::unique_ptr<double[]> samples_;
 };
 
 }  // namespace ww::env

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace ww::trace {
 
@@ -23,16 +26,50 @@ double diurnal_factor(DiurnalShape shape, double swing, double peak_hour,
   return 1.0;
 }
 
+namespace {
+
+/// Throws std::invalid_argument naming `field` unless `value` is finite and
+/// >= 0 (the negated comparison also rejects NaN).
+void require_finite_nonnegative(const char* field, double value) {
+  if (!(value >= 0.0 && std::isfinite(value)))
+    throw std::invalid_argument(std::string("generate_arrivals: ") + field +
+                                " " + std::to_string(value) +
+                                " must be finite and >= 0");
+}
+
+}  // namespace
+
 std::vector<double> generate_arrivals(const ArrivalConfig& config,
                                       double horizon_seconds, util::Rng rng) {
-  std::vector<double> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(
-      std::max(16.0, config.base_rate_per_s * horizon_seconds * 1.1)));
+  // Each rule keeps the loop below finite: a NaN horizon is never reached,
+  // a negative rate steps t backwards, and a non-positive sojourn mean stops
+  // state_until from advancing.  The swing rule is the squeeze's premise.
+  require_finite_nonnegative("horizon_seconds", horizon_seconds);
+  require_finite_nonnegative("base_rate_per_s", config.base_rate_per_s);
+  require_finite_nonnegative("diurnal_swing", config.diurnal_swing);
+  require_finite_nonnegative("burst_rate_multiplier",
+                             config.burst_rate_multiplier);
+  require_finite_nonnegative("calm_rate_multiplier",
+                             config.calm_rate_multiplier);
+  for (const auto& [field, mean] :
+       {std::pair{"mean_burst_seconds", config.mean_burst_seconds},
+        std::pair{"mean_calm_seconds", config.mean_calm_seconds}})
+    if (!(mean > 0.0))
+      throw std::invalid_argument(std::string("generate_arrivals: ") + field +
+                                  " " + std::to_string(mean) +
+                                  " must be > 0");
 
   // Upper bound on the instantaneous rate, for thinning.
   const double rate_max = config.base_rate_per_s *
                           (1.0 + config.diurnal_swing) *
                           std::max(config.burst_rate_multiplier, 1.0);
+  require_finite_nonnegative("rate bound", rate_max);
+
+  // The expected count plus 10 %, capped so that a huge rate cannot ask
+  // for an unrepresentable reservation.
+  std::vector<double> arrivals;
+  arrivals.reserve(static_cast<std::size_t>(std::clamp(
+      config.base_rate_per_s * horizon_seconds * 1.1, 16.0, 1e7)));
 
   // MMPP state evolves on its own exponential clock.
   bool bursting = false;
@@ -49,10 +86,19 @@ std::vector<double> generate_arrivals(const ArrivalConfig& config,
     }
     const double mult =
         bursting ? config.burst_rate_multiplier : config.calm_rate_multiplier;
-    const double rate = config.base_rate_per_s * mult *
-                        diurnal_factor(config.shape, config.diurnal_swing,
-                                       config.peak_hour, t);
-    if (rng.uniform() * rate_max < rate) arrivals.push_back(t);
+    // Thinning accepts when x < base * d, d the diurnal factor.  With
+    // base >= 0 and d in [1 - swing, 1 + swing] (the invariant
+    // Arrivals.DiurnalFactorWithinSwingBounds checks), monotone rounding
+    // puts base * d between the two bounds below, so they decide a
+    // candidate exactly as the full test would; diurnal_factor runs only
+    // for candidates between them.
+    const double base = config.base_rate_per_s * mult;
+    const double x = rng.uniform() * rate_max;
+    if (x >= base * (1.0 + config.diurnal_swing)) continue;
+    if (x < base * (1.0 - config.diurnal_swing) ||
+        x < base * diurnal_factor(config.shape, config.diurnal_swing,
+                                  config.peak_hour, t))
+      arrivals.push_back(t);
   }
   return arrivals;
 }

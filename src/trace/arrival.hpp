@@ -32,12 +32,20 @@ struct ArrivalConfig {
 /// Deterministic arrival-time sequence over [0, horizon_seconds).
 ///
 /// Implemented by thinning a homogeneous Poisson process against the
-/// time-varying rate, which keeps the sequence exact for any envelope.
+/// time-varying rate (Lewis & Shedler, 1979), which keeps the sequence exact
+/// for any envelope.  A squeeze on the envelope's bounds [1 - swing,
+/// 1 + swing] decides most candidates without evaluating diurnal_factor;
+/// it changes no accept/reject outcome.  Throws std::invalid_argument,
+/// naming the field, when `horizon_seconds`, `base_rate_per_s`,
+/// `diurnal_swing` or a rate multiplier is negative or non-finite, or a
+/// sojourn mean is not positive: each would hang the thinning loop or void
+/// the squeeze.
 [[nodiscard]] std::vector<double> generate_arrivals(const ArrivalConfig& config,
                                                     double horizon_seconds,
                                                     util::Rng rng);
 
 /// The instantaneous diurnal envelope factor at time t (mean ~1 over a day).
+/// For swing >= 0 it lies in [1 - swing, 1 + swing], computed in double.
 [[nodiscard]] double diurnal_factor(DiurnalShape shape, double swing,
                                     double peak_hour, double t_seconds);
 

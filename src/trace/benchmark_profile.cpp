@@ -34,17 +34,39 @@ int num_benchmarks() {
   return static_cast<int>(benchmark_profiles().size());
 }
 
+namespace {
+
+/// Parameters (mu, sigma) of the underlying normals of one benchmark's
+/// log-normal execution time and power.
+struct LogNormalParams {
+  double exec_mu, exec_sigma, power_mu, power_sigma;
+};
+
+/// Per-benchmark log-normal parameters, computed once.  For a profile mean
+/// and CV: sigma^2 = ln(1 + cv^2), mu = ln(mean) - sigma^2 / 2.
+const std::vector<LogNormalParams>& lognormal_params() {
+  static const std::vector<LogNormalParams> params = [] {
+    std::vector<LogNormalParams> out;
+    for (const BenchmarkProfile& p : benchmark_profiles()) {
+      const double s2e = std::log(1.0 + p.exec_cv * p.exec_cv);
+      const double s2p = std::log(1.0 + p.power_cv * p.power_cv);
+      out.push_back({std::log(p.mean_exec_s) - 0.5 * s2e, std::sqrt(s2e),
+                     std::log(p.mean_power_w) - 0.5 * s2p, std::sqrt(s2p)});
+    }
+    return out;
+  }();
+  return params;
+}
+
+}  // namespace
+
 void sample_instance(int benchmark, util::Rng& rng, Job& out) {
   const BenchmarkProfile& p = profile(benchmark);
+  const LogNormalParams& ln =
+      lognormal_params()[static_cast<std::size_t>(benchmark)];
   out.benchmark = benchmark;
-  // Log-normal with the profile's mean and CV:
-  //   sigma^2 = ln(1 + cv^2),  mu = ln(mean) - sigma^2 / 2.
-  const double s2e = std::log(1.0 + p.exec_cv * p.exec_cv);
-  out.exec_seconds =
-      rng.lognormal(std::log(p.mean_exec_s) - 0.5 * s2e, std::sqrt(s2e));
-  const double s2p = std::log(1.0 + p.power_cv * p.power_cv);
-  out.avg_power_watts =
-      rng.lognormal(std::log(p.mean_power_w) - 0.5 * s2p, std::sqrt(s2p));
+  out.exec_seconds = rng.lognormal(ln.exec_mu, ln.exec_sigma);
+  out.avg_power_watts = rng.lognormal(ln.power_mu, ln.power_sigma);
   // Package size varies mildly with input set.
   out.package_bytes = p.package_mb * 1.0e6 * rng.uniform(0.85, 1.15);
 }

@@ -50,23 +50,41 @@ TraceConfig alibaba_config(std::uint64_t seed, double days) {
   return c;
 }
 
+namespace {
+
+[[noreturn]] void reject(const char* field, double value, const char* rule) {
+  throw std::invalid_argument(std::string("generate_trace: ") + field + " " +
+                              std::to_string(value) + " " + rule);
+}
+
+}  // namespace
+
 std::vector<Job> generate_trace(const TraceConfig& config) {
   if (config.num_regions <= 0)
     throw std::invalid_argument("generate_trace: need at least one region");
-  util::Rng root(config.seed);
-
-  ArrivalConfig arrival = config.arrival;
-  arrival.base_rate_per_s *= config.rate_multiplier;
-  const double horizon = config.days * 86400.0;
-  const std::vector<double> times =
-      generate_arrivals(arrival, horizon, root.child("arrivals"));
-
+  // The negated comparisons also reject NaN.
+  if (!(config.days >= 0.0 && std::isfinite(config.days)))
+    reject("days", config.days, "must be finite and >= 0");
+  if (!(config.rate_multiplier > 0.0 && std::isfinite(config.rate_multiplier)))
+    reject("rate_multiplier", config.rate_multiplier, "must be finite and > 0");
+  if (!(config.exec_scale > 0.0 && std::isfinite(config.exec_scale)))
+    reject("exec_scale", config.exec_scale, "must be finite and > 0");
   std::vector<double> weights = config.region_weights;
   if (weights.empty())
     weights.assign(static_cast<std::size_t>(config.num_regions), 1.0);
   if (static_cast<int>(weights.size()) != config.num_regions)
     throw std::invalid_argument(
         "generate_trace: region_weights size must match num_regions");
+  for (const double w : weights)
+    if (!(w >= 0.0 && std::isfinite(w)))
+      reject("region_weights", w, "must be finite and >= 0");
+
+  util::Rng root(config.seed);
+  ArrivalConfig arrival = config.arrival;
+  arrival.base_rate_per_s *= config.rate_multiplier;
+  const double horizon = config.days * 86400.0;
+  const std::vector<double> times =
+      generate_arrivals(arrival, horizon, root.child("arrivals"));
 
   util::Rng rng = root.child("jobs");
   std::vector<Job> jobs;

@@ -231,6 +231,56 @@ TEST(EnvironmentValidation, RejectsNonFinitePrice) {
                   "price_usd_per_kwh");
 }
 
+/// Expects the builtin regions under `cfg` to be rejected naming `field`.
+void expect_config_rejected(const EnvironmentConfig& cfg,
+                            const std::string& field) {
+  try {
+    const Environment env = Environment::builtin(cfg);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EnvironmentValidation, RejectsNegativeCarbonIntensityScale) {
+  EnvironmentConfig cfg = small_config();
+  cfg.carbon_intensity_scale = -1.0;
+  expect_config_rejected(cfg, "carbon_intensity_scale");
+}
+
+TEST(EnvironmentValidation, RejectsNonFiniteCarbonIntensityScale) {
+  EnvironmentConfig cfg = small_config();
+  cfg.carbon_intensity_scale = kNan;
+  expect_config_rejected(cfg, "carbon_intensity_scale");
+}
+
+TEST(EnvironmentValidation, RejectsNegativeWaterIntensityScale) {
+  EnvironmentConfig cfg = small_config();
+  cfg.water_intensity_scale = -0.5;
+  expect_config_rejected(cfg, "water_intensity_scale");
+}
+
+TEST(EnvironmentValidation, RejectsNonFiniteWaterIntensityScale) {
+  EnvironmentConfig cfg = small_config();
+  cfg.water_intensity_scale = kInf;
+  expect_config_rejected(cfg, "water_intensity_scale");
+}
+
+TEST(EnvironmentValidation, RejectsNonPositiveHorizon) {
+  EnvironmentConfig cfg = small_config();
+  cfg.horizon_days = 0;
+  expect_config_rejected(cfg, "horizon_days");
+}
+
+TEST(EnvironmentValidation, RejectsHorizonHoursOverflow) {
+  // horizon_days * 24 would overflow int; the check runs before any
+  // allocation, so this allocates nothing.
+  EnvironmentConfig cfg = small_config();
+  cfg.horizon_days = std::numeric_limits<int>::max() / 24 + 1;
+  expect_config_rejected(cfg, "horizon_days");
+}
+
 TEST(EnvironmentValidation, AcceptsBoundaryValues) {
   auto specs = builtin_region_specs();
   specs[0].latitude = 90.0;
@@ -239,7 +289,11 @@ TEST(EnvironmentValidation, AcceptsBoundaryValues) {
   specs[1].servers = 0;
   specs[2].wsf = 0.0;
   specs[2].price_usd_per_kwh = 0.0;
-  EXPECT_NO_THROW(Environment(std::move(specs), small_config()));
+  EnvironmentConfig cfg = small_config();
+  cfg.horizon_days = 1;
+  cfg.carbon_intensity_scale = 0.0;
+  cfg.water_intensity_scale = 0.0;
+  EXPECT_NO_THROW(Environment(std::move(specs), cfg));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -276,6 +277,173 @@ TEST(TraceConfig, Validation) {
   cfg = borg_config(1, 0.1);
   cfg.region_weights = {1.0, 1.0};  // wrong size
   EXPECT_THROW((void)generate_trace(cfg), std::invalid_argument);
+}
+
+// --- Hostile configs: one case per rule -----------------------------------
+//
+// Each of these used to hang generate_trace (a NaN horizon is never
+// reached, a non-positive sojourn mean never advances the MMPP clock, a
+// negative rate steps time backwards) or would void the thinning squeeze.
+// They are tested only through the throw; none is ever generated.
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Expects generate_trace to reject borg_config with `mutate` applied,
+/// naming `field`.
+template <typename Mutate>
+void expect_rejected_config(Mutate mutate, const std::string& field) {
+  TraceConfig cfg = borg_config(1, 0.1);
+  mutate(cfg);
+  try {
+    (void)generate_trace(cfg);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceConfig, RejectsNanDays) {
+  expect_rejected_config([](TraceConfig& c) { c.days = kNan; }, "days");
+}
+
+TEST(TraceConfig, RejectsInfiniteDays) {
+  expect_rejected_config([](TraceConfig& c) { c.days = kInf; }, "days");
+}
+
+TEST(TraceConfig, RejectsNegativeDays) {
+  expect_rejected_config([](TraceConfig& c) { c.days = -1.0; }, "days");
+}
+
+TEST(TraceConfig, RejectsNonPositiveRateMultiplier) {
+  expect_rejected_config([](TraceConfig& c) { c.rate_multiplier = 0.0; },
+                         "rate_multiplier");
+}
+
+TEST(TraceConfig, RejectsNonFiniteRateMultiplier) {
+  expect_rejected_config([](TraceConfig& c) { c.rate_multiplier = kInf; },
+                         "rate_multiplier");
+}
+
+TEST(TraceConfig, RejectsNonPositiveExecScale) {
+  expect_rejected_config([](TraceConfig& c) { c.exec_scale = -1.0; },
+                         "exec_scale");
+}
+
+TEST(TraceConfig, RejectsNonFiniteExecScale) {
+  expect_rejected_config([](TraceConfig& c) { c.exec_scale = kNan; },
+                         "exec_scale");
+}
+
+TEST(TraceConfig, RejectsNegativeRegionWeight) {
+  expect_rejected_config([](TraceConfig& c) { c.region_weights[2] = -0.1; },
+                         "region_weights");
+}
+
+TEST(TraceConfig, RejectsNonFiniteRegionWeight) {
+  expect_rejected_config([](TraceConfig& c) { c.region_weights[0] = kNan; },
+                         "region_weights");
+}
+
+TEST(TraceConfig, RejectsNegativeBaseRate) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.base_rate_per_s = -0.27; },
+      "base_rate_per_s");
+}
+
+TEST(TraceConfig, RejectsNonFiniteBaseRate) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.base_rate_per_s = kNan; },
+      "base_rate_per_s");
+}
+
+TEST(TraceConfig, RejectsNegativeBurstMultiplier) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.burst_rate_multiplier = -2.0; },
+      "burst_rate_multiplier");
+}
+
+TEST(TraceConfig, RejectsNonFiniteCalmMultiplier) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.calm_rate_multiplier = kInf; },
+      "calm_rate_multiplier");
+}
+
+TEST(TraceConfig, RejectsNonPositiveCalmSojourn) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.mean_calm_seconds = 0.0; },
+      "mean_calm_seconds");
+}
+
+TEST(TraceConfig, RejectsNonPositiveBurstSojourn) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.mean_burst_seconds = -1800.0; },
+      "mean_burst_seconds");
+}
+
+TEST(TraceConfig, RejectsNegativeDiurnalSwing) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.diurnal_swing = -0.1; },
+      "diurnal_swing");
+}
+
+TEST(TraceConfig, RejectsNonFiniteDiurnalSwing) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.arrival.diurnal_swing = kNan; },
+      "diurnal_swing");
+}
+
+TEST(TraceConfig, RejectsOverflowingRateBound) {
+  // Each field is finite, but base * (1 + swing) * burst is not.
+  expect_rejected_config(
+      [](TraceConfig& c) {
+        c.arrival.base_rate_per_s = 1e300;
+        c.arrival.burst_rate_multiplier = 1e300;
+      },
+      "rate bound");
+}
+
+TEST(TraceConfig, AcceptsBoundaryValues) {
+  TraceConfig cfg = borg_config(1, 0.0);
+  EXPECT_TRUE(generate_trace(cfg).empty());  // zero days
+  cfg = borg_config(1, 0.1);
+  cfg.arrival.base_rate_per_s = 0.0;
+  EXPECT_TRUE(generate_trace(cfg).empty());
+  cfg = borg_config(1, 0.1);
+  cfg.arrival.diurnal_swing = 0.0;
+  cfg.arrival.calm_rate_multiplier = 0.0;
+  cfg.region_weights = {0.0, 1.0, 0.0, 0.0, 0.0};
+  const auto jobs = generate_trace(cfg);
+  EXPECT_FALSE(jobs.empty());
+  for (const Job& j : jobs) EXPECT_EQ(j.home_region, 1);
+}
+
+TEST(Arrivals, RejectsNanHorizon) {
+  EXPECT_THROW((void)generate_arrivals(ArrivalConfig{}, kNan, util::Rng(1)),
+               std::invalid_argument);
+}
+
+// The squeeze in generate_arrivals rests on this invariant: for swing >= 0
+// the envelope lies in [1 - swing, 1 + swing], computed in double.
+TEST(Arrivals, DiurnalFactorWithinSwingBounds) {
+  const double far = 400.0 * 86400.0;  // the default environment horizon
+  for (const DiurnalShape shape : {DiurnalShape::Flat, DiurnalShape::SinglePeak,
+                                   DiurnalShape::DoublePeak}) {
+    for (const double swing : {0.0, 0.45, 0.6, 1.0}) {
+      for (const double peak : {14.0, 20.0, 0.0, 23.5}) {
+        std::size_t outside = 0;
+        for (int k = 0; k < 2 * 86400; k += 7) {
+          for (const double t : {k + 0.25, far - k - 0.5}) {
+            const double d = diurnal_factor(shape, swing, peak, t);
+            if (!(d >= 1.0 - swing && d <= 1.0 + swing)) ++outside;
+          }
+        }
+        EXPECT_EQ(outside, 0u) << "shape " << static_cast<int>(shape)
+                               << " swing " << swing << " peak " << peak;
+      }
+    }
+  }
 }
 
 }  // namespace
