@@ -51,12 +51,28 @@ sched::TransportProblem random_chunk(int jobs, int regions,
   return p;
 }
 
-void BM_TransportAssign(benchmark::State& state) {
-  const int jobs = static_cast<int>(state.range(0));
-  const int regions = static_cast<int>(state.range(1));
-  const sched::TransportProblem p = random_chunk(jobs, regions, 17);
-  // One solution and workspace reused across solves, as the scheduler's
-  // per-chunk slots do, so the timed loop is allocation-free.
+/// A burst-chunked-shaped chunk: random_chunk's costs and allowed pairs
+/// (some remote pairs forbidden), but each quota is the region's home-job
+/// count, plus at most two spare slots in all.  Nearly every region fills,
+/// so later insertions must displace earlier jobs along paths; random_chunk
+/// leaves 0-50 % slack and most jobs land directly.
+sched::TransportProblem tight_chunk(int jobs, int regions,
+                                    std::uint64_t seed) {
+  sched::TransportProblem p = random_chunk(jobs, regions, seed);
+  util::Rng rng(seed ^ 0x7469676874ULL);
+  p.quota.assign(static_cast<std::size_t>(regions), 0);
+  for (int j = 0; j < jobs; ++j)
+    ++p.quota[static_cast<std::size_t>(j % regions)];
+  for (int spare = static_cast<int>(rng.uniform_int(0, 2)); spare > 0;
+       --spare)
+    ++p.quota[static_cast<std::size_t>(rng.uniform_int(0, regions - 1))];
+  return p;
+}
+
+/// Times repeated solves of `p` with one solution and workspace reused
+/// across solves, as the scheduler's per-chunk slots do, so the timed loop
+/// is allocation-free.
+void time_solves(benchmark::State& state, const sched::TransportProblem& p) {
   sched::TransportSolution out;
   sched::TransportWorkspace ws;
   sched::transport_assign(p, out, ws);
@@ -65,12 +81,25 @@ void BM_TransportAssign(benchmark::State& state) {
     sched::transport_assign(p, out, ws);
     benchmark::DoNotOptimize(out.objective);
   }
-  state.SetLabel(std::to_string(jobs) + " jobs x " + std::to_string(regions) +
-                 " regions");
+  state.SetLabel(std::to_string(p.jobs) + " jobs x " +
+                 std::to_string(p.regions()) + " regions");
+}
+
+void BM_TransportAssign(benchmark::State& state) {
+  time_solves(state, random_chunk(static_cast<int>(state.range(0)),
+                                  static_cast<int>(state.range(1)), 17));
 }
 // 25 is the burst-chunked chunk size, 60 and 254 its p50 and p99 batch
 // sizes (ROADMAP profile), 400 the largest chunk the oracle tests cover.
 BENCHMARK(BM_TransportAssign)
+    ->ArgsProduct({{25, 60, 254, 400}, {5, 10}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_TransportAssignTight(benchmark::State& state) {
+  time_solves(state, tight_chunk(static_cast<int>(state.range(0)),
+                                 static_cast<int>(state.range(1)), 17));
+}
+BENCHMARK(BM_TransportAssignTight)
     ->ArgsProduct({{25, 60, 254, 400}, {5, 10}})
     ->Unit(benchmark::kMicrosecond);
 

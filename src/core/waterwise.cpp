@@ -220,10 +220,11 @@ const sched::TransportSolution& WaterWiseScheduler::run_model(
   stats.solve_seconds += watch.elapsed_seconds();
   ++stats.milp_solves;
 #ifndef NDEBUG
-  // Debug builds (the sanitizer CI job among them) certify every solve.
+  // Debug builds (the sanitizer CI job among them) certify every solve:
+  // an optimal one by its duals, an infeasible one by its Hall set.
   std::string why;
-  if (sol.optimal() && !sched::certify(problem, sol, &why))
-    throw std::logic_error("WaterWise: transport solve failed its dual "
+  if (!sched::certify(problem, sol, &why))
+    throw std::logic_error("WaterWise: transport solve failed its "
                            "certificate: " + why);
 #endif
   return sol;

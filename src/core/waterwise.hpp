@@ -462,8 +462,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
   /// job j's region.  `soft` adds penalty_rate * exceedance to a
   /// delay-violating pair's cost instead of forbidding it, and a region
   /// with no quota takes no job.  The solve count and time accumulate into
-  /// `stats`.  Builds without NDEBUG certify every optimal solve and throw
-  /// std::logic_error on a failed certificate.
+  /// `stats`.  Builds without NDEBUG certify every solve, optimal or
+  /// infeasible, and throw std::logic_error on a failed certificate.
   const sched::TransportSolution& run_model(ChunkWorkspace& ws,
                                             const std::vector<int>& quota,
                                             bool soft,

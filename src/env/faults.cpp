@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -17,6 +19,36 @@ void check_window(int region, int num_regions, double start, double end) {
     throw std::out_of_range("FaultSchedule: region index out of range");
   if (!(end > start))
     throw std::invalid_argument("FaultSchedule: window must have end > start");
+}
+
+/// Throws unless `value` lies in [0, 1] (NaN never does); `field` names
+/// the offending field.
+void check_fraction(double value, const char* field) {
+  if (!(value >= 0.0 && value <= 1.0))
+    throw std::invalid_argument(std::string("FaultSchedule: ") + field +
+                                " must be in [0, 1]");
+}
+
+/// Throws unless `value` is finite and > 0.
+void check_positive(double value, const char* field) {
+  if (!(value > 0.0 && std::isfinite(value)))
+    throw std::invalid_argument(std::string("FaultSchedule: ") + field +
+                                " must be finite and > 0");
+}
+
+/// Throws unless `value` is finite.
+void check_finite(double value, const char* field) {
+  if (!std::isfinite(value))
+    throw std::invalid_argument(std::string("FaultSchedule: ") + field +
+                                " must be finite");
+}
+
+/// Throws when a magnitude range's minimum exceeds its maximum; `field` is
+/// the pair's common prefix.
+void check_ordered(double lo, double hi, const char* field) {
+  if (lo > hi)
+    throw std::invalid_argument(std::string("FaultSchedule: ") + field +
+                                "_min exceeds " + field + "_max");
 }
 
 /// Appends Poisson-arrival windows of one kind to `out`, drawn from `rng`.
@@ -46,6 +78,23 @@ void generate_kind(util::Rng rng, double per_day, double mean_seconds,
 FaultSchedule::FaultSchedule(FaultScheduleConfig config) : config_(config) {
   if (config_.num_regions <= 0)
     throw std::invalid_argument("FaultSchedule: need at least one region");
+  // Magnitude ranges, checked whatever the rates: flap factors in [0, 1],
+  // bias factors > 0, shocks finite, and min <= max everywhere.
+  check_fraction(config_.flap_capacity_min, "flap_capacity_min");
+  check_fraction(config_.flap_capacity_max, "flap_capacity_max");
+  check_ordered(config_.flap_capacity_min, config_.flap_capacity_max,
+                "flap_capacity");
+  check_positive(config_.carbon_bias_min, "carbon_bias_min");
+  check_positive(config_.carbon_bias_max, "carbon_bias_max");
+  check_ordered(config_.carbon_bias_min, config_.carbon_bias_max,
+                "carbon_bias");
+  check_positive(config_.water_bias_min, "water_bias_min");
+  check_positive(config_.water_bias_max, "water_bias_max");
+  check_ordered(config_.water_bias_min, config_.water_bias_max,
+                "water_bias");
+  check_finite(config_.shock_wsf_min, "shock_wsf_min");
+  check_finite(config_.shock_wsf_max, "shock_wsf_max");
+  check_ordered(config_.shock_wsf_min, config_.shock_wsf_max, "shock_wsf");
   windows_.resize(static_cast<std::size_t>(config_.num_regions));
   const util::Rng root(config_.seed);
   for (int r = 0; r < config_.num_regions; ++r) {
@@ -103,7 +152,7 @@ void FaultSchedule::add_outage(int region, double start, double end) {
 void FaultSchedule::add_capacity_flap(int region, double start, double end,
                                       double factor) {
   check_window(region, num_regions(), start, end);
-  if (factor < 0.0 || factor >= 1.0)
+  if (!(factor >= 0.0 && factor < 1.0))
     throw std::invalid_argument("FaultSchedule: flap factor must be in [0, 1)");
   FaultWindow w;
   w.start = start;
@@ -116,8 +165,8 @@ void FaultSchedule::add_forecast_bias(int region, double start, double end,
                                       double carbon_factor,
                                       double water_factor) {
   check_window(region, num_regions(), start, end);
-  if (carbon_factor <= 0.0 || water_factor <= 0.0)
-    throw std::invalid_argument("FaultSchedule: bias factors must be > 0");
+  check_positive(carbon_factor, "carbon_factor");
+  check_positive(water_factor, "water_factor");
   FaultWindow w;
   w.start = start;
   w.end = end;
@@ -129,6 +178,7 @@ void FaultSchedule::add_forecast_bias(int region, double start, double end,
 void FaultSchedule::add_water_shock(int region, double start, double end,
                                     double wsf_delta) {
   check_window(region, num_regions(), start, end);
+  check_finite(wsf_delta, "wsf_delta");
   FaultWindow w;
   w.start = start;
   w.end = end;

@@ -89,11 +89,17 @@ class FaultSchedule {
  public:
   /// Generates windows from the config's seed: per (region, kind) child
   /// streams, exponential inter-arrivals and durations, uniform magnitudes.
+  /// Throws std::invalid_argument, naming the field, unless the flap range
+  /// lies in [0, 1], the bias ranges are finite and > 0, the shock range is
+  /// finite, and every range's minimum is at most its maximum.
   explicit FaultSchedule(FaultScheduleConfig config);
 
   /// Empty schedule for `num_regions` regions; populate with add_*().
   explicit FaultSchedule(int num_regions);
 
+  /// Each add_*() throws std::invalid_argument, naming the field, for a
+  /// flap factor outside [0, 1), a bias factor that is not finite and > 0,
+  /// or a non-finite shock delta.
   void add_outage(int region, double start, double end);
   void add_capacity_flap(int region, double start, double end, double factor);
   void add_forecast_bias(int region, double start, double end,

@@ -35,172 +35,205 @@ double checked_scale(const TransportProblem& p) {
   return scale;
 }
 
-/// Adds job k's moves out of its region r to the residual arcs: w[r * n +
-/// s] is the least c_ks - c_kr over allowed jobs k in r, and via[r * n + s]
-/// the job attaining it (-1: no arc).  Strict `<`, so when jobs are added
-/// in ascending index order a tie keeps the lowest-index job.
-void add_moves(const TransportProblem& p, int k, int r, std::vector<double>& w,
-               std::vector<int>& via) {
+/// The order residual arcs are kept in: a move of value d by job x comes
+/// before one of value w by job `via` when (d, x) < (w, via).  The order is
+/// total, so a row holds the same arcs whatever order its jobs joined in.
+bool precedes(double d, int x, double w, int via) {
+  return d < w || (d == w && x < via);
+}
+
+/// Links job x into region r's list and merges its moves into row r of the
+/// residual arcs: w[r * n + s] is the least move c_ys - c_yr over allowed
+/// jobs y in r, and via[r * n + s] the job attaining it (-1: no arc).
+void link_job(const TransportProblem& p, int x, int r, TransportWorkspace& ws) {
+  const auto ux = static_cast<std::size_t>(x);
+  int& head = ws.head[static_cast<std::size_t>(r)];
+  ws.prev[ux] = -1;
+  ws.next[ux] = head;
+  if (head >= 0) ws.prev[static_cast<std::size_t>(head)] = x;
+  head = x;
   const int n = p.regions();
-  const double here = p.cost[at(k, n, r)];
+  const double here = p.cost[at(x, n, r)];
   for (int s = 0; s < n; ++s) {
-    if (s == r || p.allowed[at(k, n, s)] == 0) continue;
-    const double d = p.cost[at(k, n, s)] - here;
-    if (d < w[at(r, n, s)]) {
-      w[at(r, n, s)] = d;
-      via[at(r, n, s)] = k;
+    if (s == r || p.allowed[at(x, n, s)] == 0) continue;
+    const double d = p.cost[at(x, n, s)] - here;
+    if (precedes(d, x, ws.w[at(r, n, s)], ws.via[at(r, n, s)])) {
+      ws.w[at(r, n, s)] = d;
+      ws.via[at(r, n, s)] = x;
     }
   }
 }
 
-/// True when `s` is `r` or one of its ancestors in the shortest-path tree.
-/// Without a negative cycle no relaxation ever points a node at its own
-/// descendant; the check keeps rounding noise on an exact tie from closing
-/// one, so the augmenting path is always simple.
-bool on_path(const std::vector<int>& pred, int r, int s) {
-  for (int x = r; x >= 0; x = pred[static_cast<std::size_t>(x)])
-    if (x == s) return true;
-  return false;
+/// Unlinks job x from region r's list and recomputes the columns of row r
+/// that x attained, by walking the jobs left in r.
+void unlink_job(const TransportProblem& p, int x, int r,
+                TransportWorkspace& ws) {
+  const auto ux = static_cast<std::size_t>(x);
+  const int before = ws.prev[ux];
+  const int after = ws.next[ux];
+  (before >= 0 ? ws.next[static_cast<std::size_t>(before)]
+               : ws.head[static_cast<std::size_t>(r)]) = after;
+  if (after >= 0) ws.prev[static_cast<std::size_t>(after)] = before;
+  const int n = p.regions();
+  for (int s = 0; s < n; ++s) {
+    if (ws.via[at(r, n, s)] != x) continue;
+    double w = kInf;
+    int via = -1;
+    for (int y = ws.head[static_cast<std::size_t>(r)]; y >= 0;
+         y = ws.next[static_cast<std::size_t>(y)]) {
+      if (p.allowed[at(y, n, s)] == 0) continue;
+      const double d = p.cost[at(y, n, s)] - p.cost[at(y, n, r)];
+      if (precedes(d, y, w, via)) {
+        w = d;
+        via = y;
+      }
+    }
+    ws.w[at(r, n, s)] = w;
+    ws.via[at(r, n, s)] = via;
+  }
 }
 
 }  // namespace
 
 void transport_assign(const TransportProblem& p, TransportSolution& out,
                       TransportWorkspace& ws) {
-  const double scale = checked_scale(p);
+  (void)checked_scale(p);
   const int m = p.jobs;
   const int n = p.regions();
+  const auto um = static_cast<std::size_t>(m);
+  const auto un = static_cast<std::size_t>(n);
   out.status = TransportSolution::Status::Infeasible;
   out.objective = 0.0;
-  out.region.assign(static_cast<std::size_t>(m), -1);
+  out.region.assign(um, -1);
+  out.hall.clear();
+  out.hall.reserve(um);
   out.u.clear();
   out.v.clear();
-  std::vector<int>& load = ws.load;
-  load.assign(static_cast<std::size_t>(n), 0);
+  ws.load.assign(un, 0);
+  ws.w.assign(at(n, n, 0), kInf);
+  ws.via.assign(ws.w.size(), -1);
+  ws.h.assign(un, 0.0);
+  ws.dist.resize(un);
+  ws.pred.resize(un);
+  ws.settled.resize(un);
+  ws.head.assign(un, -1);
+  ws.next.resize(um);
+  ws.prev.resize(um);
+  ws.path.clear();
+  ws.path.reserve(un);
   const auto free_quota = [&](int r) {
     const auto i = static_cast<std::size_t>(r);
-    return load[i] < p.quota[i];
+    return ws.load[i] < p.quota[i];
   };
-  // The residual arcs of the jobs placed so far (see add_moves), kept up
-  // to date insertion by insertion.
-  std::vector<double>& w = ws.w;
-  std::vector<int>& via = ws.via;
-  std::vector<std::uint8_t>& stale = ws.stale;
-  std::vector<double>& dist = ws.dist;
-  std::vector<int>& pred = ws.pred;
-  w.assign(at(n, n, 0), kInf);
-  via.assign(w.size(), -1);
-  stale.assign(static_cast<std::size_t>(n), 0);
-  dist.resize(static_cast<std::size_t>(n));
-  pred.resize(static_cast<std::size_t>(n));
 
   for (int k = 0; k < m; ++k) {
-    // Shortest path from job k to a region with free quota: k's own arcs,
-    // then at most n - 1 Bellman-Ford passes over the region arcs (none
-    // exist before the first job is placed).
+    // Dijkstra from job k over the reduced lengths w_rs + h_r - h_s >= 0.
+    // k's own arcs c_kr - h_r may be negative; k has no incoming arc, so
+    // labels stay exact.  Ties settle the lowest-index region.  Every free
+    // region carries the same potential, so the first free region settled
+    // ends a shortest path.
     for (int r = 0; r < n; ++r) {
-      dist[static_cast<std::size_t>(r)] =
-          p.allowed[at(k, n, r)] != 0 ? p.cost[at(k, n, r)] : kInf;
-      pred[static_cast<std::size_t>(r)] = -1;
-    }
-    for (int pass = 1; pass < n && k > 0; ++pass) {
-      bool changed = false;
-      for (int r = 0; r < n; ++r) {
-        const double dr = dist[static_cast<std::size_t>(r)];
-        if (dr == kInf) continue;
-        for (int s = 0; s < n; ++s) {
-          if (via[at(r, n, s)] < 0) continue;
-          const double d = dr + w[at(r, n, s)];
-          if (d < dist[static_cast<std::size_t>(s)] && !on_path(pred, r, s)) {
-            dist[static_cast<std::size_t>(s)] = d;
-            pred[static_cast<std::size_t>(s)] = r;
-            changed = true;
-          }
-        }
-      }
-      if (!changed) break;
+      const auto i = static_cast<std::size_t>(r);
+      ws.dist[i] = p.allowed[at(k, n, r)] != 0 ? p.cost[at(k, n, r)] - ws.h[i]
+                                               : kInf;
+      ws.pred[i] = -1;
+      ws.settled[i] = 0;
     }
     int t = -1;
-    double best = kInf;
-    for (int r = 0; r < n; ++r) {
-      if (free_quota(r) && dist[static_cast<std::size_t>(r)] < best) {
-        best = dist[static_cast<std::size_t>(r)];
+    int settled = 0;
+    for (;;) {
+      int r = -1;
+      double dr = kInf;
+      for (int s = 0; s < n; ++s) {
+        const auto i = static_cast<std::size_t>(s);
+        if (ws.settled[i] == 0 && ws.dist[i] < dr) {
+          dr = ws.dist[i];
+          r = s;
+        }
+      }
+      if (r < 0) break;
+      ws.settled[static_cast<std::size_t>(r)] = 1;
+      ++settled;
+      if (free_quota(r)) {
         t = r;
+        break;
+      }
+      const double hr = ws.h[static_cast<std::size_t>(r)];
+      for (int s = 0; s < n; ++s) {
+        const auto i = static_cast<std::size_t>(s);
+        if (ws.settled[i] != 0 || ws.via[at(r, n, s)] < 0) continue;
+        const double d = dr + (ws.w[at(r, n, s)] + hr - ws.h[i]);
+        if (d < ws.dist[i]) {
+          ws.dist[i] = d;
+          ws.pred[i] = r;
+        }
       }
     }
     if (t < 0) {
-      // No augmenting path: jobs 0..k already need more allowed quota than
-      // exists, so max flow < m.
+      // No free region is reachable: the settled regions are exactly the
+      // allowed regions of job k and of the jobs they hold, and all are
+      // full, so those jobs outnumber their quota (a Hall set).
+      for (int j = 0; j < k; ++j) {
+        const int rj = out.region[static_cast<std::size_t>(j)];
+        if (ws.settled[static_cast<std::size_t>(rj)] != 0)
+          out.hall.push_back(j);
+      }
+      out.hall.push_back(k);
       out.region.clear();
       return;
     }
-    ++load[static_cast<std::size_t>(t)];
+    // Potentials: h_r += min(d_r, d_t) keeps every reduced length >= 0 and
+    // makes the path's arcs tight.  When t settled first, every label is at
+    // least d_t and the update is a uniform shift, so it is skipped.
+    if (settled > 1) {
+      const double dt = ws.dist[static_cast<std::size_t>(t)];
+      for (std::size_t i = 0; i < un; ++i)
+        ws.h[i] += std::min(ws.dist[i], dt);
+    }
+
+    // Collect the path's moves before applying any: each one changes rows
+    // that later links of the path were read from.
+    ++ws.load[static_cast<std::size_t>(t)];
     int r = t;
-    while (pred[static_cast<std::size_t>(r)] >= 0) {
-      const int from = pred[static_cast<std::size_t>(r)];
-      out.region[static_cast<std::size_t>(via[at(from, n, r)])] = r;
-      stale[static_cast<std::size_t>(r)] = 1;
-      stale[static_cast<std::size_t>(from)] = 1;
+    while (ws.pred[static_cast<std::size_t>(r)] >= 0) {
+      const int from = ws.pred[static_cast<std::size_t>(r)];
+      ws.path.push_back({ws.via[at(from, n, r)], from, r});
       r = from;
     }
+    for (const TransportWorkspace::Move& mv : ws.path) {
+      out.region[static_cast<std::size_t>(mv.job)] = mv.to;
+      unlink_job(p, mv.job, mv.from, ws);
+      link_job(p, mv.job, mv.to, ws);
+    }
+    ws.path.clear();
     out.region[static_cast<std::size_t>(k)] = r;
-
-    // Arc upkeep.  Only the rows of regions whose job set changed move.  A
-    // direct placement adds job k, the highest index so far, to row r.  A
-    // path changes every region on it: reset those rows and rebuild them in
-    // one ascending pass over jobs 0..k, as a full rebuild would.
-    if (stale[static_cast<std::size_t>(r)] == 0) {
-      add_moves(p, k, r, w, via);
-      continue;
-    }
-    for (int s = 0; s < n; ++s) {
-      if (stale[static_cast<std::size_t>(s)] == 0) continue;
-      std::fill_n(w.begin() + static_cast<std::ptrdiff_t>(at(s, n, 0)), n,
-                  kInf);
-      std::fill_n(via.begin() + static_cast<std::ptrdiff_t>(at(s, n, 0)), n,
-                  -1);
-    }
-    for (int j = 0; j <= k; ++j) {
-      const int rj = out.region[static_cast<std::size_t>(j)];
-      if (stale[static_cast<std::size_t>(rj)] != 0) add_moves(p, j, rj, w, via);
-    }
-    std::fill(stale.begin(), stale.end(), 0);
+    link_job(p, k, r, ws);
   }
 
   out.status = TransportSolution::Status::Optimal;
   for (int j = 0; j < m; ++j)
     out.objective += p.cost[at(j, n, out.region[static_cast<std::size_t>(j)])];
 
-  // Potentials: v_r = -D_r, where D_r is the shortest distance from r to a
-  // region with unused quota (0 at those regions).  Optimality means no
-  // negative path from a loaded region to a free one, so D >= 0, and
-  // shortest distances satisfy D_r <= w_rs + D_s on every arc, which is
-  // exactly reduced cost >= 0 once u_j = c_j,region(j) - v_region(j).
-  // Regions that reach no free quota start from `big`, an arc to a virtual
-  // free region longer than any simple path is negative, so D stays >= 0.
-  // The arcs are those of the final assignment.
-  const double big = 2.0 * static_cast<double>(n) * scale;
-  for (int r = 0; r < n; ++r)
-    dist[static_cast<std::size_t>(r)] = free_quota(r) ? 0.0 : big;
-  for (int pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (int r = 0; r < n; ++r) {
-      for (int s = 0; s < n; ++s) {
-        if (via[at(r, n, s)] < 0) continue;
-        const double d = w[at(r, n, s)] + dist[static_cast<std::size_t>(s)];
-        if (d < dist[static_cast<std::size_t>(r)]) {
-          dist[static_cast<std::size_t>(r)] = d;
-          changed = true;
-        }
-      }
+  // Duals off the potentials: v_r = h_r - h_free, where h_free is the
+  // potential every free region shares (the largest potential when none is
+  // free).  h_r - h_s <= c_ks - c_kr on every arc is then exactly reduced
+  // cost >= 0 with u_j = c_j,region(j) - v_region(j), and potentials of
+  // full regions never rise above h_free; min(0, .) absorbs rounding.
+  double ref = -kInf;
+  for (int r = 0; r < n; ++r) {
+    const double hr = ws.h[static_cast<std::size_t>(r)];
+    if (free_quota(r)) {
+      ref = hr;
+      break;
     }
-    if (!changed) break;
+    ref = std::max(ref, hr);
   }
-  out.v.resize(static_cast<std::size_t>(n));
+  out.v.resize(un);
   for (int r = 0; r < n; ++r)
     out.v[static_cast<std::size_t>(r)] =
-        std::min(0.0, -dist[static_cast<std::size_t>(r)]);
-  out.u.resize(static_cast<std::size_t>(m));
+        free_quota(r) ? 0.0
+                      : std::min(0.0, ws.h[static_cast<std::size_t>(r)] - ref);
+  out.u.resize(um);
   for (int j = 0; j < m; ++j) {
     const int r = out.region[static_cast<std::size_t>(j)];
     out.u[static_cast<std::size_t>(j)] =
@@ -221,7 +254,6 @@ bool certify(const TransportProblem& p, const TransportSolution& s,
     if (why != nullptr) *why = msg;
     return false;
   };
-  if (!s.optimal()) return fail("solution is not Optimal");
   const int m = p.jobs;
   const int n = p.regions();
   double scale = 1.0;
@@ -229,6 +261,30 @@ bool certify(const TransportProblem& p, const TransportSolution& s,
     scale = checked_scale(p);
   } catch (const std::invalid_argument& e) {
     return fail(e.what());
+  }
+  if (!s.optimal()) {
+    // Hall's condition: the witness jobs may go only to the regions of
+    // their neighbourhood N, and N's quota cannot hold them all.
+    if (s.hall.empty()) return fail("infeasible result has no Hall set");
+    std::vector<std::uint8_t> in_set(static_cast<std::size_t>(m), 0);
+    std::vector<std::uint8_t> in_n(static_cast<std::size_t>(n), 0);
+    for (const int j : s.hall) {
+      if (j < 0 || j >= m || in_set[static_cast<std::size_t>(j)] != 0)
+        return fail("Hall set entry " + std::to_string(j) +
+                    " is not a distinct job");
+      in_set[static_cast<std::size_t>(j)] = 1;
+      for (int r = 0; r < n; ++r)
+        if (p.allowed[at(j, n, r)] != 0) in_n[static_cast<std::size_t>(r)] = 1;
+    }
+    long long quota = 0;
+    for (int r = 0; r < n; ++r)
+      if (in_n[static_cast<std::size_t>(r)] != 0)
+        quota += std::max(p.quota[static_cast<std::size_t>(r)], 0);
+    if (quota >= static_cast<long long>(s.hall.size()))
+      return fail("Hall set of " + std::to_string(s.hall.size()) +
+                  " jobs has " + std::to_string(quota) +
+                  " slots in its neighbourhood");
+    return true;
   }
   if (s.region.size() != static_cast<std::size_t>(m) ||
       s.u.size() != static_cast<std::size_t>(m) ||

@@ -11,22 +11,32 @@
 // (forbidden pairs are the hard form's delay fixings and zero-quota
 // regions).  The constraint matrix is totally unimodular, so a
 // combinatorial solver finds the integral optimum exactly — no basis, no
-// presolve, no node or iteration budget.  transport_assign uses successive
-// shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9):
-// jobs are inserted in index order, and each insertion runs one shortest
-// augmenting path over the n region nodes with Bellman-Ford.  The arc
-// r -> s weighs the least c_ks - c_kr over allowed jobs k currently in r
-// (moving that job from r to s; ties keep the lowest-index job).
-// Relaxations use strict `<` and ties for the end of the path go to the
-// lowest-index region with free quota, so the result is a pure function
-// of the input.
+// presolve, no node or iteration budget.
 //
-// The arcs are kept up to date across insertions instead of rebuilt.  A
-// job placed directly, with no moves, adds its O(n) arcs to its region's
-// row.  A path that moves jobs changes only the rows of the regions on
-// it; those are reset and rebuilt in one ascending pass over the placed
-// jobs.  So a chunk costs O(m n^3 + a m n), where a <= m counts the
-// insertions that move jobs.
+// transport_assign uses successive shortest paths with node potentials
+// (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).  Jobs are
+// inserted in index order.  The residual graph has one node per region;
+// the arc r -> s weighs the least c_ks - c_kr over allowed jobs k now in
+// r (moving that job from r to s), compared by (value, job index), so a
+// tie keeps the lowest-index job.  The solver keeps a potential h_r per
+// region with the invariant
+//
+//   w_rs + h_r - h_s >= 0 on every arc, and every region with free quota
+//   carries the same potential,
+//
+// so each insertion is one dense O(n^2) Dijkstra from the new job over
+// these nonnegative reduced lengths (the job's own arcs c_kr - h_r may be
+// negative; it has no incoming arc).  Ties settle the lowest-index region,
+// and the search stops at the first region with free quota it settles: by
+// the shared potential that region ends a shortest augmenting path.  The
+// answer is a pure function of the input.  Potentials then rise by
+// min(d_r, d_t), which keeps the invariant and makes the path tight.
+//
+// A path's moves repair only the arcs they touch: a job leaving region a
+// recomputes the columns of row a it attained, by walking a's job list,
+// and a job entering b merges its O(n) arcs into row b.  A chunk costs
+// O(m n^2 + moves * row size).  The duals are read off the final
+// potentials, and an infeasible instance returns a Hall set as its proof.
 //
 // The tests check this solver against src/milp/'s dense-simplex oracle
 // on the same models.
@@ -60,6 +70,9 @@ struct TransportSolution {
   };
   Status status = Status::Infeasible;
   std::vector<int> region;  ///< Region per job (Optimal only).
+  /// Infeasibility proof (Infeasible only): ascending job indices whose
+  /// allowed regions together hold fewer quota slots than there are jobs.
+  std::vector<int> hall;
   double objective = 0.0;   ///< sum_j cost(j, region[j]), in job order.
   /// Dual potentials of the assignment rows (u, one per job) and capacity
   /// rows (v, one per region) certifying optimality: v_r <= 0, v_r = 0
@@ -73,25 +86,37 @@ struct TransportSolution {
   }
 };
 
-/// Solver scratch: the per-region load, the n x n residual arcs, the
-/// per-region flags marking arc rows a path invalidated, and the
-/// Bellman-Ford labels.  Every solve refills them, so a reused workspace
-/// carries nothing from one solve to the next, and reuse keeps them
-/// allocation-free once the buffers have grown to the largest instance.
+/// Solver scratch.  The per-region load; the n x n residual arcs `w` and
+/// the job `via` attaining each (-1: no arc); the region potentials `h`,
+/// kept so that w_rs + h_r - h_s >= 0 on every arc with all free regions
+/// at one potential; the Dijkstra labels, predecessors and settled flags;
+/// each region's jobs as an intrusive doubly linked list (`head` per
+/// region, `next` and `prev` per job); and the current path's moves.
+/// Every solve refills them, so a reused workspace carries nothing from
+/// one solve to the next, and reuse keeps them allocation-free once the
+/// buffers have grown to the largest instance.
 struct TransportWorkspace {
+  struct Move {
+    int job, from, to;
+  };
   std::vector<int> load;
   std::vector<double> w;
   std::vector<int> via;
-  std::vector<std::uint8_t> stale;
+  std::vector<double> h;
   std::vector<double> dist;
   std::vector<int> pred;
+  std::vector<std::uint8_t> settled;
+  std::vector<int> head;
+  std::vector<int> next;
+  std::vector<int> prev;
+  std::vector<Move> path;
 };
 
 /// Solves `p` exactly into `out`, reusing the capacity of `out`'s and
 /// `ws`'s vectors.  An infeasible instance leaves `region`, `u` and `v`
-/// empty and the objective 0.  Throws std::invalid_argument when the
-/// matrix sizes disagree with `jobs` x regions or an allowed cost is not
-/// finite.
+/// empty, the objective 0 and a Hall set in `hall`; an optimal one leaves
+/// `hall` empty.  Throws std::invalid_argument when the matrix sizes
+/// disagree with `jobs` x regions or an allowed cost is not finite.
 void transport_assign(const TransportProblem& p, TransportSolution& out,
                       TransportWorkspace& ws);
 
@@ -103,9 +128,11 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
 /// objective is the sum of chosen costs, v_r <= 0 with v_r = 0 where quota
 /// is unused, and c_jr - u_j - v_r >= -1e-12 * scale on allowed pairs and
 /// |c_jr - u_j - v_r| <= 1e-12 * scale on chosen pairs, where scale is
-/// max(1, max |c_jr| over allowed pairs).  Returns false for a solution
-/// that is not Optimal; on failure `why`, when given, names the first
-/// violated condition.
+/// max(1, max |c_jr| over allowed pairs).  An Infeasible solution is
+/// checked by its Hall set instead: distinct jobs whose allowed regions
+/// (their neighbourhood N) hold sum over N of max(quota_r, 0) < their
+/// count.  On failure `why`, when given, names the first violated
+/// condition.
 [[nodiscard]] bool certify(const TransportProblem& p,
                            const TransportSolution& s,
                            std::string* why = nullptr);

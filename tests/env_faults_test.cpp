@@ -4,10 +4,16 @@
 // (min capacity factor, product bias, sum shock), the solve-failure
 // predicate is a pure deterministic hash with sane rate behaviour, and the
 // Environment overlay applies forecast bias only to the Controller view
-// while scarcity shocks hit both views.
+// while scarcity shocks hit both views.  Hostile magnitudes (NaN,
+// infinities, out-of-range factors, inverted ranges) are rejected, naming
+// the field, whether passed to add_*() or to a generated schedule's config.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "env/environment.hpp"
@@ -143,6 +149,139 @@ TEST(FaultSchedule, ManualWindowsCombinePerQueryRules) {
   EXPECT_DOUBLE_EQ(sched.wsf_shock(2, 250.0), 1.5);
   EXPECT_DOUBLE_EQ(sched.wsf_shock(2, 400.0), 0.0);
   EXPECT_DOUBLE_EQ(sched.wsf_shock(0, 100.0), 0.0);
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Expects `fn` to throw std::invalid_argument whose message names `field`.
+template <typename Fn>
+void expect_rejects(Fn fn, const std::string& field) {
+  try {
+    fn();
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Expects a generated schedule to reject `cfg` with `field` set to each
+/// of `bad`.
+void expect_config_rejects(double FaultScheduleConfig::*field,
+                           const std::string& name,
+                           std::initializer_list<double> bad) {
+  for (const double value : bad) {
+    FaultScheduleConfig cfg = stormy_config();
+    cfg.*field = value;
+    expect_rejects([&] { FaultSchedule sched(cfg); }, name);
+  }
+}
+
+TEST(FaultSchedule, RejectsBadFlapFactor) {
+  FaultSchedule sched(2);
+  for (const double f : {kNan, -0.1, 1.0, kInf})
+    expect_rejects([&] { sched.add_capacity_flap(0, 0.0, 1.0, f); }, "flap");
+  EXPECT_EQ(sched.total_windows(), 0u);
+}
+
+TEST(FaultSchedule, RejectsBadCarbonBiasFactor) {
+  FaultSchedule sched(2);
+  for (const double f : {kNan, kInf, 0.0, -1.0})
+    expect_rejects([&] { sched.add_forecast_bias(0, 0.0, 1.0, f, 1.0); },
+                   "carbon_factor");
+  EXPECT_EQ(sched.total_windows(), 0u);
+}
+
+TEST(FaultSchedule, RejectsBadWaterBiasFactor) {
+  FaultSchedule sched(2);
+  for (const double f : {kNan, kInf, 0.0, -1.0})
+    expect_rejects([&] { sched.add_forecast_bias(0, 0.0, 1.0, 1.0, f); },
+                   "water_factor");
+  EXPECT_EQ(sched.total_windows(), 0u);
+}
+
+TEST(FaultSchedule, RejectsNonFiniteShockDelta) {
+  FaultSchedule sched(2);
+  for (const double d : {kNan, kInf, -kInf})
+    expect_rejects([&] { sched.add_water_shock(0, 0.0, 1.0, d); },
+                   "wsf_delta");
+  EXPECT_EQ(sched.total_windows(), 0u);
+}
+
+TEST(FaultSchedule, RejectsBadFlapCapacityMin) {
+  expect_config_rejects(&FaultScheduleConfig::flap_capacity_min,
+                        "flap_capacity_min", {kNan, -0.1, 1.5, -kInf});
+}
+
+TEST(FaultSchedule, RejectsBadFlapCapacityMax) {
+  expect_config_rejects(&FaultScheduleConfig::flap_capacity_max,
+                        "flap_capacity_max", {kNan, -0.1, 1.5, kInf});
+}
+
+TEST(FaultSchedule, RejectsBadCarbonBiasMin) {
+  expect_config_rejects(&FaultScheduleConfig::carbon_bias_min,
+                        "carbon_bias_min", {kNan, 0.0, -1.0, kInf});
+}
+
+TEST(FaultSchedule, RejectsBadCarbonBiasMax) {
+  expect_config_rejects(&FaultScheduleConfig::carbon_bias_max,
+                        "carbon_bias_max", {kNan, 0.0, -1.0, kInf});
+}
+
+TEST(FaultSchedule, RejectsBadWaterBiasMin) {
+  expect_config_rejects(&FaultScheduleConfig::water_bias_min,
+                        "water_bias_min", {kNan, 0.0, -1.0, kInf});
+}
+
+TEST(FaultSchedule, RejectsBadWaterBiasMax) {
+  expect_config_rejects(&FaultScheduleConfig::water_bias_max,
+                        "water_bias_max", {kNan, 0.0, -1.0, kInf});
+}
+
+TEST(FaultSchedule, RejectsNonFiniteShockWsfMin) {
+  expect_config_rejects(&FaultScheduleConfig::shock_wsf_min, "shock_wsf_min",
+                        {kNan, kInf, -kInf});
+}
+
+TEST(FaultSchedule, RejectsNonFiniteShockWsfMax) {
+  expect_config_rejects(&FaultScheduleConfig::shock_wsf_max, "shock_wsf_max",
+                        {kNan, kInf, -kInf});
+}
+
+TEST(FaultSchedule, RejectsRangesWhoseMinExceedsMax) {
+  // Each range inverted in turn, every end otherwise valid.
+  FaultScheduleConfig cfg = stormy_config();
+  cfg.flap_capacity_min = 0.9;
+  cfg.flap_capacity_max = 0.2;
+  expect_rejects([&] { FaultSchedule sched(cfg); }, "flap_capacity_min");
+  cfg = stormy_config();
+  cfg.carbon_bias_min = 3.0;
+  expect_rejects([&] { FaultSchedule sched(cfg); }, "carbon_bias_min");
+  cfg = stormy_config();
+  cfg.water_bias_max = 0.5;
+  expect_rejects([&] { FaultSchedule sched(cfg); }, "water_bias_min");
+  cfg = stormy_config();
+  cfg.shock_wsf_min = 2.0;
+  expect_rejects([&] { FaultSchedule sched(cfg); }, "shock_wsf_min");
+}
+
+TEST(FaultSchedule, AcceptsBoundaryMagnitudes) {
+  FaultSchedule sched(1);
+  sched.add_capacity_flap(0, 0.0, 1.0, 0.0);
+  sched.add_forecast_bias(0, 0.0, 1.0, 1e-300, 1e300);
+  sched.add_water_shock(0, 0.0, 1.0, -5.0);
+  EXPECT_EQ(sched.total_windows(), 3u);
+  // Degenerate ranges and the ends of the flap interval are valid.
+  FaultScheduleConfig cfg = stormy_config();
+  cfg.flap_capacity_min = 0.0;
+  cfg.flap_capacity_max = 0.0;
+  cfg.carbon_bias_min = cfg.carbon_bias_max = 1.0;
+  cfg.shock_wsf_min = -1.0;
+  cfg.shock_wsf_max = -1.0;
+  EXPECT_GT(FaultSchedule(cfg).total_windows(), 0u);
+  cfg.flap_capacity_min = cfg.flap_capacity_max = 1.0;
+  EXPECT_GT(FaultSchedule(cfg).total_windows(), 0u);
 }
 
 TEST(InjectedSolveFailure, DeterministicWithRateEdges) {

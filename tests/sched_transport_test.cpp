@@ -6,8 +6,8 @@
 // exact assignments where several optima exist.  Objectives and feasibility
 // must agree to 1e-9 relative; assignments must agree except at a
 // near-tie, where the oracle's assignment costs the same within that
-// tolerance.  Every optimal answer must also pass sched::certify, the dual
-// certificate.
+// tolerance.  Every answer must also pass sched::certify: an optimal one
+// by its dual certificate, an infeasible one by its Hall set.
 #include "sched/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -226,9 +226,9 @@ void expect_matches_milp(const TransportProblem& p, const milp::Model& model,
               ref.status == milp::Status::Infeasible)
       << tag << ": " << milp::to_string(ref.status);
   ASSERT_EQ(got.optimal(), ref.status == milp::Status::Optimal) << tag;
-  if (!got.optimal()) return;
   std::string why;
   EXPECT_TRUE(certify(p, got, &why)) << tag << ": " << why;
+  if (!got.optimal()) return;
   EXPECT_TRUE(near(got.objective, ref.objective))
       << tag << ": transport " << got.objective << " vs milp "
       << ref.objective;
@@ -328,10 +328,27 @@ TEST(Transport, InfeasibleWhenJobsOutnumberAllowedQuota) {
   p.allowed = {1, 0, 1, 0, 1, 0};
   const TransportSolution s = transport_assign(p);
   EXPECT_EQ(s.status, Status::Infeasible);
-  EXPECT_FALSE(certify(p, s));
-  // An all-forbidden row is infeasible however much quota exists.
+  EXPECT_TRUE(s.region.empty());
+  // Job 0 takes region 0's only slot; job 1 finds it full and job 0 unable
+  // to move, so {0, 1} is the Hall set: two jobs, one slot in their
+  // neighbourhood.
+  EXPECT_EQ(s.hall, (std::vector<int>{0, 1}));
+  std::string why;
+  EXPECT_TRUE(certify(p, s, &why)) << why;
+  // An all-forbidden row is infeasible however much quota exists; the
+  // job alone is the witness, with an empty neighbourhood.
   p.allowed = {1, 1, 0, 0, 1, 1};
-  EXPECT_EQ(transport_assign(p).status, Status::Infeasible);
+  const TransportSolution row = transport_assign(p);
+  EXPECT_EQ(row.status, Status::Infeasible);
+  EXPECT_EQ(row.hall, (std::vector<int>{1}));
+  EXPECT_TRUE(certify(p, row, &why)) << why;
+  // A feasible solve leaves no witness behind in a reused solution.
+  TransportSolution reused = s;
+  TransportWorkspace ws;
+  p.allowed.assign(p.cost.size(), 1);
+  transport_assign(p, reused, ws);
+  ASSERT_TRUE(reused.optimal());
+  EXPECT_TRUE(reused.hall.empty());
 }
 
 TEST(Transport, CertifyRejectsBrokenCertificates) {
@@ -369,6 +386,28 @@ TEST(Transport, CertifyRejectsBrokenCertificates) {
   TransportProblem forbidden = p;
   forbidden.allowed[at(0, 2, good.region[0])] = 0;
   EXPECT_FALSE(certify(forbidden, good));
+
+  // Infeasibility witnesses: three jobs, one usable slot in region 0.
+  TransportProblem tight = p;
+  tight.quota = {1, 5};
+  tight.allowed = {1, 0, 1, 0, 1, 0};
+  const TransportSolution none = transport_assign(tight);
+  ASSERT_EQ(none.status, Status::Infeasible);
+  ASSERT_TRUE(certify(tight, none, &why)) << why;
+  TransportSolution tampered = none;
+  tampered.hall = {0};  // one job, one slot: no violation of Hall's condition
+  EXPECT_FALSE(certify(tight, tampered, &why));
+  EXPECT_FALSE(why.empty());
+  tampered.hall = {0, 0};  // a repeated job is not a set
+  EXPECT_FALSE(certify(tight, tampered));
+  tampered.hall = {0, 3};  // no such job
+  EXPECT_FALSE(certify(tight, tampered));
+  tampered.hall.clear();  // an infeasible verdict needs a witness
+  EXPECT_FALSE(certify(tight, tampered));
+  // The witness of one instance proves nothing once region 1 opens.
+  TransportProblem open = tight;
+  open.allowed[at(1, 2, 1)] = 1;
+  EXPECT_FALSE(certify(open, none));
 }
 
 TEST(Transport, MatchesBruteForceOnSeededSmallInstances) {
@@ -382,13 +421,13 @@ TEST(Transport, MatchesBruteForceOnSeededSmallInstances) {
       const BruteForce ref = brute_force(p);
       const TransportSolution got = transport_assign(p);
       ASSERT_EQ(got.optimal(), ref.feasible) << tag;
+      std::string why;
+      EXPECT_TRUE(certify(p, got, &why)) << tag << ": " << why;
       if (!ref.feasible) {
         ++infeasible;
         continue;
       }
       ++feasible;
-      std::string why;
-      EXPECT_TRUE(certify(p, got, &why)) << tag << ": " << why;
       EXPECT_TRUE(near(got.objective, ref.objective))
           << tag << ": " << got.objective << " vs " << ref.objective;
       EXPECT_EQ(cost_of(p, got.region), got.objective) << tag;
@@ -451,35 +490,121 @@ TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
   }
 }
 
+TEST(Transport, PotentialsHandleMixedSignAndWideCosts) {
+  // Costs of either sign spanning 1e-6 to 1e6 in magnitude, and quotas
+  // summing to at most one slot more than the jobs: Dijkstra's source arcs
+  // c_kr - h_r go negative, potentials grow far from the costs' scale and
+  // most insertions move jobs.  One solution and workspace serve every
+  // size as it shrinks and grows; each answer must match a fresh solve
+  // byte for byte, brute force in objective and feasibility, and certify
+  // (Optimal by its duals, Infeasible by its Hall set).
+  util::Rng rng(4099);
+  TransportSolution reused;
+  TransportWorkspace ws;
+  int infeasible = 0, moved = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    TransportProblem p;
+    p.jobs = static_cast<int>(rng.uniform_int(0, 8));
+    const int n = static_cast<int>(rng.uniform_int(1, 5));
+    p.quota.assign(static_cast<std::size_t>(n), 0);
+    for (int slot = p.jobs + static_cast<int>(rng.uniform_int(0, 1));
+         slot > 0; --slot)
+      ++p.quota[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
+    p.cost.resize(at(p.jobs, n, 0));
+    p.allowed.resize(p.cost.size());
+    for (std::size_t i = 0; i < p.cost.size(); ++i) {
+      const double magnitude = std::pow(10.0, rng.uniform(-6.0, 6.0));
+      p.cost[i] = rng.bernoulli(0.5) ? -magnitude : magnitude;
+      p.allowed[i] = rng.bernoulli(0.8) ? 1 : 0;
+    }
+    const std::string tag = "trial " + std::to_string(trial) + " (" +
+                            std::to_string(p.jobs) + "x" + std::to_string(n) +
+                            ")";
+    const TransportSolution fresh = transport_assign(p);
+    transport_assign(p, reused, ws);
+    ASSERT_EQ(reused.status, fresh.status) << tag;
+    EXPECT_EQ(reused.region, fresh.region) << tag;
+    EXPECT_EQ(reused.hall, fresh.hall) << tag;
+    EXPECT_EQ(reused.u, fresh.u) << tag;
+    EXPECT_EQ(reused.v, fresh.v) << tag;
+
+    const BruteForce ref = brute_force(p);
+    ASSERT_EQ(reused.optimal(), ref.feasible) << tag;
+    std::string why;
+    EXPECT_TRUE(certify(p, reused, &why)) << tag << ": " << why;
+    if (!ref.feasible) {
+      ++infeasible;
+      continue;
+    }
+    double scale = 1.0;
+    for (const double c : p.cost) scale = std::max(scale, std::abs(c));
+    EXPECT_LE(std::abs(reused.objective - ref.objective), 1e-9 * scale)
+        << tag << ": " << reused.objective << " vs " << ref.objective;
+    EXPECT_EQ(reused.region, ref.region) << tag;
+    // Count the instances whose optimum is not every job's cheapest region.
+    for (int j = 0; j < p.jobs; ++j) {
+      double cheapest = std::numeric_limits<double>::infinity();
+      for (int r = 0; r < n; ++r)
+        if (p.allowed[at(j, n, r)] != 0)
+          cheapest = std::min(cheapest, p.cost[at(j, n, r)]);
+      if (p.cost[at(j, n, reused.region[static_cast<std::size_t>(j)])] !=
+          cheapest) {
+        ++moved;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(infeasible, 30);
+  EXPECT_GT(moved, 100);
+}
+
 TEST(Transport, TieHeavyCorpusKeepsItsAssignments) {
   // Many exact ties among costs and among moves, tight quotas and paths of
-  // up to four moves: the instances where the order in which the residual
-  // arcs are kept decides which of several optimal assignments comes out.
-  // The expected region vectors (one digit per job) are the solver's
-  // answers from before its arcs were maintained incrementally.
+  // up to four moves: the instances where the tie rules decide which of
+  // several optimal assignments comes out.  The expected region vectors
+  // (one digit per job) pin the Dijkstra solver's answers.  Five of them
+  // differ from the answers of the Bellman-Ford solver it replaced, which
+  // settled exact ties in another order; those old vectors stay as
+  // witnesses, and each must cost exactly what the new answer costs, so
+  // both are proven optima of the same instance.
   constexpr std::pair<int, int> kSizes[] = {
       {12, 3}, {25, 5}, {40, 4}, {60, 6}, {60, 10}};
-  const char* const kExpected[] = {
+  struct Pin {
+    const char* now;
+    const char* before;  ///< Bellman-Ford's answer where it differed.
+  };
+  const Pin kExpected[] = {
       // 12 x 3; the longest paths move 1, 1, 1 jobs.
-      "121100010012",
-      "112022012010",
-      "101202102012",
+      {"121100010012", nullptr},
+      {"112022012010", nullptr},
+      {"101202102012", nullptr},
       // 25 x 5; the longest paths move 2, 2, 1 jobs.
-      "2100141231342414220303304",
-      "0131442042112343023410230",
-      "3203001334410301212102224",
+      {"2100141231302414420303324", "2100141231342414220303304"},
+      {"0131442042112343023410230", nullptr},
+      {"3203001334410301212102224", nullptr},
       // 40 x 4; the longest paths move 2, 2, 2 jobs.
-      "0113220132211133232321130103030201000223",
-      "0322101003131113211320220323020023230112",
-      "2120311300210321310301230322012301213203",
+      {"0113220132211133232321130103030201000223", nullptr},
+      {"0322101003131113211320220323020023230112", nullptr},
+      {"2120311300210321310301230322012301213203", nullptr},
       // 60 x 6; the longest paths move 3, 3, 2 jobs.
-      "011504141543015243321030422253330241312302055240015244113545",
-      "252324444305303051231235231345202341005110144415010340512552",
-      "053053411445030145112445512205332342310245012445103324102302",
+      {"011504141542015243321230422253330241312301050340015244513545",
+       "011504141543015243321030422253330241312302055240015244113545"},
+      {"252324444305303051231235231345202341005110144415010340512552",
+       nullptr},
+      {"053053411445030145112445512205332342310245012445103324102302",
+       nullptr},
       // 60 x 10; the longest paths move 3, 3, 4 jobs.
-      "828375725596801049431513847386912320076664416034927750502819",
-      "201340696845536567272427480913540405615731839227688603171986",
-      "935624617811281491579390873304422590608056324357742609886157",
+      {"828675125596831048401513847386932320076664419034927750502719",
+       "828375725596801049431513847386912320076664416034927750502819"},
+      {"201344696842536567276024080913542405615731839287687503171986",
+       "201340696845536567272427480913540405615731839227688603171986"},
+      {"035620617811291491069398763374422598608056324357742509884157",
+       "935624617811281491579390873304422590608056324357742609886157"},
+  };
+  const auto regions_of = [](const char* digits) {
+    std::vector<int> region;
+    for (const char* c = digits; *c != '\0'; ++c) region.push_back(*c - '0');
+    return region;
   };
   util::Rng rng(8117);
   std::size_t i = 0;
@@ -495,7 +620,22 @@ TEST(Transport, TieHeavyCorpusKeepsItsAssignments) {
       EXPECT_TRUE(certify(p, s, &why)) << tag << ": " << why;
       std::string digits;
       for (const int r : s.region) digits += static_cast<char>('0' + r);
-      EXPECT_EQ(digits, kExpected[i]) << tag;
+      EXPECT_EQ(digits, kExpected[i].now) << tag;
+      if (kExpected[i].before == nullptr) continue;
+      // The witness is a feasible assignment of the same cost.
+      const std::vector<int> before = regions_of(kExpected[i].before);
+      ASSERT_EQ(before.size(), static_cast<std::size_t>(jobs)) << tag;
+      std::vector<int> load(static_cast<std::size_t>(regions), 0);
+      for (int j = 0; j < jobs; ++j) {
+        const int r = before[static_cast<std::size_t>(j)];
+        EXPECT_NE(p.allowed[at(j, regions, r)], 0) << tag << " job " << j;
+        ++load[static_cast<std::size_t>(r)];
+      }
+      for (int r = 0; r < regions; ++r)
+        EXPECT_LE(load[static_cast<std::size_t>(r)],
+                  p.quota[static_cast<std::size_t>(r)])
+            << tag << " region " << r;
+      EXPECT_EQ(cost_of(p, before), s.objective) << tag;
     }
   }
   EXPECT_EQ(i, std::size(kExpected));
