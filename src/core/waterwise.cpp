@@ -419,8 +419,8 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     // the greedy defers instead — the backlog is that ablation's
     // measurement).  The remainder spills, then defers explicitly.
     const std::vector<int> assign = sched::greedy_fallback_assign(
-        plan.jobs, out.leftover, ctx, config_.lambda_co2, config_.lambda_h2o,
-        config_.delay_estimate_margin,
+        plan.jobs, out.leftover, ci_, wi_, ctx, config_.lambda_co2,
+        config_.lambda_h2o, config_.delay_estimate_margin,
         /*allow_delay_violations=*/config_.enable_soft_constraints);
     for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
       const dc::PendingJob* p = plan.jobs[j];
@@ -576,9 +576,9 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   if (!history_)
     history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
 
-  // Sample every region once; the history learner, the health machine and
-  // the chunk costs all read these samples.  wi is Eq. 6, the expression
-  // env::Environment::water_intensity evaluates.
+  // Sample every region once; the history learner, the health machine, the
+  // chunk costs and the greedy rung all read these samples.  wi is Eq. 6,
+  // the expression env::Environment::water_intensity evaluates.
   const auto nr = static_cast<std::size_t>(n);
   snapshot_.intensity.resize(nr);
   ci_.resize(nr);

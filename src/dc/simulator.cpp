@@ -1,6 +1,7 @@
 #include "dc/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -96,22 +97,71 @@ struct FinishEvent {
   bool operator>(const FinishEvent& o) const { return time > o.time; }
 };
 
-/// Job id -> trace index, sorted by id.  Throws std::invalid_argument when
-/// two jobs share an id: a finish event would otherwise be charged to the
-/// wrong job.
-std::vector<std::pair<std::uint64_t, std::size_t>> index_by_id(
-    const std::vector<trace::Job>& jobs) {
-  std::vector<std::pair<std::uint64_t, std::size_t>> table;
-  table.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) table.emplace_back(jobs[i].id, i);
-  std::sort(table.begin(), table.end());
-  for (std::size_t i = 1; i < table.size(); ++i)
-    if (table[i].first == table[i - 1].first)
-      throw std::invalid_argument("Simulator: job " +
-                                  std::to_string(table[i].first) +
-                                  " appears more than once in the trace");
-  return table;
+/// Throws std::invalid_argument when two jobs share an id: a decision would
+/// otherwise place, and a finish event charge, the wrong job.  Generated
+/// traces number their jobs in order, so one pass usually proves the ids
+/// unique; only otherwise is a copy sorted.
+void check_unique_ids(const std::vector<trace::Job>& jobs) {
+  bool increasing = true;
+  for (std::size_t i = 1; i < jobs.size() && increasing; ++i)
+    increasing = jobs[i - 1].id < jobs[i].id;
+  if (increasing) return;
+  std::vector<std::uint64_t> ids;
+  ids.reserve(jobs.size());
+  for (const trace::Job& job : jobs) ids.push_back(job.id);
+  std::sort(ids.begin(), ids.end());
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  if (dup != ids.end())
+    throw std::invalid_argument("Simulator: job " + std::to_string(*dup) +
+                                " appears more than once in the trace");
 }
+
+/// Job id -> slot in the current window's `pending`, rebuilt every window:
+/// open addressing with linear probing over a power-of-two table at most
+/// half full.  A decision whose job is not pending (unknown, not yet
+/// arrived, or placed in an earlier window) finds no slot.  The storage is
+/// kept across windows, so it grows to the largest backlog and no further.
+class PendingIndex {
+ public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  void rebuild(const std::vector<PendingJob>& pending) {
+    const std::size_t size = std::bit_ceil(std::max<std::size_t>(
+        8, 2 * pending.size()));
+    mask_ = size - 1;
+    shift_ = 64 - std::countr_zero(size);
+    slots_.assign(size, Entry{});
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      std::size_t h = home(pending[k].job->id);
+      while (slots_[h].slot != kNone) h = (h + 1) & mask_;
+      slots_[h] = Entry{pending[k].job->id, k};
+    }
+  }
+
+  /// The pending slot of job `id`, or kNone.
+  [[nodiscard]] std::size_t find(std::uint64_t id) const {
+    for (std::size_t h = home(id);; h = (h + 1) & mask_) {
+      const Entry& e = slots_[h];
+      if (e.slot == kNone || e.id == id) return e.slot;
+    }
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t id = 0;
+    std::size_t slot = kNone;
+  };
+
+  /// Fibonacci hashing: the top bits of id * 2^64 / phi, which spreads
+  /// consecutive ids across the table.
+  [[nodiscard]] std::size_t home(std::uint64_t id) const {
+    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<Entry> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+};
 
 /// Throws std::invalid_argument, naming the job, when a field would stall
 /// the event loop (a submit time that never becomes due, a run that never
@@ -169,8 +219,7 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
   for (std::size_t i = 1; i < jobs.size(); ++i)
     if (jobs[i].submit_time < jobs[i - 1].submit_time)
       throw std::invalid_argument("Simulator: trace must be submit-sorted");
-  const std::vector<std::pair<std::uint64_t, std::size_t>> trace_index =
-      index_by_id(jobs);
+  check_unique_ids(jobs);
   std::vector<CapacityTimeline> timelines;
   {
     const std::vector<int> caps = region_capacities();
@@ -187,10 +236,11 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
 
   EstimateDb estimates;
   std::vector<PendingJob> pending;
-  // Per trace index: placed by a decision.  A job is pending exactly when
-  // it has arrived and is not placed, so a decision's job is found through
-  // trace_index and these flags, and `pending` is compacted once per window.
-  std::vector<std::uint8_t> placed(jobs.size(), 0);
+  // A decision's job is found through the window's index of `pending`;
+  // placed[k] marks pending slot k as placed this window, and `pending` is
+  // compacted once per window.
+  PendingIndex pending_index;
+  std::vector<std::uint8_t> placed;
   std::priority_queue<FinishEvent, std::vector<FinishEvent>, std::greater<>>
       finish_heap;
 
@@ -256,16 +306,16 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
 
       const obs::Span apply_span("sim.apply");
       std::size_t applied = 0;
+      if (!decisions.empty()) {
+        pending_index.rebuild(pending);
+        placed.assign(pending.size(), 0);
+      }
       for (const Decision& d : decisions) {
-        const auto id_it = std::lower_bound(
-            trace_index.begin(), trace_index.end(),
-            std::pair<std::uint64_t, std::size_t>{d.job_id, 0});
-        if (id_it == trace_index.end() || id_it->first != d.job_id)
-          continue;  // unknown job
-        const std::size_t ji = id_it->second;
-        if (ji >= next_arrival || placed[ji] != 0)
-          continue;  // not yet arrived, or a stale/duplicate decision
-        const trace::Job& job = jobs[ji];
+        const std::size_t k = pending_index.find(d.job_id);
+        // Unknown, not yet arrived, or placed in an earlier window.
+        if (k == PendingIndex::kNone) continue;
+        if (placed[k] != 0) continue;  // a duplicate decision
+        const trace::Job& job = *pending[k].job;
         if (d.region < 0 || d.region >= num_regions) continue;
         if (!(d.power_scale > 0.0) || d.power_scale > 1.0) continue;
 
@@ -280,10 +330,11 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
         // Admission: peak occupancy over the run must stay below the
         // effective capacity at the start instant (== tl.fits() without
         // faults).  An active outage/flap gates new placements while jobs
-        // already on the servers drain through.
-        const int eff_cap = view.effective_capacity(d.region, start);
-        if (tl.max_occupancy(start, end) >= eff_cap) continue;  // stays pending
-        tl.reserve(start, end);
+        // already on the servers drain through.  A rejected job stays
+        // pending.
+        if (!tl.try_reserve(start, end,
+                            view.effective_capacity(d.region, start)))
+          continue;
 
         // --- ledger ---------------------------------------------------------
         const double energy = job.energy_kwh();  // power scaling conserves it
@@ -327,19 +378,19 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
           result.jobs.push_back(o);
         }
 
-        finish_heap.push(FinishEvent{end, ji});
-        placed[ji] = 1;
+        finish_heap.push(FinishEvent{
+            end, static_cast<std::size_t>(pending[k].job - jobs.data())});
+        placed[k] = 1;
         ++applied;
       }
       // One stable pass drops the placed jobs, so the jobs left pending keep
       // their order and every later batch is unchanged.
-      if (applied > 0)
-        pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                     [&](const PendingJob& p) {
-                                       return placed[static_cast<std::size_t>(
-                                                  p.job - jobs.data())] != 0;
-                                     }),
-                      pending.end());
+      if (applied > 0) {
+        std::size_t kept = 0;
+        for (std::size_t k = 0; k < pending.size(); ++k)
+          if (placed[k] == 0) pending[kept++] = pending[k];
+        pending.resize(kept);
+      }
       stalled_batches = applied == 0 ? stalled_batches + 1 : 0;
       if (stalled_batches > 200000)
         throw std::runtime_error(

@@ -1,5 +1,8 @@
 #include "env/day_blocks.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +17,17 @@ DayBlocks::DayBlocks(int horizon_hours, const char* who)
   if (horizon_hours <= 0)
     throw std::invalid_argument(std::string(who) +
                                 ": horizon must be positive");
+}
+
+void* map_pages(std::size_t bytes) {
+  void* pages = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return pages;
+}
+
+void unmap_pages(void* pages, std::size_t bytes) noexcept {
+  ::munmap(pages, bytes);
 }
 
 void DayBlocks::grow(std::size_t hour) const {

@@ -12,14 +12,56 @@
 // reader needs only the watermark: an acquire load that sees hour h ready
 // also sees row h.  Growth takes a mutex, so const queries from several
 // threads are safe.
+//
+// The rows live in HourlyRows arrays sized to the full horizon: anonymous
+// pages of their own, zero-filled by the system on first touch.  A heap
+// array of the same size can be handed memory that earlier allocations
+// already made resident, and leaves a hole when freed, so the days a run
+// never generates would still cost memory.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <mutex>
+#include <type_traits>
 
 namespace ww::env {
+
+/// Maps `bytes` of zero-filled anonymous pages; throws std::bad_alloc when
+/// the system refuses.
+[[nodiscard]] void* map_pages(std::size_t bytes);
+/// Returns pages from map_pages(bytes) to the system.
+void unmap_pages(void* pages, std::size_t bytes) noexcept;
+
+/// `n` rows of T in pages mapped for this array alone; a row's page becomes
+/// resident when the row is first written.
+template <class T>
+class HourlyRows {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+
+ public:
+  explicit HourlyRows(std::size_t n)
+      : bytes_(n * sizeof(T)), rows_(static_cast<T*>(map_pages(bytes_))) {
+    // Default-initialising a trivial T writes nothing, so no page is
+    // touched here.
+    std::uninitialized_default_construct_n(rows_, n);
+  }
+  ~HourlyRows() { unmap_pages(rows_, bytes_); }
+  HourlyRows(const HourlyRows&) = delete;
+  HourlyRows& operator=(const HourlyRows&) = delete;
+
+  [[nodiscard]] T& operator[](std::size_t h) const noexcept {
+    return rows_[h];
+  }
+  [[nodiscard]] const T* data() const noexcept { return rows_; }
+
+ private:
+  std::size_t bytes_;
+  T* rows_;
+};
 
 class DayBlocks {
  public:

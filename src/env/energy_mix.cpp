@@ -37,19 +37,14 @@ EnergyMixModel::EnergyMixModel(MixConfig config, util::Rng rng,
       innovation_(config_.wind_noise *
                   std::sqrt(1.0 - config_.wind_noise_rho *
                                       config_.wind_noise_rho)),
-      rng_(rng) {
+      rng_(rng),
+      rows_(static_cast<std::size_t>(horizon_hours)) {
   // Normalize base shares.
   double total = std::accumulate(config_.base_share.begin(),
                                  config_.base_share.end(), 0.0);
   if (total <= 0.0)
     throw std::invalid_argument("EnergyMixModel: base shares must be positive");
   for (double& s : config_.base_share) s /= total;
-
-  const auto n = static_cast<std::size_t>(horizon_hours);
-  samples_ = std::make_unique_for_overwrite<Shares[]>(n);
-  ci_ = std::make_unique_for_overwrite<double[]>(n);
-  ewif_em_ = std::make_unique_for_overwrite<double[]>(n);
-  ewif_wri_ = std::make_unique_for_overwrite<double[]>(n);
 }
 
 void EnergyMixModel::generate(std::size_t begin, std::size_t end) const {
@@ -109,7 +104,8 @@ void EnergyMixModel::generate(std::size_t begin, std::size_t end) const {
       share[idx(EnergySource::Gas)] += fossil_needed;
     }
 
-    samples_[h] = share;
+    Row& row = rows_[h];
+    row.shares = share;
 
     double ci = 0.0;
     double wem = 0.0;
@@ -119,25 +115,26 @@ void EnergyMixModel::generate(std::size_t begin, std::size_t end) const {
       wem += share[idx(s)] * env::ewif(s, WaterDataset::ElectricityMaps);
       wwri += share[idx(s)] * env::ewif(s, WaterDataset::WorldResourcesInstitute);
     }
-    ci_[h] = ci;
-    ewif_em_[h] = wem;
-    ewif_wri_[h] = wwri;
+    row.ci = ci;
+    row.ewif_em = wem;
+    row.ewif_wri = wwri;
   }
 }
 
 double EnergyMixModel::share(EnergySource source, double t_seconds) const {
-  return samples_[locate(t_seconds).lo][idx(source)];
+  return rows_[locate(t_seconds).lo].shares[idx(source)];
 }
 
-double EnergyMixModel::carbon_intensity(double t_seconds) const {
-  return interpolate(ci_.get(), t_seconds);
-}
-
-double EnergyMixModel::ewif(double t_seconds, WaterDataset dataset) const {
-  return interpolate(dataset == WaterDataset::ElectricityMaps
-                         ? ewif_em_.get()
-                         : ewif_wri_.get(),
-                     t_seconds);
+EnergyMixModel::Intensity EnergyMixModel::intensity(
+    double t_seconds, WaterDataset dataset) const {
+  // The interpolation DayBlocks::interpolate computes, on two fields.
+  const Point p = locate(t_seconds);
+  const Row& lo = rows_[p.lo];
+  const Row& hi = rows_[p.hi];
+  const bool em = dataset == WaterDataset::ElectricityMaps;
+  return {lo.ci * (1.0 - p.frac) + hi.ci * p.frac,
+          (em ? lo.ewif_em : lo.ewif_wri) * (1.0 - p.frac) +
+              (em ? hi.ewif_em : hi.ewif_wri) * p.frac};
 }
 
 }  // namespace ww::env

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 
 #include "env/day_blocks.hpp"
 #include "env/energy_source.hpp"
@@ -38,11 +37,22 @@ class EnergyMixModel final : public DayBlocks {
   /// Generation share of `source` at time t (seconds); shares sum to 1.
   [[nodiscard]] double share(EnergySource source, double t_seconds) const;
 
-  /// Mix-weighted grid carbon intensity, gCO2/kWh (paper Sec. 2.1).
-  [[nodiscard]] double carbon_intensity(double t_seconds) const;
+  /// Mix-weighted grid carbon intensity, gCO2/kWh (paper Sec. 2.1), and
+  /// regional EWIF, L/kWh (paper Sec. 2.2) of `dataset`, interpolated at
+  /// one located point.
+  struct Intensity {
+    double ci;
+    double ewif;
+  };
+  [[nodiscard]] Intensity intensity(double t_seconds,
+                                    WaterDataset dataset) const;
 
-  /// Mix-weighted regional EWIF, L/kWh (paper Sec. 2.2), per dataset.
-  [[nodiscard]] double ewif(double t_seconds, WaterDataset dataset) const;
+  [[nodiscard]] double carbon_intensity(double t_seconds) const {
+    return intensity(t_seconds, WaterDataset::ElectricityMaps).ci;
+  }
+  [[nodiscard]] double ewif(double t_seconds, WaterDataset dataset) const {
+    return intensity(t_seconds, dataset).ewif;
+  }
 
   [[nodiscard]] const MixConfig& config() const noexcept { return config_; }
 
@@ -56,13 +66,18 @@ class EnergyMixModel final : public DayBlocks {
   // Generator state, advanced one hour per generated row.
   mutable util::Rng rng_;
   mutable double wind_swing_ = 0.0;
-  // Hourly rows, allocated at full horizon and left uninitialised, so the
-  // pages of days never read are never touched.  samples_[h][s] is the
-  // share of source s in hour h; the rest are its mix-weighted aggregates.
-  std::unique_ptr<Shares[]> samples_;
-  std::unique_ptr<double[]> ci_;
-  std::unique_ptr<double[]> ewif_em_;
-  std::unique_ptr<double[]> ewif_wri_;
+  /// One hour of the series: the generation shares and their mix-weighted
+  /// aggregates, side by side so an intensity read touches one row per
+  /// interpolation point.
+  struct Row {
+    double ci;        ///< Carbon intensity, gCO2/kWh.
+    double ewif_em;   ///< EWIF, Electricity Maps table.
+    double ewif_wri;  ///< EWIF, WRI table.
+    Shares shares;    ///< shares[s]: the share of source s.
+  };
+  /// Hourly rows at full horizon; the pages of days never read are never
+  /// touched.
+  HourlyRows<Row> rows_;
 };
 
 }  // namespace ww::env

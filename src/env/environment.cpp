@@ -97,41 +97,31 @@ int Environment::region_index(const std::string& name) const {
   throw std::out_of_range("Environment: unknown region '" + name + "'");
 }
 
-double Environment::carbon_intensity(int r, double t) const {
-  double v = config_.carbon_intensity_scale *
-             regions_.at(static_cast<std::size_t>(r)).mix->carbon_intensity(t);
-  if (faults_ != nullptr && fault_view_ == FaultView::Controller)
-    v *= faults_->carbon_bias(r, t);
-  return v;
-}
-
-double Environment::ewif(int r, double t) const {
-  double v = config_.water_intensity_scale *
-             regions_.at(static_cast<std::size_t>(r))
-                 .mix->ewif(t, config_.dataset);
-  if (faults_ != nullptr && fault_view_ == FaultView::Controller)
-    v *= faults_->water_bias(r, t);
-  return v;
-}
-
-double Environment::wue(int r, double t) const {
-  double v = config_.water_intensity_scale *
-             regions_.at(static_cast<std::size_t>(r)).weather->wue(t);
-  if (faults_ != nullptr && fault_view_ == FaultView::Controller)
-    v *= faults_->water_bias(r, t);
-  return v;
+RegionSample Environment::sample(int r, double t) const {
+  const RegionRuntime& rt = regions_.at(static_cast<std::size_t>(r));
+  const EnergyMixModel::Intensity mix = rt.mix->intensity(t, config_.dataset);
+  RegionSample s;
+  s.ci = config_.carbon_intensity_scale * mix.ci;
+  s.ewif = config_.water_intensity_scale * mix.ewif;
+  s.wue = config_.water_intensity_scale * rt.weather->wue(t);
+  s.wsf = rt.spec.wsf;
+  s.pue = rt.spec.pue;
+  if (faults_ != nullptr) {
+    if (fault_view_ == FaultView::Controller) {
+      s.ci *= faults_->carbon_bias(r, t);
+      const double water_bias = faults_->water_bias(r, t);
+      s.ewif *= water_bias;
+      s.wue *= water_bias;
+    }
+    // Scarcity shocks are world-level: a drought raises the true Eq. 6
+    // weighting, so both the ledger and the controller see it.
+    s.wsf += faults_->wsf_shock(r, t);
+  }
+  return s;
 }
 
 double Environment::wsf(int r) const {
   return regions_.at(static_cast<std::size_t>(r)).spec.wsf;
-}
-
-double Environment::wsf(int r, double t) const {
-  double v = regions_.at(static_cast<std::size_t>(r)).spec.wsf;
-  // Scarcity shocks are world-level: a drought raises the true Eq. 6
-  // weighting, so both the ledger and the controller see it.
-  if (faults_ != nullptr) v += faults_->wsf_shock(r, t);
-  return v;
 }
 
 void Environment::attach_faults(const FaultSchedule* faults,
@@ -144,11 +134,6 @@ double Environment::pue(int r) const {
   return regions_.at(static_cast<std::size_t>(r)).spec.pue;
 }
 
-double Environment::water_intensity(int r, double t) const {
-  // Eq. 6: (WUE + PUE * EWIF) * (1 + WSF).
-  return (wue(r, t) + pue(r) * ewif(r, t)) * (1.0 + wsf(r, t));
-}
-
 double Environment::electricity_price(int r, double t) const {
   const double hour = std::fmod(t / 3600.0, 24.0);
   // Peak tariff around 18:00 local-ish; off-peak overnight.
@@ -159,19 +144,6 @@ double Environment::electricity_price(int r, double t) const {
 
 double Environment::mix_share(int r, EnergySource s, double t) const {
   return regions_.at(static_cast<std::size_t>(r)).mix->share(s, t);
-}
-
-double Environment::transfer_latency_seconds(int from, int to,
-                                             double bytes) const {
-  return transfer_->latency_seconds(from, to, bytes);
-}
-
-double Environment::transfer_energy_kwh(int from, int to, double bytes) const {
-  return transfer_->energy_kwh(from, to, bytes);
-}
-
-double Environment::transfer_distance_km(int from, int to) const {
-  return transfer_->distance_km(from, to);
 }
 
 int Environment::total_servers() const noexcept {

@@ -32,6 +32,16 @@ namespace ww::env {
 /// systematic forecast-bias multipliers on carbon/water intensities.
 enum class FaultView { World, Controller };
 
+/// Everything the footprint equations read about one region at one
+/// instant, as Environment::sample(r, t) returns it.
+struct RegionSample {
+  double ci = 0.0;    ///< carbon_intensity(r, t), gCO2/kWh.
+  double ewif = 0.0;  ///< ewif(r, t), L/kWh.
+  double wue = 0.0;   ///< wue(r, t), L/kWh.
+  double wsf = 0.0;   ///< wsf(r, t).
+  double pue = 1.0;   ///< pue(r).
+};
+
 struct EnvironmentConfig {
   std::uint64_t seed = 20250612;
   /// Series length.  Hourly rows are generated a day at a time on first
@@ -73,21 +83,32 @@ class Environment {
   }
   [[nodiscard]] int region_index(const std::string& name) const;
 
+  /// Region r's intensities at instant t, with one bounds check and one
+  /// interpolation point per hourly series model.  Every other
+  /// time-varying intensity accessor reads its field of this sample, so
+  /// each is computed by one formula.
+  [[nodiscard]] RegionSample sample(int r, double t) const;
+
   /// Grid carbon intensity, gCO2/kWh.
-  [[nodiscard]] double carbon_intensity(int r, double t) const;
+  [[nodiscard]] double carbon_intensity(int r, double t) const {
+    return sample(r, t).ci;
+  }
   /// Regional energy water intensity factor, L/kWh (active dataset).
-  [[nodiscard]] double ewif(int r, double t) const;
+  [[nodiscard]] double ewif(int r, double t) const { return sample(r, t).ewif; }
   /// Water usage effectiveness (cooling), L/kWh.
-  [[nodiscard]] double wue(int r, double t) const;
+  [[nodiscard]] double wue(int r, double t) const { return sample(r, t).wue; }
   /// Water scarcity factor (dimensionless, base spec value).
   [[nodiscard]] double wsf(int r) const;
   /// Water scarcity factor at instant t: the base value plus any active
   /// injected scarcity shock (identical to wsf(r) without attached faults).
-  [[nodiscard]] double wsf(int r, double t) const;
+  [[nodiscard]] double wsf(int r, double t) const { return sample(r, t).wsf; }
   /// Power usage effectiveness.
   [[nodiscard]] double pue(int r) const;
   /// Water intensity, Eq. 6: (WUE + PUE * EWIF) * (1 + WSF).
-  [[nodiscard]] double water_intensity(int r, double t) const;
+  [[nodiscard]] double water_intensity(int r, double t) const {
+    const RegionSample s = sample(r, t);
+    return (s.wue + s.pue * s.ewif) * (1.0 + s.wsf);
+  }
 
   /// Attaches a fault-injection overlay (env/faults.hpp).  The schedule is
   /// borrowed, not owned — the caller keeps it alive for the Environment's
@@ -108,10 +129,16 @@ class Environment {
   [[nodiscard]] double mix_share(int r, EnergySource s, double t) const;
 
   [[nodiscard]] double transfer_latency_seconds(int from, int to,
-                                                double bytes) const;
+                                                double bytes) const {
+    return transfer_->latency_seconds(from, to, bytes);
+  }
   [[nodiscard]] double transfer_energy_kwh(int from, int to,
-                                           double bytes) const;
-  [[nodiscard]] double transfer_distance_km(int from, int to) const;
+                                           double bytes) const {
+    return transfer_->energy_kwh(from, to, bytes);
+  }
+  [[nodiscard]] double transfer_distance_km(int from, int to) const {
+    return transfer_->distance_km(from, to);
+  }
 
   [[nodiscard]] const EnvironmentConfig& config() const noexcept {
     return config_;

@@ -26,36 +26,27 @@ TransferModel::TransferModel(std::vector<std::pair<double, double>> lat_lon,
     check_lat_lon(p.first, p.second,
                   "TransferModel: region " + std::to_string(i));
   }
-  km_.reserve(lat_lon.size() * lat_lon.size());
+  const std::size_t cells = lat_lon.size() * lat_lon.size();
+  km_.reserve(cells);
+  handshake_s_.reserve(cells);
+  kwh_per_gb_.reserve(cells);
   for (const auto& a : lat_lon)
-    for (const auto& b : lat_lon)
-      km_.push_back(haversine_km(a.first, a.second, b.first, b.second));
+    for (const auto& b : lat_lon) {
+      const double km = haversine_km(a.first, a.second, b.first, b.second);
+      km_.push_back(km);
+      const double one_way =
+          km * config_.route_stretch / config_.fiber_speed_km_per_s;
+      handshake_s_.push_back(config_.rtt_setup_count * 2.0 * one_way);
+      kwh_per_gb_.push_back(config_.energy_kwh_per_gb +
+                            config_.energy_kwh_per_gb_per_1000km * km /
+                                1000.0);
+    }
 }
 
-double TransferModel::distance_km(int from, int to) const {
-  if (from < 0 || from >= n_ || to < 0 || to >= n_)
-    throw std::out_of_range("TransferModel: region pair (" +
-                            std::to_string(from) + ", " + std::to_string(to) +
-                            ") out of range");
-  return km_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
-             static_cast<std::size_t>(to)];
-}
-
-double TransferModel::latency_seconds(int from, int to, double bytes) const {
-  if (from == to) return 0.0;
-  const double km = distance_km(from, to) * config_.route_stretch;
-  const double one_way = km / config_.fiber_speed_km_per_s;
-  const double handshakes = config_.rtt_setup_count * 2.0 * one_way;
-  const double serialization = bytes / config_.effective_bandwidth_bytes_per_s;
-  return handshakes + serialization;
-}
-
-double TransferModel::energy_kwh(int from, int to, double bytes) const {
-  if (from == to) return 0.0;
-  const double gb = bytes / 1.0e9;
-  const double km = distance_km(from, to);
-  return gb * (config_.energy_kwh_per_gb +
-               config_.energy_kwh_per_gb_per_1000km * km / 1000.0);
+void TransferModel::throw_out_of_range(int from, int to) {
+  throw std::out_of_range("TransferModel: region pair (" +
+                          std::to_string(from) + ", " + std::to_string(to) +
+                          ") out of range");
 }
 
 }  // namespace ww::env

@@ -6,10 +6,12 @@
 // as propagation (great-circle distance over fiber with a routing stretch)
 // plus serialization at an effective WAN throughput, and transfer energy with
 // a per-byte WAN energy factor plus a small distance term.  Region
-// locations never move, so the great-circle distances are computed once, at
-// construction, into an n x n table every transfer query reads.
+// locations never move, so the great-circle distances, and the per-pair
+// terms of both formulas that depend only on them, are computed once, at
+// construction, into n x n tables every transfer query reads.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,23 +43,49 @@ class TransferModel {
   TransferModel(std::vector<std::pair<double, double>> lat_lon,
                 TransferConfig config = {});
 
-  /// Seconds to move `bytes` from region `from` to region `to`.  Zero when
-  /// from == to (local execution needs no transfer).
-  [[nodiscard]] double latency_seconds(int from, int to, double bytes) const;
+  /// Seconds to move `bytes` from region `from` to region `to`: the pair's
+  /// handshake round trips plus serialization.  Zero when from == to (local
+  /// execution needs no transfer); otherwise throws std::out_of_range for
+  /// an index outside [0, num_regions()).
+  [[nodiscard]] double latency_seconds(int from, int to, double bytes) const {
+    if (from == to) return 0.0;
+    return handshake_s_[cell(from, to)] +
+           bytes / config_.effective_bandwidth_bytes_per_s;
+  }
 
   /// Energy consumed by the transfer (kWh); split evenly between endpoints
-  /// for accounting purposes.
-  [[nodiscard]] double energy_kwh(int from, int to, double bytes) const;
+  /// for accounting purposes.  Zero when from == to; otherwise throws like
+  /// latency_seconds.
+  [[nodiscard]] double energy_kwh(int from, int to, double bytes) const {
+    if (from == to) return 0.0;
+    const double gb = bytes / 1.0e9;
+    return gb * kwh_per_gb_[cell(from, to)];
+  }
 
   /// haversine_km between the two regions, read from the table; throws
   /// std::out_of_range for an index outside [0, num_regions()).
-  [[nodiscard]] double distance_km(int from, int to) const;
+  [[nodiscard]] double distance_km(int from, int to) const {
+    return km_[cell(from, to)];
+  }
   [[nodiscard]] int num_regions() const noexcept { return n_; }
 
  private:
+  /// Row-major index of (from, to); throws std::out_of_range when either
+  /// is outside [0, n).
+  [[nodiscard]] std::size_t cell(int from, int to) const {
+    if (from < 0 || from >= n_ || to < 0 || to >= n_)
+      throw_out_of_range(from, to);
+    return static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
+           static_cast<std::size_t>(to);
+  }
+  [[noreturn]] static void throw_out_of_range(int from, int to);
+
   int n_;
-  std::vector<double> km_;  ///< Row-major n x n haversine_km table.
   TransferConfig config_;
+  // Row-major n x n tables.
+  std::vector<double> km_;           ///< haversine_km.
+  std::vector<double> handshake_s_;  ///< Handshake round trips, seconds.
+  std::vector<double> kwh_per_gb_;   ///< Transfer energy per GB, kWh.
 };
 
 }  // namespace ww::env

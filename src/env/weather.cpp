@@ -20,8 +20,7 @@ WeatherModel::WeatherModel(WeatherConfig config, util::Rng rng,
       innovation_(config_.noise_stddev_c *
                   std::sqrt(1.0 - config_.noise_rho * config_.noise_rho)),
       rng_(rng),
-      samples_(std::make_unique_for_overwrite<double[]>(
-          static_cast<std::size_t>(horizon_hours))) {}
+      samples_(static_cast<std::size_t>(horizon_hours)) {}
 
 void WeatherModel::generate(std::size_t begin, std::size_t end) const {
   for (std::size_t h = begin; h < end; ++h) {
@@ -39,7 +38,7 @@ void WeatherModel::generate(std::size_t begin, std::size_t end) const {
 }
 
 double WeatherModel::wet_bulb_c(double t_seconds) const {
-  return interpolate(samples_.get(), t_seconds);
+  return interpolate(samples_.data(), t_seconds);
 }
 
 }  // namespace ww::env

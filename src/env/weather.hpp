@@ -8,8 +8,6 @@
 // curve: monotonically increasing in wet-bulb temperature.
 #pragma once
 
-#include <memory>
-
 #include "env/day_blocks.hpp"
 #include "util/rng.hpp"
 
@@ -56,9 +54,9 @@ class WeatherModel final : public DayBlocks {
   // Generator state, advanced one hour per generated sample.
   mutable util::Rng rng_;
   mutable double noise_ = 0.0;
-  /// Hourly wet-bulb temperatures, allocated at full horizon and left
-  /// uninitialised, so the pages of days never read are never touched.
-  std::unique_ptr<double[]> samples_;
+  /// Hourly wet-bulb temperatures at full horizon; the pages of days never
+  /// read are never touched.
+  HourlyRows<double> samples_;
 };
 
 }  // namespace ww::env

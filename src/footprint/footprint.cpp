@@ -19,12 +19,13 @@ FootprintModel::FootprintModel(const env::Environment& env, ServerSpec server,
     : env_(&env), server_(server), embodied_scale_(embodied_scale) {}
 
 Intensities FootprintModel::sample(int r, double t) const {
+  const env::RegionSample s = env_->sample(r, t);
   Intensities at;
-  at.ci = env_->carbon_intensity(r, t);
-  at.ewif = env_->ewif(r, t);
-  at.wue = env_->wue(r, t);
-  at.scarcity = 1.0 + env_->wsf(r, t);
-  at.pue = env_->pue(r);
+  at.ci = s.ci;
+  at.ewif = s.ewif;
+  at.wue = s.wue;
+  at.scarcity = 1.0 + s.wsf;
+  at.pue = s.pue;
   return at;
 }
 

@@ -78,7 +78,8 @@ class FootprintModel {
   explicit FootprintModel(const env::Environment& env, ServerSpec server = {},
                           double embodied_scale = 1.0);
 
-  /// Region `r`'s intensities at instant `t`.
+  /// Region `r`'s intensities at instant `t`, from one
+  /// env::Environment::sample(r, t).
   [[nodiscard]] Intensities sample(int r, double t) const;
 
   /// Footprint of running a job of `energy_kwh` / `exec_seconds` in region

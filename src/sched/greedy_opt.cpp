@@ -39,7 +39,8 @@ class Overlay {
 
 std::vector<int> greedy_fallback_assign(
     const std::vector<const dc::PendingJob*>& jobs,
-    const std::vector<int>& quota, const dc::ScheduleContext& ctx,
+    const std::vector<int>& quota, const std::vector<double>& ci,
+    const std::vector<double>& wi, const dc::ScheduleContext& ctx,
     double lambda_co2, double lambda_h2o, double delay_estimate_margin,
     bool allow_delay_violations) {
   const int n = static_cast<int>(quota.size());
@@ -50,22 +51,14 @@ std::vector<int> greedy_fallback_assign(
   // objective without the per-job energy factor, which scales every region
   // identically for a given job and so never changes the argmin.
   std::vector<double> cost(static_cast<std::size_t>(n));
-  {
-    std::vector<double> ci(static_cast<std::size_t>(n));
-    std::vector<double> wi(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      ci[static_cast<std::size_t>(r)] = ctx.env->carbon_intensity(r, ctx.now);
-      wi[static_cast<std::size_t>(r)] = ctx.env->water_intensity(r, ctx.now);
-    }
-    const double ci_max =
-        std::max(1e-12, *std::max_element(ci.begin(), ci.end()));
-    const double wi_max =
-        std::max(1e-12, *std::max_element(wi.begin(), wi.end()));
-    for (int r = 0; r < n; ++r)
-      cost[static_cast<std::size_t>(r)] =
-          lambda_co2 * ci[static_cast<std::size_t>(r)] / ci_max +
-          lambda_h2o * wi[static_cast<std::size_t>(r)] / wi_max;
-  }
+  const double ci_max =
+      std::max(1e-12, *std::max_element(ci.begin(), ci.end()));
+  const double wi_max =
+      std::max(1e-12, *std::max_element(wi.begin(), wi.end()));
+  for (int r = 0; r < n; ++r)
+    cost[static_cast<std::size_t>(r)] =
+        lambda_co2 * ci[static_cast<std::size_t>(r)] / ci_max +
+        lambda_h2o * wi[static_cast<std::size_t>(r)] / wi_max;
 
   std::vector<std::size_t> order(jobs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;

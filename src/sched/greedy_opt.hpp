@@ -25,8 +25,10 @@ struct GreedyOptConfig {
 /// jobs most-constrained-first (longest estimated runtime, stable by input
 /// order) to the cheapest region with remaining quota, where "cheapest"
 /// ranks regions by the normalized lambda-weighted carbon/water intensity at
-/// ctx.now.  A region is delay-admissible when its transfer latency fits the
-/// job's remaining allowance (exactly the hard model's Eq. 11 fixing rule).
+/// ctx.now: `ci[r]` and `wi[r]` are region r's carbon and Eq. 6 water
+/// intensities there, one per region of `quota`.  A region is
+/// delay-admissible when its transfer latency fits the job's remaining
+/// allowance (exactly the hard model's Eq. 11 fixing rule).
 /// With `allow_delay_violations` set, jobs with no admissible region fall
 /// back to the region minimizing (exceedance, cost) — mirroring the soft
 /// model's penalty trade — instead of deferring.
@@ -38,7 +40,8 @@ struct GreedyOptConfig {
 /// arguments produce the same assignment at any thread count.
 [[nodiscard]] std::vector<int> greedy_fallback_assign(
     const std::vector<const dc::PendingJob*>& jobs,
-    const std::vector<int>& quota, const dc::ScheduleContext& ctx,
+    const std::vector<int>& quota, const std::vector<double>& ci,
+    const std::vector<double>& wi, const dc::ScheduleContext& ctx,
     double lambda_co2, double lambda_h2o, double delay_estimate_margin,
     bool allow_delay_violations);
 

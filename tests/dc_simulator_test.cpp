@@ -229,12 +229,25 @@ TEST_F(SimulatorTest, RejectsDuplicateJobIds) {
   expect_rejected(jobs, jobs[4].id);
 }
 
+TEST_F(SimulatorTest, AcceptsUniqueIdsInAnyOrder) {
+  // Ids need not follow the submit order; each job still runs once.
+  auto jobs = twenty_jobs();
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    jobs[i].id = 1000 - 3 * static_cast<std::uint64_t>(i);
+  Simulator sim(env_, fp_, SimConfig{});
+  sched::BaselineScheduler baseline;
+  EXPECT_EQ(sim.run(jobs, baseline).num_jobs, static_cast<long>(jobs.size()));
+}
+
 /// Places every job at home, except that in its first window it places
 /// only the first job and, in hostile mode, also returns one decision the
-/// simulator must skip for each rejection rule.  Records every batch.
+/// simulator must skip for each rejection rule: among them one for job
+/// `late_id`, which has not arrived yet, and in the second window one for
+/// the job placed in the first.  Records every batch.
 class FilterProbe final : public Scheduler {
  public:
-  explicit FilterProbe(bool hostile) : hostile_(hostile) {}
+  FilterProbe(bool hostile, std::uint64_t late_id)
+      : hostile_(hostile), late_id_(late_id) {}
 
   [[nodiscard]] std::string name() const override { return "FilterProbe"; }
 
@@ -246,8 +259,12 @@ class FilterProbe final : public Scheduler {
     for (const PendingJob& p : batch) ids.push_back(p.job->id);
     batches.push_back(ids);
     std::vector<Decision> out;
-    out.reserve(batch.size() + 8);
+    out.reserve(batch.size() + 9);
     if (batches.size() > 1) {
+      if (hostile_ && batches.size() == 2) {
+        // Stale: this job was placed in the first window.
+        out.push_back(Decision{batches[0][0], 0, ctx.now, 1.0});
+      }
       for (const PendingJob& p : batch)
         out.push_back(Decision{p.job->id, p.job->home_region, ctx.now, 1.0});
       return out;
@@ -261,6 +278,9 @@ class FilterProbe final : public Scheduler {
     Decision unknown = home(1);
     unknown.job_id = 999999;  // no such job
     out.push_back(unknown);
+    Decision not_arrived = home(1);
+    not_arrived.job_id = late_id_;  // a real job, submitted later
+    out.push_back(not_arrived);
     Decision bad_region = home(1);
     bad_region.region = ctx.capacity->num_regions();
     out.push_back(bad_region);
@@ -284,11 +304,13 @@ class FilterProbe final : public Scheduler {
 
  private:
   bool hostile_;
+  std::uint64_t late_id_;
 };
 
 TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
-  // Eight jobs arrive together, so the first window holds all of them.
-  std::vector<trace::Job> jobs(8);
+  // Eight jobs arrive together, so the first window holds all of them; a
+  // ninth arrives long after the second window.
+  std::vector<trace::Job> jobs(9);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].id = 100 + 7 * i;
     jobs[i].home_region = static_cast<int>(i % 3);
@@ -296,6 +318,7 @@ TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
     jobs[i].avg_power_watts = 150.0;
     jobs[i].package_bytes = 5e8;
   }
+  jobs.back().submit_time = 1000.0;
   ASSERT_GT(env_.transfer_latency_seconds(jobs[2].home_region,
                                           jobs[2].home_region + 1,
                                           jobs[2].package_bytes),
@@ -303,18 +326,20 @@ TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
   SimConfig cfg;
   cfg.record_jobs = true;
   Simulator sim(env_, fp_, cfg);
-  FilterProbe clean(false);
-  FilterProbe hostile(true);
+  FilterProbe clean(false, jobs.back().id);
+  FilterProbe hostile(true, jobs.back().id);
   const CampaignResult want = sim.run(jobs, clean);
   const CampaignResult got = sim.run(jobs, hostile);
 
   // Every skipped decision leaves its job pending: the second batch is the
-  // first minus the one applied job, in the original order.
-  ASSERT_GE(hostile.batches.size(), 2u);
+  // first minus the one applied job, in the original order.  The late job
+  // is decided only once it has arrived, alone in the third batch.
+  ASSERT_EQ(hostile.batches.size(), 3u);
   std::vector<std::uint64_t> rest(hostile.batches[0].begin() + 1,
                                   hostile.batches[0].end());
-  EXPECT_EQ(hostile.batches[0].size(), jobs.size());
+  EXPECT_EQ(hostile.batches[0].size(), jobs.size() - 1);
   EXPECT_EQ(hostile.batches[1], rest);
+  EXPECT_EQ(hostile.batches[2], std::vector<std::uint64_t>{jobs.back().id});
   EXPECT_EQ(hostile.batches, clean.batches);
 
   // Otherwise the run is the clean run, job for job.
@@ -331,6 +356,8 @@ TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
     EXPECT_EQ(g.carbon_g, w.carbon_g);
     EXPECT_EQ(g.water_l, w.water_l);
   }
+  EXPECT_EQ(got.jobs.back().job_id, jobs.back().id);
+  EXPECT_GE(got.jobs.back().start_time, jobs.back().submit_time);
   EXPECT_EQ(got.total_carbon_g, want.total_carbon_g);
   EXPECT_EQ(got.total_water_l, want.total_water_l);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "dc/capacity_timeline.hpp"
@@ -37,6 +38,49 @@ class NaiveTimeline {
 
  private:
   std::vector<std::pair<double, double>> intervals_;
+};
+
+/// Reference: the per-time delta map the sorted vector replaced, with the
+/// same prune folding and the same event count (entries whose net delta
+/// returned to zero included).
+class MapTimeline {
+ public:
+  void reserve(double start, double end) {
+    deltas_[start] += 1;
+    deltas_[end] -= 1;
+  }
+  void prune(double now) {
+    auto it = deltas_.begin();
+    while (it != deltas_.end() && it->first <= now) {
+      base_ += it->second;
+      it = deltas_.erase(it);
+    }
+  }
+  [[nodiscard]] int occupancy_at(double t) const {
+    int occ = base_;
+    for (const auto& [time, delta] : deltas_) {
+      if (time > t) break;
+      occ += delta;
+    }
+    return occ;
+  }
+  [[nodiscard]] int max_occupancy(double start, double end) const {
+    int occ = base_;
+    auto it = deltas_.begin();
+    for (; it != deltas_.end() && it->first <= start; ++it) occ += it->second;
+    int peak = occ;
+    for (; it != deltas_.end() && it->first < end; ++it) {
+      occ += it->second;
+      peak = std::max(peak, occ);
+    }
+    return peak;
+  }
+  [[nodiscard]] std::size_t event_count() const { return deltas_.size(); }
+  [[nodiscard]] const std::map<double, int>& deltas() const { return deltas_; }
+
+ private:
+  int base_ = 0;
+  std::map<double, int> deltas_;
 };
 
 class TimelineProperty : public ::testing::TestWithParam<int> {};
@@ -94,50 +138,60 @@ TEST_P(TimelineProperty, FitsConsistentWithMaxOccupancy) {
   EXPECT_GT(placed, 0);
 }
 
+TEST_P(TimelineProperty, TryReserveMatchesCheckThenReserve) {
+  // try_reserve(start, end, cap) against the map reference's
+  // check-then-reserve.  Times sit on a coarse integer grid, so starts and
+  // ends land on existing events and many events net to zero; caps are
+  // small and drawn per request (0 included), so many requests are
+  // rejected.
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 97 + 29);
+  CapacityTimeline tl(1000000);
+  MapTimeline ref;
+  double now = 0.0;
+  int accepted = 0;
+  int rejected = 0;
+  bool saw_zero_delta = false;
+  for (int step = 0; step < 500; ++step) {
+    const double start = now + static_cast<double>(rng.uniform_int(0, 10));
+    const double end = start + static_cast<double>(rng.uniform_int(1, 6));
+    const int cap = static_cast<int>(rng.uniform_int(0, 5));
+    const bool fits = ref.max_occupancy(start, end) < cap;
+    ASSERT_EQ(tl.max_occupancy(start, end) < cap, fits);
+    ASSERT_EQ(tl.try_reserve(start, end, cap), fits)
+        << "param " << GetParam() << " step " << step;
+    if (fits) {
+      ref.reserve(start, end);
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+    if (rng.bernoulli(0.1) && !ref.deltas().empty()) {
+      // Prune exactly at an existing event time.
+      const auto pick = static_cast<std::ptrdiff_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ref.deltas().size()) - 1));
+      now = std::max(now, std::next(ref.deltas().begin(), pick)->first);
+      tl.prune(now);
+      ref.prune(now);
+    }
+    ASSERT_EQ(tl.event_count(), ref.event_count())
+        << "param " << GetParam() << " step " << step;
+    for (const auto& [time, delta] : ref.deltas())
+      saw_zero_delta = saw_zero_delta || delta == 0;
+    for (double t = now; t <= now + 18.0; t += 0.5) {
+      ASSERT_EQ(tl.occupancy_at(t), ref.occupancy_at(t))
+          << "param " << GetParam() << " step " << step << " t " << t;
+      ASSERT_EQ(tl.max_occupancy(t, t + 2.0), ref.max_occupancy(t, t + 2.0))
+          << "param " << GetParam() << " step " << step << " t " << t;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+  EXPECT_TRUE(saw_zero_delta);
+  EXPECT_THROW((void)tl.try_reserve(now + 5.0, now + 5.0, 10),
+               std::invalid_argument);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, TimelineProperty, ::testing::Range(0, 20));
-
-/// Reference: the per-time delta map the sorted vector replaced, with the
-/// same prune folding and the same event count (entries whose net delta
-/// returned to zero included).
-class MapTimeline {
- public:
-  void reserve(double start, double end) {
-    deltas_[start] += 1;
-    deltas_[end] -= 1;
-  }
-  void prune(double now) {
-    auto it = deltas_.begin();
-    while (it != deltas_.end() && it->first <= now) {
-      base_ += it->second;
-      it = deltas_.erase(it);
-    }
-  }
-  [[nodiscard]] int occupancy_at(double t) const {
-    int occ = base_;
-    for (const auto& [time, delta] : deltas_) {
-      if (time > t) break;
-      occ += delta;
-    }
-    return occ;
-  }
-  [[nodiscard]] int max_occupancy(double start, double end) const {
-    int occ = base_;
-    auto it = deltas_.begin();
-    for (; it != deltas_.end() && it->first <= start; ++it) occ += it->second;
-    int peak = occ;
-    for (; it != deltas_.end() && it->first < end; ++it) {
-      occ += it->second;
-      peak = std::max(peak, occ);
-    }
-    return peak;
-  }
-  [[nodiscard]] std::size_t event_count() const { return deltas_.size(); }
-  [[nodiscard]] const std::map<double, int>& deltas() const { return deltas_; }
-
- private:
-  int base_ = 0;
-  std::map<double, int> deltas_;
-};
 
 class TimelineMatchesMap : public ::testing::TestWithParam<int> {};
 

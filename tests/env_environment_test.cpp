@@ -146,6 +146,102 @@ TEST_F(EnvironmentTest, TransferLatencyConsistent) {
             env_.transfer_latency_seconds(0, 3, 5e8));
 }
 
+TEST_F(EnvironmentTest, TransferForwardsMatchTheModel) {
+  std::vector<std::pair<double, double>> points;
+  for (int r = 0; r < env_.num_regions(); ++r)
+    points.emplace_back(env_.region(r).latitude, env_.region(r).longitude);
+  const TransferModel model(points);
+  for (int a = 0; a < env_.num_regions(); ++a)
+    for (int b = 0; b < env_.num_regions(); ++b) {
+      EXPECT_EQ(env_.transfer_latency_seconds(a, b, 4e8),
+                model.latency_seconds(a, b, 4e8));
+      EXPECT_EQ(env_.transfer_energy_kwh(a, b, 4e8),
+                model.energy_kwh(a, b, 4e8));
+      EXPECT_EQ(env_.transfer_distance_km(a, b), model.distance_km(a, b));
+    }
+  const int n = env_.num_regions();
+  EXPECT_THROW((void)env_.transfer_latency_seconds(0, n, 1e6),
+               std::out_of_range);
+  EXPECT_THROW((void)env_.transfer_energy_kwh(-1, 0, 1e6), std::out_of_range);
+  EXPECT_THROW((void)env_.transfer_distance_km(n, 0), std::out_of_range);
+}
+
+/// sample(r, t) against each accessor, and against the documented
+/// arithmetic over an unscaled, fault-free environment of the same dataset:
+/// scale first, then the Controller view's bias; WSF plus the shock in both
+/// views; PUE from the spec or the override.  Bitwise throughout.
+void expect_sample_matches(const EnvironmentConfig& cfg,
+                           const FaultSchedule* faults, FaultView view) {
+  EnvironmentConfig plain_cfg = small_config();
+  plain_cfg.dataset = cfg.dataset;
+  const Environment plain = Environment::builtin(plain_cfg);
+  Environment env = Environment::builtin(cfg);
+  env.attach_faults(faults, view);
+  const bool biased = faults != nullptr && view == FaultView::Controller;
+  for (int r = 0; r < env.num_regions(); ++r) {
+    for (const double t : {-5000.0, 0.0, 1800.0, 5000.5, 86399.0,
+                           env.horizon_seconds() - 1.0,
+                           env.horizon_seconds() + 7200.0}) {
+      SCOPED_TRACE("region " + std::to_string(r) + " t " + std::to_string(t));
+      const RegionSample s = env.sample(r, t);
+      EXPECT_EQ(s.ci, env.carbon_intensity(r, t));
+      EXPECT_EQ(s.ewif, env.ewif(r, t));
+      EXPECT_EQ(s.wue, env.wue(r, t));
+      EXPECT_EQ(s.wsf, env.wsf(r, t));
+      EXPECT_EQ(s.pue, env.pue(r));
+      EXPECT_EQ(env.water_intensity(r, t),
+                (s.wue + s.pue * s.ewif) * (1.0 + s.wsf));
+
+      double ci = cfg.carbon_intensity_scale * plain.carbon_intensity(r, t);
+      double ewif = cfg.water_intensity_scale * plain.ewif(r, t);
+      double wue = cfg.water_intensity_scale * plain.wue(r, t);
+      double wsf = plain.wsf(r);
+      if (biased) {
+        ci *= faults->carbon_bias(r, t);
+        ewif *= faults->water_bias(r, t);
+        wue *= faults->water_bias(r, t);
+      }
+      if (faults != nullptr) wsf += faults->wsf_shock(r, t);
+      EXPECT_EQ(s.ci, ci);
+      EXPECT_EQ(s.ewif, ewif);
+      EXPECT_EQ(s.wue, wue);
+      EXPECT_EQ(s.wsf, wsf);
+      EXPECT_EQ(s.pue, cfg.pue_override.value_or(plain.pue(r)));
+    }
+  }
+}
+
+TEST(EnvironmentSample, MatchesAccessorsBitForBit) {
+  FaultSchedule faults(5);
+  faults.add_forecast_bias(0, 0.0, 3600.0, 2.0, 1.5);
+  faults.add_forecast_bias(3, -10000.0, 1.0e9, 1.3, 0.7);
+  faults.add_water_shock(1, 0.0, 3600.0, 1.25);
+  faults.add_water_shock(4, 1000.0, 1.0e9, 0.4);
+  faults.add_outage(2, 0.0, 3600.0);
+  for (const WaterDataset dataset :
+       {WaterDataset::ElectricityMaps, WaterDataset::WorldResourcesInstitute}) {
+    for (const bool scaled : {false, true}) {
+      for (const bool override_pue : {false, true}) {
+        EnvironmentConfig cfg = small_config();
+        cfg.dataset = dataset;
+        if (scaled) {
+          cfg.carbon_intensity_scale = 1.13;
+          cfg.water_intensity_scale = 0.87;
+        }
+        if (override_pue) cfg.pue_override = 1.37;
+        SCOPED_TRACE(std::string(dataset == WaterDataset::ElectricityMaps
+                                     ? "EM"
+                                     : "WRI") +
+                     (scaled ? " scaled" : "") +
+                     (override_pue ? " pue_override" : ""));
+        expect_sample_matches(cfg, nullptr, FaultView::World);
+        expect_sample_matches(cfg, &faults, FaultView::World);
+        expect_sample_matches(cfg, &faults, FaultView::Controller);
+      }
+    }
+  }
+}
+
 TEST(Environment, RejectsEmptyRegionList) {
   EXPECT_THROW(Environment({}, EnvironmentConfig{}), std::invalid_argument);
 }

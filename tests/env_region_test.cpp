@@ -129,6 +129,51 @@ TEST(Transfer, BadRegionIndexThrowsOutOfRange) {
   EXPECT_THROW((void)model.energy_kwh(-1, 1, 1e6), std::out_of_range);
 }
 
+TEST(Transfer, PrecomputedTermsMatchTheFormula) {
+  // Bitwise against the per-query formula, at a non-default config so
+  // every coefficient takes part.
+  TransferConfig cfg;
+  cfg.fiber_speed_km_per_s = 190000.0;
+  cfg.route_stretch = 1.37;
+  cfg.rtt_setup_count = 5.0;
+  cfg.effective_bandwidth_bytes_per_s = 31.0e6;
+  cfg.energy_kwh_per_gb = 7.3e-5;
+  cfg.energy_kwh_per_gb_per_1000km = 4.1e-6;
+  const auto specs = builtin_region_specs();
+  std::vector<std::pair<double, double>> points;
+  for (const auto& s : specs) points.emplace_back(s.latitude, s.longitude);
+  const TransferModel model(points, cfg);
+  const int n = model.num_regions();
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) {
+      for (const double bytes : {0.0, 1.0, 3.3e8, 2.0e9}) {
+        if (a == b) {
+          EXPECT_EQ(model.latency_seconds(a, b, bytes), 0.0);
+          EXPECT_EQ(model.energy_kwh(a, b, bytes), 0.0);
+          continue;
+        }
+        const double km = model.distance_km(a, b) * cfg.route_stretch;
+        const double one_way = km / cfg.fiber_speed_km_per_s;
+        const double handshakes = cfg.rtt_setup_count * 2.0 * one_way;
+        EXPECT_EQ(model.latency_seconds(a, b, bytes),
+                  handshakes + bytes / cfg.effective_bandwidth_bytes_per_s)
+            << a << "->" << b << " " << bytes;
+        const double gb = bytes / 1.0e9;
+        EXPECT_EQ(model.energy_kwh(a, b, bytes),
+                  gb * (cfg.energy_kwh_per_gb +
+                        cfg.energy_kwh_per_gb_per_1000km *
+                            model.distance_km(a, b) / 1000.0))
+            << a << "->" << b << " " << bytes;
+      }
+    }
+  }
+  for (const auto& [a, b] : {std::pair{-1, 0}, std::pair{0, n},
+                             std::pair{n, 0}, std::pair{0, -1}}) {
+    EXPECT_THROW((void)model.latency_seconds(a, b, 1e6), std::out_of_range);
+    EXPECT_THROW((void)model.energy_kwh(a, b, 1e6), std::out_of_range);
+  }
+}
+
 TEST(Transfer, RejectsBadCoordinatesNamingTheRegion) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
