@@ -1,8 +1,8 @@
-// Microbenchmarks (google-benchmark): the scheduler's chunk solve
-// (sched::transport_assign) at WaterWise chunk sizes, capacity-timeline
-// operations, footprint evaluation, the observability primitives and
-// campaign set-up (trace generation, environment build) — the hot paths
-// behind the Fig. 13 overhead numbers.
+// Microbenchmarks (google-benchmark): one scheduler batch window end to end,
+// the chunk solve (sched::transport_assign) at WaterWise chunk sizes,
+// capacity-timeline operations, footprint evaluation, the observability
+// primitives and campaign set-up (trace generation, environment build) —
+// the hot paths behind the Fig. 13 overhead numbers.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "core/waterwise.hpp"
 #include "dc/capacity_timeline.hpp"
+#include "dc/scheduler.hpp"
 #include "env/environment.hpp"
 #include "footprint/footprint.hpp"
 #include "obs/registry.hpp"
@@ -89,9 +91,13 @@ void BM_TransportAssign(benchmark::State& state) {
   time_solves(state, random_chunk(static_cast<int>(state.range(0)),
                                   static_cast<int>(state.range(1)), 17));
 }
-// 25 is the burst-chunked chunk size, 60 and 254 its p50 and p99 batch
-// sizes (ROADMAP profile), 400 the largest chunk the oracle tests cover.
+// 1 and 4 are near the borg-steady and alibaba-peak batch p50s, where most
+// solves take the uncongested shortcut; 25 is the burst-chunked chunk
+// size, 60 and 254 its p50 and p99 batch sizes (ROADMAP profile), 400 the
+// largest chunk the oracle tests cover.
 BENCHMARK(BM_TransportAssign)
+    ->Args({1, 5})
+    ->Args({4, 5})
     ->ArgsProduct({{25, 60, 254, 400}, {5, 10}})
     ->Unit(benchmark::kMicrosecond);
 
@@ -102,6 +108,65 @@ void BM_TransportAssignTight(benchmark::State& state) {
 BENCHMARK(BM_TransportAssignTight)
     ->ArgsProduct({{25, 60, 254, 400}, {5, 10}})
     ->Unit(benchmark::kMicrosecond);
+
+/// Every region has `free` servers free at every instant.
+class FixedCapacity final : public dc::CapacityView {
+ public:
+  FixedCapacity(int regions, int free) : regions_(regions), free_(free) {}
+  [[nodiscard]] int num_regions() const override { return regions_; }
+  [[nodiscard]] int capacity(int) const override { return free_; }
+  [[nodiscard]] int free_at(int, double) const override { return free_; }
+  [[nodiscard]] int max_occupancy(int, double, double) const override {
+    return 0;
+  }
+
+ private:
+  int regions_;
+  int free_;
+};
+
+// One WaterWise batch window end to end: region sampling, history observe,
+// cost table, transport solve and commit, on a fixed batch of 1 job (the
+// borg-steady p50) or 17 (the alibaba-peak p99), with now advancing 3 s a
+// call (the default batch window) and every job just arrived.
+void BM_ScheduleWindow(benchmark::State& state) {
+  env::EnvironmentConfig env_config;
+  env_config.horizon_days = 30;
+  const env::Environment env = env::Environment::builtin(env_config);
+  const footprint::FootprintModel fp(env);
+  const FixedCapacity capacity(env.num_regions(), 10);
+  util::Rng rng(23);
+  std::vector<trace::Job> jobs(static_cast<std::size_t>(state.range(0)));
+  std::vector<dc::PendingJob> batch(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = i;
+    jobs[i].home_region = static_cast<int>(i) % env.num_regions();
+    jobs[i].package_bytes = rng.uniform(1.0e8, 5.0e8);
+    batch[i].job = &jobs[i];
+    batch[i].est_exec_s = rng.uniform(60.0, 900.0);
+    batch[i].est_energy_kwh = rng.uniform(0.005, 0.05);
+  }
+  core::WaterWiseConfig config;
+  config.solve_failure_rate = 0.0;
+  core::WaterWiseScheduler scheduler(config);
+  dc::ScheduleContext ctx;
+  ctx.env = &env;
+  ctx.footprint = &fp;
+  ctx.capacity = &capacity;
+  std::size_t placed = 0;
+  for (auto _ : state) {
+    for (dc::PendingJob& p : batch) p.first_seen = ctx.now;
+    placed += scheduler.schedule(batch, ctx).size();
+    ctx.now += 3.0;
+    // Stay within the 30-day horizon.
+    if (ctx.now > 29.0 * 86400.0) ctx.now = 0.0;
+  }
+  if (placed != batch.size() * static_cast<std::size_t>(state.iterations()))
+    state.SkipWithError("a window left a job unplaced");
+  state.SetLabel(std::to_string(batch.size()) + " jobs x " +
+                 std::to_string(env.num_regions()) + " regions");
+}
+BENCHMARK(BM_ScheduleWindow)->Arg(1)->Arg(17);
 
 // The simulator's admission step: try_reserve at the region's capacity,
 // with the prune each window makes.  A request arrives every 5 s and runs

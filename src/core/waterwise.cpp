@@ -132,20 +132,28 @@ void WaterWiseScheduler::build_costs(
         ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
     ws.penalty_rate[static_cast<std::size_t>(j)] =
         config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
+    // The region-independent parts of the footprint and transfer terms,
+    // once per job: the embodied terms and the package's size and
+    // serialization time.
+    const footprint::Breakdown embodied =
+        ctx.footprint->embodied(p.est_exec_s);
+    const env::TransferModel::Package package =
+        ctx.env->transfer_package(p.job->package_bytes);
     for (int r = 0; r < n; ++r) {
       const std::size_t ri = static_cast<std::size_t>(r);
       // Decision-time estimates: current intensities, estimated E and t.
       const footprint::Intensities& at = snapshot.intensity[ri];
-      const footprint::Breakdown fb =
-          ctx.footprint->job_at(at, p.est_energy_kwh, p.est_exec_s);
-      const footprint::Breakdown tb = ctx.footprint->transfer(
-          home, r, p.job->package_bytes, at_home, at);
+      const footprint::Breakdown fb = footprint::FootprintModel::compose(
+          footprint::FootprintModel::operational(at, p.est_energy_kwh),
+          embodied);
+      const footprint::Breakdown tb =
+          ctx.footprint->transfer(home, r, package, at_home, at);
       co2[ri] = fb.carbon_g() + tb.carbon_g();
       h2o[ri] = fb.water_l() + tb.water_l();
       if (use_usd)
         usd[ri] = ctx.env->pue(r) * p.est_energy_kwh * snapshot.price[ri];
-      const double latency = ctx.env->transfer_latency_seconds(
-          home, r, p.job->package_bytes);
+      const double latency =
+          ctx.env->transfer_latency_seconds(home, r, package);
       if (use_perf) perf[ri] = latency / std::max(1.0, p.est_exec_s);
       // Eq. 11 states the delay tolerance as one row per job over the
       // summed transfer latency.  Since exactly one x_mn is 1, that row
@@ -580,12 +588,14 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   // chunk costs and the greedy rung all read these samples.  wi is Eq. 6,
   // the expression env::Environment::water_intensity evaluates.
   const auto nr = static_cast<std::size_t>(n);
+  ctx.footprint->sample_all(ctx.now, snapshot_.intensity);
+  if (snapshot_.intensity.size() < nr)
+    throw std::out_of_range(
+        "WaterWise: the capacity view has more regions than the environment");
   snapshot_.intensity.resize(nr);
   ci_.resize(nr);
   wi_.resize(nr);
   for (std::size_t r = 0; r < nr; ++r) {
-    snapshot_.intensity[r] =
-        ctx.footprint->sample(static_cast<int>(r), ctx.now);
     const footprint::Intensities& at = snapshot_.intensity[r];
     ci_[r] = at.ci;
     wi_[r] = (at.wue + at.pue * at.ewif) * at.scarcity;

@@ -35,8 +35,12 @@
 // snapshot adds the weighted history term and, only when the Sec. 7 cost
 // term is weighted, the electricity price.  Each chunk fills its m x n
 // cost table from the snapshot (span `sched.model_build`), and transfer
-// distances come from the `env::TransferModel` table.  The arithmetic is
-// the per-pair footprint arithmetic, so decisions are bit-identical to
+// distances come from the `env::TransferModel` table.  The terms that do
+// not depend on the region (the embodied footprint and the package's size
+// and serialization time) are computed once per job; per (job, region)
+// only the operational terms, the pair's transfer energy and handshake,
+// the sums and the normalizations remain.  Each is computed by the one
+// formula the ledger also uses, so decisions are bit-identical to
 // evaluating `job_at(r, now, ...)` per pair.
 //
 // ## The plan -> solve -> commit pipeline
@@ -306,7 +310,8 @@ inline SchedulerStats& SchedulerStats::operator+=(
 /// the spill re-solve) share one by const reference.
 struct WindowSnapshot {
   /// ctx.footprint->sample(r, ctx.now): the controller's view of region r,
-  /// sampled before the history observe, which reads it.
+  /// sampled for all regions at once by sample_all before the history
+  /// observe, which reads it.
   std::vector<footprint::Intensities> intensity;
   /// ctx.env->electricity_price(r, ctx.now), USD/kWh; 0 unless
   /// lambda_cost > 0 (nothing else reads it).

@@ -70,8 +70,9 @@ class Scheduler {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Returns decisions for any subset of `batch`; undecided jobs stay
-  /// pending.  Decisions violating capacity or starting before transfer
-  /// completion are rejected by the simulator (the job stays pending).
+  /// pending.  Decisions violating capacity, starting before transfer
+  /// completion, or with a NaN or +inf start or an empty run are rejected
+  /// by the simulator (the job stays pending).
   [[nodiscard]] virtual std::vector<Decision> schedule(
       const std::vector<PendingJob>& batch, const ScheduleContext& ctx) = 0;
 

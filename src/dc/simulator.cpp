@@ -322,10 +322,14 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
         const double transfer_latency = env_->transfer_latency_seconds(
             job.home_region, d.region, job.package_bytes);
         const double earliest = now + transfer_latency;
-        if (d.start_time < earliest - 1e-6) continue;  // impossible start
+        // An impossible start; the negated test also skips a NaN one.
+        if (!(d.start_time >= earliest - 1e-6)) continue;
         const double duration = job.exec_seconds / d.power_scale;
         const double start = std::max(d.start_time, earliest);
         const double end = start + duration;
+        // A +inf start, or one so late that the run [start, end) is empty
+        // in double precision, has nothing to reserve.
+        if (!(end > start)) continue;
         auto& tl = timelines[static_cast<std::size_t>(d.region)];
         // Admission: peak occupancy over the run must stay below the
         // effective capacity at the start instant (== tl.fits() without

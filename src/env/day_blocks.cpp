@@ -31,6 +31,12 @@ void unmap_pages(void* pages, std::size_t bytes) noexcept {
 }
 
 void DayBlocks::grow(std::size_t hour) const {
+  // Rows past the horizon never become ready, so every such hour lands
+  // here: a point computed on another horizon.
+  if (hour >= hours_)
+    throw std::out_of_range("DayBlocks: hour " + std::to_string(hour) +
+                            " is past the horizon of " +
+                            std::to_string(hours_) + " hours");
   const std::lock_guard<std::mutex> lock(grow_mutex_);
   // Another reader may have generated this day while we waited.
   const std::size_t begin = ready_.load(std::memory_order_relaxed);

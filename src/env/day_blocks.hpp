@@ -63,6 +63,24 @@ class HourlyRows {
   T* rows_;
 };
 
+/// Interpolation point of time t (seconds) on a series of `hours` hourly
+/// rows: the hours on either side, clamped to [0, hours), and the weight
+/// of the later one.  Computing it reads no row, so the series of one
+/// Environment, which share its horizon, share one point per instant.
+struct HourPoint {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+[[nodiscard]] inline HourPoint hour_point(double t_seconds,
+                                          std::size_t hours) noexcept {
+  const double h = std::max(0.0, t_seconds / 3600.0);
+  const auto lo =
+      static_cast<std::size_t>(std::min(h, static_cast<double>(hours - 1)));
+  const std::size_t hi = std::min(lo + 1, hours - 1);
+  return {lo, hi, std::clamp(h - static_cast<double>(lo), 0.0, 1.0)};
+}
+
 class DayBlocks {
  public:
   virtual ~DayBlocks() = default;
@@ -79,20 +97,23 @@ class DayBlocks {
   /// horizon_hours > 0.  Generates nothing.
   DayBlocks(int horizon_hours, const char* who);
 
-  /// Interpolation point of time t (seconds): the hours on either side,
-  /// clamped to [0, horizon), and the weight of the later one.  Both rows
-  /// are readable when this returns.
-  struct Point {
-    std::size_t lo;
-    std::size_t hi;
-    double frac;
-  };
-  [[nodiscard]] Point locate(double t_seconds) const;
+  /// The interpolation point of time t on this model's horizon.
+  [[nodiscard]] HourPoint point(double t_seconds) const noexcept {
+    return hour_point(t_seconds, hours_);
+  }
 
-  /// Linear interpolation of an hourly series at time t (seconds).
+  /// Makes rows [0, hour] readable; throws std::out_of_range unless `hour`
+  /// is below horizon_hours().  The fast path is one acquire load, inlined
+  /// into every query.
+  void ensure(std::size_t hour) const {
+    if (hour >= ready_.load(std::memory_order_acquire)) grow(hour);
+  }
+
+  /// Linear interpolation of an hourly series at point `p` of this
+  /// model's horizon, making its rows ready first.
   [[nodiscard]] double interpolate(const double* series,
-                                   double t_seconds) const {
-    const Point p = locate(t_seconds);
+                                   const HourPoint& p) const {
+    ensure(p.hi);
     return series[p.lo] * (1.0 - p.frac) + series[p.hi] * p.frac;
   }
 
@@ -108,15 +129,5 @@ class DayBlocks {
   mutable std::atomic<std::size_t> ready_{0};  ///< Rows [0, ready_) exist.
   mutable std::mutex grow_mutex_;
 };
-
-inline DayBlocks::Point DayBlocks::locate(double t_seconds) const {
-  const double h = std::max(0.0, t_seconds / 3600.0);
-  const auto lo =
-      static_cast<std::size_t>(std::min(h, static_cast<double>(hours_ - 1)));
-  const std::size_t hi = std::min(lo + 1, hours_ - 1);
-  // The fast path: one acquire load, inlined into every query.
-  if (hi >= ready_.load(std::memory_order_acquire)) grow(hi);
-  return {lo, hi, std::clamp(h - static_cast<double>(lo), 0.0, 1.0)};
-}
 
 }  // namespace ww::env

@@ -122,13 +122,15 @@ void EnergyMixModel::generate(std::size_t begin, std::size_t end) const {
 }
 
 double EnergyMixModel::share(EnergySource source, double t_seconds) const {
-  return rows_[locate(t_seconds).lo].shares[idx(source)];
+  const HourPoint p = point(t_seconds);
+  ensure(p.hi);
+  return rows_[p.lo].shares[idx(source)];
 }
 
 EnergyMixModel::Intensity EnergyMixModel::intensity(
-    double t_seconds, WaterDataset dataset) const {
+    const HourPoint& p, WaterDataset dataset) const {
   // The interpolation DayBlocks::interpolate computes, on two fields.
-  const Point p = locate(t_seconds);
+  ensure(p.hi);
   const Row& lo = rows_[p.lo];
   const Row& hi = rows_[p.hi];
   const bool em = dataset == WaterDataset::ElectricityMaps;

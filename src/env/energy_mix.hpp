@@ -39,13 +39,17 @@ class EnergyMixModel final : public DayBlocks {
 
   /// Mix-weighted grid carbon intensity, gCO2/kWh (paper Sec. 2.1), and
   /// regional EWIF, L/kWh (paper Sec. 2.2) of `dataset`, interpolated at
-  /// one located point.
+  /// one point of this model's horizon.
   struct Intensity {
     double ci;
     double ewif;
   };
-  [[nodiscard]] Intensity intensity(double t_seconds,
+  [[nodiscard]] Intensity intensity(const HourPoint& p,
                                     WaterDataset dataset) const;
+  [[nodiscard]] Intensity intensity(double t_seconds,
+                                    WaterDataset dataset) const {
+    return intensity(point(t_seconds), dataset);
+  }
 
   [[nodiscard]] double carbon_intensity(double t_seconds) const {
     return intensity(t_seconds, WaterDataset::ElectricityMaps).ci;

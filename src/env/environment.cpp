@@ -98,24 +98,34 @@ int Environment::region_index(const std::string& name) const {
 }
 
 RegionSample Environment::sample(int r, double t) const {
-  const RegionRuntime& rt = regions_.at(static_cast<std::size_t>(r));
-  const EnergyMixModel::Intensity mix = rt.mix->intensity(t, config_.dataset);
+  if (r < 0 || static_cast<std::size_t>(r) >= regions_.size())
+    throw std::out_of_range("Environment: region " + std::to_string(r) +
+                            " out of range");
+  return sample_at(static_cast<std::size_t>(r), hour_point(t, horizon_hours()),
+                   t);
+}
+
+RegionSample Environment::sample_at(std::size_t r, const HourPoint& p,
+                                    double t) const {
+  const RegionRuntime& rt = regions_[r];
+  const EnergyMixModel::Intensity mix = rt.mix->intensity(p, config_.dataset);
   RegionSample s;
   s.ci = config_.carbon_intensity_scale * mix.ci;
   s.ewif = config_.water_intensity_scale * mix.ewif;
-  s.wue = config_.water_intensity_scale * rt.weather->wue(t);
+  s.wue = config_.water_intensity_scale * rt.weather->wue(p);
   s.wsf = rt.spec.wsf;
   s.pue = rt.spec.pue;
   if (faults_ != nullptr) {
+    const int ri = static_cast<int>(r);
     if (fault_view_ == FaultView::Controller) {
-      s.ci *= faults_->carbon_bias(r, t);
-      const double water_bias = faults_->water_bias(r, t);
+      s.ci *= faults_->carbon_bias(ri, t);
+      const double water_bias = faults_->water_bias(ri, t);
       s.ewif *= water_bias;
       s.wue *= water_bias;
     }
     // Scarcity shocks are world-level: a drought raises the true Eq. 6
     // weighting, so both the ledger and the controller see it.
-    s.wsf += faults_->wsf_shock(r, t);
+    s.wsf += faults_->wsf_shock(ri, t);
   }
   return s;
 }

@@ -84,10 +84,21 @@ class Environment {
   [[nodiscard]] int region_index(const std::string& name) const;
 
   /// Region r's intensities at instant t, with one bounds check and one
-  /// interpolation point per hourly series model.  Every other
+  /// interpolation point that its hourly series models share.  Every other
   /// time-varying intensity accessor reads its field of this sample, so
   /// each is computed by one formula.
   [[nodiscard]] RegionSample sample(int r, double t) const;
+
+  /// Calls visit(r, sample(r, t)) for every region, in index order.  All
+  /// series share the horizon, so t's interpolation point is computed once
+  /// for all of them; each model then makes its rows ready and reads them.
+  /// The samples are bit-identical to sample(r, t).
+  template <class Visit>
+  void sample_all(double t, Visit&& visit) const {
+    const HourPoint p = hour_point(t, horizon_hours());
+    for (std::size_t r = 0; r < regions_.size(); ++r)
+      visit(static_cast<int>(r), sample_at(r, p, t));
+  }
 
   /// Grid carbon intensity, gCO2/kWh.
   [[nodiscard]] double carbon_intensity(int r, double t) const {
@@ -128,9 +139,23 @@ class Environment {
   /// Generation share of a source in region r at time t.
   [[nodiscard]] double mix_share(int r, EnergySource s, double t) const;
 
+  /// The per-job part of a transfer of `bytes` (TransferModel::package);
+  /// the per-pair forms below take it or the byte count.
+  [[nodiscard]] TransferModel::Package transfer_package(
+      double bytes) const noexcept {
+    return transfer_->package(bytes);
+  }
+  [[nodiscard]] double transfer_latency_seconds(
+      int from, int to, const TransferModel::Package& pkg) const {
+    return transfer_->latency_seconds(from, to, pkg);
+  }
   [[nodiscard]] double transfer_latency_seconds(int from, int to,
                                                 double bytes) const {
     return transfer_->latency_seconds(from, to, bytes);
+  }
+  [[nodiscard]] double transfer_energy_kwh(
+      int from, int to, const TransferModel::Package& pkg) const {
+    return transfer_->energy_kwh(from, to, pkg);
   }
   [[nodiscard]] double transfer_energy_kwh(int from, int to,
                                            double bytes) const {
@@ -152,6 +177,14 @@ class Environment {
   [[nodiscard]] int total_servers() const noexcept;
 
  private:
+  [[nodiscard]] std::size_t horizon_hours() const noexcept {
+    return static_cast<std::size_t>(config_.horizon_days) * 24;
+  }
+  /// Region r's sample at t, whose interpolation point is `p`: the models'
+  /// rows at p, the sensitivity scales, then the fault overlay.
+  [[nodiscard]] RegionSample sample_at(std::size_t r, const HourPoint& p,
+                                       double t) const;
+
   struct RegionRuntime {
     RegionSpec spec;
     std::unique_ptr<EnergyMixModel> mix;

@@ -43,23 +43,39 @@ class TransferModel {
   TransferModel(std::vector<std::pair<double, double>> lat_lon,
                 TransferConfig config = {});
 
-  /// Seconds to move `bytes` from region `from` to region `to`: the pair's
+  /// The per-job part of moving a package of `bytes`: its size in GB and
+  /// its serialization seconds at the effective bandwidth.  The per-pair
+  /// forms below add the pair's handshake and per-GB energy to it.
+  struct Package {
+    double gb = 0.0;
+    double serialize_s = 0.0;
+  };
+  [[nodiscard]] Package package(double bytes) const noexcept {
+    return {bytes / 1.0e9, bytes / config_.effective_bandwidth_bytes_per_s};
+  }
+
+  /// Seconds to move `pkg` from region `from` to region `to`: the pair's
   /// handshake round trips plus serialization.  Zero when from == to (local
   /// execution needs no transfer); otherwise throws std::out_of_range for
   /// an index outside [0, num_regions()).
-  [[nodiscard]] double latency_seconds(int from, int to, double bytes) const {
+  [[nodiscard]] double latency_seconds(int from, int to,
+                                       const Package& pkg) const {
     if (from == to) return 0.0;
-    return handshake_s_[cell(from, to)] +
-           bytes / config_.effective_bandwidth_bytes_per_s;
+    return handshake_s_[cell(from, to)] + pkg.serialize_s;
+  }
+  [[nodiscard]] double latency_seconds(int from, int to, double bytes) const {
+    return latency_seconds(from, to, package(bytes));
   }
 
   /// Energy consumed by the transfer (kWh); split evenly between endpoints
   /// for accounting purposes.  Zero when from == to; otherwise throws like
   /// latency_seconds.
-  [[nodiscard]] double energy_kwh(int from, int to, double bytes) const {
+  [[nodiscard]] double energy_kwh(int from, int to, const Package& pkg) const {
     if (from == to) return 0.0;
-    const double gb = bytes / 1.0e9;
-    return gb * kwh_per_gb_[cell(from, to)];
+    return pkg.gb * kwh_per_gb_[cell(from, to)];
+  }
+  [[nodiscard]] double energy_kwh(int from, int to, double bytes) const {
+    return energy_kwh(from, to, package(bytes));
   }
 
   /// haversine_km between the two regions, read from the table; throws

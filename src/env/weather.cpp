@@ -37,8 +37,8 @@ void WeatherModel::generate(std::size_t begin, std::size_t end) const {
   }
 }
 
-double WeatherModel::wet_bulb_c(double t_seconds) const {
-  return interpolate(samples_.data(), t_seconds);
+double WeatherModel::wet_bulb_c(const HourPoint& p) const {
+  return interpolate(samples_.data(), p);
 }
 
 }  // namespace ww::env

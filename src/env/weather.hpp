@@ -36,12 +36,16 @@ class WeatherModel final : public DayBlocks {
   /// queries come in.  Queries are const and thread-safe.
   WeatherModel(WeatherConfig config, util::Rng rng, int horizon_hours);
 
-  /// Wet-bulb temperature at time t (seconds since epoch start); linear
+  /// Wet-bulb temperature at point `p` of this model's horizon; linear
   /// interpolation between hourly samples, clamped at the horizon.
-  [[nodiscard]] double wet_bulb_c(double t_seconds) const;
+  [[nodiscard]] double wet_bulb_c(const HourPoint& p) const;
+  /// The same at time t (seconds since epoch start).
+  [[nodiscard]] double wet_bulb_c(double t_seconds) const {
+    return wet_bulb_c(point(t_seconds));
+  }
 
-  [[nodiscard]] double wue(double t_seconds) const {
-    return wue_from_wet_bulb(wet_bulb_c(t_seconds));
+  [[nodiscard]] double wue(const HourPoint& p) const {
+    return wue_from_wet_bulb(wet_bulb_c(p));
   }
 
   [[nodiscard]] const WeatherConfig& config() const noexcept { return config_; }

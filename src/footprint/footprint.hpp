@@ -21,6 +21,8 @@
 // because there is only one formula.
 #pragma once
 
+#include <vector>
+
 #include "env/environment.hpp"
 
 namespace ww::footprint {
@@ -59,7 +61,14 @@ struct Breakdown {
   [[nodiscard]] double water_l() const noexcept {
     return offsite_water_l + onsite_water_l + embodied_water_l;
   }
-  Breakdown& operator+=(const Breakdown& o) noexcept;
+  Breakdown& operator+=(const Breakdown& o) noexcept {
+    operational_carbon_g += o.operational_carbon_g;
+    embodied_carbon_g += o.embodied_carbon_g;
+    offsite_water_l += o.offsite_water_l;
+    onsite_water_l += o.onsite_water_l;
+    embodied_water_l += o.embodied_water_l;
+    return *this;
+  }
 };
 
 /// One region's intensities at one instant, as its Environment reports
@@ -81,6 +90,40 @@ class FootprintModel {
   /// Region `r`'s intensities at instant `t`, from one
   /// env::Environment::sample(r, t).
   [[nodiscard]] Intensities sample(int r, double t) const;
+  /// Every region's sample(r, t), in region order, into `out` (resized to
+  /// the region count), from one env::Environment::sample_all(t, ...):
+  /// one interpolation point for all of them.  Bit-identical to sample.
+  void sample_all(double t, std::vector<Intensities>& out) const;
+
+  /// Eq. 1-3 operational terms of `energy_kwh` at intensities `at`; the
+  /// embodied fields are 0.
+  [[nodiscard]] static Breakdown operational(const Intensities& at,
+                                             double energy_kwh) {
+    Breakdown b;
+    b.operational_carbon_g = energy_kwh * at.ci;
+    b.offsite_water_l = at.pue * energy_kwh * at.ewif * at.scarcity;
+    b.onsite_water_l = energy_kwh * at.wue * at.scarcity;
+    return b;
+  }
+  /// Eq. 1 and Eq. 4 embodied terms of a job running `exec_seconds`: the
+  /// server's embodied carbon and water amortized over its lifetime.  The
+  /// operational fields are 0.  Region-independent, so a caller costing
+  /// one job in many regions computes it once.
+  [[nodiscard]] Breakdown embodied(double exec_seconds) const {
+    const double amortization = exec_seconds / server_.lifetime_seconds;
+    Breakdown b;
+    b.embodied_carbon_g =
+        embodied_scale_ * amortization * server_.embodied_carbon_g;
+    b.embodied_water_l =
+        embodied_scale_ * amortization * server_embodied_water_l_;
+    return b;
+  }
+  /// `op`'s operational terms with `emb`'s embodied terms.
+  [[nodiscard]] static Breakdown compose(Breakdown op, const Breakdown& emb) {
+    op.embodied_carbon_g = emb.embodied_carbon_g;
+    op.embodied_water_l = emb.embodied_water_l;
+    return op;
+  }
 
   /// Footprint of running a job of `energy_kwh` / `exec_seconds` in region
   /// `r` with all intensities frozen at instant `t` (scheduler view).
@@ -90,10 +133,15 @@ class FootprintModel {
   }
   /// The same footprint at already-sampled intensities `at`.
   [[nodiscard]] Breakdown job_at(const Intensities& at, double energy_kwh,
-                                 double exec_seconds) const;
+                                 double exec_seconds) const {
+    return compose(operational(at, energy_kwh), embodied(exec_seconds));
+  }
 
   /// Footprint with intensities integrated hourly over
-  /// [t_start, t_start + exec_seconds] (ledger view).
+  /// [t_start, t_start + exec_seconds] (ledger view).  Throws
+  /// std::invalid_argument, naming the start, when `t_start` or
+  /// `exec_seconds` is not finite, or when `t_start` is so large that an
+  /// hourly slice cannot advance in double precision.
   [[nodiscard]] Breakdown job_integrated(int r, double t_start,
                                          double exec_seconds,
                                          double energy_kwh) const;
@@ -106,7 +154,24 @@ class FootprintModel {
   /// (`at_from` = sample(from, t), `at_to` = sample(to, t)).
   [[nodiscard]] Breakdown transfer(int from, int to, double bytes,
                                    const Intensities& at_from,
-                                   const Intensities& at_to) const;
+                                   const Intensities& at_to) const {
+    return transfer(from, to, env_->transfer_package(bytes), at_from, at_to);
+  }
+  /// The same footprint of a package already split into its per-job part
+  /// (env::Environment::transfer_package).
+  [[nodiscard]] Breakdown transfer(int from, int to,
+                                   const env::TransferModel::Package& pkg,
+                                   const Intensities& at_from,
+                                   const Intensities& at_to) const {
+    Breakdown b;
+    if (from == to) return b;
+    const double energy = env_->transfer_energy_kwh(from, to, pkg);
+    if (energy <= 0.0) return b;
+    // Split the transfer energy across the two endpoints' grids.
+    b += operational(at_from, 0.5 * energy);
+    b += operational(at_to, 0.5 * energy);
+    return b;
+  }
 
   /// Eq. 6 convenience forward.
   [[nodiscard]] double water_intensity(int r, double t) const {
@@ -122,14 +187,10 @@ class FootprintModel {
   }
 
  private:
-  /// Eq. 1-3 operational terms of `energy_kwh` at intensities `at`.
-  [[nodiscard]] static Breakdown operational(const Intensities& at,
-                                             double energy_kwh);
-  void add_embodied(Breakdown& b, double exec_seconds) const;
-
   const env::Environment* env_;
   ServerSpec server_;
   double embodied_scale_;
+  double server_embodied_water_l_;  ///< server_.embodied_water_l().
 };
 
 }  // namespace ww::footprint

@@ -93,6 +93,33 @@ void unlink_job(const TransportProblem& p, int x, int r,
   }
 }
 
+/// The uncongested case.  Writes each job's cheapest allowed region (the
+/// lowest index on ties) into `region`, counting jobs per region into
+/// `load`, and returns true when every such region can hold all the jobs
+/// whose cheapest region it is; returns false as soon as one cannot, or a
+/// job has no allowed region.
+bool cheapest_regions_fit(const TransportProblem& p, std::vector<int>& region,
+                          std::vector<int>& load) {
+  const int n = p.regions();
+  region.resize(static_cast<std::size_t>(p.jobs));
+  load.assign(static_cast<std::size_t>(n), 0);
+  for (int j = 0; j < p.jobs; ++j) {
+    int best = -1;
+    double least = kInf;
+    for (int r = 0; r < n; ++r) {
+      if (p.allowed[at(j, n, r)] != 0 && p.cost[at(j, n, r)] < least) {
+        least = p.cost[at(j, n, r)];
+        best = r;
+      }
+    }
+    if (best < 0) return false;
+    const auto b = static_cast<std::size_t>(best);
+    if (++load[b] > p.quota[b]) return false;
+    region[static_cast<std::size_t>(j)] = best;
+  }
+  return true;
+}
+
 }  // namespace
 
 void transport_assign(const TransportProblem& p, TransportSolution& out,
@@ -104,11 +131,41 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
   const auto un = static_cast<std::size_t>(n);
   out.status = TransportSolution::Status::Infeasible;
   out.objective = 0.0;
-  out.region.assign(um, -1);
   out.hall.clear();
   out.hall.reserve(um);
   out.u.clear();
   out.v.clear();
+
+  if (cheapest_regions_fit(p, out.region, ws.load)) {
+    // Every insertion below would settle its job's cheapest region first,
+    // find it free and place the job there: no potential rises and no job
+    // moves.  So this is the successive-shortest-path answer, with v = 0
+    // and u_j = c_j,region(j).  The general path's scratch still grows to
+    // the instance, so a later congested solve of this size allocates
+    // nothing.
+    out.status = TransportSolution::Status::Optimal;
+    out.u.resize(um);
+    for (int j = 0; j < m; ++j) {
+      const double c =
+          p.cost[at(j, n, out.region[static_cast<std::size_t>(j)])];
+      out.objective += c;
+      out.u[static_cast<std::size_t>(j)] = c;
+    }
+    out.v.assign(un, 0.0);
+    ws.w.reserve(at(n, n, 0));
+    ws.via.reserve(at(n, n, 0));
+    ws.h.reserve(un);
+    ws.dist.reserve(un);
+    ws.pred.reserve(un);
+    ws.settled.reserve(un);
+    ws.head.reserve(un);
+    ws.next.reserve(um);
+    ws.prev.reserve(um);
+    ws.path.reserve(un);
+    return;
+  }
+
+  out.region.assign(um, -1);
   ws.load.assign(un, 0);
   ws.w.assign(at(n, n, 0), kInf);
   ws.via.assign(ws.w.size(), -1);

@@ -32,6 +32,13 @@
 // answer is a pure function of the input.  Potentials then rise by
 // min(d_r, d_t), which keeps the invariant and makes the path tight.
 //
+// Most scheduler windows are uncongested: every job's cheapest allowed
+// region (lowest index on ties) can hold all the jobs whose cheapest region
+// it is.  Then each insertion would settle its cheapest region first and
+// find it free, so no potential rises and no job moves; the solver checks
+// this one condition first and, when it holds, assigns each job there with
+// v = 0 and u_j = c_j,region(j), the bytes the general path returns.
+//
 // A path's moves repair only the arcs they touch: a job leaving region a
 // recomputes the columns of row a it attained, by walking a's job list,
 // and a job entering b merges its O(n) arcs into row b.  A chunk costs

@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/waterwise.hpp"
+#include "env/faults.hpp"
 #include "dc/simulator.hpp"
 #include "trace/benchmark_profile.hpp"
 #include "trace/generator.hpp"
@@ -214,6 +217,120 @@ TEST_P(ObjectiveEnumeration, Sec7TermsMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ObjectiveEnumeration, ::testing::Range(0, 25));
+
+// The chunk cost table computes the region-independent terms once per job.
+// Each entry must still equal, bit for bit, the per-pair formulas: job_at
+// plus transfer at the sampled intensities, normalized by the per-job
+// maxima, plus the history term and the tie-break epsilon; and the
+// exceedance must be the pair's transfer latency minus the job's remaining
+// delay allowance.
+TEST(CostTable, MatchesPerPairFormulasBitForBit) {
+  // Faults in the Controller view: a forecast bias and a scarcity shock.
+  env::FaultSchedule faults(5);
+  faults.add_forecast_bias(1, 0.0, 1.0e9, 1.4, 0.8);
+  faults.add_forecast_bias(4, 0.0, 1.0e9, 0.7, 1.3);
+  faults.add_water_shock(3, 0.0, 1.0e9, 0.5);
+  env::Environment env = env::Environment::builtin(small_env());
+  env.attach_faults(&faults, env::FaultView::Controller);
+  const footprint::FootprintModel fp(env);
+  const int n = env.num_regions();
+  const double now = 7213.0;
+
+  // Jobs homed in every region; every third ships a zero-byte package.
+  std::vector<trace::Job> jobs(8);
+  std::vector<dc::PendingJob> batch(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = i;
+    jobs[i].home_region = static_cast<int>(i) % n;
+    jobs[i].package_bytes = i % 3 == 0 ? 0.0 : 7.5e7 * static_cast<double>(i);
+    batch[i].job = &jobs[i];
+    batch[i].first_seen = now - 9.0 * static_cast<double>(i);
+    batch[i].est_exec_s = 40.0 + 250.0 * static_cast<double>(i);
+    batch[i].est_energy_kwh = 0.004 * static_cast<double>(i + 1);
+  }
+  const FixedCapacity cap(std::vector<int>(static_cast<std::size_t>(n), 4));
+  dc::ScheduleContext ctx;
+  ctx.now = now;
+  ctx.env = &env;
+  ctx.footprint = &fp;
+  ctx.capacity = &cap;
+
+  struct Weights {
+    double cost, perf;
+    bool history;
+  };
+  for (const Weights w : {Weights{0.0, 0.0, true}, Weights{0.3, 0.2, true},
+                          Weights{0.0, 0.6, false}, Weights{0.5, 0.0, true}}) {
+    SCOPED_TRACE("lambda_cost " + std::to_string(w.cost) + " lambda_perf " +
+                 std::to_string(w.perf));
+    WaterWiseConfig cfg;
+    cfg.lambda_cost = w.cost;
+    cfg.lambda_perf = w.perf;
+    cfg.enable_history = w.history;
+    cfg.solve_failure_rate = 0.0;
+    const WaterWiseScheduler ww(cfg);
+    const WaterWiseConfig& c = ww.config();
+
+    WindowSnapshot snapshot;
+    for (int r = 0; r < n; ++r) {
+      snapshot.intensity.push_back(fp.sample(r, now));
+      snapshot.price.push_back(w.cost > 0.0 ? env.electricity_price(r, now)
+                                            : 0.0);
+      snapshot.history.push_back(0.01 * static_cast<double>(r + 1));
+    }
+    ChunkPlan plan;
+    for (const dc::PendingJob& p : batch) plan.jobs.push_back(&p);
+    plan.quota.assign(static_cast<std::size_t>(n), 4);
+    ChunkResult out;
+    ww.solve_one(plan, ctx, snapshot, out);
+    const ChunkWorkspace& ws = out.workspace;
+    ASSERT_EQ(ws.base.size(), jobs.size() * static_cast<std::size_t>(n));
+    ASSERT_EQ(ws.exceedance.size(), ws.base.size());
+
+    const auto max_of = [](const std::vector<double>& v) {
+      return std::max(1e-12, *std::max_element(v.begin(), v.end()));
+    };
+    for (int j = 0; j < static_cast<int>(jobs.size()); ++j) {
+      const dc::PendingJob& p = batch[static_cast<std::size_t>(j)];
+      const int home = p.job->home_region;
+      const footprint::Intensities& at_home =
+          snapshot.intensity[static_cast<std::size_t>(home)];
+      std::vector<double> co2, h2o, usd, perf, latency;
+      for (int r = 0; r < n; ++r) {
+        const footprint::Intensities& at =
+            snapshot.intensity[static_cast<std::size_t>(r)];
+        const footprint::Breakdown fb =
+            fp.job_at(at, p.est_energy_kwh, p.est_exec_s);
+        const footprint::Breakdown tb =
+            fp.transfer(home, r, p.job->package_bytes, at_home, at);
+        co2.push_back(fb.carbon_g() + tb.carbon_g());
+        h2o.push_back(fb.water_l() + tb.water_l());
+        usd.push_back(env.pue(r) * p.est_energy_kwh *
+                      snapshot.price[static_cast<std::size_t>(r)]);
+        latency.push_back(
+            env.transfer_latency_seconds(home, r, p.job->package_bytes));
+        perf.push_back(latency.back() / std::max(1.0, p.est_exec_s));
+      }
+      const double allowance =
+          std::max(0.0, ctx.tol * c.delay_estimate_margin * p.est_exec_s -
+                            (now - p.first_seen));
+      for (int r = 0; r < n; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        const auto cell = static_cast<std::size_t>(j * n + r);
+        double cost = c.lambda_co2 * co2[ri] / max_of(co2) +
+                      c.lambda_h2o * h2o[ri] / max_of(h2o);
+        if (c.lambda_cost > 0.0) cost += c.lambda_cost * usd[ri] / max_of(usd);
+        if (c.lambda_perf > 0.0)
+          cost += c.lambda_perf * perf[ri] / max_of(perf);
+        if (c.enable_history) cost += snapshot.history[ri];
+        cost += 1e-9 * static_cast<double>(j * n + r);
+        EXPECT_EQ(ws.base[cell], cost) << "job " << j << " region " << r;
+        EXPECT_EQ(ws.exceedance[cell], latency[ri] - allowance)
+            << "job " << j << " region " << r;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ww::core

@@ -259,7 +259,7 @@ class FilterProbe final : public Scheduler {
     for (const PendingJob& p : batch) ids.push_back(p.job->id);
     batches.push_back(ids);
     std::vector<Decision> out;
-    out.reserve(batch.size() + 9);
+    out.reserve(batch.size() + 12);
     if (batches.size() > 1) {
       if (hostile_ && batches.size() == 2) {
         // Stale: this job was placed in the first window.
@@ -297,6 +297,18 @@ class FilterProbe final : public Scheduler {
     Decision over_power = home(4);
     over_power.power_scale = 1.5;
     out.push_back(over_power);
+    // Starts that pass no "too early" test: NaN compares false, and +inf
+    // and a start so late that start + duration == start leave the run
+    // [start, end) empty.
+    Decision nan_start = home(5);
+    nan_start.start_time = std::numeric_limits<double>::quiet_NaN();
+    out.push_back(nan_start);
+    Decision inf_start = home(6);
+    inf_start.start_time = std::numeric_limits<double>::infinity();
+    out.push_back(inf_start);
+    Decision empty_run = home(7);
+    empty_run.start_time = 1e300;
+    out.push_back(empty_run);
     return out;
   }
 

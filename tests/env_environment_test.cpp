@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "env/environment.hpp"
 
@@ -238,6 +239,67 @@ TEST(EnvironmentSample, MatchesAccessorsBitForBit) {
         expect_sample_matches(cfg, &faults, FaultView::World);
         expect_sample_matches(cfg, &faults, FaultView::Controller);
       }
+    }
+  }
+}
+
+/// sample_all(t) against sample(r, t), bitwise, for every region.  Each
+/// instant is read first by sample_all on one environment and by sample on
+/// another fresh one, so a day that neither has generated yet is first
+/// generated by each path on its own.
+void expect_sample_all_matches(const EnvironmentConfig& cfg,
+                               const FaultSchedule* faults, FaultView view) {
+  Environment all = Environment::builtin(cfg);
+  Environment one = Environment::builtin(cfg);
+  all.attach_faults(faults, view);
+  one.attach_faults(faults, view);
+  std::vector<RegionSample> got;
+  for (const double t : {86400.0 * 5 + 4000.0, -5000.0, 0.0, 1800.0, 5000.5,
+                         all.horizon_seconds() - 1.0,
+                         all.horizon_seconds() + 7200.0, 86400.0 * 2 + 17.0}) {
+    got.clear();
+    all.sample_all(t, [&got](int r, const RegionSample& s) {
+      EXPECT_EQ(r, static_cast<int>(got.size()));
+      got.push_back(s);
+    });
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(all.num_regions()));
+    for (int r = 0; r < all.num_regions(); ++r) {
+      SCOPED_TRACE("region " + std::to_string(r) + " t " + std::to_string(t));
+      const RegionSample want = one.sample(r, t);
+      const RegionSample& s = got[static_cast<std::size_t>(r)];
+      EXPECT_EQ(s.ci, want.ci);
+      EXPECT_EQ(s.ewif, want.ewif);
+      EXPECT_EQ(s.wue, want.wue);
+      EXPECT_EQ(s.wsf, want.wsf);
+      EXPECT_EQ(s.pue, want.pue);
+      EXPECT_EQ(s.ci, all.sample(r, t).ci);
+    }
+  }
+}
+
+TEST(EnvironmentSample, SampleAllMatchesSample) {
+  FaultSchedule faults(5);
+  faults.add_forecast_bias(0, 0.0, 3600.0, 2.0, 1.5);
+  faults.add_forecast_bias(3, -10000.0, 1.0e9, 1.3, 0.7);
+  faults.add_water_shock(1, 0.0, 3600.0, 1.25);
+  faults.add_water_shock(4, 1000.0, 1.0e9, 0.4);
+  for (const WaterDataset dataset :
+       {WaterDataset::ElectricityMaps, WaterDataset::WorldResourcesInstitute}) {
+    for (const bool scaled : {false, true}) {
+      EnvironmentConfig cfg = small_config();
+      cfg.dataset = dataset;
+      if (scaled) {
+        cfg.carbon_intensity_scale = 1.13;
+        cfg.water_intensity_scale = 0.87;
+        cfg.pue_override = 1.37;
+      }
+      SCOPED_TRACE(std::string(dataset == WaterDataset::ElectricityMaps
+                                   ? "EM"
+                                   : "WRI") +
+                   (scaled ? " scaled" : ""));
+      expect_sample_all_matches(cfg, nullptr, FaultView::World);
+      expect_sample_all_matches(cfg, &faults, FaultView::World);
+      expect_sample_all_matches(cfg, &faults, FaultView::Controller);
     }
   }
 }

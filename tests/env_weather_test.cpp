@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "env/weather.hpp"
 
 namespace ww::env {
@@ -80,6 +82,10 @@ TEST(Weather, ClampsOutsideHorizon) {
   const WeatherModel model(WeatherConfig{}, util::Rng(5), 24);
   EXPECT_NO_THROW((void)model.wet_bulb_c(-100.0));
   EXPECT_NO_THROW((void)model.wet_bulb_c(1e9));
+  // The point form reads the same clamped rows; a point computed on a
+  // longer horizon is refused instead of read past the last row.
+  EXPECT_EQ(model.wet_bulb_c(hour_point(1e9, 24)), model.wet_bulb_c(1e9));
+  EXPECT_THROW((void)model.wet_bulb_c(hour_point(1e9, 48)), std::out_of_range);
 }
 
 TEST(Weather, RejectsBadHorizon) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "env/faults.hpp"
@@ -129,6 +132,33 @@ TEST_F(FootprintTest, ZeroDurationIntegrationIsZero) {
   EXPECT_DOUBLE_EQ(b.water_l(), 0.0);
 }
 
+TEST_F(FootprintTest, IntegrationRejectsStartsItCannotSlice) {
+  // At 1e20 s the next hour boundary rounds back to the start, so an hourly
+  // slice cannot advance; the integration used to loop forever there.
+  const auto message = [&](double start, double dur) {
+    try {
+      (void)model_.job_integrated(0, start, dur, 1.0);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_NE(message(1e20, 1e6).find("start 100000000000000000000"),
+            std::string::npos)
+      << message(1e20, 1e6);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [start, dur] :
+       {std::pair{nan, 10.0}, std::pair{inf, 10.0}, std::pair{-inf, 10.0},
+        std::pair{100.0, nan}, std::pair{100.0, inf}}) {
+    EXPECT_NE(message(start, dur).find("must be finite"), std::string::npos)
+        << start << " " << dur << ": " << message(start, dur);
+  }
+  // A start late in double precision that still slices is accepted.
+  const Breakdown far = model_.job_integrated(0, 1e12, 7200.0, 1.0);
+  EXPECT_GT(far.carbon_g(), 0.0);
+}
+
 TEST_F(FootprintTest, TransferZeroWhenLocal) {
   const Breakdown b = model_.transfer(2, 2, 1e9, 0.0);
   EXPECT_DOUBLE_EQ(b.carbon_g(), 0.0);
@@ -196,10 +226,20 @@ void expect_sample_forms_identical(const env::Environment& env,
   const double e = 0.0375;
   const double exec = 431.0;
   const double bytes = 3.7e8;
+  std::vector<Intensities> all;
   for (const double t : times) {
+    model.sample_all(t, all);
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) {
       const std::string at = "r=" + std::to_string(r) +
                              " t=" + std::to_string(t);
+      const Intensities one = model.sample(r, t);
+      const Intensities& each = all[static_cast<std::size_t>(r)];
+      EXPECT_EQ(each.ci, one.ci) << at;
+      EXPECT_EQ(each.ewif, one.ewif) << at;
+      EXPECT_EQ(each.wue, one.wue) << at;
+      EXPECT_EQ(each.scarcity, one.scarcity) << at;
+      EXPECT_EQ(each.pue, one.pue) << at;
       const Breakdown direct = model.job_at(r, t, e, exec);
       expect_identical(model.job_at(model.sample(r, t), e, exec), direct, at);
       Breakdown reference = reference_operational(env, r, t, e);

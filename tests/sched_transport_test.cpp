@@ -142,6 +142,95 @@ TransportProblem tie_heavy(util::Rng& rng, int jobs, int regions) {
   return p;
 }
 
+/// Each job's cheapest allowed region, the lowest index on ties (-1: none).
+std::vector<int> cheapest_regions(const TransportProblem& p) {
+  const int n = p.regions();
+  std::vector<int> best(static_cast<std::size_t>(p.jobs), -1);
+  for (int j = 0; j < p.jobs; ++j) {
+    int& b = best[static_cast<std::size_t>(j)];
+    for (int r = 0; r < n; ++r)
+      if (p.allowed[at(j, n, r)] != 0 &&
+          (b < 0 || p.cost[at(j, n, r)] < p.cost[at(j, n, b)]))
+        b = r;
+  }
+  return best;
+}
+
+/// Jobs per region when each job goes to its cheapest allowed region.
+std::vector<int> cheapest_counts(const TransportProblem& p) {
+  std::vector<int> count(p.quota.size(), 0);
+  for (const int r : cheapest_regions(p))
+    if (r >= 0) ++count[static_cast<std::size_t>(r)];
+  return count;
+}
+
+/// The solver's uncongested condition: every job has an allowed region,
+/// and every cheapest region can hold all the jobs whose cheapest it is.
+bool uncongested(const TransportProblem& p) {
+  const std::vector<int> best = cheapest_regions(p);
+  if (std::find(best.begin(), best.end(), -1) != best.end()) return false;
+  const std::vector<int> count = cheapest_counts(p);
+  for (std::size_t r = 0; r < count.size(); ++r)
+    if (count[r] > p.quota[r]) return false;
+  return true;
+}
+
+/// Instances on either side of the uncongested condition, derived from `p`
+/// (which gains an allowed region for any job that had none):
+///   - just fit: each region's quota is exactly the number of jobs whose
+///     cheapest region it is;
+///   - one short: the same, with one such region a slot short and every
+///     other region a slot more;
+///   - zero quota: the same, with one such region at no quota and every
+///     other region a slot more.
+/// The two near misses must take the general path.
+std::vector<TransportProblem> around_the_condition(TransportProblem p,
+                                                   util::Rng& rng) {
+  const int n = p.regions();
+  for (int j = 0; j < p.jobs; ++j) {
+    bool any = false;
+    for (int r = 0; r < n; ++r) any = any || p.allowed[at(j, n, r)] != 0;
+    if (!any)
+      p.allowed[at(j, n, static_cast<int>(rng.uniform_int(0, n - 1)))] = 1;
+  }
+  TransportProblem fit = p;
+  fit.quota = cheapest_counts(p);
+  std::vector<TransportProblem> out{fit};
+  std::vector<int> used;
+  for (int r = 0; r < n; ++r)
+    if (fit.quota[static_cast<std::size_t>(r)] > 0) used.push_back(r);
+  if (used.empty()) return out;
+  const int r = used[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<long>(used.size()) - 1))];
+  TransportProblem short_one = fit;
+  --short_one.quota[static_cast<std::size_t>(r)];
+  for (int s = 0; s < n; ++s)
+    if (s != r) short_one.quota[static_cast<std::size_t>(s)] += 1;
+  TransportProblem zero = fit;
+  zero.quota[static_cast<std::size_t>(r)] = 0;
+  for (int s = 0; s < n; ++s)
+    if (s != r) zero.quota[static_cast<std::size_t>(s)] += 1;
+  out.push_back(short_one);
+  out.push_back(zero);
+  return out;
+}
+
+/// The answer the uncongested shortcut must give, byte for byte: each job
+/// in its cheapest allowed region, v = 0 and u_j = c_j,region(j).
+void expect_uncongested_answer(const TransportProblem& p,
+                               const TransportSolution& s,
+                               const std::string& tag) {
+  ASSERT_TRUE(s.optimal()) << tag;
+  EXPECT_EQ(s.region, cheapest_regions(p)) << tag;
+  EXPECT_EQ(s.v, std::vector<double>(p.quota.size(), 0.0)) << tag;
+  ASSERT_EQ(s.u.size(), static_cast<std::size_t>(p.jobs)) << tag;
+  for (int j = 0; j < p.jobs; ++j)
+    EXPECT_EQ(s.u[static_cast<std::size_t>(j)],
+              p.cost[at(j, p.regions(), s.region[static_cast<std::size_t>(j)])])
+        << tag;
+  EXPECT_EQ(s.objective, cost_of(p, s.region)) << tag;
+}
+
 /// The problem as a milp::Model: job-major binaries, assignment equality
 /// rows, then capacity rows — the scheduler's model before it moved off
 /// the MILP stack.
@@ -412,80 +501,117 @@ TEST(Transport, CertifyRejectsBrokenCertificates) {
 
 TEST(Transport, MatchesBruteForceOnSeededSmallInstances) {
   int infeasible = 0, feasible = 0, tied = 0;
+  int shortcut = 0, general = 0;
   for (const bool ties : {false, true}) {
     util::Rng rng(ties ? 77 : 41);
     for (int trial = 0; trial < 400; ++trial) {
-      const TransportProblem p = random_small(rng, ties);
-      const std::string tag = std::string(ties ? "ties" : "continuous") +
-                              " trial " + std::to_string(trial);
-      const BruteForce ref = brute_force(p);
-      const TransportSolution got = transport_assign(p);
-      ASSERT_EQ(got.optimal(), ref.feasible) << tag;
-      std::string why;
-      EXPECT_TRUE(certify(p, got, &why)) << tag << ": " << why;
-      if (!ref.feasible) {
-        ++infeasible;
-        continue;
+      const TransportProblem drawn = random_small(rng, ties);
+      // The drawn instance, then instances that just fit the uncongested
+      // condition or just miss it.
+      std::vector<TransportProblem> cases{drawn};
+      for (TransportProblem& q : around_the_condition(drawn, rng))
+        cases.push_back(std::move(q));
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        const TransportProblem& p = cases[c];
+        const std::string tag = std::string(ties ? "ties" : "continuous") +
+                                " trial " + std::to_string(trial) + " case " +
+                                std::to_string(c);
+        const BruteForce ref = brute_force(p);
+        const TransportSolution got = transport_assign(p);
+        ASSERT_EQ(got.optimal(), ref.feasible) << tag;
+        std::string why;
+        EXPECT_TRUE(certify(p, got, &why)) << tag << ": " << why;
+        // Case 1 just fits the uncongested condition; cases 2 and 3 miss.
+        if (c == 1) {
+          EXPECT_TRUE(uncongested(p)) << tag;
+        } else if (c > 1) {
+          EXPECT_FALSE(uncongested(p)) << tag;
+        }
+        if (uncongested(p)) {
+          ++shortcut;
+          expect_uncongested_answer(p, got, tag);
+        } else {
+          ++general;
+        }
+        if (!ref.feasible) {
+          if (c == 0) ++infeasible;
+          continue;
+        }
+        EXPECT_TRUE(near(got.objective, ref.objective))
+            << tag << ": " << got.objective << " vs " << ref.objective;
+        EXPECT_EQ(cost_of(p, got.region), got.objective) << tag;
+        if (ref.optima == 1) {
+          EXPECT_EQ(got.region, ref.region) << tag;
+        } else if (c == 0) {
+          ++tied;
+        }
+        if (c == 0) ++feasible;
+        // Deterministic: a second solve returns the same bytes.
+        const TransportSolution again = transport_assign(p);
+        EXPECT_EQ(again.region, got.region) << tag;
+        EXPECT_EQ(again.u, got.u) << tag;
+        EXPECT_EQ(again.v, got.v) << tag;
       }
-      ++feasible;
-      EXPECT_TRUE(near(got.objective, ref.objective))
-          << tag << ": " << got.objective << " vs " << ref.objective;
-      EXPECT_EQ(cost_of(p, got.region), got.objective) << tag;
-      if (ref.optima == 1)
-        EXPECT_EQ(got.region, ref.region) << tag;
-      else
-        ++tied;
-      // Deterministic: a second solve returns the same bytes.
-      const TransportSolution again = transport_assign(p);
-      EXPECT_EQ(again.region, got.region) << tag;
-      EXPECT_EQ(again.u, got.u) << tag;
-      EXPECT_EQ(again.v, got.v) << tag;
     }
   }
   // The generator must reach every case it is meant to cover.
   EXPECT_GT(infeasible, 50);
   EXPECT_GT(feasible, 300);
   EXPECT_GT(tied, 50);
+  EXPECT_GT(shortcut, 800);
+  EXPECT_GT(general, 1500);
 }
 
 TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
   // One solution and workspace carried across instances of varying size,
   // infeasible ones included, must give the bytes a fresh solve gives.
+  // Instances on either side of the uncongested condition alternate, so
+  // the shortcut and the general path run on one workspace in turn.
   TransportSolution reused;
   TransportWorkspace ws;
+  const auto expect_same = [&](const TransportProblem& p,
+                               const std::string& tag) {
+    const TransportSolution fresh = transport_assign(p);
+    transport_assign(p, reused, ws);
+    ASSERT_EQ(reused.status, fresh.status) << tag;
+    EXPECT_EQ(reused.region, fresh.region) << tag;
+    EXPECT_EQ(reused.objective, fresh.objective) << tag;
+    EXPECT_EQ(reused.u, fresh.u) << tag;
+    EXPECT_EQ(reused.v, fresh.v) << tag;
+    EXPECT_EQ(reused.hall, fresh.hall) << tag;
+    std::string why;
+    EXPECT_TRUE(certify(p, reused, &why)) << tag << ": " << why;
+  };
   for (const bool ties : {false, true}) {
     util::Rng rng(ties ? 78 : 42);
     for (int trial = 0; trial < 300; ++trial) {
       const TransportProblem p = random_small(rng, ties);
-      const TransportSolution fresh = transport_assign(p);
-      transport_assign(p, reused, ws);
       const std::string tag = "trial " + std::to_string(trial);
-      ASSERT_EQ(reused.status, fresh.status) << tag;
-      EXPECT_EQ(reused.region, fresh.region) << tag;
-      EXPECT_EQ(reused.objective, fresh.objective) << tag;
-      EXPECT_EQ(reused.u, fresh.u) << tag;
-      EXPECT_EQ(reused.v, fresh.v) << tag;
+      expect_same(p, tag);
+      const std::vector<TransportProblem> around = around_the_condition(p, rng);
+      for (std::size_t c = 0; c < around.size(); ++c)
+        expect_same(around[c], tag + " case " + std::to_string(c + 1));
     }
   }
   // Alternating sizes: a large solve, a single job, then a mid-size one
-  // over a different region count.  Arcs, move flags or labels left over
-  // from an earlier solve would change the later answers.
+  // over a different region count, each congested and then with room for
+  // every job everywhere.  Arcs, move flags or labels left over from an
+  // earlier solve would change the later answers.
   util::Rng rng(79);
   for (int round = 0; round < 3; ++round) {
     for (const auto& [jobs, regions] :
          {std::pair{40, 6}, std::pair{1, 6}, std::pair{25, 4}}) {
       const TransportProblem p = tie_heavy(rng, jobs, regions);
-      const TransportSolution fresh = transport_assign(p);
-      transport_assign(p, reused, ws);
+      TransportProblem roomy = p;
+      roomy.quota.assign(roomy.quota.size(), jobs);
       const std::string tag = std::to_string(jobs) + "x" +
                               std::to_string(regions) + " round " +
                               std::to_string(round);
-      ASSERT_TRUE(fresh.optimal()) << tag;
-      ASSERT_EQ(reused.status, fresh.status) << tag;
-      EXPECT_EQ(reused.region, fresh.region) << tag;
-      EXPECT_EQ(reused.objective, fresh.objective) << tag;
-      EXPECT_EQ(reused.u, fresh.u) << tag;
-      EXPECT_EQ(reused.v, fresh.v) << tag;
+      ASSERT_TRUE(transport_assign(p).optimal()) << tag;
+      ASSERT_TRUE(uncongested(roomy)) << tag;
+      expect_same(p, tag);
+      expect_same(roomy, tag + " roomy");
+      expect_uncongested_answer(roomy, reused, tag + " roomy");
     }
   }
 }
