@@ -1,9 +1,10 @@
 // Fig. 13: decision-making overhead of WaterWise over time, as % of mean job
 // execution time, on both the Google-Borg-rate and Alibaba-rate traces.
 // Paper: < 0.2% throughout, higher for Alibaba (8.5x invocation rate).
+#include <algorithm>
 #include <cstdlib>
-#include <limits>
 #include <optional>
+#include <vector>
 
 #include "common.hpp"
 #include "obs/trace.hpp"
@@ -147,22 +148,23 @@ void scenario_chunk_scaling_panel() {
                "byte-identical on the unified pool\n";
 }
 
-/// Tracing-overhead panel: the one-burst campaign timed with spans off and
-/// with spans on (best of three each, so scheduler noise on a loaded runner
-/// does not decide the verdict).  The disabled path is a single relaxed
-/// atomic load, so the on/off delta is the full cost of the span layer; the
-/// self-check exits nonzero if that cost exceeds 5% of the untraced
-/// wall-clock.
+/// Tracing-overhead panel: the one-burst campaign timed in 60 alternating
+/// runs, spans off then on, with the trace cleared before each.  A timed
+/// run takes about a millisecond, so a single run, or runs grouped by mode,
+/// would let one scheduler hiccup or a drift over the panel decide the
+/// verdict; pairing neighbours and taking the median of the per-pair deltas
+/// does not.  A disabled span is one flag load, so the delta is the full
+/// cost of the span layer; the self-check exits nonzero if its median
+/// exceeds 5% of the untraced wall-clock.
 void tracing_overhead_panel() {
   using namespace ww;
-  // 0.1 sim-days keeps each timed run ~100 ms: long enough that scheduler
-  // noise stays well under the 5% gate, short enough for six runs.
   auto jobs = trace::generate_trace(trace::borg_config(7, 0.1));
   for (auto& j : jobs) j.submit_time = 0.0;
   bench::CampaignSpec spec;
   spec.tol = 0.5;
   const bool was_enabled = obs::Trace::enabled();
   const auto time_once = [&](bool on) {
+    obs::Trace::instance().clear();
     obs::Trace::instance().set_enabled(on);
     core::WaterWiseScheduler ww;
     const util::Stopwatch watch;
@@ -174,19 +176,25 @@ void tracing_overhead_panel() {
     }
     return seconds;
   };
-  double off_s = std::numeric_limits<double>::infinity();
-  double on_s = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < 3; ++i) off_s = std::min(off_s, time_once(false));
-  for (int i = 0; i < 3; ++i) on_s = std::min(on_s, time_once(true));
+  constexpr int kPairs = 30;
+  std::vector<double> off_s, on_s, delta_pct;
+  for (int i = 0; i < kPairs; ++i) {
+    off_s.push_back(time_once(false));
+    on_s.push_back(time_once(true));
+    delta_pct.push_back(100.0 * (on_s.back() - off_s.back()) / off_s.back());
+  }
   obs::Trace::instance().set_enabled(was_enabled);
   // Drop the panel's own events so a WW_TRACE export below covers only the
   // real campaigns.
   obs::Trace::instance().clear();
-  const double pct = 100.0 * (on_s - off_s) / off_s;
+  const double pct = util::percentile(delta_pct, 50.0);
   std::cout << "[tracing-overhead] spans off "
-            << util::Table::fixed(off_s * 1000.0, 1) << " ms, on "
-            << util::Table::fixed(on_s * 1000.0, 1) << " ms, delta "
-            << util::Table::fixed(pct, 2) << "% (best of 3 each, gate 5%)\n";
+            << util::Table::fixed(util::percentile(off_s, 50.0) * 1000.0, 3)
+            << " ms, on "
+            << util::Table::fixed(util::percentile(on_s, 50.0) * 1000.0, 3)
+            << " ms (medians), median paired delta "
+            << util::Table::fixed(pct, 2) << "% (" << kPairs
+            << " alternating off/on pairs, gate 5%)\n";
   if (pct > 5.0) {
     std::cerr << "self-check FAILED: span tracing costs "
               << util::Table::fixed(pct, 2)

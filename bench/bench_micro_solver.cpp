@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/history.hpp"
 #include "core/waterwise.hpp"
 #include "dc/capacity_timeline.hpp"
 #include "dc/scheduler.hpp"
@@ -207,10 +208,36 @@ void BM_FootprintIntegration(benchmark::State& state) {
 }
 BENCHMARK(BM_FootprintIntegration)->Unit(benchmark::kMicrosecond);
 
+void BM_HistoryObserve(benchmark::State& state) {
+  // One window's history update at the scheduler's shape (5 regions, the
+  // default 10-observation window), on a full ring: normalize both rows,
+  // then recompute all ten window means.  Eight seeded observations cycle
+  // so the ring holds varying rows.
+  constexpr int kRegions = 5;
+  constexpr int kWindow = 10;
+  util::Rng rng(11);
+  std::vector<std::vector<double>> carbon(8), water(8);
+  for (std::size_t k = 0; k < carbon.size(); ++k)
+    for (int r = 0; r < kRegions; ++r) {
+      carbon[k].push_back(rng.uniform(50.0, 600.0));
+      water[k].push_back(rng.uniform(0.5, 8.0));
+    }
+  core::HistoryLearner history(kRegions, kWindow);
+  for (int i = 0; i < kWindow; ++i) history.observe(carbon[0], water[0]);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    history.observe(carbon[k], water[k]);
+    benchmark::DoNotOptimize(history.carbon_ref(0));
+    k = (k + 1) % carbon.size();
+  }
+}
+BENCHMARK(BM_HistoryObserve);
+
 void BM_ObsSpanDisabled(benchmark::State& state) {
-  // The cost a span leaves on an untraced hot path: one relaxed atomic
-  // load in the constructor, one in the destructor.  This is the number
-  // the bench_fig13 5% overhead gate ultimately rests on.
+  // The cost a span leaves on an untraced hot path: the inline
+  // constructor's one relaxed load of the enabled flag, then inline tests
+  // of the span's inactive bit in arg() and the destructor.  This is the
+  // number the bench_fig13 5% overhead gate ultimately rests on.
   obs::Trace::instance().set_enabled(false);
   for (auto _ : state) {
     obs::Span span("bench.noop");

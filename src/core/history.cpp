@@ -46,25 +46,27 @@ void HistoryLearner::observe(const std::vector<double>& carbon_intensity,
   normalize_into(carbon_intensity, carbon_.data() + at);
   normalize_into(water_intensity, water_.data() + at);
 
-  // Window means for every region: one walk over the held rows, oldest
-  // first, so each region's sum adds in the order a per-region mean would.
+  // Window means for every region: each region's held rows summed oldest
+  // first into local accumulators (0.0 + the rows, the order a per-region
+  // mean adds in), then one write of sum / held per mean.  The sums stay in
+  // registers: member-vector accumulators could alias the rings, which
+  // forces every add through memory.
   const auto n = static_cast<std::size_t>(num_regions_);
-  std::fill(carbon_mean_.begin(), carbon_mean_.end(), 0.0);
-  std::fill(water_mean_.begin(), water_mean_.end(), 0.0);
-  row = oldest_;
-  for (int i = 0; i < count_; ++i) {
-    const double* c = carbon_.data() + static_cast<std::size_t>(row) * n;
-    const double* w = water_.data() + static_cast<std::size_t>(row) * n;
-    for (std::size_t r = 0; r < n; ++r) {
-      carbon_mean_[r] += c[r];
-      water_mean_[r] += w[r];
-    }
-    if (++row == window_) row = 0;
-  }
+  const double* const carbon = carbon_.data();
+  const double* const water = water_.data();
   const auto held = static_cast<double>(count_);
   for (std::size_t r = 0; r < n; ++r) {
-    carbon_mean_[r] /= held;
-    water_mean_[r] /= held;
+    double carbon_sum = 0.0;
+    double water_sum = 0.0;
+    row = oldest_;
+    for (int i = 0; i < count_; ++i) {
+      const std::size_t cell = static_cast<std::size_t>(row) * n + r;
+      carbon_sum += carbon[cell];
+      water_sum += water[cell];
+      if (++row == window_) row = 0;
+    }
+    carbon_mean_[r] = carbon_sum / held;
+    water_mean_[r] = water_sum / held;
   }
 }
 

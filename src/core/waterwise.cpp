@@ -38,9 +38,11 @@ WaterWiseScheduler::WaterWiseScheduler(WaterWiseConfig config)
     handles_.stats_gauges[i] = registry_.gauge(kStatsGauges[i].key);
   // Service-level distributions (ROADMAP item 4).  decision_latency is
   // wall-clock and observational; queue_depth and time_to_admission are
-  // sim-time/count based and byte-deterministic.
+  // sim-time/count based and byte-deterministic.  A window takes
+  // microseconds, so decision_latency has 1 us bins over [0, 1 ms]; a
+  // window of 1 ms or more clamps into the top bin.
   handles_.decision_latency_s =
-      registry_.histogram("service.decision_latency_s", 0.0, 2.0, 80);
+      registry_.histogram("service.decision_latency_s", 0.0, 1e-3, 1000);
   handles_.queue_depth =
       registry_.histogram("service.queue_depth", 0.0, 2048.0, 64);
   handles_.time_to_admission_s =
@@ -553,20 +555,23 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
   // Observability wrapper: spans and service-level histograms around the
   // untouched decision logic.  Everything recorded here is write-only —
-  // nothing below reads a clock or a metric — so the decision stream is
-  // byte-identical with tracing/metrics on or off.
+  // nothing below reads a metric, and no clock but the solve stopwatch —
+  // so the decision stream is byte-identical with tracing/metrics on or
+  // off.  The window's latency arrives afterwards via on_window_timed.
   obs::Span span("sched.window");
   span.arg("t", ctx.now);
   span.arg("batch", batch.size());
-  const util::Stopwatch watch;
   registry_.add(handles_.windows);
   registry_.observe(handles_.queue_depth, static_cast<double>(batch.size()));
   SchedulerStats window;
   std::vector<dc::Decision> decisions = schedule_impl(batch, ctx, window);
   fold_stats(window);
-  registry_.observe(handles_.decision_latency_s, watch.elapsed_seconds());
   span.arg("decisions", decisions.size());
   return decisions;
+}
+
+void WaterWiseScheduler::on_window_timed(double seconds) {
+  registry_.observe(handles_.decision_latency_s, seconds);
 }
 
 std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(

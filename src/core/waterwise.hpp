@@ -393,6 +393,10 @@ class WaterWiseScheduler final : public dc::Scheduler {
       const std::vector<dc::PendingJob>& batch,
       const dc::ScheduleContext& ctx) override;
 
+  /// Observes the caller's measurement of the window into
+  /// service.decision_latency_s; schedule() reads no clock for it.
+  void on_window_timed(double seconds) override;
+
   [[nodiscard]] const WaterWiseConfig& config() const noexcept {
     return config_;
   }
@@ -402,7 +406,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
 
   /// The scheduler's metrics registry: every SchedulerStats counter under
   /// "sched.*" plus the service-level distributions under "service.*"
-  /// (decision-latency seconds per window, queue depth per window,
+  /// (decision-latency seconds per window as the caller timed it through
+  /// on_window_timed, queue depth per window,
   /// time-to-admission seconds per placed job).  Counters and sim-time
   /// histograms are deterministic; decision-latency is wall-clock and
   /// observational only.
@@ -505,9 +510,10 @@ class WaterWiseScheduler final : public dc::Scheduler {
   void take_snapshot(const dc::ScheduleContext& ctx,
                      WindowSnapshot& snap) const;
 
-  /// schedule() minus the observability wrapper (spans, latency/queue
-  /// histograms); keeps the decision logic free of instrumentation.  All
-  /// of the window's counters accumulate into `window`.
+  /// schedule() minus the observability wrapper (spans, the window
+  /// counter and the queue-depth histogram); keeps the decision logic free
+  /// of instrumentation.  All of the window's counters accumulate into
+  /// `window`.
   [[nodiscard]] std::vector<dc::Decision> schedule_impl(
       const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx,
       SchedulerStats& window);

@@ -78,6 +78,13 @@ class Scheduler {
 
   /// Completion callback (drives online execution-time/energy learning).
   virtual void on_job_finished(const trace::Job& job) { (void)job; }
+
+  /// Wall-clock seconds the caller measured around the schedule() call
+  /// that just returned; the simulator calls it once per window, right
+  /// after stopping its stopwatch.  Observational only: no decision may
+  /// read it.  A scheduler that reports decision latency takes it from
+  /// here instead of reading a clock of its own.
+  virtual void on_window_timed(double seconds) { (void)seconds; }
 };
 
 }  // namespace ww::dc

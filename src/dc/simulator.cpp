@@ -300,6 +300,7 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
       const util::Stopwatch watch;
       const std::vector<Decision> decisions = scheduler.schedule(pending, ctx);
       const double batch_seconds = watch.elapsed_seconds();
+      scheduler.on_window_timed(batch_seconds);
       result.decision_seconds_total += batch_seconds;
       result.batch_decision_seconds.add(batch_seconds);
       result.overhead_series.emplace_back(now / 60.0, batch_seconds);

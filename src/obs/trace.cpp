@@ -32,13 +32,8 @@ Trace& Trace::instance() {
   return trace;
 }
 
-std::atomic<bool>& Trace::enabled_flag() noexcept {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
 void Trace::set_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
+  enabled_.store(on, std::memory_order_relaxed);
 }
 
 void Trace::configure_from_env() {
@@ -176,8 +171,7 @@ std::string Trace::to_chrome_json() const {
   return out.str();
 }
 
-Span::Span(const char* name) : name_(name) {
-  if (!Trace::enabled()) return;  // Disabled path: one relaxed load.
+void Span::begin() {
   active_ = true;
   TraceEvent ev;
   ev.name = name_;
@@ -186,8 +180,7 @@ Span::Span(const char* name) : name_(name) {
   Trace::instance().append(std::move(ev));
 }
 
-Span::~Span() {
-  if (!active_) return;
+void Span::end() {
   TraceEvent ev;
   ev.name = name_;
   ev.phase = 'E';
@@ -196,8 +189,7 @@ Span::~Span() {
   Trace::instance().append(std::move(ev));
 }
 
-void Span::arg(const char* key, std::int64_t value) {
-  if (!active_) return;
+void Span::push_arg(const char* key, std::int64_t value) {
   TraceArg a;
   a.key = key;
   a.is_int = true;
@@ -205,8 +197,7 @@ void Span::arg(const char* key, std::int64_t value) {
   args_.push_back(a);
 }
 
-void Span::arg(const char* key, double value) {
-  if (!active_) return;
+void Span::push_arg(const char* key, double value) {
   TraceArg a;
   a.key = key;
   a.is_int = false;

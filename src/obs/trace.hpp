@@ -12,8 +12,10 @@
 // util::monotonic_micros() and are write-only — no scheduling decision may
 // read them — so decision streams are byte-identical with tracing on or
 // off (tests/core_scheduler_parallel_test.cpp enforces this).  When
-// tracing is disabled (the default) a Span constructor is a single relaxed
-// atomic load and an early return.
+// tracing is disabled (the default) a Span costs one relaxed load of an
+// inline flag: the constructor, destructor and arg() are inline tests of
+// that flag (or of the span's own active bit), and only the event-building
+// slow paths live out of line in trace.cpp.
 //
 // Export is the Chrome trace-event JSON array format: load the file in
 // chrome://tracing or https://ui.perfetto.dev.  Gating: WW_TRACE env
@@ -53,7 +55,7 @@ class Trace {
   static Trace& instance();
 
   [[nodiscard]] static bool enabled() noexcept {
-    return enabled_flag().load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_relaxed);
   }
   void set_enabled(bool on) noexcept;
 
@@ -97,8 +99,11 @@ class Trace {
   };
 
   Trace() = default;
-  static std::atomic<bool>& enabled_flag() noexcept;
   Buffer& local_buffer();
+
+  /// A plain static, not a function-local one, so enabled() is one relaxed
+  /// load with no initialization guard.
+  inline static std::atomic<bool> enabled_{false};
 
   mutable std::mutex mu_;  ///< Guards buffers_ growth and path config.
   std::vector<std::unique_ptr<Buffer>> buffers_;
@@ -108,8 +113,12 @@ class Trace {
 class Span {
  public:
   /// `name` must be a string literal (stored by pointer).
-  explicit Span(const char* name);
-  ~Span();
+  explicit Span(const char* name) : name_(name) {
+    if (Trace::enabled()) begin();
+  }
+  ~Span() {
+    if (active_) end();
+  }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   Span(Span&&) = delete;
@@ -117,8 +126,12 @@ class Span {
 
   /// Annotations surface in the trace viewer on the span's end event.
   /// No-ops when tracing was disabled at construction.
-  void arg(const char* key, std::int64_t value);
-  void arg(const char* key, double value);
+  void arg(const char* key, std::int64_t value) {
+    if (active_) push_arg(key, value);
+  }
+  void arg(const char* key, double value) {
+    if (active_) push_arg(key, value);
+  }
   void arg(const char* key, int value) {
     arg(key, static_cast<std::int64_t>(value));
   }
@@ -129,6 +142,12 @@ class Span {
   [[nodiscard]] bool active() const noexcept { return active_; }
 
  private:
+  // Out-of-line slow paths, taken only while tracing.
+  void begin();
+  void end();
+  void push_arg(const char* key, std::int64_t value);
+  void push_arg(const char* key, double value);
+
   const char* name_;
   bool active_ = false;
   std::vector<TraceArg> args_;

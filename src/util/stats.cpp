@@ -46,7 +46,8 @@ double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::span<const double> sample, double p) {
   if (sample.empty()) throw std::invalid_argument("percentile: empty sample");
-  if (p < 0.0 || p > 100.0)
+  // Negated so a NaN p, which compares false, is rejected too.
+  if (!(p >= 0.0 && p <= 100.0))
     throw std::invalid_argument("percentile: p out of [0,100]");
   std::vector<double> sorted(sample.begin(), sample.end());
   std::sort(sorted.begin(), sorted.end());
@@ -139,7 +140,8 @@ void Histogram::add(double x) noexcept {
 std::size_t Histogram::bin_count(std::size_t i) const { return counts_.at(i); }
 
 double Histogram::quantile(double q) const {
-  if (q < 0.0 || q > 1.0)
+  // Negated so a NaN q, which compares false, is rejected too.
+  if (!(q >= 0.0 && q <= 1.0))
     throw std::invalid_argument("Histogram::quantile: q out of [0,1]");
   if (total_ == 0) return 0.0;
   // Target rank in [1, total]; ceil keeps q=0 on the first sample and the

@@ -32,6 +32,8 @@ class RunningStats {
 };
 
 /// Linear-interpolated percentile of an unsorted sample, p in [0, 100].
+/// Throws std::invalid_argument on an empty sample or a p outside [0, 100]
+/// (NaN included).
 [[nodiscard]] double percentile(std::span<const double> sample, double p);
 
 [[nodiscard]] double mean(std::span<const double> sample) noexcept;
@@ -71,7 +73,8 @@ class Histogram {
   /// (samples assumed uniform within a bin).  Pure integer bin walk plus
   /// one fixed-order float expression, so the result depends only on bin
   /// contents — never on insertion order or thread count.  Returns 0 on an
-  /// empty histogram; dropped (non-finite) samples are excluded.
+  /// empty histogram; dropped (non-finite) samples are excluded.  Throws
+  /// std::invalid_argument on a q outside [0, 1] (NaN included).
   [[nodiscard]] double quantile(double q) const;
 
   /// Fold `other` into this histogram bin-by-bin.  Both sides must share

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/waterwise.hpp"
 #include "dc/simulator.hpp"
 #include "sched/basic.hpp"
 #include "sched/greedy_opt.hpp"
 #include "trace/generator.hpp"
+#include "util/stats.hpp"
 
 namespace ww::core {
 namespace {
@@ -184,6 +187,32 @@ TEST(WaterWise, SchedulerStatsAccumulateSolverCounters) {
   EXPECT_EQ(st.ft_updates, 0);
   EXPECT_EQ(st.presolve_rows_removed, 0);
   EXPECT_EQ(st.presolve_seconds, 0.0);
+}
+
+TEST(WaterWise, DecisionLatencyHistogramResolvesAWindow) {
+  // The histogram holds the simulator's own measurement of every window,
+  // one sample each, in bins fine enough to resolve a window of a few
+  // microseconds: its median lies within one 1 us bin of the exact median
+  // of the per-window samples.
+  Rig rig;
+  WaterWiseScheduler ww;
+  const dc::CampaignResult res = rig.run(ww);
+  ASSERT_FALSE(res.overhead_series.empty());
+  const util::Histogram* h =
+      ww.registry().find_hist("service.decision_latency_s");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->total(), res.overhead_series.size());
+  std::vector<double> samples;
+  for (const auto& [minute, seconds] : res.overhead_series)
+    samples.push_back(seconds);
+  const double exact = util::percentile(samples, 50.0);
+  constexpr double kBin = 1e-6;
+  if (exact < h->hi()) {
+    EXPECT_NEAR(h->quantile(0.5), exact, kBin);
+  } else {
+    // A median window of 1 ms or more clamps into the top bin.
+    EXPECT_GE(h->quantile(0.5), h->hi() - kBin);
+  }
 }
 
 }  // namespace

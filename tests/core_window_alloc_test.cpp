@@ -103,6 +103,10 @@ class CountingScheduler final : public dc::Scheduler {
     inner_.on_job_finished(job);
   }
 
+  void on_window_timed(double seconds) override {
+    inner_.on_window_timed(seconds);
+  }
+
   long windows = 0;
   std::size_t at_warm = 0;  ///< Allocation count when window 101 began.
   std::size_t inside = 0;   ///< Allocations inside schedule() after warm-up.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "dc/simulator.hpp"
 #include "sched/basic.hpp"
@@ -318,6 +319,48 @@ class FilterProbe final : public Scheduler {
   bool hostile_;
   std::uint64_t late_id_;
 };
+
+/// Places every job at home and logs each schedule() call and each
+/// on_window_timed() callback, in the order they arrive.
+class TimedProbe final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "TimedProbe"; }
+
+  [[nodiscard]] std::vector<Decision> schedule(
+      const std::vector<PendingJob>& batch,
+      const ScheduleContext& ctx) override {
+    calls += 'S';
+    std::vector<Decision> out;
+    for (const PendingJob& p : batch)
+      out.push_back(Decision{p.job->id, p.job->home_region, ctx.now, 1.0});
+    return out;
+  }
+
+  void on_window_timed(double seconds) override {
+    calls += 'T';
+    timed.push_back(seconds);
+  }
+
+  std::string calls;  ///< 'S' per schedule(), 'T' per on_window_timed().
+  std::vector<double> timed;
+};
+
+TEST_F(SimulatorTest, HandsEachWindowsLatencyToTheScheduler) {
+  // One on_window_timed() per window, right after that window's
+  // schedule() returns, carrying exactly the seconds recorded in
+  // overhead_series: the scheduler needs no clock of its own.
+  const auto jobs = small_trace();
+  Simulator sim(env_, fp_, SimConfig{});
+  TimedProbe probe;
+  const CampaignResult res = sim.run(jobs, probe);
+  ASSERT_FALSE(res.overhead_series.empty());
+  ASSERT_EQ(probe.timed.size(), res.overhead_series.size());
+  std::string alternating;
+  for (std::size_t i = 0; i < probe.timed.size(); ++i) alternating += "ST";
+  EXPECT_EQ(probe.calls, alternating);
+  for (std::size_t i = 0; i < probe.timed.size(); ++i)
+    EXPECT_EQ(probe.timed[i], res.overhead_series[i].second) << "window " << i;
+}
 
 TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
   // Eight jobs arrive together, so the first window holds all of them; a

@@ -73,6 +73,12 @@ TEST(Percentile, Rejects) {
   const std::vector<double> v = {1.0};
   EXPECT_THROW((void)percentile(v, -1.0), std::invalid_argument);
   EXPECT_THROW((void)percentile(v, 101.0), std::invalid_argument);
+  // NaN compares false against both bounds; casting its rank to an index
+  // would be undefined behaviour (two samples, so the rank is computed).
+  const std::vector<double> two = {1.0, 2.0};
+  EXPECT_THROW(
+      (void)percentile(two, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 TEST(Correlation, PerfectPositiveAndNegative) {
@@ -174,6 +180,8 @@ TEST(Histogram, QuantileEmptyAndRejects) {
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);  // empty: defined as 0
   EXPECT_THROW((void)h.quantile(-0.1), std::invalid_argument);
   EXPECT_THROW((void)h.quantile(1.1), std::invalid_argument);
+  EXPECT_THROW((void)h.quantile(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(Histogram, QuantileIgnoresDropped) {
