@@ -198,11 +198,13 @@ void print_service_metrics(const std::string& label,
     std::cout << "[service] " << label << ": no service metrics registered\n";
     return;
   }
+  // A window takes microseconds and the histogram has 1 us bins, so the
+  // quantiles print in us: in ms a 1-2 us window would show as 0.001.
   std::cout << "[service] " << label << ": decision latency p50/p95/p99 = "
-            << util::Table::fixed(lat->quantile(0.50) * 1000.0, 3) << "/"
-            << util::Table::fixed(lat->quantile(0.95) * 1000.0, 3) << "/"
-            << util::Table::fixed(lat->quantile(0.99) * 1000.0, 3)
-            << " ms over " << (windows != nullptr ? *windows : 0)
+            << util::Table::fixed(lat->quantile(0.50) * 1e6, 1) << "/"
+            << util::Table::fixed(lat->quantile(0.95) * 1e6, 1) << "/"
+            << util::Table::fixed(lat->quantile(0.99) * 1e6, 1)
+            << " us over " << (windows != nullptr ? *windows : 0)
             << " window(s)\n";
   std::cout << "[service] " << label << ": queue depth p50/p99 = "
             << util::Table::fixed(depth->quantile(0.50), 1) << "/"

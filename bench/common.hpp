@@ -105,8 +105,8 @@ enum class Policy {
 void print_degradation_counters(const std::string& label,
                                 const core::SchedulerStats& stats);
 
-/// Prints the service-level metrics panel (ROADMAP item 4) from a WaterWise
-/// scheduler's registry: per-window decision-latency p50/p95/p99, queue
+/// Prints the service-level metrics panel from a WaterWise scheduler's
+/// registry: per-window decision-latency p50/p95/p99 in us, queue
 /// depth, and time-to-admission.  Latency is wall-clock (observational);
 /// queue depth and time-to-admission are deterministic.
 void print_service_metrics(const std::string& label,

@@ -36,7 +36,7 @@ WaterWiseScheduler::WaterWiseScheduler(WaterWiseConfig config)
   handles_.windows = registry_.counter("sched.windows");
   for (std::size_t i = 0; i < std::size(kStatsGauges); ++i)
     handles_.stats_gauges[i] = registry_.gauge(kStatsGauges[i].key);
-  // Service-level distributions (ROADMAP item 4).  decision_latency is
+  // Service-level distributions.  decision_latency is
   // wall-clock and observational; queue_depth and time_to_admission are
   // sim-time/count based and byte-deterministic.  A window takes
   // microseconds, so decision_latency has 1 us bins over [0, 1 ms]; a

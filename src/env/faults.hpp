@@ -1,6 +1,6 @@
 // Deterministic fault injection: seeded failure schedules for robustness
-// campaigns (ROADMAP item 5, Sec. 6 robustness experiments extended from
-// input perturbation to actual mid-campaign failures).
+// campaigns (the paper's Sec. 6 robustness experiments extended from input
+// perturbation to actual mid-campaign failures).
 //
 // A FaultSchedule is a per-region list of time windows, each carrying one of
 // four effects:

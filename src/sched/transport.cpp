@@ -17,21 +17,36 @@ std::size_t at(int row, int n, int col) {
          static_cast<std::size_t>(col);
 }
 
-/// Throws unless the matrices are jobs x regions and every allowed cost is
-/// finite; returns max(1, max |c| over allowed pairs).
-double checked_scale(const TransportProblem& p) {
+/// Throws unless the matrices are jobs x regions.
+void check_sizes(const TransportProblem& p) {
   const std::size_t cells = at(p.jobs, p.regions(), 0);
   if (p.jobs < 0 || p.cost.size() != cells || p.allowed.size() != cells)
     throw std::invalid_argument(
         "transport_assign: cost and allowed must be jobs x regions");
+}
+
+/// An allowed cost as the solver reads it: throws unless it is finite.
+double checked(double c) {
+  if (!std::isfinite(c))
+    throw std::invalid_argument("transport_assign: allowed cost is not finite");
+  return c;
+}
+
+/// Throws unless every allowed cost in rows [from, jobs) is finite.
+void check_rows(const TransportProblem& p, int from) {
+  const std::size_t cells = at(p.jobs, p.regions(), 0);
+  for (std::size_t i = at(from, p.regions(), 0); i < cells; ++i)
+    if (p.allowed[i] != 0) (void)checked(p.cost[i]);
+}
+
+/// Throws unless the matrices are jobs x regions and every allowed cost is
+/// finite; returns max(1, max |c| over allowed pairs).
+double checked_scale(const TransportProblem& p) {
+  check_sizes(p);
   double scale = 1.0;
-  for (std::size_t i = 0; i < cells; ++i) {
-    if (p.allowed[i] == 0) continue;
-    if (!std::isfinite(p.cost[i]))
-      throw std::invalid_argument(
-          "transport_assign: allowed cost is not finite");
-    scale = std::max(scale, std::abs(p.cost[i]));
-  }
+  for (std::size_t i = 0; i < p.cost.size(); ++i)
+    if (p.allowed[i] != 0)
+      scale = std::max(scale, std::abs(checked(p.cost[i])));
   return scale;
 }
 
@@ -93,13 +108,15 @@ void unlink_job(const TransportProblem& p, int x, int r,
   }
 }
 
-/// The uncongested case.  Writes each job's cheapest allowed region (the
-/// lowest index on ties) into `region`, counting jobs per region into
-/// `load`, and returns true when every such region can hold all the jobs
-/// whose cheapest region it is; returns false as soon as one cannot, or a
-/// job has no allowed region.
-bool cheapest_regions_fit(const TransportProblem& p, std::vector<int>& region,
-                          std::vector<int>& load) {
+/// Successive shortest paths' first phase.  While each job's cheapest
+/// allowed region (the lowest index on ties) has free quota, its insertion
+/// settles that region first, finds it free and places the job there: no
+/// potential rises and no job moves.  Writes those jobs' regions into
+/// `region`, counting them into `load`, and returns the index of the first
+/// job whose cheapest region is full or that has no allowed region (jobs
+/// when every job fits).  Checks every cost it reads.
+int place_cheapest(const TransportProblem& p, std::vector<int>& region,
+                   std::vector<int>& load) {
   const int n = p.regions();
   region.resize(static_cast<std::size_t>(p.jobs));
   load.assign(static_cast<std::size_t>(n), 0);
@@ -107,24 +124,27 @@ bool cheapest_regions_fit(const TransportProblem& p, std::vector<int>& region,
     int best = -1;
     double least = kInf;
     for (int r = 0; r < n; ++r) {
-      if (p.allowed[at(j, n, r)] != 0 && p.cost[at(j, n, r)] < least) {
-        least = p.cost[at(j, n, r)];
+      if (p.allowed[at(j, n, r)] == 0) continue;
+      const double c = checked(p.cost[at(j, n, r)]);
+      if (c < least) {
+        least = c;
         best = r;
       }
     }
-    if (best < 0) return false;
+    if (best < 0) return j;
     const auto b = static_cast<std::size_t>(best);
-    if (++load[b] > p.quota[b]) return false;
+    if (load[b] >= p.quota[b]) return j;
+    ++load[b];
     region[static_cast<std::size_t>(j)] = best;
   }
-  return true;
+  return p.jobs;
 }
 
 }  // namespace
 
 void transport_assign(const TransportProblem& p, TransportSolution& out,
                       TransportWorkspace& ws) {
-  (void)checked_scale(p);
+  check_sizes(p);
   const int m = p.jobs;
   const int n = p.regions();
   const auto um = static_cast<std::size_t>(m);
@@ -136,13 +156,12 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
   out.u.clear();
   out.v.clear();
 
-  if (cheapest_regions_fit(p, out.region, ws.load)) {
-    // Every insertion below would settle its job's cheapest region first,
-    // find it free and place the job there: no potential rises and no job
-    // moves.  So this is the successive-shortest-path answer, with v = 0
-    // and u_j = c_j,region(j).  The general path's scratch still grows to
-    // the instance, so a later congested solve of this size allocates
-    // nothing.
+  const int first = place_cheapest(p, out.region, ws.load);
+  if (first == m) {
+    // Every job fit its cheapest region: the successive-shortest-path
+    // answer, with v = 0 and u_j = c_j,region(j).  The general path's
+    // scratch still grows to the instance, so a later congested solve of
+    // this size allocates nothing.
     out.status = TransportSolution::Status::Optimal;
     out.u.resize(um);
     for (int j = 0; j < m; ++j) {
@@ -165,8 +184,9 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
     return;
   }
 
-  out.region.assign(um, -1);
-  ws.load.assign(un, 0);
+  // Jobs [0, first) keep their regions and loads with every potential 0,
+  // the state their insertions reach; linking them in index order builds
+  // the residual arcs those insertions would have.
   ws.w.assign(at(n, n, 0), kInf);
   ws.via.assign(ws.w.size(), -1);
   ws.h.assign(un, 0.0);
@@ -178,58 +198,71 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
   ws.prev.resize(um);
   ws.path.clear();
   ws.path.reserve(un);
+  for (int j = 0; j < first; ++j)
+    link_job(p, j, out.region[static_cast<std::size_t>(j)], ws);
   const auto free_quota = [&](int r) {
     const auto i = static_cast<std::size_t>(r);
     return ws.load[i] < p.quota[i];
   };
 
-  for (int k = 0; k < m; ++k) {
+  for (int k = first; k < m; ++k) {
     // Dijkstra from job k over the reduced lengths w_rs + h_r - h_s >= 0.
     // k's own arcs c_kr - h_r may be negative; k has no incoming arc, so
-    // labels stay exact.  Ties settle the lowest-index region.  Every free
-    // region carries the same potential, so the first free region settled
-    // ends a shortest path.
-    for (int r = 0; r < n; ++r) {
-      const auto i = static_cast<std::size_t>(r);
-      ws.dist[i] = p.allowed[at(k, n, r)] != 0 ? p.cost[at(k, n, r)] - ws.h[i]
-                                               : kInf;
+    // labels stay exact.  Each pass relaxes the region just settled and
+    // picks the next in one sweep; ties settle the lowest-index region.
+    // Every free region carries the same potential, so the first free
+    // region settled ends a shortest path.
+    int r = -1;
+    double dr = kInf;
+    for (int s = 0; s < n; ++s) {
+      const auto i = static_cast<std::size_t>(s);
+      const double d = p.allowed[at(k, n, s)] != 0
+                           ? checked(p.cost[at(k, n, s)]) - ws.h[i]
+                           : kInf;
+      ws.dist[i] = d;
       ws.pred[i] = -1;
       ws.settled[i] = 0;
+      if (d < dr) {
+        dr = d;
+        r = s;
+      }
     }
     int t = -1;
     int settled = 0;
-    for (;;) {
-      int r = -1;
-      double dr = kInf;
-      for (int s = 0; s < n; ++s) {
-        const auto i = static_cast<std::size_t>(s);
-        if (ws.settled[i] == 0 && ws.dist[i] < dr) {
-          dr = ws.dist[i];
-          r = s;
-        }
-      }
-      if (r < 0) break;
+    while (r >= 0) {
       ws.settled[static_cast<std::size_t>(r)] = 1;
       ++settled;
       if (free_quota(r)) {
         t = r;
         break;
       }
-      const double hr = ws.h[static_cast<std::size_t>(r)];
+      const int from = r;
+      const double d_from = dr;
+      const double h_from = ws.h[static_cast<std::size_t>(from)];
+      r = -1;
+      dr = kInf;
       for (int s = 0; s < n; ++s) {
         const auto i = static_cast<std::size_t>(s);
-        if (ws.settled[i] != 0 || ws.via[at(r, n, s)] < 0) continue;
-        const double d = dr + (ws.w[at(r, n, s)] + hr - ws.h[i]);
-        if (d < ws.dist[i]) {
-          ws.dist[i] = d;
-          ws.pred[i] = r;
+        if (ws.settled[i] != 0) continue;
+        if (ws.via[at(from, n, s)] >= 0) {
+          const double d = d_from + (ws.w[at(from, n, s)] + h_from - ws.h[i]);
+          if (d < ws.dist[i]) {
+            ws.dist[i] = d;
+            ws.pred[i] = from;
+          }
+        }
+        if (ws.dist[i] < dr) {
+          dr = ws.dist[i];
+          r = s;
         }
       }
     }
     if (t < 0) {
       // No free region is reachable: the settled regions are exactly the
       // allowed regions of job k and of the jobs they hold, and all are
-      // full, so those jobs outnumber their quota (a Hall set).
+      // full, so those jobs outnumber their quota (a Hall set).  The rows
+      // no insertion read are still checked.
+      check_rows(p, k + 1);
       for (int j = 0; j < k; ++j) {
         const int rj = out.region[static_cast<std::size_t>(j)];
         if (ws.settled[static_cast<std::size_t>(rj)] != 0)
@@ -251,7 +284,7 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
     // Collect the path's moves before applying any: each one changes rows
     // that later links of the path were read from.
     ++ws.load[static_cast<std::size_t>(t)];
-    int r = t;
+    r = t;
     while (ws.pred[static_cast<std::size_t>(r)] >= 0) {
       const int from = ws.pred[static_cast<std::size_t>(r)];
       ws.path.push_back({ws.via[at(from, n, r)], from, r});

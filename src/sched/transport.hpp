@@ -26,18 +26,29 @@
 //
 // so each insertion is one dense O(n^2) Dijkstra from the new job over
 // these nonnegative reduced lengths (the job's own arcs c_kr - h_r may be
-// negative; it has no incoming arc).  Ties settle the lowest-index region,
-// and the search stops at the first region with free quota it settles: by
-// the shared potential that region ends a shortest augmenting path.  The
-// answer is a pure function of the input.  Potentials then rise by
-// min(d_r, d_t), which keeps the invariant and makes the path tight.
+// negative; it has no incoming arc).  Each round of the search is one pass
+// over the regions: it relaxes the arcs of the region just settled and
+// picks the next region to settle, the lowest index on ties.  The search
+// stops at the first region with free quota it settles: by the shared
+// potential that region ends a shortest augmenting path.  The answer is a
+// pure function of the input.  Potentials then rise by min(d_r, d_t),
+// which keeps the invariant and makes the path tight.
 //
-// Most scheduler windows are uncongested: every job's cheapest allowed
-// region (lowest index on ties) can hold all the jobs whose cheapest region
-// it is.  Then each insertion would settle its cheapest region first and
-// find it free, so no potential rises and no job moves; the solver checks
-// this one condition first and, when it holds, assigns each job there with
-// v = 0 and u_j = c_j,region(j), the bytes the general path returns.
+// The insertions run in two phases.  While each job's cheapest allowed
+// region (lowest index on ties) has free quota, its insertion would settle
+// that region first and find it free, so no potential rises and no job
+// moves: the first phase places those jobs directly, with no search.  It
+// stops at the first job whose cheapest region is full or that has no
+// allowed region.  Most scheduler windows are uncongested and never get
+// past it: every job is placed, v = 0 and u_j = c_j,region(j).  Otherwise
+// the jobs placed so far keep their regions, every potential is still 0,
+// and the second phase links them into the residual graph and runs the
+// Dijkstra insertions from the stopping job on.
+//
+// The matrix sizes are checked up front; each allowed cost is checked for
+// finiteness where the solver first reads it (in the first phase or the
+// insertion of its job), and the rows an infeasible instance's early
+// exit leaves unread are checked before it returns.
 //
 // A path's moves repair only the arcs they touch: a job leaving region a
 // recomputes the columns of row a it attained, by walking a's job list,
@@ -123,7 +134,8 @@ struct TransportWorkspace {
 /// `ws`'s vectors.  An infeasible instance leaves `region`, `u` and `v`
 /// empty, the objective 0 and a Hall set in `hall`; an optimal one leaves
 /// `hall` empty.  Throws std::invalid_argument when the matrix sizes
-/// disagree with `jobs` x regions or an allowed cost is not finite.
+/// disagree with `jobs` x regions or an allowed cost is not finite; `out`
+/// is then unspecified (a later solve into it is still valid).
 void transport_assign(const TransportProblem& p, TransportSolution& out,
                       TransportWorkspace& ws);
 

@@ -110,8 +110,12 @@ LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0)
-    throw std::invalid_argument("Histogram: require hi > lo and bins > 0");
+  // An infinite bound makes hi - lo infinite (or NaN), and every bin edge
+  // and quantile read off it NaN.
+  const double span = hi - lo;
+  if (!(span > 0.0) || !std::isfinite(span) || bins == 0)
+    throw std::invalid_argument(
+        "Histogram: require finite hi - lo > 0 and bins > 0");
 }
 
 void Histogram::add(double x) noexcept {

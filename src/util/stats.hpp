@@ -57,6 +57,8 @@ struct LinearFit {
 /// behaviour — and are excluded from total().
 class Histogram {
  public:
+  /// Throws std::invalid_argument unless hi - lo is finite and positive
+  /// and bins > 0.
   Histogram(double lo, double hi, std::size_t bins);
   void add(double x) noexcept;
   [[nodiscard]] std::size_t bin_count(std::size_t i) const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +25,19 @@ TEST(Registry, HistogramRelayoutThrows) {
   (void)r.histogram("h", 0.0, 1.0, 4);
   EXPECT_THROW((void)r.histogram("h", 0.0, 1.0, 8), std::invalid_argument);
   EXPECT_THROW((void)r.histogram("h", 0.0, 2.0, 4), std::invalid_argument);
+}
+
+TEST(Registry, HistogramRejectsInfiniteBounds) {
+  // The Histogram constructor rejects the layout, so no name is left
+  // registered and a valid layout may take it afterwards.
+  Registry r;
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)r.histogram("h", 0.0, inf, 10), std::invalid_argument);
+  EXPECT_THROW((void)r.histogram("h", -inf, 1.0, 10), std::invalid_argument);
+  EXPECT_EQ(r.find_hist("h"), nullptr);
+  (void)r.histogram("h", 0.0, 1.0, 10);
+  ASSERT_NE(r.find_hist("h"), nullptr);
+  EXPECT_EQ(r.find_hist("h")->hi(), 1.0);
 }
 
 TEST(Registry, InvalidHandlesAreIgnored) {

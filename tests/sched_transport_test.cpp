@@ -215,6 +215,56 @@ std::vector<TransportProblem> around_the_condition(TransportProblem p,
   return out;
 }
 
+/// Where the solver's uncongested first phase stops: the first job whose
+/// cheapest allowed region is already full of earlier jobs placed the same
+/// way, or that has no allowed region (p.jobs when every job fits).
+int prefix_stop(const TransportProblem& p) {
+  const std::vector<int> best = cheapest_regions(p);
+  std::vector<int> load(p.quota.size(), 0);
+  for (int j = 0; j < p.jobs; ++j) {
+    const int r = best[static_cast<std::size_t>(j)];
+    if (r < 0) return j;
+    const auto i = static_cast<std::size_t>(r);
+    if (load[i] >= p.quota[i]) return j;
+    ++load[i];
+  }
+  return p.jobs;
+}
+
+/// One instance per k in [0, p.jobs] whose first phase stops at job k,
+/// derived from `p` (which gains an allowed region for any job that had
+/// none).  Every region starts with the number of jobs whose cheapest
+/// region it is plus 0-2 spare slots; for k < p.jobs, the cheapest region
+/// of job k (the first congested region) then gets exactly its load from
+/// jobs [0, k), so job k finds it full.  The jobs after k must then be
+/// inserted by the general path, some infeasibly.
+std::vector<TransportProblem> stopping_at_each_job(TransportProblem p,
+                                                   util::Rng& rng) {
+  const int n = p.regions();
+  for (int j = 0; j < p.jobs; ++j) {
+    bool any = false;
+    for (int r = 0; r < n; ++r) any = any || p.allowed[at(j, n, r)] != 0;
+    if (!any)
+      p.allowed[at(j, n, static_cast<int>(rng.uniform_int(0, n - 1)))] = 1;
+  }
+  const std::vector<int> best = cheapest_regions(p);
+  std::vector<TransportProblem> out;
+  for (int k = 0; k <= p.jobs; ++k) {
+    TransportProblem q = p;
+    q.quota = cheapest_counts(p);
+    for (int& slots : q.quota) slots += static_cast<int>(rng.uniform_int(0, 2));
+    if (k < p.jobs) {
+      const int r = best[static_cast<std::size_t>(k)];
+      int before = 0;
+      for (int j = 0; j < k; ++j)
+        before += best[static_cast<std::size_t>(j)] == r ? 1 : 0;
+      q.quota[static_cast<std::size_t>(r)] = before;
+    }
+    out.push_back(std::move(q));
+  }
+  return out;
+}
+
 /// The answer the uncongested shortcut must give, byte for byte: each job
 /// in its cheapest allowed region, v = 0 and u_j = c_j,region(j).
 void expect_uncongested_answer(const TransportProblem& p,
@@ -357,6 +407,85 @@ TEST(Transport, RejectsMalformedInput) {
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(s.region, (std::vector<int>{0, 1}));
   EXPECT_TRUE(certify(p, s));
+}
+
+TEST(Transport, RejectsNonFiniteAllowedCostAnywhere) {
+  // The solver checks each allowed cost where it first reads it, so every
+  // row must still be checked whichever way a solve ends: in the first
+  // phase (uncongested), in an insertion after it (congested), or never
+  // read by an insertion because an earlier job proved the instance
+  // infeasible.  A non-finite cost in a forbidden pair changes nothing.
+  constexpr double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  util::Rng rng(5077);
+  int uncongested_cases = 0, congested_cases = 0, infeasible_cases = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    // 6 jobs x 4 regions, some pairs forbidden, every job allowed region
+    // j % 4.  Case 0 has room everywhere; case 1 the tie-heavy tight
+    // quotas (drawn until they congest); case 2 lets the first two jobs
+    // use only region 0, which has one slot, so job 1 proves
+    // infeasibility before rows 2-5 are read.
+    const int m = 6, n = 4;
+    TransportProblem base = tie_heavy(rng, m, n);
+    while (uncongested(base)) base = tie_heavy(rng, m, n);
+    TransportProblem roomy = base;
+    roomy.quota.assign(static_cast<std::size_t>(n), m);
+    TransportProblem early = base;
+    for (int j = 0; j < 2; ++j)
+      for (int r = 0; r < n; ++r) early.allowed[at(j, n, r)] = r == 0;
+    early.quota[0] = 1;
+    const TransportProblem cases[] = {roomy, base, early};
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      const TransportProblem& p = cases[c];
+      const std::string tag =
+          "trial " + std::to_string(trial) + " case " + std::to_string(c);
+      const TransportSolution clean = transport_assign(p);
+      ASSERT_TRUE(certify(p, clean)) << tag;
+      if (c == 0) {
+        ASSERT_TRUE(uncongested(p)) << tag;
+        ++uncongested_cases;
+      } else if (c == 1) {
+        ASSERT_FALSE(uncongested(p)) << tag;
+        ASSERT_TRUE(clean.optimal()) << tag;
+        ++congested_cases;
+      } else {
+        ASSERT_EQ(clean.status, Status::Infeasible) << tag;
+        ASSERT_EQ(clean.hall.back(), 1) << tag;  // the job the search ended at
+        ++infeasible_cases;
+      }
+      TransportSolution reused;
+      TransportWorkspace ws;
+      for (int j = 0; j < m; ++j) {
+        for (int r = 0; r < n; ++r) {
+          TransportProblem q = p;
+          const std::string pair = tag + " pair (" + std::to_string(j) +
+                                   ", " + std::to_string(r) + ")";
+          if (q.allowed[at(j, n, r)] == 0) {
+            q.cost[at(j, n, r)] = kBad[0];
+            transport_assign(q, reused, ws);
+            EXPECT_EQ(reused.status, clean.status) << pair;
+            EXPECT_EQ(reused.region, clean.region) << pair;
+            EXPECT_EQ(reused.hall, clean.hall) << pair;
+            EXPECT_EQ(reused.u, clean.u) << pair;
+            EXPECT_EQ(reused.v, clean.v) << pair;
+            continue;
+          }
+          for (const double bad : kBad) {
+            q.cost[at(j, n, r)] = bad;
+            EXPECT_THROW(transport_assign(q, reused, ws),
+                         std::invalid_argument)
+                << pair << " cost " << bad;
+            EXPECT_THROW((void)transport_assign(q), std::invalid_argument)
+                << pair << " cost " << bad;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(uncongested_cases, 12);
+  EXPECT_EQ(congested_cases, 12);
+  EXPECT_EQ(infeasible_cases, 12);
 }
 
 TEST(Transport, TiesGoToTheLowestIndexFreeRegion) {
@@ -560,6 +689,45 @@ TEST(Transport, MatchesBruteForceOnSeededSmallInstances) {
   EXPECT_GT(tied, 50);
   EXPECT_GT(shortcut, 800);
   EXPECT_GT(general, 1500);
+
+  // The general path resumes from the first phase's placements: instances
+  // whose first phase stops at each job k in [0, m], m itself included.
+  int resumed = 0, resumed_infeasible = 0;
+  for (const bool ties : {false, true}) {
+    util::Rng rng(ties ? 83 : 47);
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::vector<TransportProblem> cases =
+          stopping_at_each_job(random_small(rng, ties), rng);
+      for (std::size_t k = 0; k < cases.size(); ++k) {
+        const TransportProblem& p = cases[k];
+        const std::string tag = std::string(ties ? "ties" : "continuous") +
+                                " trial " + std::to_string(trial) +
+                                " stop " + std::to_string(k);
+        ASSERT_EQ(prefix_stop(p), static_cast<int>(k)) << tag;
+        const BruteForce ref = brute_force(p);
+        const TransportSolution got = transport_assign(p);
+        ASSERT_EQ(got.optimal(), ref.feasible) << tag;
+        std::string why;
+        EXPECT_TRUE(certify(p, got, &why)) << tag << ": " << why;
+        if (static_cast<int>(k) == p.jobs) {
+          expect_uncongested_answer(p, got, tag);
+          continue;
+        }
+        if (!ref.feasible) {
+          ++resumed_infeasible;
+          continue;
+        }
+        ++resumed;
+        EXPECT_TRUE(near(got.objective, ref.objective))
+            << tag << ": " << got.objective << " vs " << ref.objective;
+        if (ref.optima == 1) {
+          EXPECT_EQ(got.region, ref.region) << tag;
+        }
+      }
+    }
+  }
+  EXPECT_GT(resumed, 600);
+  EXPECT_GT(resumed_infeasible, 600);
 }
 
 TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
@@ -582,6 +750,7 @@ TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
     std::string why;
     EXPECT_TRUE(certify(p, reused, &why)) << tag << ": " << why;
   };
+  util::Rng stop_rng(43);
   for (const bool ties : {false, true}) {
     util::Rng rng(ties ? 78 : 42);
     for (int trial = 0; trial < 300; ++trial) {
@@ -591,6 +760,16 @@ TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
       const std::vector<TransportProblem> around = around_the_condition(p, rng);
       for (std::size_t c = 0; c < around.size(); ++c)
         expect_same(around[c], tag + " case " + std::to_string(c + 1));
+      // First phases that stop at each job, on the same workspace: the
+      // general path must rebuild its arcs from this solve's placements.
+      // Stop at the first mismatch, since arcs left over from an earlier
+      // solve can name jobs that are not in their region.
+      const std::vector<TransportProblem> stops =
+          stopping_at_each_job(p, stop_rng);
+      for (std::size_t k = 0; k < stops.size(); ++k) {
+        expect_same(stops[k], tag + " stop " + std::to_string(k));
+        if (HasFailure()) return;
+      }
     }
   }
   // Alternating sizes: a large solve, a single job, then a mid-size one

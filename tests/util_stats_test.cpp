@@ -123,6 +123,16 @@ TEST(Histogram, BinningAndClamping) {
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
+  // Regression: an infinite bound made hi - lo infinite, so bin_lo and
+  // quantile returned NaN.  A span that overflows is rejected too.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Histogram(0.0, inf, 10), std::invalid_argument);
+  EXPECT_THROW(Histogram(-inf, 1.0, 10), std::invalid_argument);
+  EXPECT_THROW(Histogram(-inf, inf, 10), std::invalid_argument);
+  EXPECT_THROW(Histogram(-1e308, 1e308, 10), std::invalid_argument);
+  EXPECT_THROW(Histogram(nan, 1.0, 10), std::invalid_argument);
+  EXPECT_THROW(Histogram(0.0, nan, 10), std::invalid_argument);
 }
 
 TEST(Histogram, NonFiniteSamplesGoToDropBucket) {

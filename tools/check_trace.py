@@ -13,7 +13,7 @@ written next to it:
            violation means the exporter — not the run — is broken).
   metrics: every scheduler object in the dump carries the service-level
            histograms (decision latency, queue depth, time-to-admission)
-           with p50/p99 and a counts list, per ROADMAP item 4.
+           with p50/p99 and a counts list (the service-level metrics panel).
 
 Usage:
   check_trace.py TRACE_JSON [--metrics METRICS_JSON] [--min-events N]
