@@ -318,6 +318,22 @@ void BM_GenerateTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateTrace)->Unit(benchmark::kMillisecond);
 
+/// The arrival-thinning half of BM_GenerateTrace: the same trace's arrival
+/// times, with no job attributes drawn.
+void BM_GenerateArrivals(benchmark::State& state) {
+  const trace::TraceConfig config = trace::alibaba_config(1, 0.25);
+  const util::Rng rng = util::Rng(config.seed).child("arrivals");
+  std::size_t arrivals = 0;
+  for (auto _ : state) {
+    const std::vector<double> times = trace::generate_arrivals(
+        config.arrival, config.days * 86400.0, rng);
+    arrivals = times.size();
+    benchmark::DoNotOptimize(times.data());
+  }
+  state.SetLabel(std::to_string(arrivals) + " arrivals");
+}
+BENCHMARK(BM_GenerateArrivals)->Unit(benchmark::kMillisecond);
+
 void BM_EnvironmentFirstDay(benchmark::State& state) {
   for (auto _ : state) {
     const env::Environment env = env::Environment::builtin();

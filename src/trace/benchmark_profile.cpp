@@ -34,41 +34,26 @@ int num_benchmarks() {
   return static_cast<int>(benchmark_profiles().size());
 }
 
-namespace {
-
-/// Parameters (mu, sigma) of the underlying normals of one benchmark's
-/// log-normal execution time and power.
-struct LogNormalParams {
-  double exec_mu, exec_sigma, power_mu, power_sigma;
-};
-
-/// Per-benchmark log-normal parameters, computed once.  For a profile mean
-/// and CV: sigma^2 = ln(1 + cv^2), mu = ln(mean) - sigma^2 / 2.
-const std::vector<LogNormalParams>& lognormal_params() {
-  static const std::vector<LogNormalParams> params = [] {
-    std::vector<LogNormalParams> out;
+const std::vector<InstanceParams>& instance_params() {
+  static const std::vector<InstanceParams> params = [] {
+    std::vector<InstanceParams> out;
     for (const BenchmarkProfile& p : benchmark_profiles()) {
       const double s2e = std::log(1.0 + p.exec_cv * p.exec_cv);
       const double s2p = std::log(1.0 + p.power_cv * p.power_cv);
       out.push_back({std::log(p.mean_exec_s) - 0.5 * s2e, std::sqrt(s2e),
-                     std::log(p.mean_power_w) - 0.5 * s2p, std::sqrt(s2p)});
+                     std::log(p.mean_power_w) - 0.5 * s2p, std::sqrt(s2p),
+                     p.package_mb * 1.0e6});
     }
     return out;
   }();
   return params;
 }
 
-}  // namespace
-
 void sample_instance(int benchmark, util::Rng& rng, Job& out) {
-  const BenchmarkProfile& p = profile(benchmark);
-  const LogNormalParams& ln =
-      lognormal_params()[static_cast<std::size_t>(benchmark)];
+  (void)profile(benchmark);  // the index check
   out.benchmark = benchmark;
-  out.exec_seconds = rng.lognormal(ln.exec_mu, ln.exec_sigma);
-  out.avg_power_watts = rng.lognormal(ln.power_mu, ln.power_sigma);
-  // Package size varies mildly with input set.
-  out.package_bytes = p.package_mb * 1.0e6 * rng.uniform(0.85, 1.15);
+  draw_instance(instance_params()[static_cast<std::size_t>(benchmark)], rng,
+                out);
 }
 
 double mean_exec_seconds_overall() {

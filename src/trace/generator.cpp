@@ -75,9 +75,15 @@ std::vector<Job> generate_trace(const TraceConfig& config) {
   if (static_cast<int>(weights.size()) != config.num_regions)
     throw std::invalid_argument(
         "generate_trace: region_weights size must match num_regions");
-  for (const double w : weights)
+  // The sum Rng::weighted_index would take for every job, taken once.
+  double weight_total = 0.0;
+  for (const double w : weights) {
     if (!(w >= 0.0 && std::isfinite(w)))
       reject("region_weights", w, "must be finite and >= 0");
+    weight_total += w;
+  }
+  if (!(weight_total > 0.0))
+    reject("region_weights sum", weight_total, "must be > 0");
 
   util::Rng root(config.seed);
   ArrivalConfig arrival = config.arrival;
@@ -86,19 +92,24 @@ std::vector<Job> generate_trace(const TraceConfig& config) {
   const std::vector<double> times =
       generate_arrivals(arrival, horizon, root.child("arrivals"));
 
+  // Each job draws its home region as Rng::weighted_index(weights) and its
+  // benchmark as Rng::uniform_int(0, benchmarks - 1) would (Table 1 has
+  // ten, so that draw is never skipped), then its instance as
+  // sample_instance would.  What those recompute per call (the weight sum,
+  // the rejection limit, the profile lookups) is computed once per trace.
+  const std::vector<InstanceParams>& params = instance_params();
+  const std::uint64_t benchmarks = params.size();
+  const std::uint64_t limit = util::Rng::rejection_limit(benchmarks);
   util::Rng rng = root.child("jobs");
-  std::vector<Job> jobs;
-  jobs.reserve(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    Job j;
+  std::vector<Job> jobs(times.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    Job& j = jobs[i];
     j.id = static_cast<std::uint64_t>(i);
     j.submit_time = times[i];
-    j.home_region = static_cast<int>(rng.weighted_index(weights));
-    const int bench =
-        static_cast<int>(rng.uniform_int(0, num_benchmarks() - 1));
-    sample_instance(bench, rng, j);
+    j.home_region = static_cast<int>(rng.weighted_pick(weights, weight_total));
+    j.benchmark = static_cast<int>(rng.below(benchmarks, limit));
+    draw_instance(params[static_cast<std::size_t>(j.benchmark)], rng, j);
     j.exec_seconds *= config.exec_scale;
-    jobs.push_back(j);
   }
   return jobs;  // arrival thinning emits times in increasing order
 }

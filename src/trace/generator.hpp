@@ -42,8 +42,9 @@ struct TraceConfig {
 /// Generates a submit-time-sorted job list.  Throws std::invalid_argument,
 /// naming the field, when `num_regions` is not positive, `days` is negative
 /// or non-finite, `rate_multiplier` or `exec_scale` is not finite and
-/// positive, `region_weights` has the wrong size or a negative or non-finite
-/// entry, or generate_arrivals rejects the (rate-multiplied) arrival config.
+/// positive, `region_weights` has the wrong size, a negative or non-finite
+/// entry or a zero sum, or generate_arrivals rejects the (rate-multiplied)
+/// arrival config.
 [[nodiscard]] std::vector<Job> generate_trace(const TraceConfig& config);
 
 /// CSV persistence (header + one row per job), for sharing traces between

@@ -1,7 +1,6 @@
 #include "util/rng.hpp"
 
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace ww::util {
@@ -22,12 +21,6 @@ std::uint64_t hash_label(std::string_view label) noexcept {
   return h;
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
@@ -46,69 +39,17 @@ Rng Rng::child(std::uint64_t index) const noexcept {
   return Rng(splitmix64(mixed));
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53-bit mantissa construction for uniform doubles in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   if (lo >= hi) return lo;
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t limit = (~std::uint64_t{0}) - (~std::uint64_t{0}) % range;
-  std::uint64_t r;
-  do {
-    r = next();
-  } while (r >= limit);
-  return lo + static_cast<std::int64_t>(r % range);
-}
-
-double Rng::normal() noexcept {
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_normal_;
-  }
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_normal_ = mag * std::sin(2.0 * M_PI * u2);
-  has_spare_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
-double Rng::lognormal(double mu, double sigma) noexcept {
-  return std::exp(normal(mu, sigma));
-}
-
-double Rng::exponential(double lambda) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
+  // The span hi - lo in unsigned arithmetic: it exceeds INT64_MAX when the
+  // bounds straddle zero far enough, and is max() over the full range,
+  // where every 64-bit draw is already uniform.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (span == max()) return static_cast<std::int64_t>(next());
+  const std::uint64_t range = span + 1;
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   below(range, rejection_limit(range)));
 }
 
 double Rng::gamma(double shape, double scale) noexcept {
@@ -137,15 +78,17 @@ double Rng::gamma(double shape, double scale) noexcept {
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (weights.empty() || total <= 0.0)
-    throw std::invalid_argument("weighted_index: weights must be non-empty with positive sum");
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target <= 0.0) return i;
+  // The negated comparisons also reject NaN, in a weight or in the sum.
+  double total = 0.0;
+  bool finite_nonnegative = true;
+  for (const double w : weights) {
+    finite_nonnegative = finite_nonnegative && w >= 0.0 && std::isfinite(w);
+    total += w;
   }
-  return weights.size() - 1;
+  if (!(finite_nonnegative && total > 0.0))
+    throw std::invalid_argument(
+        "weighted_index: weights must be finite, >= 0 and have a positive sum");
+  return weighted_pick(weights, total);
 }
 
 }  // namespace ww::util

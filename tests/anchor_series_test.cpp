@@ -73,6 +73,10 @@ TEST(TraceAnchor, PinnedOutputs) {
        0x24e89c5e510666d1ULL},
       {"borg 300 s floor seed 2", trace::borg_config(2, 1.0), 300.0, 22262,
        0x24d53542354672b2ULL},
+      {"borg 10 d seed 3", trace::borg_config(3, 10.0), 0.0, 251908,
+       0xc10b01143b778f1eULL},
+      {"alibaba 2 d seed 3", trace::alibaba_config(3, 2.0), 0.0, 415679,
+       0x742ac626350cceb1ULL},
   };
   for (const TracePin& pin : pins) {
     std::vector<trace::Job> jobs = trace::generate_trace(pin.config);

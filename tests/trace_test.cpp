@@ -346,6 +346,18 @@ TEST(TraceConfig, RejectsNonFiniteRegionWeight) {
                          "region_weights");
 }
 
+TEST(TraceConfig, RejectsZeroRegionWeightSum) {
+  expect_rejected_config(
+      [](TraceConfig& c) { c.region_weights.assign(5, 0.0); },
+      "region_weights");
+  expect_rejected_config(
+      [](TraceConfig& c) {
+        c.region_weights.assign(5, 0.0);
+        c.days = 0.0;  // rejected even when no job would draw a region
+      },
+      "region_weights");
+}
+
 TEST(TraceConfig, RejectsNegativeBaseRate) {
   expect_rejected_config(
       [](TraceConfig& c) { c.arrival.base_rate_per_s = -0.27; },

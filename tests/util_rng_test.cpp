@@ -5,6 +5,9 @@
 #include <cmath>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace ww::util {
@@ -88,6 +91,35 @@ TEST(Rng, UniformIntDegenerate) {
   Rng rng(1);
   EXPECT_EQ(rng.uniform_int(7, 7), 7);
   EXPECT_EQ(rng.uniform_int(9, 3), 9);  // lo >= hi returns lo
+}
+
+// Spans above INT64_MAX, where hi - lo overflows in signed arithmetic.
+TEST(Rng, UniformIntWideSpans) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // Over the full range every 64-bit draw is already uniform, so each call
+  // returns the next raw draw.
+  Rng rng(61);
+  Rng raw(61);
+  for (int i = 0; i < 1000; ++i)
+    EXPECT_EQ(rng.uniform_int(kMin, kMax), static_cast<std::int64_t>(raw()));
+
+  // [-1, kMax] spans 2^63 + 1 values; [kMin, 1] and [kMin / 2, kMax] are
+  // wider than INT64_MAX too.  Every draw stays in range and both halves
+  // of each range are reached.
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {-1, kMax}, {kMin, 1}, {kMin / 2, kMax}};
+  for (const auto& [lo, hi] : ranges) {
+    int lower_half = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const std::int64_t v = rng.uniform_int(lo, hi);
+      ASSERT_GE(v, lo);
+      ASSERT_LE(v, hi);
+      lower_half += v < lo / 2 + hi / 2;
+    }
+    EXPECT_GT(lower_half, 800) << lo << " " << hi;
+    EXPECT_LT(lower_half, 1200) << lo << " " << hi;
+  }
 }
 
 TEST(Rng, NormalMoments) {
@@ -187,6 +219,19 @@ TEST(Rng, WeightedIndexRejectsBadInput) {
   Rng rng(47);
   EXPECT_THROW((void)rng.weighted_index({}), std::invalid_argument);
   EXPECT_THROW((void)rng.weighted_index({0.0, 0.0}), std::invalid_argument);
+  // A NaN weight makes the sum NaN, which a `total <= 0` check lets
+  // through, and a negative weight would only shift the others' shares.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& bad :
+       {std::vector<double>{kNan, 1.0}, std::vector<double>{1.0, kNan},
+        std::vector<double>{-5.0, 1.0, 10.0}, std::vector<double>{1.0, -1e-300},
+        std::vector<double>{kInf, 1.0}, std::vector<double>{1.0, -kInf}})
+    EXPECT_THROW((void)rng.weighted_index(bad), std::invalid_argument)
+        << bad[0] << ", " << bad[1];
+  // Zero weights beside a positive one stay valid.
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(rng.weighted_index({0.0, 2.0, 0.0}), 1u);
 }
 
 TEST(Rng, ShufflePreservesElements) {
