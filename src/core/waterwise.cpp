@@ -47,7 +47,6 @@ WaterWiseScheduler::WaterWiseScheduler(WaterWiseConfig config)
       registry_.histogram("service.queue_depth", 0.0, 2048.0, 64);
   handles_.time_to_admission_s =
       registry_.histogram("service.time_to_admission_s", 0.0, 3600.0, 72);
-  if (config_.trace) obs::Trace::instance().set_enabled(true);
 }
 
 void WaterWiseScheduler::fold_stats(const SchedulerStats& delta) {
@@ -359,7 +358,6 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   out.stats = SchedulerStats{};
   out.admission_waits.clear();
   out.error.clear();
-  if (config_.chunk_solve_hook) config_.chunk_solve_hook(plan.index);
 
   obs::Span span("sched.chunk_solve");
   span.arg("chunk", plan.index);

@@ -20,10 +20,10 @@
 // both forms are the same min-cost transportation problem.  The delay row
 // forbids (job, region) pairs in the hard form, and a region without quota
 // takes no job.  sched::transport_assign (sched/transport.hpp) solves it
-// exactly; src/milp/ keeps a dense-simplex oracle that the tests check it
-// against.  Estimates of execution time and energy come from the online
-// means the simulator learns — the controller never sees true per-job
-// values.
+// exactly; the tests check it against a dense-simplex oracle
+// (tests/support/milp/).  Estimates of execution time and energy come from
+// the online means the simulator learns — the controller never sees true
+// per-job values.
 //
 // Apart from those estimates, every input of a job's costs is constant
 // within a window.  So `schedule_impl` first samples each region once into
@@ -114,7 +114,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -189,23 +188,13 @@ struct WaterWiseConfig {
   /// byte-identical at every thread count.
   double solve_failure_rate = default_solve_failure_rate();
   std::uint64_t fault_seed = 0x57415457ULL;  ///< Stream id for injection.
-  /// Convenience gate for span tracing: constructing a scheduler with this
-  /// set enables the process-wide obs::Trace (equivalent to WW_TRACE=1 /
-  /// --trace-out without a custom path).  Tracing is observational only —
-  /// decision streams are byte-identical with it on or off.
-  bool trace = false;
-  /// Test hook, called with the chunk index before each chunk solve; lets
-  /// tests inject exceptions into the pooled fan-out.  Must be thread-safe.
-  std::function<void(int)> chunk_solve_hook;
 };
 
 /// Aggregate Decision-Controller solver diagnostics over the scheduler's
 /// lifetime: how many chunk models were solved and how long the solves
 /// took (Fig. 13 overhead attribution), plus the pipeline and degradation
-/// counters.  The simplex, branch-and-bound and presolve counters
-/// (nodes_explored through presolve_seconds) described the general MILP
-/// solver that used to sit on this path; the transportation solver runs
-/// none of them, so they read 0.
+/// counters.  The transportation solver runs no simplex, branch-and-bound
+/// or presolve, so nodes_explored through presolve_seconds read 0.
 ///
 /// The scheduler's `obs::Registry` is the store: every field is a `sched.*`
 /// registry entry, and `stats()` reads them back into this struct.  The
@@ -222,15 +211,12 @@ struct SchedulerStats {
   long soft_fallbacks = 0;       ///< Hard model failed, soft model ran.
   long nodes_explored = 0;       ///< Branch-and-bound nodes across solves.
   long simplex_iterations = 0;
-  long phase1_nodes = 0;         ///< Nodes that needed phase-1 artificials.
   long refactorizations = 0;     ///< Sparse-kernel LU factorizations.
   long ft_updates = 0;           ///< Forrest-Tomlin basis updates absorbed.
-  /// Presolve reductions across all solves: model rows/columns/nonzeros the
-  /// simplex never saw (delay-fixed columns, redundant capacity rows, ...)
-  /// and the wall-clock the reductions cost (included in solve_seconds).
+  /// Presolve reductions across all solves: model rows the simplex never
+  /// saw, and the wall-clock the reductions cost (included in
+  /// solve_seconds).
   long presolve_rows_removed = 0;
-  long presolve_cols_removed = 0;
-  long presolve_nonzeros_removed = 0;
   double presolve_seconds = 0.0;
   double solve_seconds = 0.0;    ///< Wall-clock inside transport_assign.
   /// Plan/solve/commit pipeline counters: chunk plans produced, jobs routed
@@ -251,12 +237,6 @@ struct SchedulerStats {
   /// Merges another stats delta (per-chunk result, or another scheduler's
   /// lifetime stats) into this one, field by field.
   SchedulerStats& operator+=(const SchedulerStats& o) noexcept;
-
-  /// Non-root branch-and-bound nodes across all solves; 0 when no tree
-  /// ever branched.
-  [[nodiscard]] long non_root_nodes() const noexcept {
-    return nodes_explored > milp_solves ? nodes_explored - milp_solves : 0;
-  }
 };
 
 /// One row of the SchedulerStats field table: the field's registry key and
@@ -276,13 +256,9 @@ inline constexpr StatsField<long> kStatsCounters[] = {
     {"sched.soft_fallbacks", &SchedulerStats::soft_fallbacks},
     {"sched.nodes_explored", &SchedulerStats::nodes_explored},
     {"sched.simplex_iterations", &SchedulerStats::simplex_iterations},
-    {"sched.phase1_nodes", &SchedulerStats::phase1_nodes},
     {"sched.refactorizations", &SchedulerStats::refactorizations},
     {"sched.ft_updates", &SchedulerStats::ft_updates},
     {"sched.presolve_rows_removed", &SchedulerStats::presolve_rows_removed},
-    {"sched.presolve_cols_removed", &SchedulerStats::presolve_cols_removed},
-    {"sched.presolve_nonzeros_removed",
-     &SchedulerStats::presolve_nonzeros_removed},
     {"sched.chunks_planned", &SchedulerStats::chunks_planned},
     {"sched.spill_jobs", &SchedulerStats::spill_jobs},
     {"sched.spill_resolves", &SchedulerStats::spill_resolves},

@@ -19,8 +19,7 @@
 //
 // Export is the Chrome trace-event JSON array format: load the file in
 // chrome://tracing or https://ui.perfetto.dev.  Gating: WW_TRACE env
-// (Trace::configure_from_env), `--trace-out` on tools/waterwise_sim, or
-// WaterWiseConfig::trace.
+// (Trace::configure_from_env) or `--trace-out` on tools/waterwise_sim.
 #pragma once
 
 #include <atomic>

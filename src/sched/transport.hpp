@@ -56,8 +56,8 @@
 // O(m n^2 + moves * row size).  The duals are read off the final
 // potentials, and an infeasible instance returns a Hall set as its proof.
 //
-// The tests check this solver against src/milp/'s dense-simplex oracle
-// on the same models.
+// The tests check this solver against the dense-simplex oracle in
+// tests/support/milp/ on the same models.
 #pragma once
 
 #include <cstdint>

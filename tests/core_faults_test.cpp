@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -273,15 +274,15 @@ TEST(ScheduleContext, FootprintOverAnotherEnvironmentThrowsInDebugBuilds) {
 TEST(ChunkFailFast, ExceptionInPooledSolveSurfacesWithChunkContext) {
   // A throwing chunk solve must abort the window with the failing chunk's
   // index and the window time in the message — identically at every thread
-  // count (no hang, no silent partial commit).
+  // count (no hang, no silent partial commit).  A NaN energy estimate on
+  // one job of chunk 1 makes that chunk's costs non-finite, and the
+  // transportation solver rejects them.
   for (const int threads : {1, 2, 4}) {
-    const DirectRig rig(12);
+    DirectRig rig(12);
+    rig.batch[5].est_energy_kwh = std::numeric_limits<double>::quiet_NaN();
     WaterWiseConfig cfg;
-    cfg.max_jobs_per_solve = 4;  // 12 jobs -> 3 chunks
+    cfg.max_jobs_per_solve = 4;  // 12 jobs -> 3 chunks; job 5 is in chunk 1
     cfg.solver_threads = threads;
-    cfg.chunk_solve_hook = [](int index) {
-      if (index == 1) throw std::runtime_error("injected hook failure");
-    };
     WaterWiseScheduler ww(cfg);
     try {
       (void)rig.run(ww, {5, 5, 10, 5, 5});
@@ -289,7 +290,8 @@ TEST(ChunkFailFast, ExceptionInPooledSolveSurfacesWithChunkContext) {
     } catch (const std::runtime_error& e) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("chunk 1"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("injected hook failure"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("allowed cost is not finite"), std::string::npos)
+          << msg;
       EXPECT_NE(msg.find("t="), std::string::npos) << msg;
     }
   }

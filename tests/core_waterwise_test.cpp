@@ -182,7 +182,6 @@ TEST(WaterWise, SchedulerStatsAccumulateSolverCounters) {
   // general MILP solver's counters stay at zero on the scheduler path.
   EXPECT_EQ(st.nodes_explored, 0);
   EXPECT_EQ(st.simplex_iterations, 0);
-  EXPECT_EQ(st.phase1_nodes, 0);
   EXPECT_EQ(st.refactorizations, 0);
   EXPECT_EQ(st.ft_updates, 0);
   EXPECT_EQ(st.presolve_rows_removed, 0);

@@ -152,8 +152,8 @@ TEST(EdgeCases, ExtremePackageSizes) {
   EXPECT_LE(remote, 5);
   EXPECT_GT(ww.stats().soft_fallbacks, 0);  // Alg. 1 lines 10-11 exercised
   // The soft model prices the exceedance into the assignment costs, so it
-  // is as root-integral as the hard one: no solve branches.
-  EXPECT_EQ(ww.stats().non_root_nodes(), 0);
+  // is a transportation problem like the hard one: no solve branches.
+  EXPECT_EQ(ww.stats().nodes_explored, 0);
 }
 
 TEST(EdgeCases, WaterWiseMaxJobsPerSolveChunking) {

@@ -15,9 +15,10 @@ Rules
 -----
 unordered-in-solver-path
     `std::unordered_map` / `std::unordered_set` (and multi variants) may not
-    appear in the solver/commit/aggregate paths (src/milp, src/core, src/dc,
-    and src/sched, home of the scheduler's transportation solver) without a
-    det-ok justification.  Hash-container iteration order is
+    appear in the solver/commit/aggregate paths (src/core, src/dc, src/sched,
+    home of the scheduler's transportation solver, and tests/support/milp,
+    the oracle the tests check that solver against) without a det-ok
+    justification.  Hash-container iteration order is
     unspecified and changes across libstdc++ versions and ASLR; one range-for
     over one of these is enough to reorder decisions.  Lookup-only use is
     fine — say so in the annotation.
@@ -44,12 +45,13 @@ raw-thread-or-async
 
 direct-output-in-lib-paths
     `std::cout` / `std::cerr` / `printf` / `fprintf` are banned in the
-    library paths (src/core, src/milp, src/dc, src/sched) without a det-ok
-    justification.  Library code reports through return values, counters,
-    and the obs registry/trace layer; a stray stream write interleaves
-    nondeterministically under the campaign thread pool and corrupts the
-    drivers' parseable stdout.  Drivers (bench/, tools/, tests/, examples/)
-    own the terminal and may print freely.
+    library paths (src/core, src/dc, src/sched, and the oracle library
+    tests/support/milp) without a det-ok justification.  Library code
+    reports through return values, counters, and the obs registry/trace
+    layer; a stray stream write interleaves nondeterministically under the
+    campaign thread pool and corrupts the drivers' parseable stdout.
+    Drivers (bench/, tools/, the tests, examples/) own the terminal and may
+    print freely.
 
 A bare `// det-ok` with no justification text is itself an error: the
 annotation is a reviewed claim, not a mute button.  So is a justified
@@ -77,7 +79,7 @@ SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 EXCLUDED_PARTS = {"lint_fixtures", "build"}
 
 # Rule 1 applies only to the solver/commit/aggregate paths.
-SOLVER_PATHS = ("src/milp", "src/core", "src/dc", "src/sched")
+SOLVER_PATHS = ("src/core", "src/dc", "src/sched", "tests/support/milp")
 
 # Per-rule allowlists: files whose *job* is the banned construct.
 WALLCLOCK_ALLOWED = ("src/util/rng.", "src/util/timer.")
@@ -101,7 +103,7 @@ RAW_THREAD_RE = re.compile(r"std::(?:jthread\b|thread\b(?!_)|async\b)")
 
 # Rule 5 applies to the library paths, which report through counters and
 # the obs layer; drivers own stdout/stderr.
-LIB_OUTPUT_PATHS = ("src/core", "src/milp", "src/dc", "src/sched")
+LIB_OUTPUT_PATHS = ("src/core", "src/dc", "src/sched", "tests/support/milp")
 DIRECT_OUTPUT_RE = re.compile(
     r"\bstd::(?:cout|cerr)\b|\b(?:printf|fprintf)\s*\(")
 

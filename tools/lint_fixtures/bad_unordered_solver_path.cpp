@@ -1,4 +1,4 @@
-// PATH: src/milp/fixture.cpp
+// PATH: tests/support/milp/fixture.cpp
 // EXPECT: 8:unordered-in-solver-path
 // EXPECT: 12:unordered-in-solver-path
 // Fixture: unordered containers in a solver path without justification.
