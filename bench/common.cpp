@@ -4,34 +4,43 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace ww::bench {
 
+namespace {
+
+/// A malformed bench knob is a usage error: the bench names the variable
+/// and the value on stderr and exits with status 2.
+[[noreturn]] void bad_knob(const std::invalid_argument& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  std::exit(2);
+}
+
+}  // namespace
+
 double scale() {
-  if (const char* s = std::getenv("WW_BENCH_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) return std::clamp(v, 0.02, 20.0);
+  try {
+    return util::env_double("WW_BENCH_SCALE", 0.02, 20.0).value_or(1.0);
+  } catch (const std::invalid_argument& e) {
+    bad_knob(e);
   }
-  return 1.0;
 }
 
 double campaign_days() { return 1.0 * scale(); }
 
 std::size_t bench_jobs() {
-  const char* s = std::getenv("WW_BENCH_JOBS");
-  if (s == nullptr || *s == '\0') return 0;  // all cores
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0) {
-    // Fall back to serial rather than silently saturating every core.
-    std::cerr << "warning: WW_BENCH_JOBS='" << s
-              << "' is not a non-negative integer; running serially\n";
-    return 1;
+  try {
+    // Unset means 0, i.e. all cores.
+    return static_cast<std::size_t>(
+        util::env_long("WW_BENCH_JOBS", 0, 1024).value_or(0));
+  } catch (const std::invalid_argument& e) {
+    bad_knob(e);
   }
-  return static_cast<std::size_t>(v);
 }
 
 dc::CampaignConfig campaign_config() {
@@ -52,10 +61,13 @@ std::vector<dc::ScenarioOutcome> run_and_time(dc::CampaignRunner& runner) {
 }
 
 void banner(const std::string& experiment, const std::string& paper_ref) {
+  // Read the knob before printing, so a malformed one stops the bench
+  // before any output.
+  const double days = campaign_days();
   std::cout << "==============================================================\n"
             << "WaterWise reproduction | " << experiment << "\n"
             << "Paper reference: " << paper_ref << "\n"
-            << "Campaign: " << campaign_days()
+            << "Campaign: " << days
             << " simulated day(s) of Borg-rate arrivals (WW_BENCH_SCALE="
             << scale() << ")\n"
             << "==============================================================\n";

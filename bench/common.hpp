@@ -25,14 +25,17 @@
 
 namespace ww::bench {
 
-/// WW_BENCH_SCALE environment knob (clamped to [0.02, 20]).
+/// WW_BENCH_SCALE environment knob: a number in [0.02, 20], 1 when unset.
+/// Any other value is reported on stderr, naming the variable and the
+/// value, and the bench exits with status 2.
 [[nodiscard]] double scale();
 
 /// Simulated days for the default campaign: 1.0 * scale().
 [[nodiscard]] double campaign_days();
 
-/// WW_BENCH_JOBS environment knob: campaign fan-out threads
-/// (unset or 0 => hardware concurrency, 1 => serial).
+/// WW_BENCH_JOBS environment knob: campaign fan-out threads, an integer in
+/// [0, 1024] (unset or 0 => hardware concurrency, 1 => serial).  Any other
+/// value is rejected as scale() rejects one.
 [[nodiscard]] std::size_t bench_jobs();
 
 /// CampaignConfig preconfigured from the bench environment knobs.

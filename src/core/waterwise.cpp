@@ -9,11 +9,34 @@
 #include "core/slack.hpp"
 #include "env/faults.hpp"
 #include "obs/trace.hpp"
-#include "sched/greedy_opt.hpp"
 #include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace ww::core {
+
+namespace {
+
+/// Soft-constraint penalty weight (Eq. 12), per unit of the job's delay
+/// tolerance.
+constexpr double kSigma = 10.0;
+
+// Degraded-mode thresholds and rails (see "Graceful degradation" in the
+// header): the relative intensity change that counts as a fault event (the
+// builtin hourly-interpolated series move far less across a 60 s tick, so
+// only injected bias steps fire it), the largest observation spacing a jump
+// compares across, the event score that trips Normal -> Degraded, the clean
+// windows before Degraded -> Recovery, the Recovery windows before Normal,
+// and the share of a region's capacity new placements may claim while
+// Degraded / in Recovery.
+constexpr double kIntensityJumpFraction = 0.4;
+constexpr double kFlapWindowS = 900.0;
+constexpr int kDegradeAfterEvents = 2;
+constexpr int kRecoverAfterClean = 3;
+constexpr int kRecoveryWindows = 3;
+constexpr double kDegradedCapFraction = 0.25;
+constexpr double kRecoveryCapFraction = 0.5;
+
+}  // namespace
 
 double default_solve_failure_rate() {
   static const double value =
@@ -128,11 +151,10 @@ void WaterWiseScheduler::build_costs(
     // The remaining delay allowance discounts time already spent waiting in
     // the controller.
     const double waited = ctx.now - p.first_seen;
-    const double allowance = std::max(
-        0.0,
-        ctx.tol * config_.delay_estimate_margin * p.est_exec_s - waited);
+    const double budget = ctx.tol * kDelayEstimateMargin * p.est_exec_s;
+    const double allowance = std::max(0.0, budget - waited);
     ws.penalty_rate[static_cast<std::size_t>(j)] =
-        config_.sigma / std::max(1.0, ctx.tol * p.est_exec_s);
+        kSigma / std::max(1.0, ctx.tol * p.est_exec_s);
     // The region-independent parts of the footprint and transfer terms,
     // once per job: the embodied terms and the package's size and
     // serialization time.
@@ -421,15 +443,13 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   }
 
   if (sol == nullptr || !sol->optimal()) {
-    // Rung 3: place what the quota admits via the deterministic greedy;
-    // delay violations are allowed exactly when the soft model would have
-    // traded them (the soft-disabled ablation keeps Eq. 11 hard, so there
-    // the greedy defers instead — the backlog is that ablation's
-    // measurement).  The remainder spills, then defers explicitly.
-    const std::vector<int> assign = sched::greedy_fallback_assign(
-        plan.jobs, out.leftover, ci_, wi_, ctx, config_.lambda_co2,
-        config_.lambda_h2o, config_.delay_estimate_margin,
-        /*allow_delay_violations=*/config_.enable_soft_constraints);
+    // Rung 3: the greedy places what the quota admits from the problem the
+    // last attempt solved.  That is the soft form, with each exceedance
+    // priced, unless the ablation keeps Eq. 11 hard; there a job with no
+    // delay-feasible region left defers instead (the backlog is that
+    // ablation's measurement).  The remainder spills, then defers
+    // explicitly.
+    const std::vector<int> assign = sched::greedy_assign(ws.problem);
     for (std::size_t j = 0; j < plan.jobs.size(); ++j) {
       const dc::PendingJob* p = plan.jobs[j];
       const int r = assign[j];
@@ -584,11 +604,10 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
 #endif
   const int n = ctx.capacity->num_regions();
   // Lazily size the learner to the environment.
-  if (!history_)
-    history_ = std::make_unique<HistoryLearner>(n, config_.history_window);
+  if (!history_) history_ = std::make_unique<HistoryLearner>(n, kHistoryWindow);
 
-  // Sample every region once; the history learner, the health machine, the
-  // chunk costs and the greedy rung all read these samples.  wi is Eq. 6,
+  // Sample every region once; the history learner, the health machine and
+  // the chunk costs all read these samples.  wi is Eq. 6,
   // the expression env::Environment::water_intensity evaluates.
   const auto nr = static_cast<std::size_t>(n);
   ctx.footprint->sample_all(ctx.now, snapshot_.intensity);
@@ -684,8 +703,6 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
                                               const std::vector<double>& wi_obs,
                                               std::vector<int>& caps,
                                               SchedulerStats& window) {
-  if (!config_.degraded.enabled) return;
-  const DegradedModeConfig& dm = config_.degraded;
   const int n = ctx.capacity->num_regions();
   health_.resize(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
@@ -703,13 +720,13 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
     const double ci = ci_obs[static_cast<std::size_t>(r)];
     const double wi = wi_obs[static_cast<std::size_t>(r)];
     bool intensity_jump = false;
-    if (h.has_obs && ctx.now - h.last_obs_time <= dm.flap_window_s) {
+    if (h.has_obs && ctx.now - h.last_obs_time <= kFlapWindowS) {
       const double ci_rel =
           std::abs(ci - h.last_ci) / std::max(std::abs(h.last_ci), 1e-9);
       const double wi_rel =
           std::abs(wi - h.last_wi) / std::max(std::abs(h.last_wi), 1e-9);
-      intensity_jump = ci_rel > dm.intensity_jump_fraction ||
-                       wi_rel > dm.intensity_jump_fraction;
+      intensity_jump = ci_rel > kIntensityJumpFraction ||
+                       wi_rel > kIntensityJumpFraction;
     }
     h.last_ci = ci;
     h.last_wi = wi;
@@ -728,14 +745,14 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
     ++h.windows_in_state;
     switch (h.state) {
       case RegionHealth::State::Normal:
-        if (outage || h.event_score >= dm.degrade_after_events) {
+        if (outage || h.event_score >= kDegradeAfterEvents) {
           h.state = RegionHealth::State::Degraded;
           h.windows_in_state = 0;
         }
         break;
       case RegionHealth::State::Degraded:
         if (!event && !capacity_reduced &&
-            h.clean_windows >= dm.recover_after_clean) {
+            h.clean_windows >= kRecoverAfterClean) {
           h.state = RegionHealth::State::Recovery;
           h.windows_in_state = 0;
           h.event_score = 0;
@@ -745,7 +762,7 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
         if (event) {
           h.state = RegionHealth::State::Degraded;
           h.windows_in_state = 0;
-        } else if (h.windows_in_state >= dm.recovery_windows) {
+        } else if (h.windows_in_state >= kRecoveryWindows) {
           h.state = RegionHealth::State::Normal;
           h.windows_in_state = 0;
         }
@@ -756,17 +773,14 @@ void WaterWiseScheduler::update_region_health(const dc::ScheduleContext& ctx,
     // recovering one ramps back gradually instead of absorbing the whole
     // backlog the moment the fault clears.
     auto& cap_ref = caps[static_cast<std::size_t>(r)];
+    const auto cap = static_cast<double>(cap_now);
     if (h.state == RegionHealth::State::Degraded) {
       ++window.degraded_windows;
-      cap_ref = std::min(
-          cap_ref, static_cast<int>(std::floor(dm.degraded_cap_fraction *
-                                               static_cast<double>(cap_now))));
+      const int rail = static_cast<int>(std::floor(kDegradedCapFraction * cap));
+      cap_ref = std::min(cap_ref, rail);
     } else if (h.state == RegionHealth::State::Recovery) {
-      cap_ref = std::min(
-          cap_ref,
-          std::max(1, static_cast<int>(std::floor(
-                          dm.recovery_cap_fraction *
-                          static_cast<double>(cap_now)))));
+      const int rail = static_cast<int>(std::floor(kRecoveryCapFraction * cap));
+      cap_ref = std::min(cap_ref, std::max(1, rail));
     }
   }
 }

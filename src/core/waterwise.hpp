@@ -98,16 +98,24 @@
 //
 // Chunk solves run a bounded retry-then-degrade ladder instead of a single
 // hard->soft fallback: hard probe -> (soft model) -> one plain retry after
-// an injected failure -> guaranteed-feasible greedy placement
-// (sched::greedy_fallback_assign) -> explicit deferral.  The transportation
-// solver is exact and has no budget, so a solve ends optimal or proven
-// infeasible; only an injected failure loses an outcome.  Every rung is
-// deterministic, and every job ends placed or counted in
-// `SchedulerStats::deferred_jobs`; nothing is silently dropped.  A
-// per-region Normal -> Degraded -> Recovery state machine
-// (DegradedModeConfig) watches capacity losses and observed intensity jumps
-// and clamps how much of a faulty region's capacity new placements may
-// claim.  `WW_FAULT_SOLVES` injects deterministic solve failures
+// an injected failure -> greedy placement -> spill re-solve -> explicit
+// deferral.  Every rung reads the chunk's one cost table: the greedy rung
+// (sched::greedy_assign) places jobs from the transportation problem the
+// last attempt solved, which is the soft form (exceedance priced) when soft
+// constraints are on and the hard form (delay-violating pairs forbidden) in
+// the ablation without them.  The transportation solver is exact and has
+// no budget, so a solve ends optimal or proven infeasible; only an injected
+// failure loses an outcome.  Every rung is deterministic, and every job
+// ends placed or counted in `SchedulerStats::deferred_jobs`; nothing is
+// silently dropped.
+//
+// A per-region Normal -> Degraded -> Recovery state machine watches
+// capacity losses and observed intensity jumps, and clamps how much of a
+// faulty region's capacity new placements may claim.  Its triggers are
+// event counts over batch windows, never wall-clock, so its trajectory is a
+// pure function of the decision stream.  Its thresholds and rails are
+// constants in waterwise.cpp; README "Robustness & fault injection" lists
+// them.  `WW_FAULT_SOLVES` injects deterministic solve failures
 // (env::injected_solve_failure) to exercise the ladder.
 #pragma once
 
@@ -135,42 +143,24 @@ namespace ww::core {
 /// property.
 [[nodiscard]] double default_solve_failure_rate();
 
-/// Per-region Normal -> Degraded -> Recovery state machine thresholds.
-/// All triggers are event counts over batch windows — never wall-clock — so
-/// the machine's trajectory is a pure function of the decision stream.
-struct DegradedModeConfig {
-  bool enabled = true;
-  /// Observed carbon/water intensity change (relative) between consecutive
-  /// observations <= flap_window_s apart that counts as a fault event.  The
-  /// builtin environment series are hourly-interpolated and move far less
-  /// than this across 60 s batch ticks, so only injected bias steps fire it.
-  double intensity_jump_fraction = 0.4;
-  double flap_window_s = 900.0;  ///< Max spacing for a jump comparison.
-  int degrade_after_events = 2;  ///< Event score that trips Normal->Degraded.
-  int recover_after_clean = 3;   ///< Clean windows before Degraded->Recovery.
-  int recovery_windows = 3;      ///< Recovery windows before Normal.
-  /// Hard-cap safety rails: fraction of a region's current capacity new
-  /// placements may claim while Degraded / in Recovery.
-  double degraded_cap_fraction = 0.25;
-  double recovery_cap_fraction = 0.5;
-};
+/// Safety factor on the estimated execution time inside the delay rows
+/// (Eq. 11): the controller knows only *mean* estimates, so a job's delay
+/// allowance is TOL * kDelayEstimateMargin * est_exec_s, which keeps
+/// headroom against jobs that run shorter than their estimate.
+inline constexpr double kDelayEstimateMargin = 0.8;
+
+/// History-learner window in batch windows (the paper's default).
+inline constexpr int kHistoryWindow = 10;
 
 struct WaterWiseConfig {
   double lambda_co2 = 0.5;   ///< Carbon objective weight (Fig. 8 sweeps it).
   double lambda_h2o = 0.5;   ///< Water objective weight.
   double lambda_ref = 0.1;   ///< History-learner weight (paper default).
-  int history_window = 10;   ///< History-learner window (paper default).
   /// Sec. 7 extensions (default off = exact paper objective):
   /// additional additive objective terms for electricity cost and
   /// performance (normalized transfer-induced service-time stretch).
   double lambda_cost = 0.0;
   double lambda_perf = 0.0;
-  double sigma = 10.0;       ///< Soft-constraint penalty weight (Eq. 12).
-  /// Safety factor on the estimated execution time inside the delay rows
-  /// (Eq. 11): the controller only knows *mean* estimates, so it reserves
-  /// headroom against jobs that run shorter than their estimate.  1.0
-  /// trusts the estimate fully (more remote moves, more violations).
-  double delay_estimate_margin = 0.8;
   bool enable_soft_constraints = true;  ///< Ablation knob.
   bool enable_slack_manager = true;     ///< Ablation knob.
   bool enable_history = true;           ///< Ablation knob.
@@ -180,8 +170,6 @@ struct WaterWiseConfig {
   /// Results are byte-identical at every setting; the WW_SCHED_THREADS
   /// environment switch overrides this process-wide.
   int solver_threads = 1;
-  /// Degraded-mode state machine (see DegradedModeConfig).
-  DegradedModeConfig degraded;
   /// Injected solve-failure probability (WW_FAULT_SOLVES); each discarded
   /// outcome is a deterministic function of (fault_seed, window, chunk,
   /// attempt) — see env::injected_solve_failure — so fault campaigns are
@@ -328,6 +316,7 @@ struct ChunkWorkspace {
   /// regions.  `usd` and `perf` are filled only when lambda_cost /
   /// lambda_perf is positive.
   std::vector<double> co2, h2o, usd, perf;
+  /// The form the last attempt solved; the greedy rung places from it.
   sched::TransportProblem problem;
   sched::TransportSolution solution;
   sched::TransportWorkspace solver;
@@ -455,8 +444,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
                                             bool soft,
                                             SchedulerStats& stats) const;
 
-  /// Per-region degraded-mode state (see DegradedModeConfig).  Updated once
-  /// per batch window, serially, before the chunk fan-out.
+  /// Per-region degraded-mode state (see "Graceful degradation").  Updated
+  /// once per batch window, serially, before the chunk fan-out.
   struct RegionHealth {
     enum class State { Normal, Degraded, Recovery };
     State state = State::Normal;

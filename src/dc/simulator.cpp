@@ -18,6 +18,12 @@ namespace ww::dc {
 
 namespace {
 
+/// Minimum spacing between controller batches, in seconds.  Ticks align to
+/// job arrivals (event-driven) but never fire more often than this, so
+/// bursts accumulate into multi-job batches while an idle controller reacts
+/// to a lone arrival immediately.
+constexpr double kMinBatchIntervalS = 2.0;
+
 /// CapacityView adapter over the simulator's timelines.  With an attached
 /// FaultSchedule the *effective* capacity is the nominal capacity scaled by
 /// the schedule's factor at the query instant (floored; an outage reads as
@@ -191,12 +197,10 @@ Simulator::Simulator(const env::Environment& env,
                      const footprint::FootprintModel& footprint,
                      SimConfig config)
     : env_(&env), footprint_(&footprint), config_(config) {
-  if (config_.batch_window_s <= 0.0)
-    throw std::invalid_argument("Simulator: batch window must be positive");
-  if (config_.min_batch_interval_s <= 0.0 ||
-      config_.min_batch_interval_s > config_.batch_window_s)
+  if (!(config_.batch_window_s >= kMinBatchIntervalS))
     throw std::invalid_argument(
-        "Simulator: min batch interval must be in (0, batch_window]");
+        "Simulator: batch window must be at least the 2 s minimum batch "
+        "interval");
   if (config_.tol < 0.0)
     throw std::invalid_argument("Simulator: delay tolerance must be >= 0");
 }
@@ -343,10 +347,8 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
 
         // --- ledger ---------------------------------------------------------
         const double energy = job.energy_kwh();  // power scaling conserves it
-        footprint::Breakdown fb =
-            config_.integrate_footprints
-                ? footprint_->job_integrated(d.region, start, duration, energy)
-                : footprint_->job_at(d.region, start, energy, duration);
+        const footprint::Breakdown fb =
+            footprint_->job_integrated(d.region, start, duration, energy);
         const footprint::Breakdown tb = footprint_->transfer(
             job.home_region, d.region, job.package_bytes, now);
         result.total_carbon_g += fb.carbon_g() + tb.carbon_g();
@@ -413,12 +415,12 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
         next_tick = jobs[next_arrival].submit_time;
       if (!finish_heap.empty())
         next_tick = std::min(next_tick, finish_heap.top().time);
-      next_tick = std::max(next_tick, now + config_.min_batch_interval_s);
+      next_tick = std::max(next_tick, now + kMinBatchIntervalS);
     } else {
       next_tick = now + config_.batch_window_s;
       if (next_arrival < jobs.size())
         next_tick = std::min(next_tick, jobs[next_arrival].submit_time);
-      next_tick = std::max(next_tick, now + config_.min_batch_interval_s);
+      next_tick = std::max(next_tick, now + kMinBatchIntervalS);
     }
     now = next_tick;
   }

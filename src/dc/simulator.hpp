@@ -20,21 +20,18 @@
 namespace ww::dc {
 
 struct SimConfig {
-  double batch_window_s = 60.0;  ///< Max wait between controller batches.
-  /// Minimum spacing between controller batches.  Ticks align to job
-  /// arrivals (event-driven) but never fire more often than this, so bursts
-  /// accumulate into multi-job MILP batches while an idle controller reacts
-  /// to a lone arrival immediately.
-  double min_batch_interval_s = 2.0;
+  /// Max wait between controller batches.  Batch ticks align to job
+  /// arrivals but are at least 2 s apart, so the window may not be shorter.
+  double batch_window_s = 60.0;
   double tol = 0.25;             ///< Delay tolerance (fraction of exec time).
   double capacity_scale = 1.0;   ///< Scales per-region servers (Fig. 11).
   bool record_jobs = false;      ///< Keep per-job outcomes in the result.
-  bool integrate_footprints = true;  ///< Hourly integration vs. start-time
-                                     ///< point sampling (faster).
 };
 
 class Simulator {
  public:
+  /// Throws std::invalid_argument for a batch window shorter than the 2 s
+  /// minimum batch interval or a negative delay tolerance.
   Simulator(const env::Environment& env,
             const footprint::FootprintModel& footprint, SimConfig config = {});
 

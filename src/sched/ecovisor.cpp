@@ -4,6 +4,15 @@
 
 namespace ww::sched {
 
+namespace {
+
+/// Campaign time whose intensity anchors the target carbon rate.
+constexpr double kAnchorTime = 0.0;
+/// Deepest power cap the scaler applies.
+constexpr double kMinPowerScale = 0.6;
+
+}  // namespace
+
 std::vector<dc::Decision> EcovisorScheduler::schedule(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
   std::vector<int> free(static_cast<std::size_t>(ctx.capacity->num_regions()));
@@ -21,12 +30,11 @@ std::vector<dc::Decision> EcovisorScheduler::schedule(
     // campaign start; when the grid is dirtier than the anchor, power is
     // capped proportionally (stretching the job), shifting energy toward
     // hopefully-cleaner hours.
-    const double anchor =
-        ctx.env->carbon_intensity(home, config_.anchor_time);
+    const double anchor = ctx.env->carbon_intensity(home, kAnchorTime);
     const double current = ctx.env->carbon_intensity(home, ctx.now);
     double scale = 1.0;
     if (current > anchor && current > 0.0)
-      scale = std::clamp(anchor / current, config_.min_power_scale, 1.0);
+      scale = std::clamp(anchor / current, kMinPowerScale, 1.0);
 
     decisions.push_back(dc::Decision{p.job->id, home, ctx.now, scale});
   }

@@ -9,32 +9,24 @@
 // Only operational carbon is managed; embodied carbon grows with the
 // stretched execution time, and water is not considered at all — the two
 // structural gaps Fig. 7 highlights.
+//
+// The anchor is the region's intensity at campaign start (t = 0; the paper
+// notes: "if the initial carbon intensity is high when the experiment
+// begins, the target carbon footprint is always set high"), and the
+// deepest power cap is 0.6.
 #pragma once
 
 #include "dc/scheduler.hpp"
 
 namespace ww::sched {
 
-struct EcovisorConfig {
-  double min_power_scale = 0.6;  ///< Deepest power cap the scaler applies.
-  /// The anchor intensity is the region's intensity at campaign start
-  /// (the paper notes: "if the initial carbon intensity is high when the
-  /// experiment begins, the target carbon footprint is always set high").
-  double anchor_time = 0.0;
-};
-
 class EcovisorScheduler final : public dc::Scheduler {
  public:
-  explicit EcovisorScheduler(EcovisorConfig config = {}) : config_(config) {}
-
   [[nodiscard]] std::string name() const override { return "Ecovisor"; }
 
   [[nodiscard]] std::vector<dc::Decision> schedule(
       const std::vector<dc::PendingJob>& batch,
       const dc::ScheduleContext& ctx) override;
-
- private:
-  EcovisorConfig config_;
 };
 
 }  // namespace ww::sched

@@ -1,14 +1,15 @@
 #include "sched/greedy_opt.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <map>
 #include <vector>
 
 namespace ww::sched {
 
 namespace {
+
+/// Start times sampled across a job's slack window, per region.
+constexpr int kStartCandidates = 9;
 
 /// In-batch reservation overlay so jobs placed earlier in this batch are
 /// visible to later placements before the simulator applies the decisions.
@@ -36,87 +37,6 @@ class Overlay {
 };
 
 }  // namespace
-
-std::vector<int> greedy_fallback_assign(
-    const std::vector<const dc::PendingJob*>& jobs,
-    const std::vector<int>& quota, const std::vector<double>& ci,
-    const std::vector<double>& wi, const dc::ScheduleContext& ctx,
-    double lambda_co2, double lambda_h2o, double delay_estimate_margin,
-    bool allow_delay_violations) {
-  const int n = static_cast<int>(quota.size());
-  std::vector<int> assign(jobs.size(), -1);
-  if (jobs.empty() || n == 0) return assign;
-
-  // Region-level normalized cost at the decision instant — the Eq. 8
-  // objective without the per-job energy factor, which scales every region
-  // identically for a given job and so never changes the argmin.
-  std::vector<double> cost(static_cast<std::size_t>(n));
-  const double ci_max =
-      std::max(1e-12, *std::max_element(ci.begin(), ci.end()));
-  const double wi_max =
-      std::max(1e-12, *std::max_element(wi.begin(), wi.end()));
-  for (int r = 0; r < n; ++r)
-    cost[static_cast<std::size_t>(r)] =
-        lambda_co2 * ci[static_cast<std::size_t>(r)] / ci_max +
-        lambda_h2o * wi[static_cast<std::size_t>(r)] / wi_max;
-
-  std::vector<std::size_t> order(jobs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return jobs[a]->est_exec_s > jobs[b]->est_exec_s;
-                   });
-
-  std::vector<int> quota_left(quota);
-  for (const std::size_t ji : order) {
-    const dc::PendingJob& p = *jobs[ji];
-    const double waited = ctx.now - p.first_seen;
-    const double allowance = std::max(
-        0.0, ctx.tol * delay_estimate_margin * p.est_exec_s - waited);
-
-    // Pass 1: cheapest admissible region, with admissibility stated exactly
-    // as the hard model's Eq. 11 bound fixing (latency > allowance forbids);
-    // ties break toward the lower region index.
-    int chosen = -1;
-    double chosen_cost = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < n; ++r) {
-      if (quota_left[static_cast<std::size_t>(r)] <= 0) continue;
-      const double latency = ctx.env->transfer_latency_seconds(
-          p.job->home_region, r, p.job->package_bytes);
-      if (latency > allowance) continue;
-      if (cost[static_cast<std::size_t>(r)] < chosen_cost) {
-        chosen = r;
-        chosen_cost = cost[static_cast<std::size_t>(r)];
-      }
-    }
-
-    // Pass 2 (soft semantics): no admissible region — take the smallest
-    // exceedance, then the cheapest, then the lowest index, mirroring the
-    // soft model's penalty trade instead of deferring the job.
-    if (chosen < 0 && allow_delay_violations) {
-      double chosen_exceed = std::numeric_limits<double>::infinity();
-      chosen_cost = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < n; ++r) {
-        if (quota_left[static_cast<std::size_t>(r)] <= 0) continue;
-        const double latency = ctx.env->transfer_latency_seconds(
-            p.job->home_region, r, p.job->package_bytes);
-        const double exceedance = latency - allowance;
-        const double c = cost[static_cast<std::size_t>(r)];
-        if (exceedance < chosen_exceed ||
-            (exceedance == chosen_exceed && c < chosen_cost)) {
-          chosen = r;
-          chosen_exceed = exceedance;
-          chosen_cost = c;
-        }
-      }
-    }
-
-    if (chosen < 0) continue;  // deferred: quota exhausted or inadmissible
-    --quota_left[static_cast<std::size_t>(chosen)];
-    assign[ji] = chosen;
-  }
-  return assign;
-}
 
 std::vector<dc::Decision> GreedyOptScheduler::schedule(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
@@ -152,7 +72,7 @@ std::vector<dc::Decision> GreedyOptScheduler::schedule(
           job.home_region, r, job.package_bytes);
       const double earliest = ctx.now + transfer;
       const double window = latest_start - earliest;
-      const int steps = window > 0.0 ? config_.start_candidates : 1;
+      const int steps = window > 0.0 ? kStartCandidates : 1;
       for (int k = 0; k < steps; ++k) {
         const double start =
             earliest + (steps > 1 ? window * static_cast<double>(k) /

@@ -338,6 +338,25 @@ TransportSolution transport_assign(const TransportProblem& p) {
   return out;
 }
 
+std::vector<int> greedy_assign(const TransportProblem& p) {
+  check_sizes(p);
+  check_rows(p, 0);
+  const int n = p.regions();
+  std::vector<int> left(p.quota);
+  std::vector<int> region(static_cast<std::size_t>(p.jobs), -1);
+  for (int j = 0; j < p.jobs; ++j) {
+    int best = -1;
+    for (int r = 0; r < n; ++r) {
+      if (p.allowed[at(j, n, r)] == 0 || left[static_cast<std::size_t>(r)] <= 0)
+        continue;
+      if (best < 0 || p.cost[at(j, n, r)] < p.cost[at(j, n, best)]) best = r;
+    }
+    if (best >= 0) --left[static_cast<std::size_t>(best)];
+    region[static_cast<std::size_t>(j)] = best;
+  }
+  return region;
+}
+
 bool certify(const TransportProblem& p, const TransportSolution& s,
              std::string* why) {
   const auto fail = [why](const std::string& msg) {

@@ -142,6 +142,13 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
 /// Value-returning form of the above with fresh buffers.
 [[nodiscard]] TransportSolution transport_assign(const TransportProblem& p);
 
+/// The scheduler's last placement rung, for when no solve of `p` could be
+/// used: jobs in index order, each to the allowed region with quota left
+/// and the least cost, the lowest index on ties.  Returns one region per
+/// job, -1 for a job with no allowed region left.  Never exceeds a quota,
+/// and throws std::invalid_argument where transport_assign would.
+[[nodiscard]] std::vector<int> greedy_assign(const TransportProblem& p);
+
 /// Checks that `s` is an optimal solution of `p` by its dual certificate:
 /// the assignment uses only allowed pairs and respects every quota, the
 /// objective is the sum of chosen costs, v_r <= 0 with v_r = 0 where quota

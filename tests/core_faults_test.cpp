@@ -126,6 +126,61 @@ TEST(RetryLadder, AllAttemptsInjectedStillPlacesEveryJobViaFallback) {
   EXPECT_EQ(s.deferred_jobs, 0);
 }
 
+TEST(RetryLadder, GreedyRungPlacesEachJobInItsLeastCostRegion) {
+  // With every solve failed, the greedy rung places from the chunk's soft
+  // cost table: the Eq. 8 cost plus penalty_rate * exceedance where the
+  // exceedance is positive.  A heavy electricity-cost weight is a term a
+  // ranking of regions by carbon and water intensity alone would miss.
+  const DirectRig rig(12);
+  WaterWiseConfig cfg;
+  cfg.solve_failure_rate = 1.0;
+  cfg.lambda_cost = 4.0;
+  cfg.enable_history = false;  // the snapshot below needs no history term
+  WaterWiseScheduler ww(cfg);
+  const int n = rig.env.num_regions();
+  // Room for every job in every region, so each takes its own best.
+  const std::vector<int> caps(static_cast<std::size_t>(n), 12);
+  const auto placed = rig.run(ww, caps);
+  ASSERT_EQ(placed.size(), 12u);
+  ASSERT_EQ(ww.stats().fallback_placements, 12);
+
+  // The same window's one chunk again, through solve_one, for its table.
+  WindowSnapshot snapshot;
+  for (int r = 0; r < n; ++r) {
+    snapshot.intensity.push_back(rig.fp.sample(r, 0.0));
+    snapshot.price.push_back(rig.env.electricity_price(r, 0.0));
+    snapshot.history.push_back(0.0);
+  }
+  ChunkPlan plan;
+  for (const dc::PendingJob& p : rig.batch) plan.jobs.push_back(&p);
+  plan.quota = caps;
+  const FixedCapacity view(caps);
+  dc::ScheduleContext ctx;
+  ctx.tol = 0.5;
+  ctx.env = &rig.env;
+  ctx.footprint = &rig.fp;
+  ctx.capacity = &view;
+  ChunkResult out;
+  ww.solve_one(plan, ctx, snapshot, out);
+  const ChunkWorkspace& ws = out.workspace;
+  ASSERT_EQ(ws.base.size(), static_cast<std::size_t>(12 * n));
+
+  for (int j = 0; j < 12; ++j) {
+    const double rate = ws.penalty_rate[static_cast<std::size_t>(j)];
+    const auto soft_cost = [&](int r) {
+      const auto cell = static_cast<std::size_t>(j * n + r);
+      const double exceedance = ws.exceedance[cell];
+      return ws.base[cell] + (exceedance > 0.0 ? rate * exceedance : 0.0);
+    };
+    int best = 0;
+    for (int r = 1; r < n; ++r)
+      if (soft_cost(r) < soft_cost(best)) best = r;
+    const dc::Decision& d = placed[static_cast<std::size_t>(j)];
+    EXPECT_EQ(d.job_id, rig.jobs[static_cast<std::size_t>(j)].id);
+    EXPECT_EQ(d.region, best) << "job " << j;
+  }
+}
+
 TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {
   const DirectRig rig(60);
   const std::vector<int> caps = {12, 12, 12, 12, 12};

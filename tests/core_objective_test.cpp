@@ -74,7 +74,7 @@ struct Enumerator {
       const double latency = env.transfer_latency_seconds(
           p.job->home_region, r, p.job->package_bytes);
       const double allowance =
-          std::max(0.0, ctx.tol * cfg.delay_estimate_margin * p.est_exec_s -
+          std::max(0.0, ctx.tol * kDelayEstimateMargin * p.est_exec_s -
                             (ctx.now - p.first_seen));
       if (latency > allowance + 1e-9)
         return std::numeric_limits<double>::infinity();  // Eq. 11
@@ -160,7 +160,7 @@ void expect_brute_force_optimum(int seed, WaterWiseConfig cfg) {
   const auto decisions = ww.schedule(batch, ctx);
 
   // Rebuild the history state the solver saw: exactly one observation.
-  HistoryLearner hist(5, cfg.history_window);
+  HistoryLearner hist(5, kHistoryWindow);
   {
     std::vector<double> ci(5);
     std::vector<double> wi(5);
@@ -312,7 +312,7 @@ TEST(CostTable, MatchesPerPairFormulasBitForBit) {
         perf.push_back(latency.back() / std::max(1.0, p.est_exec_s));
       }
       const double allowance =
-          std::max(0.0, ctx.tol * c.delay_estimate_margin * p.est_exec_s -
+          std::max(0.0, ctx.tol * kDelayEstimateMargin * p.est_exec_s -
                             (now - p.first_seen));
       for (int r = 0; r < n; ++r) {
         const auto ri = static_cast<std::size_t>(r);

@@ -429,6 +429,10 @@ TEST_F(SimulatorTest, ConfigValidation) {
   SimConfig bad;
   bad.batch_window_s = 0.0;
   EXPECT_THROW(Simulator(env_, fp_, bad), std::invalid_argument);
+  // Batch ticks are at least 2 s apart, so a shorter window is rejected.
+  SimConfig short_window;
+  short_window.batch_window_s = 1.0;
+  EXPECT_THROW(Simulator(env_, fp_, short_window), std::invalid_argument);
   SimConfig neg;
   neg.tol = -0.5;
   EXPECT_THROW(Simulator(env_, fp_, neg), std::invalid_argument);

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "core/waterwise.hpp"
 #include "dc/simulator.hpp"
@@ -23,6 +24,10 @@ struct Combo {
   SchedulerFactory make;
   double tol;
 };
+
+/// gtest shows the parameter beside each test name (and so in the ctest
+/// name): the label, rather than a byte dump that holds heap addresses.
+void PrintTo(const Combo& combo, std::ostream* os) { *os << combo.label; }
 
 std::vector<Combo> combos() {
   std::vector<Combo> out;

@@ -93,9 +93,7 @@ TEST(Ecovisor, ScaleBoundsRespected) {
   ctx.capacity = &cap;
   ctx.tol = 0.25;
 
-  EcovisorConfig cfg;
-  cfg.min_power_scale = 0.6;
-  EcovisorScheduler eco(cfg);
+  EcovisorScheduler eco;
   const std::vector<dc::PendingJob> batch = {{&j, 0.0, 100.0, j.energy_kwh()}};
   // Scan a few days of decision instants: scale must stay in [0.6, 1].
   for (double t = 0.0; t < 3.0 * 86400.0; t += 3571.0) {

@@ -7,7 +7,10 @@
 // must agree to 1e-9 relative; assignments must agree except at a
 // near-tie, where the oracle's assignment costs the same within that
 // tolerance.  Every answer must also pass sched::certify: an optimal one
-// by its dual certificate, an infeasible one by its Hall set.
+// by its dual certificate, an infeasible one by its Hall set.  The greedy
+// rung, sched::greedy_assign, is checked on the same instances against its
+// contract, and must equal the optimum wherever the instance is
+// uncongested.
 #include "sched/transport.hpp"
 
 #include <gtest/gtest.h>
@@ -266,12 +269,14 @@ std::vector<TransportProblem> stopping_at_each_job(TransportProblem p,
 }
 
 /// The answer the uncongested shortcut must give, byte for byte: each job
-/// in its cheapest allowed region, v = 0 and u_j = c_j,region(j).
+/// in its cheapest allowed region, v = 0 and u_j = c_j,region(j).  The
+/// greedy placement gives the same regions there.
 void expect_uncongested_answer(const TransportProblem& p,
                                const TransportSolution& s,
                                const std::string& tag) {
   ASSERT_TRUE(s.optimal()) << tag;
   EXPECT_EQ(s.region, cheapest_regions(p)) << tag;
+  EXPECT_EQ(greedy_assign(p), s.region) << tag;
   EXPECT_EQ(s.v, std::vector<double>(p.quota.size(), 0.0)) << tag;
   ASSERT_EQ(s.u.size(), static_cast<std::size_t>(p.jobs)) << tag;
   for (int j = 0; j < p.jobs; ++j)
@@ -279,6 +284,37 @@ void expect_uncongested_answer(const TransportProblem& p,
               p.cost[at(j, p.regions(), s.region[static_cast<std::size_t>(j)])])
         << tag;
   EXPECT_EQ(s.objective, cost_of(p, s.region)) << tag;
+}
+
+/// Checks greedy_assign(p) against its contract: jobs in index order, each
+/// in an allowed region with quota left that costs no more than any other
+/// such region and strictly less than any such region of lower index; -1
+/// only when no such region is left.
+void expect_greedy_answer(const TransportProblem& p, const std::string& tag) {
+  const std::vector<int> got = greedy_assign(p);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(p.jobs)) << tag;
+  const int n = p.regions();
+  std::vector<int> left(p.quota);
+  for (int j = 0; j < p.jobs; ++j) {
+    const int g = got[static_cast<std::size_t>(j)];
+    const std::string job = tag + " job " + std::to_string(j);
+    if (g >= 0) {
+      ASSERT_LT(g, n) << job;
+      ASSERT_NE(p.allowed[at(j, n, g)], 0) << job;
+      ASSERT_GT(left[static_cast<std::size_t>(g)], 0) << job;
+    }
+    for (int r = 0; r < n; ++r) {
+      if (p.allowed[at(j, n, r)] == 0 || left[static_cast<std::size_t>(r)] <= 0)
+        continue;
+      ASSERT_GE(g, 0) << job << ": region " << r << " was open";
+      if (r < g) {
+        EXPECT_GT(p.cost[at(j, n, r)], p.cost[at(j, n, g)]) << job;
+      } else {
+        EXPECT_GE(p.cost[at(j, n, r)], p.cost[at(j, n, g)]) << job;
+      }
+    }
+    if (g >= 0) --left[static_cast<std::size_t>(g)];
+  }
 }
 
 /// The problem as a milp::Model: job-major binaries, assignment equality
@@ -398,15 +434,18 @@ TEST(Transport, RejectsMalformedInput) {
   p.cost = {1.0, 2.0, 3.0};
   p.allowed = {1, 1, 1};
   EXPECT_THROW((void)transport_assign(p), std::invalid_argument);
+  EXPECT_THROW((void)greedy_assign(p), std::invalid_argument);
   p.cost = {1.0, std::numeric_limits<double>::quiet_NaN(), 3.0, 4.0};
   p.allowed = {1, 1, 1, 1};
   EXPECT_THROW((void)transport_assign(p), std::invalid_argument);
+  EXPECT_THROW((void)greedy_assign(p), std::invalid_argument);
   // A forbidden pair's cost is never read, so it may be anything.
   p.allowed = {1, 0, 1, 1};
   const TransportSolution s = transport_assign(p);
   ASSERT_TRUE(s.optimal());
   EXPECT_EQ(s.region, (std::vector<int>{0, 1}));
   EXPECT_TRUE(certify(p, s));
+  EXPECT_EQ(greedy_assign(p), s.region);
 }
 
 TEST(Transport, RejectsNonFiniteAllowedCostAnywhere) {
@@ -501,6 +540,8 @@ TEST(Transport, TiesGoToTheLowestIndexFreeRegion) {
   EXPECT_EQ(s.region, (std::vector<int>{0, 0, 2, 3, 3}));
   EXPECT_EQ(s.objective, 7.5);
   EXPECT_TRUE(certify(p, s));
+  // The greedy breaks the same ties the same way.
+  EXPECT_EQ(greedy_assign(p), s.region);
 
   // Equally cheap moves go to the lowest-index job: jobs 0 and 1 fill
   // region 0, job 2 may only go there, and moving either earlier job to
@@ -514,6 +555,9 @@ TEST(Transport, TiesGoToTheLowestIndexFreeRegion) {
   ASSERT_TRUE(t.optimal());
   EXPECT_EQ(t.region, (std::vector<int>{1, 0, 0}));
   EXPECT_TRUE(certify(q, t));
+  // The greedy moves no job: jobs 0 and 1 fill region 0, the cheaper one,
+  // and job 2 finds its only region full.
+  EXPECT_EQ(greedy_assign(q), (std::vector<int>{0, 0, -1}));
 }
 
 TEST(Transport, AugmentsAlongAChainOfMoves) {
@@ -535,6 +579,8 @@ TEST(Transport, AugmentsAlongAChainOfMoves) {
   EXPECT_EQ(s.objective, 2.0);
   std::string why;
   EXPECT_TRUE(certify(p, s, &why)) << why;
+  // The greedy shifts nothing, so job 2 finds region 0 taken.
+  EXPECT_EQ(greedy_assign(p), (std::vector<int>{0, 1, -1}));
 }
 
 TEST(Transport, InfeasibleWhenJobsOutnumberAllowedQuota) {
@@ -553,6 +599,8 @@ TEST(Transport, InfeasibleWhenJobsOutnumberAllowedQuota) {
   EXPECT_EQ(s.hall, (std::vector<int>{0, 1}));
   std::string why;
   EXPECT_TRUE(certify(p, s, &why)) << why;
+  // The greedy places what fits: job 0 takes the one usable slot.
+  EXPECT_EQ(greedy_assign(p), (std::vector<int>{0, -1, -1}));
   // An all-forbidden row is infeasible however much quota exists; the
   // job alone is the witness, with an empty neighbourhood.
   p.allowed = {1, 1, 0, 0, 1, 1};
@@ -560,6 +608,8 @@ TEST(Transport, InfeasibleWhenJobsOutnumberAllowedQuota) {
   EXPECT_EQ(row.status, Status::Infeasible);
   EXPECT_EQ(row.hall, (std::vector<int>{1}));
   EXPECT_TRUE(certify(p, row, &why)) << why;
+  // Job 0 takes region 0 on the tie, so job 2 goes to region 1.
+  EXPECT_EQ(greedy_assign(p), (std::vector<int>{0, -1, 1}));
   // A feasible solve leaves no witness behind in a reused solution.
   TransportSolution reused = s;
   TransportWorkspace ws;
@@ -650,6 +700,7 @@ TEST(Transport, MatchesBruteForceOnSeededSmallInstances) {
         ASSERT_EQ(got.optimal(), ref.feasible) << tag;
         std::string why;
         EXPECT_TRUE(certify(p, got, &why)) << tag << ": " << why;
+        expect_greedy_answer(p, tag);
         // Case 1 just fits the uncongested condition; cases 2 and 3 miss.
         if (c == 1) {
           EXPECT_TRUE(uncongested(p)) << tag;
