@@ -117,9 +117,6 @@ int main() {
 
   // --- Campaign -------------------------------------------------------------
   std::vector<core::SchedulerStats> ww_stats(storms.size());
-  // Registry snapshots survive the lambda-local schedulers so the service
-  // panel below can print per-storm latency/queue/admission quantiles.
-  std::vector<obs::Registry> ww_regs(storms.size());
   dc::CampaignRunner runner(bench::campaign_config());
   for (std::size_t i = 0; i < storms.size(); ++i) {
     runner.add_baseline(storms[i].label, "Baseline",
@@ -129,11 +126,10 @@ int main() {
                                                    storms[i].spec);
                         });
     runner.add({storms[i].label, "WaterWise", false,
-                [&storms, &jobs, &ww_stats, &ww_regs, i](dc::ScenarioContext&) {
+                [&storms, &jobs, &ww_stats, i](dc::ScenarioContext&) {
                   core::WaterWiseScheduler ww(storms[i].cfg);
                   auto res = bench::run_campaign(jobs, ww, storms[i].spec);
                   ww_stats[i] = ww.stats();
-                  ww_regs[i] = ww.registry();
                   return res;
                 }});
   }
@@ -144,8 +140,9 @@ int main() {
   for (std::size_t i = 0; i < storms.size(); ++i)
     bench::print_degradation_counters(storms[i].label, ww_stats[i]);
   std::cout << "\n";
+  // Outcomes follow add() order: each storm's Baseline, then its WaterWise.
   for (std::size_t i = 0; i < storms.size(); ++i)
-    bench::print_service_metrics(storms[i].label, ww_regs[i]);
+    bench::print_service_metrics(storms[i].label, outcomes[2 * i + 1].result);
 
   // --- Self-checks ----------------------------------------------------------
   for (std::size_t i = 0; i < outcomes.size(); ++i)

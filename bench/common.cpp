@@ -8,6 +8,7 @@
 
 #include "obs/trace.hpp"
 #include "util/flags.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace ww::bench {
@@ -61,9 +62,15 @@ std::vector<dc::ScenarioOutcome> run_and_time(dc::CampaignRunner& runner) {
 }
 
 void banner(const std::string& experiment, const std::string& paper_ref) {
-  // Read the knob before printing, so a malformed one stops the bench
-  // before any output.
+  // Read every process knob before printing, so a malformed one stops the
+  // bench before any output instead of aborting it mid-campaign.
   const double days = campaign_days();
+  try {
+    (void)core::default_solve_failure_rate();
+    (void)core::WaterWiseScheduler().effective_solver_threads();
+  } catch (const std::invalid_argument& e) {
+    bad_knob(e);
+  }
   std::cout << "==============================================================\n"
             << "WaterWise reproduction | " << experiment << "\n"
             << "Paper reference: " << paper_ref << "\n"
@@ -199,25 +206,26 @@ void print_degradation_counters(const std::string& label,
 }
 
 void print_service_metrics(const std::string& label,
-                           const obs::Registry& registry) {
-  const util::Histogram* lat =
-      registry.find_hist("service.decision_latency_s");
-  const util::Histogram* depth = registry.find_hist("service.queue_depth");
+                           const dc::CampaignResult& result) {
+  const util::Histogram* depth =
+      result.service.find_hist("service.queue_depth");
   const util::Histogram* adm =
-      registry.find_hist("service.time_to_admission_s");
-  const std::uint64_t* windows = registry.find_counter("sched.windows");
-  if (lat == nullptr || depth == nullptr || adm == nullptr) {
-    std::cout << "[service] " << label << ": no service metrics registered\n";
+      result.service.find_hist("service.time_to_admission_s");
+  if (result.overhead_series.empty() || depth == nullptr || adm == nullptr) {
+    std::cout << "[service] " << label << ": no service metrics recorded\n";
     return;
   }
-  // A window takes microseconds and the histogram has 1 us bins, so the
-  // quantiles print in us: in ms a 1-2 us window would show as 0.001.
+  // A window takes microseconds, so the exact quantiles print in us: in ms
+  // a 1-2 us window would show as 0.001.
+  std::vector<double> latency;
+  latency.reserve(result.overhead_series.size());
+  for (const auto& [minute, seconds] : result.overhead_series)
+    latency.push_back(seconds * 1e6);
   std::cout << "[service] " << label << ": decision latency p50/p95/p99 = "
-            << util::Table::fixed(lat->quantile(0.50) * 1e6, 1) << "/"
-            << util::Table::fixed(lat->quantile(0.95) * 1e6, 1) << "/"
-            << util::Table::fixed(lat->quantile(0.99) * 1e6, 1)
-            << " us over " << (windows != nullptr ? *windows : 0)
-            << " window(s)\n";
+            << util::Table::fixed(util::percentile(latency, 50.0), 2) << "/"
+            << util::Table::fixed(util::percentile(latency, 95.0), 2) << "/"
+            << util::Table::fixed(util::percentile(latency, 99.0), 2)
+            << " us over " << latency.size() << " window(s)\n";
   std::cout << "[service] " << label << ": queue depth p50/p99 = "
             << util::Table::fixed(depth->quantile(0.50), 1) << "/"
             << util::Table::fixed(depth->quantile(0.99), 1)

@@ -46,7 +46,9 @@ namespace ww::bench {
 [[nodiscard]] std::vector<dc::ScenarioOutcome> run_and_time(
     dc::CampaignRunner& runner);
 
-/// Prints the standard bench banner (figure/table id + provenance).
+/// Prints the standard bench banner (figure/table id + provenance).  It
+/// first reads WW_BENCH_SCALE, WW_FAULT_SOLVES and WW_SCHED_THREADS; a
+/// malformed value is reported on stderr and the bench exits with status 2.
 void banner(const std::string& experiment, const std::string& paper_ref);
 
 struct CampaignSpec {
@@ -108,12 +110,13 @@ enum class Policy {
 void print_degradation_counters(const std::string& label,
                                 const core::SchedulerStats& stats);
 
-/// Prints the service-level metrics panel from a WaterWise scheduler's
-/// registry: per-window decision-latency p50/p95/p99 in us, queue
-/// depth, and time-to-admission.  Latency is wall-clock (observational);
-/// queue depth and time-to-admission are deterministic.
+/// Prints the service-level metrics panel of a campaign: exact
+/// per-window decision-latency p50/p95/p99 in us (from overhead_series),
+/// and queue depth and time-to-admission (from its service registry).
+/// Latency is wall-clock (observational); queue depth and
+/// time-to-admission are deterministic.
 void print_service_metrics(const std::string& label,
-                           const obs::Registry& registry);
+                           const dc::CampaignResult& result);
 
 /// Prints the global work-stealing pool's lifetime counters (workers,
 /// tasks run, tasks stolen, steal attempts).  Observational: steal counts

@@ -56,20 +56,8 @@ WaterWiseScheduler::WaterWiseScheduler(WaterWiseConfig config)
   config_.lambda_h2o /= sum;
   for (std::size_t i = 0; i < std::size(kStatsCounters); ++i)
     handles_.stats_counters[i] = registry_.counter(kStatsCounters[i].key);
-  handles_.windows = registry_.counter("sched.windows");
   for (std::size_t i = 0; i < std::size(kStatsGauges); ++i)
     handles_.stats_gauges[i] = registry_.gauge(kStatsGauges[i].key);
-  // Service-level distributions.  decision_latency is
-  // wall-clock and observational; queue_depth and time_to_admission are
-  // sim-time/count based and byte-deterministic.  A window takes
-  // microseconds, so decision_latency has 1 us bins over [0, 1 ms]; a
-  // window of 1 ms or more clamps into the top bin.
-  handles_.decision_latency_s =
-      registry_.histogram("service.decision_latency_s", 0.0, 1e-3, 1000);
-  handles_.queue_depth =
-      registry_.histogram("service.queue_depth", 0.0, 2048.0, 64);
-  handles_.time_to_admission_s =
-      registry_.histogram("service.time_to_admission_s", 0.0, 3600.0, 72);
 }
 
 void WaterWiseScheduler::fold_stats(const SchedulerStats& delta) {
@@ -378,7 +366,6 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   out.leftover = plan.quota;
   out.unplaced.clear();
   out.stats = SchedulerStats{};
-  out.admission_waits.clear();
   out.error.clear();
 
   obs::Span span("sched.chunk_solve");
@@ -463,8 +450,6 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
           ctx.now + ctx.env->transfer_latency_seconds(p->job->home_region, r,
                                                       p->job->package_bytes);
       out.decisions.push_back(dc::Decision{p->job->id, r, start, 1.0});
-      // Sim-time wait from first sighting to admission: deterministic.
-      out.admission_waits.push_back(ctx.now - p->first_seen);
     }
     annotate(3);
     return;
@@ -479,7 +464,6 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
                                        p.job->home_region, chosen,
                                        p.job->package_bytes);
     out.decisions.push_back(dc::Decision{p.job->id, chosen, start, 1.0});
-    out.admission_waits.push_back(ctx.now - p.first_seen);
   }
   annotate(rung);
 }
@@ -505,12 +489,8 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
                              std::to_string(ctx.now) + ": " + r.error);
   }
 
-  // Admission waits go straight into the registry, so a histogram's
-  // integer bins do not depend on how the samples were grouped.
   const auto merge = [&](const ChunkResult& r) {
     window += r.stats;
-    for (const double wait : r.admission_waits)
-      registry_.observe(handles_.time_to_admission_s, wait);
     decisions.insert(decisions.end(), r.decisions.begin(), r.decisions.end());
   };
   std::size_t placed = 0;
@@ -571,25 +551,19 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
 
 std::vector<dc::Decision> WaterWiseScheduler::schedule(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
-  // Observability wrapper: spans and service-level histograms around the
+  // Observability wrapper: a span and the window's counters around the
   // untouched decision logic.  Everything recorded here is write-only —
   // nothing below reads a metric, and no clock but the solve stopwatch —
   // so the decision stream is byte-identical with tracing/metrics on or
-  // off.  The window's latency arrives afterwards via on_window_timed.
+  // off.  The simulator records the service-level metrics.
   obs::Span span("sched.window");
   span.arg("t", ctx.now);
   span.arg("batch", batch.size());
-  registry_.add(handles_.windows);
-  registry_.observe(handles_.queue_depth, static_cast<double>(batch.size()));
   SchedulerStats window;
   std::vector<dc::Decision> decisions = schedule_impl(batch, ctx, window);
   fold_stats(window);
   span.arg("decisions", decisions.size());
   return decisions;
-}
-
-void WaterWiseScheduler::on_window_timed(double seconds) {
-  registry_.observe(handles_.decision_latency_s, seconds);
 }
 
 std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(

@@ -59,12 +59,11 @@
 //      one chunk's cost table from the window snapshot, solves the chunk
 //      against its private quota and fills a self-contained `ChunkResult`
 //      (decisions, a `SchedulerStats` delta, leftover quota, spill-eligible
-//      jobs, admission-wait samples).  Pure per-chunk work is what makes
-//      the fan-out sound at any thread count.
+//      jobs).  Pure per-chunk work is what makes the fan-out sound at any
+//      thread count.
 //   3. `commit()` merges results in chunk-index order — the only stage that
-//      touches scheduler state — observes the admission waits into the
-//      registry, returns unused quota to a spill pool, and re-solves any
-//      spill-eligible remainder serially against that pool.
+//      touches scheduler state — returns unused quota to a spill pool, and
+//      re-solves any spill-eligible remainder serially against that pool.
 //
 // Workspace ownership: the scheduler owns all window scratch and refills it
 // every window — the observed intensities, capacities, selection, snapshot
@@ -191,9 +190,9 @@ struct WaterWiseConfig {
 /// registry once per window — and `operator+=` merges several schedulers'
 /// lifetimes for tests and benches.  Every field is listed once more, in
 /// kStatsCounters / kStatsGauges below; all per-field code loops over those
-/// tables.  Service-level distributions (decision latency, queue depth,
-/// time-to-admission) live only in the registry — see
-/// `WaterWiseScheduler::registry()` and README "Observability".
+/// tables.  Service-level metrics (decision latency, queue depth,
+/// time-to-admission) are the simulator's, in `dc::CampaignResult` — see
+/// README "Observability".
 struct SchedulerStats {
   long milp_solves = 0;          ///< Chunk model solves (transport_assign).
   long soft_fallbacks = 0;       ///< Hard model failed, soft model ran.
@@ -336,11 +335,6 @@ struct ChunkResult {
   /// quota.
   std::vector<const dc::PendingJob*> unplaced;
   SchedulerStats stats;  ///< Per-chunk delta, merged by commit().
-  /// Sim-time wait from first sighting to admission of each placed job, in
-  /// decision order.  commit() observes them into
-  /// service.time_to_admission_s in chunk-index order, so the histogram's
-  /// integer bins are byte-identical at every thread count.
-  std::vector<double> admission_waits;
   /// Non-empty when the chunk solve threw: commit() re-throws fail-fast with
   /// this message plus chunk/window context, lowest chunk index first, so an
   /// exception inside the pooled fan-out can never be swallowed.
@@ -358,10 +352,6 @@ class WaterWiseScheduler final : public dc::Scheduler {
       const std::vector<dc::PendingJob>& batch,
       const dc::ScheduleContext& ctx) override;
 
-  /// Observes the caller's measurement of the window into
-  /// service.decision_latency_s; schedule() reads no clock for it.
-  void on_window_timed(double seconds) override;
-
   [[nodiscard]] const WaterWiseConfig& config() const noexcept {
     return config_;
   }
@@ -369,13 +359,10 @@ class WaterWiseScheduler final : public dc::Scheduler {
   /// call (see the SchedulerStats comment).
   [[nodiscard]] SchedulerStats stats() const;
 
-  /// The scheduler's metrics registry: every SchedulerStats counter under
-  /// "sched.*" plus the service-level distributions under "service.*"
-  /// (decision-latency seconds per window as the caller timed it through
-  /// on_window_timed, queue depth per window,
-  /// time-to-admission seconds per placed job).  Counters and sim-time
-  /// histograms are deterministic; decision-latency is wall-clock and
-  /// observational only.
+  /// The scheduler's metrics registry: one "sched.*" counter or gauge per
+  /// SchedulerStats field.  Counters are deterministic; the gauges hold
+  /// wall-clock seconds and are observational only.  Service-level metrics
+  /// are the simulator's (dc::CampaignResult::service).
   [[nodiscard]] const obs::Registry& registry() const noexcept {
     return registry_;
   }
@@ -416,10 +403,9 @@ class WaterWiseScheduler final : public dc::Scheduler {
                          std::vector<ChunkPlan>& plans) const;
 
   /// Stage 3: merges the first `num_chunks` result slots in chunk-index
-  /// order (decisions into the return value, stats into `window`,
-  /// admission waits into the registry), pools leftover quota, and
-  /// re-solves spill-eligible jobs serially against the pool.  The only
-  /// stage that mutates scheduler state.
+  /// order (decisions into the return value, stats into `window`), pools
+  /// leftover quota, and re-solves spill-eligible jobs serially against
+  /// the pool.  The only stage that mutates scheduler state.
   [[nodiscard]] std::vector<dc::Decision> commit(
       std::size_t num_chunks, const dc::ScheduleContext& ctx,
       SchedulerStats& window);
@@ -484,13 +470,10 @@ class WaterWiseScheduler final : public dc::Scheduler {
       SchedulerStats& window);
 
   /// Typed registry handles, resolved once at construction so the hot path
-  /// never does string lookups: one per kStatsCounters / kStatsGauges row,
-  /// plus the window counter and the service-level histograms.
+  /// never does string lookups: one per kStatsCounters / kStatsGauges row.
   struct Handles {
     std::array<obs::Counter, std::size(kStatsCounters)> stats_counters;
     std::array<obs::Gauge, std::size(kStatsGauges)> stats_gauges;
-    obs::Counter windows;
-    obs::Hist decision_latency_s, queue_depth, time_to_admission_s;
   };
   /// Folds one window's SchedulerStats delta into the registry.
   void fold_stats(const SchedulerStats& delta);

@@ -21,9 +21,10 @@ double CampaignResult::cost_saving_pct_vs(const CampaignResult& base) const {
 }
 
 double CampaignResult::mean_overhead_pct_of_exec() const {
-  if (mean_exec_seconds <= 0.0 || batch_decision_seconds.count() == 0)
-    return 0.0;
-  return 100.0 * batch_decision_seconds.mean() / mean_exec_seconds;
+  if (mean_exec_seconds <= 0.0 || overhead_series.empty()) return 0.0;
+  const double mean_seconds =
+      decision_seconds_total / static_cast<double>(overhead_series.size());
+  return 100.0 * mean_seconds / mean_exec_seconds;
 }
 
 std::vector<double> CampaignResult::region_share_pct() const {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "util/stats.hpp"
 
 namespace ww::dc {
@@ -46,10 +47,16 @@ struct CampaignResult {
   long violations = 0;
   std::vector<long> jobs_per_region;
 
-  double decision_seconds_total = 0.0;
-  util::RunningStats batch_decision_seconds;
-  /// (sim minute, decision seconds in that batch) pairs for Fig. 13.
+  double decision_seconds_total = 0.0;  ///< Sum of overhead_series' seconds.
+  /// (sim minute, decision seconds in that batch) pairs for Fig. 13: the
+  /// one record of decision latency, the simulator's wall-clock measurement
+  /// of every schedule() call.  Its size is the number of batch windows.
   std::vector<std::pair<double, double>> overhead_series;
+  /// Service-level histograms, the same for every scheduler and
+  /// deterministic: "service.queue_depth" (jobs pending per window) and
+  /// "service.time_to_admission_s" (sim-time from first sighting to
+  /// admission, per admitted job).
+  obs::Registry service;
 
   double mean_exec_seconds = 0.0;
   double makespan_seconds = 0.0;

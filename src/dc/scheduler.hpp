@@ -5,6 +5,11 @@
 // capacity view, and applies the returned placement decisions.  Jobs the
 // scheduler does not decide on stay pending and reappear in the next batch
 // (the paper's J_delay set in Algorithm 1).
+//
+// The simulator, not the scheduler, records the service-level metrics of
+// every window: it times each schedule() call, counts the jobs pending and
+// measures each admitted job's wait (CampaignResult::overhead_series and
+// CampaignResult::service).  A scheduler needs no clock or hook for them.
 #pragma once
 
 #include <string>
@@ -78,13 +83,6 @@ class Scheduler {
 
   /// Completion callback (drives online execution-time/energy learning).
   virtual void on_job_finished(const trace::Job& job) { (void)job; }
-
-  /// Wall-clock seconds the caller measured around the schedule() call
-  /// that just returned; the simulator calls it once per window, right
-  /// after stopping its stopwatch.  Observational only: no decision may
-  /// read it.  A scheduler that reports decision latency takes it from
-  /// here instead of reading a clock of its own.
-  virtual void on_window_timed(double seconds) { (void)seconds; }
 };
 
 }  // namespace ww::dc

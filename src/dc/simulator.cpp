@@ -237,6 +237,12 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
   result.tol = config_.tol;
   result.jobs_per_region.assign(static_cast<std::size_t>(num_regions), 0);
   if (config_.record_jobs) result.jobs.reserve(jobs.size());
+  // Service-level histograms, recorded here for every scheduler.  Both are
+  // sim-time or count based, so their bins are deterministic.
+  const obs::Hist queue_depth =
+      result.service.histogram("service.queue_depth", 0.0, 2048.0, 64);
+  const obs::Hist time_to_admission =
+      result.service.histogram("service.time_to_admission_s", 0.0, 3600.0, 72);
 
   EstimateDb estimates;
   std::vector<PendingJob> pending;
@@ -301,12 +307,11 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
       obs::Span window_span("sim.window");
       window_span.arg("t", now);
       window_span.arg("pending", pending.size());
+      result.service.observe(queue_depth, static_cast<double>(pending.size()));
       const util::Stopwatch watch;
       const std::vector<Decision> decisions = scheduler.schedule(pending, ctx);
       const double batch_seconds = watch.elapsed_seconds();
-      scheduler.on_window_timed(batch_seconds);
       result.decision_seconds_total += batch_seconds;
-      result.batch_decision_seconds.add(batch_seconds);
       result.overhead_series.emplace_back(now / 60.0, batch_seconds);
 
       const obs::Span apply_span("sim.apply");
@@ -344,6 +349,7 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
         if (!tl.try_reserve(start, end,
                             view.effective_capacity(d.region, start)))
           continue;
+        result.service.observe(time_to_admission, now - pending[k].first_seen);
 
         // --- ledger ---------------------------------------------------------
         const double energy = job.energy_kwh();  // power scaling conserves it

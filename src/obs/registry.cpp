@@ -160,10 +160,4 @@ std::string Registry::to_json() const {
   return out.str();
 }
 
-void Registry::reset_values() noexcept {
-  for (auto& c : counters_) c = 0;
-  for (auto& g : gauges_) g = 0.0;
-  for (auto& h : hists_) h = util::Histogram(h.lo(), h.hi(), h.bins());
-}
-
 }  // namespace ww::obs

@@ -7,14 +7,17 @@
 // name-ordered.  The registry is single-writer: registration and mutation
 // happen on the owning thread only.  Work done on other threads reports
 // back through plain values its owner records in a deterministic order:
-// the scheduler's chunk solves return their admission-wait samples in
-// their result slot, and commit observes them in chunk-index order, never
-// completion order.  Histogram bins are integer counts, so the exported
-// bytes do not depend on how the samples were grouped.
+// the scheduler's chunk solves return their stats deltas in their result
+// slot, and commit folds them in chunk-index order, never completion
+// order.  Histogram bins are integer counts, so the exported bytes do not
+// depend on how the samples were grouped.
 //
-// Wall-clock derived samples (decision latency) are observational — they
-// may differ run to run and are exported for humans, while counters and
-// sim-time histograms (queue depth, time-to-admission) are byte-stable and
+// Two kinds of registry exist.  Each dc::CampaignResult carries the
+// simulator's "service.*" histograms (queue depth per window,
+// time-to-admission per admitted job), and WaterWiseScheduler keeps its
+// "sched.*" solver counters.  Wall-clock derived values (the solve-seconds
+// gauges) are observational — they may differ run to run and are exported
+// for humans, while counters and sim-time histograms are byte-stable and
 // safe to assert on in tests.
 #pragma once
 
@@ -81,9 +84,6 @@ class Registry {
   /// counts.  Deterministic given deterministic values.
   void write_json(std::ostream& out) const;
   [[nodiscard]] std::string to_json() const;
-
-  /// Zeroes all values; names and handles stay registered.
-  void reset_values() noexcept;
 
  private:
   std::map<std::string, std::size_t> counter_ids_;

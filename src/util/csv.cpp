@@ -27,13 +27,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   out_ << '\n';
 }
 
-void CsvWriter::write_row_numeric(const std::vector<double>& fields) {
-  std::vector<std::string> row;
-  row.reserve(fields.size());
-  for (const double v : fields) row.push_back(format_double(v));
-  write_row(row);
-}
-
 std::string format_double(double value) {
   char buf[64];
   const auto [ptr, ec] =

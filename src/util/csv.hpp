@@ -16,8 +16,6 @@ class CsvWriter {
   explicit CsvWriter(std::ostream& out) : out_(out) {}
 
   void write_row(const std::vector<std::string>& fields);
-  /// Convenience: formats doubles with round-trippable precision.
-  void write_row_numeric(const std::vector<double>& fields);
 
   static std::string escape(const std::string& field);
 

@@ -15,16 +15,6 @@ Table& Table::add_row(std::vector<std::string> row) {
   return *this;
 }
 
-Table& Table::add_row_numeric(const std::string& label,
-                              const std::vector<double>& values,
-                              int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  for (const double v : values) row.push_back(fixed(v, precision));
-  return add_row(std::move(row));
-}
-
 std::string Table::fixed(double v, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;

@@ -13,9 +13,6 @@ class Table {
   explicit Table(std::vector<std::string> headers);
 
   Table& add_row(std::vector<std::string> row);
-  /// Numeric convenience; `precision` digits after the decimal point.
-  Table& add_row_numeric(const std::string& label,
-                         const std::vector<double>& values, int precision = 2);
 
   void print(std::ostream& out) const;
 

@@ -454,7 +454,7 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreads) {
 
   struct Run {
     dc::CampaignResult result;
-    std::uint64_t counters[4] = {0, 0, 0, 0};
+    std::uint64_t counters[3] = {0, 0, 0};
     std::string queue_depth_json;
     std::string admission_json;
   };
@@ -468,15 +468,14 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreads) {
     Run out;
     out.result = sim.run(jobs, ww);
     const obs::Registry& reg = ww.registry();
-    const char* names[4] = {"sched.milp_solves", "sched.windows",
-                            "sched.chunks_planned",
+    const char* names[3] = {"sched.milp_solves", "sched.chunks_planned",
                             "sched.soft_fallbacks"};
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < 3; ++i) {
       const std::uint64_t* c = reg.find_counter(names[i]);
       out.counters[static_cast<std::size_t>(i)] = c != nullptr ? *c : 0;
     }
-    const auto hist_bins = [&reg](const char* name) {
-      const util::Histogram* h = reg.find_hist(name);
+    const auto hist_bins = [&out](const char* name) {
+      const util::Histogram* h = out.result.service.find_hist(name);
       std::string bins;
       if (h == nullptr) return bins;
       for (std::size_t i = 0; i < h->bins(); ++i)
@@ -499,10 +498,13 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreads) {
     const Run traced = run(threads, true);
     const std::string tag = "threads=" + std::to_string(threads);
     for (const Run* res : {&base, &traced}) {
-      for (int c = 0; c < 4; ++c)
+      for (int c = 0; c < 3; ++c)
         EXPECT_EQ(res->counters[static_cast<std::size_t>(c)],
                   ref.counters[static_cast<std::size_t>(c)])
             << tag << " counter " << c;
+      EXPECT_EQ(res->result.overhead_series.size(),
+                ref.result.overhead_series.size())
+          << tag << " windows";
       EXPECT_EQ(res->result.num_jobs, ref.result.num_jobs) << tag;
       EXPECT_EQ(res->result.total_carbon_g, ref.result.total_carbon_g)
           << tag;
@@ -533,9 +535,9 @@ TEST(ChunkParallel, TracingIsObservationalAcrossThreads) {
 TEST(ChunkParallel, StatsViewMatchesRegistry) {
   // The registry is the store and stats() reads it back: after a real
   // multi-chunk run every SchedulerStats field must equal its "sched.*"
-  // entry, and the registry must hold exactly those entries plus the
-  // window counter.  The lists below are written out on purpose, so a
-  // field missing from the scheduler's field table fails here.
+  // entry, and the registry must hold exactly those entries.  The lists
+  // below are written out on purpose, so a field missing from the
+  // scheduler's field table fails here.
   const DirectRig rig(30);
   WaterWiseConfig cfg;
   cfg.max_jobs_per_solve = 7;
@@ -583,7 +585,7 @@ TEST(ChunkParallel, StatsViewMatchesRegistry) {
     keys.push_back(json.substr(at + 1, json.find('"', at + 1) - at - 1));
   std::sort(keys.begin(), keys.end());
   std::vector<std::string> expected = {"sched.presolve_seconds",
-                                       "sched.solve_seconds", "sched.windows"};
+                                       "sched.solve_seconds"};
   for (const auto& entry : counters) expected.push_back(entry.first);
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(keys, expected);

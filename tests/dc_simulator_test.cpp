@@ -320,48 +320,6 @@ class FilterProbe final : public Scheduler {
   std::uint64_t late_id_;
 };
 
-/// Places every job at home and logs each schedule() call and each
-/// on_window_timed() callback, in the order they arrive.
-class TimedProbe final : public Scheduler {
- public:
-  [[nodiscard]] std::string name() const override { return "TimedProbe"; }
-
-  [[nodiscard]] std::vector<Decision> schedule(
-      const std::vector<PendingJob>& batch,
-      const ScheduleContext& ctx) override {
-    calls += 'S';
-    std::vector<Decision> out;
-    for (const PendingJob& p : batch)
-      out.push_back(Decision{p.job->id, p.job->home_region, ctx.now, 1.0});
-    return out;
-  }
-
-  void on_window_timed(double seconds) override {
-    calls += 'T';
-    timed.push_back(seconds);
-  }
-
-  std::string calls;  ///< 'S' per schedule(), 'T' per on_window_timed().
-  std::vector<double> timed;
-};
-
-TEST_F(SimulatorTest, HandsEachWindowsLatencyToTheScheduler) {
-  // One on_window_timed() per window, right after that window's
-  // schedule() returns, carrying exactly the seconds recorded in
-  // overhead_series: the scheduler needs no clock of its own.
-  const auto jobs = small_trace();
-  Simulator sim(env_, fp_, SimConfig{});
-  TimedProbe probe;
-  const CampaignResult res = sim.run(jobs, probe);
-  ASSERT_FALSE(res.overhead_series.empty());
-  ASSERT_EQ(probe.timed.size(), res.overhead_series.size());
-  std::string alternating;
-  for (std::size_t i = 0; i < probe.timed.size(); ++i) alternating += "ST";
-  EXPECT_EQ(probe.calls, alternating);
-  for (std::size_t i = 0; i < probe.timed.size(); ++i)
-    EXPECT_EQ(probe.timed[i], res.overhead_series[i].second) << "window " << i;
-}
-
 TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
   // Eight jobs arrive together, so the first window holds all of them; a
   // ninth arrives long after the second window.
@@ -415,6 +373,23 @@ TEST_F(SimulatorTest, ApplySkipsInvalidDecisionsAndKeepsPendingOrder) {
   EXPECT_GE(got.jobs.back().start_time, jobs.back().submit_time);
   EXPECT_EQ(got.total_carbon_g, want.total_carbon_g);
   EXPECT_EQ(got.total_water_l, want.total_water_l);
+
+  // The service metrics count what the simulator admitted, not what the
+  // scheduler returned: one time-to-admission sample per placed job and
+  // one queue depth per window, so the hostile run's refused decisions
+  // leave both histograms as the clean run has them.
+  for (const CampaignResult* res : {&want, &got}) {
+    const util::Histogram* admission =
+        res->service.find_hist("service.time_to_admission_s");
+    const util::Histogram* depth =
+        res->service.find_hist("service.queue_depth");
+    ASSERT_NE(admission, nullptr);
+    ASSERT_NE(depth, nullptr);
+    EXPECT_EQ(admission->total(), static_cast<std::size_t>(res->num_jobs));
+    EXPECT_EQ(depth->total(), hostile.batches.size());
+    EXPECT_EQ(depth->total(), res->overhead_series.size());
+  }
+  EXPECT_EQ(got.service.to_json(), want.service.to_json());
 }
 
 TEST_F(SimulatorTest, EmptyTrace) {

@@ -76,11 +76,11 @@ TEST(FaultSchedule, GenerationIsAPureFunctionOfTheSeed) {
 
 TEST(FaultSchedule, GeneratedWindowsRespectConfiguredRanges) {
   const auto cfg = stormy_config();
-  const FaultSchedule sched(cfg);
+  const FaultSchedule faults(cfg);
   std::size_t outages = 0, flaps = 0, biases = 0, shocks = 0;
-  for (int r = 0; r < sched.num_regions(); ++r) {
+  for (int r = 0; r < faults.num_regions(); ++r) {
     double prev_start = 0.0;
-    for (const FaultWindow& w : sched.windows(r)) {
+    for (const FaultWindow& w : faults.windows(r)) {
       EXPECT_GE(w.start, 0.0);
       EXPECT_LT(w.start, cfg.horizon_seconds);
       EXPECT_GT(w.end, w.start);
@@ -113,7 +113,7 @@ TEST(FaultSchedule, GeneratedWindowsRespectConfiguredRanges) {
   EXPECT_GT(flaps, 0u);
   EXPECT_GT(biases, 0u);
   EXPECT_GT(shocks, 0u);
-  EXPECT_EQ(outages + flaps + biases + shocks, sched.total_windows());
+  EXPECT_EQ(outages + flaps + biases + shocks, faults.total_windows());
 }
 
 TEST(FaultSchedule, ManualWindowsCombinePerQueryRules) {

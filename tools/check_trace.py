@@ -11,9 +11,12 @@ written next to it:
            timestamps are monotone non-decreasing (the writer emits B at
            span open and E at span close from per-thread buffers, so any
            violation means the exporter — not the run — is broken).
-  metrics: every scheduler object in the dump carries the service-level
-           histograms (decision latency, queue depth, time-to-admission)
-           with p50/p99 and a counts list (the service-level metrics panel).
+  metrics: every campaign object in the dump carries a "service" registry
+           with the simulator's service-level histograms (queue depth,
+           time-to-admission), each with its layout, totals, p50/p95/p99
+           and a counts list.  The dump is one campaign object or a
+           {label: campaign} map; a campaign may also carry its
+           scheduler's "sched" registry, which is not checked.
 
 Usage:
   check_trace.py TRACE_JSON [--metrics METRICS_JSON] [--min-events N]
@@ -30,7 +33,6 @@ import sys
 
 REQUIRED_EVENT_KEYS = ("name", "ph", "ts", "pid", "tid")
 SERVICE_HISTS = (
-    "service.decision_latency_s",
     "service.queue_depth",
     "service.time_to_admission_s",
 )
@@ -100,12 +102,15 @@ def check_metrics(path: str) -> None:
         fail(f"{path}: {e}")
     if not isinstance(doc, dict):
         fail(f"{path}: metrics dump is not an object")
-    # Either one registry dump or a {label: registry} map of them.
-    registries = ({"": doc} if "histograms" in doc else doc)
+    # Either one campaign or a {label: campaign} map of them.
+    campaigns = ({"": doc} if "service" in doc else doc)
     checked = 0
-    for label, reg in registries.items():
-        if not isinstance(reg, dict) or "histograms" not in reg:
+    for label, campaign in campaigns.items():
+        if not isinstance(campaign, dict) or "service" not in campaign:
             continue
+        reg = campaign["service"]
+        if not isinstance(reg, dict) or "histograms" not in reg:
+            fail(f"{path}: '{label}' service registry has no histograms")
         hists = reg["histograms"]
         for name in SERVICE_HISTS:
             if name not in hists:
@@ -119,8 +124,8 @@ def check_metrics(path: str) -> None:
                      "a list")
         checked += 1
     if checked == 0:
-        fail(f"{path}: no registry dump with service histograms found")
-    print(f"check_trace: metrics OK: {checked} registry dump(s) carry the "
+        fail(f"{path}: no campaign with a service registry found")
+    print(f"check_trace: metrics OK: {checked} campaign(s) carry the "
           "service histograms")
 
 

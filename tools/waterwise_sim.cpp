@@ -274,10 +274,12 @@ int main(int argc, char** argv) {
                             o.baseline ? nullptr : &outcomes[0].result);
         }
       }
-      // Sweep schedulers are scenario-local, so the metrics dump only
-      // carries the span-derived trace; per-scheduler registries die with
-      // their scenarios.
-      export_trace("{}\n");
+      // The metrics dump: each scenario's service registry, by label.
+      std::string metrics = "{";
+      for (const auto& o : outcomes)
+        metrics += (metrics.size() > 1 ? ",\n\"" : "\n\"") + o.label +
+                   "\": {\"service\": " + o.result.service.to_json() + "}";
+      export_trace(metrics + "}\n");
       return 0;
     }
 
@@ -326,9 +328,13 @@ int main(int argc, char** argv) {
 
     if (flags.has("out")) write_summary_csv(flags.get("out"), res, base.get());
     if (flags.has("jobs-out")) write_jobs_csv(flags.get("jobs-out"), res);
+    // The metrics dump: the campaign's service registry, plus WaterWise's
+    // solver counters when it ran.
     const auto* ww =
         dynamic_cast<const core::WaterWiseScheduler*>(scheduler.get());
-    export_trace(ww != nullptr ? ww->registry().to_json() : "{}\n");
+    std::string metrics = "{\"service\": " + res.service.to_json();
+    if (ww != nullptr) metrics += ", \"sched\": " + ww->registry().to_json();
+    export_trace(metrics + "}\n");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
