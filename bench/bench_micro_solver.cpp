@@ -128,11 +128,14 @@ class FixedCapacity final : public dc::CapacityView {
   int free_;
 };
 
-// One WaterWise batch window end to end: region sampling, history observe,
-// cost table, transport solve and commit, on a fixed batch of 1 job (the
-// borg-steady p50) or 17 (the alibaba-peak p99), with now advancing 3 s a
-// call (the default batch window) and every job just arrived.
-void BM_ScheduleWindow(benchmark::State& state) {
+// WaterWise batch windows end to end: region sampling, history observe,
+// cost table, transport solve and commit, on a fixed batch of
+// `state.range(0)` jobs whose home, package, estimated run time and energy
+// `draw(i, regions, rng, job, pending)` sets.  Every region has 10 free
+// servers, now advances 3 s a call (the default batch window) and every
+// job has just arrived.  Returns the scheduler's counters.
+template <typename Draw>
+core::SchedulerStats schedule_windows(benchmark::State& state, Draw draw) {
   env::EnvironmentConfig env_config;
   env_config.horizon_days = 30;
   const env::Environment env = env::Environment::builtin(env_config);
@@ -143,11 +146,8 @@ void BM_ScheduleWindow(benchmark::State& state) {
   std::vector<dc::PendingJob> batch(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].id = i;
-    jobs[i].home_region = static_cast<int>(i) % env.num_regions();
-    jobs[i].package_bytes = rng.uniform(1.0e8, 5.0e8);
     batch[i].job = &jobs[i];
-    batch[i].est_exec_s = rng.uniform(60.0, 900.0);
-    batch[i].est_energy_kwh = rng.uniform(0.005, 0.05);
+    draw(static_cast<int>(i), env.num_regions(), rng, jobs[i], batch[i]);
   }
   core::WaterWiseConfig config;
   config.solve_failure_rate = 0.0;
@@ -168,8 +168,40 @@ void BM_ScheduleWindow(benchmark::State& state) {
     state.SkipWithError("a window left a job unplaced");
   state.SetLabel(std::to_string(batch.size()) + " jobs x " +
                  std::to_string(env.num_regions()) + " regions");
+  return scheduler.stats();
+}
+
+// A batch of 1 job (the borg-steady p50) or 17 (the alibaba-peak p99),
+// homed round-robin.
+void BM_ScheduleWindow(benchmark::State& state) {
+  static_cast<void>(schedule_windows(
+      state, [](int i, int regions, util::Rng& rng, trace::Job& job,
+                dc::PendingJob& p) {
+        job.home_region = i % regions;
+        job.package_bytes = rng.uniform(1.0e8, 5.0e8);
+        p.est_exec_s = rng.uniform(60.0, 900.0);
+        p.est_energy_kwh = rng.uniform(0.005, 0.05);
+      }));
 }
 BENCHMARK(BM_ScheduleWindow)->Arg(1)->Arg(17);
+
+// The alibaba-peak latency tail: short jobs all homed in region 0, which
+// has fewer free servers than jobs, and every remote pair over the delay
+// allowance.  The hard form is infeasible every window, so each window
+// solves the soft form only, after Hall's condition rejects the hard one.
+void BM_ScheduleWindowHardInfeasible(benchmark::State& state) {
+  const core::SchedulerStats stats = schedule_windows(
+      state, [](int, int, util::Rng& rng, trace::Job& job,
+                dc::PendingJob& p) {
+        job.home_region = 0;
+        job.package_bytes = rng.uniform(3.0e8, 5.0e8);
+        p.est_exec_s = rng.uniform(5.0, 15.0);
+        p.est_energy_kwh = rng.uniform(0.001, 0.005);
+      });
+  if (stats.soft_fallbacks != static_cast<long>(state.iterations()))
+    state.SkipWithError("a window's hard form was feasible");
+}
+BENCHMARK(BM_ScheduleWindowHardInfeasible)->Arg(15);
 
 // The simulator's admission step: try_reserve at the region's capacity,
 // with the prune each window makes.  A request arrives every 5 s and runs

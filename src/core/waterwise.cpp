@@ -249,6 +249,37 @@ const sched::TransportSolution& WaterWiseScheduler::run_model(
   return sol;
 }
 
+bool WaterWiseScheduler::hard_form_fits(const std::vector<int>& quota,
+                                        ChunkWorkspace& ws) const {
+  const std::size_t m = ws.penalty_rate.size();
+  const std::size_t n = quota.size();
+  if (n > static_cast<std::size_t>(sched::kHallMaxRegions) ||
+      (std::size_t{1} << n) > m * n)
+    return true;
+  // run_model's hard form forbids a pair whose exceedance is positive; any
+  // other value, NaN included, leaves it allowed.  hall_verdict drops the
+  // regions without quota.
+  ws.delay_masks.resize(m);
+  const double* exceedance = ws.exceedance.data();
+  for (std::uint32_t& mask : ws.delay_masks) {
+    mask = 0;
+    for (std::size_t r = 0; r < n; ++r)
+      mask |= static_cast<std::uint32_t>(!(exceedance[r] > 0.0)) << r;
+    exceedance += n;
+  }
+  const bool fits = sched::hall_verdict(ws.delay_masks, quota, ws.hall) !=
+                    sched::HallVerdict::kInfeasible;
+#ifndef NDEBUG
+  // Debug builds (the sanitizer CI job among them) certify every skipped
+  // probe by solving it.
+  SchedulerStats unused;
+  if (!fits && run_model(ws, quota, /*soft=*/false, unused).optimal())
+    throw std::logic_error(
+        "WaterWise: Hall's condition rejected a feasible hard form");
+#endif
+  return fits;
+}
+
 std::vector<ChunkPlan> WaterWiseScheduler::plan_chunks(
     const std::vector<const dc::PendingJob*>& selected,
     const std::vector<int>& caps) const {
@@ -386,25 +417,31 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   ChunkWorkspace& ws = out.workspace;
   build_costs(plan.jobs, ctx, snapshot, ws);
 
-  // One solve of the chunk model, nullptr when an injected failure
-  // (WW_FAULT_SOLVES / config) discards its outcome exactly as a solver
-  // crash would.  Injection is a pure function of (seed, window, chunk,
-  // attempt), so the same campaign hits the same ladder rungs at every
-  // thread count.  Every attempt overwrites the workspace's solution.
+  // Whether an injected failure (WW_FAULT_SOLVES / config) discards the
+  // outcome of attempt `attempt_no`, exactly as a solver crash would; each
+  // one counts as a fault event.  Injection is a pure function of (seed,
+  // window, chunk, attempt), so the same campaign hits the same ladder
+  // rungs at every thread count.
+  const auto injected = [&](int attempt_no) {
+    if (!env::injected_solve_failure(config_.fault_seed, ctx.now, plan.index,
+                                     attempt_no, config_.solve_failure_rate))
+      return false;
+    ++out.stats.fault_events;
+    return true;
+  };
+  // One solve of the chunk model, nullptr when an injected failure discards
+  // its outcome.  Every attempt overwrites the workspace's solution.
   const auto attempt = [&](bool soft,
                            int attempt_no) -> const sched::TransportSolution* {
     const sched::TransportSolution& sol =
         run_model(ws, plan.quota, soft, out.stats);
-    if (env::injected_solve_failure(config_.fault_seed, ctx.now, plan.index,
-                                    attempt_no, config_.solve_failure_rate)) {
-      ++out.stats.fault_events;
-      return nullptr;
-    }
-    return &sol;
+    return injected(attempt_no) ? nullptr : &sol;
   };
 
   // --- Retry-then-degrade ladder ------------------------------------------
-  // Attempt 0: hard feasibility probe (soft-enabled path only).
+  // Attempt 0: hard feasibility probe (soft-enabled path only), solved only
+  //            when Hall's condition says it can succeed; otherwise only
+  //            its injection draw runs, so fault counts do not move.
   // Attempt 1: primary model (soft, or hard in the soft-disabled ablation).
   // Attempt 2: one plain retry of the primary model after an injected
   //            failure.  The solver is exact, so a proven infeasibility is
@@ -413,7 +450,10 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   // Remainder: spill-eligible, then an explicit deferral — never a drop.
   const sched::TransportSolution* sol = nullptr;
   if (config_.enable_soft_constraints) {
-    sol = attempt(/*soft=*/false, 0);
+    if (hard_form_fits(plan.quota, ws))
+      sol = attempt(/*soft=*/false, 0);
+    else
+      injected(0);
     if (sol == nullptr || !sol->optimal()) {
       // Algorithm 1, lines 10-11: soften and retry.
       ++out.stats.soft_fallbacks;

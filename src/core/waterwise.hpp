@@ -98,7 +98,11 @@
 // Chunk solves run a bounded retry-then-degrade ladder instead of a single
 // hard->soft fallback: hard probe -> (soft model) -> one plain retry after
 // an injected failure -> greedy placement -> spill re-solve -> explicit
-// deferral.  Every rung reads the chunk's one cost table: the greedy rung
+// deferral.  Hall's condition (sched::hall_verdict) decides the hard probe
+// first, wherever the test costs no more than the probe's fill, so the
+// probe is solved only when it can succeed; a rejected probe still takes
+// its injection draw, and the ladder moves on as after an infeasible
+// solve.  Every rung reads the chunk's one cost table: the greedy rung
 // (sched::greedy_assign) places jobs from the transportation problem the
 // last attempt solved, which is the soft form (exceedance priced) when soft
 // constraints are on and the hard form (delay-violating pairs forbidden) in
@@ -194,7 +198,9 @@ struct WaterWiseConfig {
 /// time-to-admission) are the simulator's, in `dc::CampaignResult` — see
 /// README "Observability".
 struct SchedulerStats {
-  long milp_solves = 0;          ///< Chunk model solves (transport_assign).
+  /// Chunk model solves actually run (transport_assign); a hard probe
+  /// that Hall's condition rejects is not solved and not counted.
+  long milp_solves = 0;
   long soft_fallbacks = 0;       ///< Hard model failed, soft model ran.
   long nodes_explored = 0;       ///< Branch-and-bound nodes across solves.
   long simplex_iterations = 0;
@@ -315,6 +321,11 @@ struct ChunkWorkspace {
   /// regions.  `usd` and `perf` are filled only when lambda_cost /
   /// lambda_perf is positive.
   std::vector<double> co2, h2o, usd, perf;
+  /// Per job: the regions whose delay exceedance is not positive, as a
+  /// bitmask, and the 2^n-entry scratch of the Hall test over them
+  /// (sched::hall_verdict).  Filled only in windows that run the test.
+  std::vector<std::uint32_t> delay_masks;
+  std::vector<int> hall;
   /// The form the last attempt solved; the greedy rung places from it.
   sched::TransportProblem problem;
   sched::TransportSolution solution;
@@ -386,7 +397,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
       const std::vector<int>& caps) const;
 
   /// Stage 2: solves one chunk against its private quota (hard model, then
-  /// the Algorithm-1 soft fallback) and extracts decisions into `out`,
+  /// the Algorithm-1 soft fallback; the hard model only when Hall's
+  /// condition says it fits) and extracts decisions into `out`,
   /// overwriting it and reusing its buffers and workspace.  Costs come from
   /// the window's `snapshot`.  Const and writes only `out`, so it is safe
   /// to run concurrently for different plans into different slots.
@@ -429,6 +441,16 @@ class WaterWiseScheduler final : public dc::Scheduler {
                                             const std::vector<int>& quota,
                                             bool soft,
                                             SchedulerStats& stats) const;
+
+  /// Whether the hard form of the chunk against `quota` can be solved,
+  /// decided by Hall's condition (sched::hall_verdict) over the pairs
+  /// run_model's hard form allows: quota > 0 and exceedance <= 0.  The
+  /// test reads 2^n counts, so it runs only where 2^n <= m * n, no more
+  /// than the m x n fill of the probe it may save; elsewhere it answers
+  /// true and the probe decides.  Builds without NDEBUG solve every hard
+  /// form the test rejects and throw std::logic_error unless it is
+  /// infeasible.
+  bool hard_form_fits(const std::vector<int>& quota, ChunkWorkspace& ws) const;
 
   /// Per-region degraded-mode state (see "Graceful degradation").  Updated
   /// once per batch window, serially, before the chunk fan-out.

@@ -357,6 +357,66 @@ std::vector<int> greedy_assign(const TransportProblem& p) {
   return region;
 }
 
+HallVerdict hall_verdict(const std::vector<std::uint32_t>& masks,
+                         const std::vector<int>& quota,
+                         std::vector<int>& scratch) {
+  const int n = static_cast<int>(quota.size());
+  if (n > kHallMaxRegions)
+    throw std::invalid_argument("hall_verdict: more than " +
+                                std::to_string(kHallMaxRegions) + " regions");
+  const int m = static_cast<int>(masks.size());
+  // No region takes more than m jobs, so each quota clamps to [0, m]
+  // without changing the verdict, and every sum below stays within
+  // m * (n + 1).
+  const auto clamped = [&quota, m](int r) {
+    return std::clamp(quota[static_cast<std::size_t>(r)], 0, m);
+  };
+  std::uint32_t open = 0;
+  std::uint32_t roomy = 0;
+  long open_quota = 0;
+  int smallest_open = m;
+  for (int r = 0; r < n; ++r) {
+    const int q = clamped(r);
+    if (q <= 0) continue;
+    open |= 1U << r;
+    if (q == m) roomy |= 1U << r;
+    open_quota += q;
+    smallest_open = std::min(smallest_open, q);
+  }
+  bool every_roomy = true;
+  bool every_open = true;
+  int narrow = 0;
+  for (const std::uint32_t mask : masks) {
+    const std::uint32_t allowed = mask & open;
+    every_roomy = every_roomy && (allowed & roomy) != 0;
+    every_open = every_open && allowed != 0;
+    narrow += static_cast<int>(allowed != open);
+  }
+  // Any job can take its roomy region, whatever the others take.
+  if (every_roomy) return HallVerdict::kRoomyRegion;
+  // Each narrow job takes any region it allows: no region receives more of
+  // them than the smallest open quota, and the jobs allowed everywhere
+  // fill the open quota left over.
+  if (every_open && open_quota >= m && narrow <= smallest_open)
+    return HallVerdict::kOpenRegions;
+
+  // f(S) = need(S) - quota(S) for every region subset S: the count of jobs
+  // whose open allowed set is exactly S, less each region's quota at its
+  // singleton, summed over the subsets of S one region at a time.  Hall's
+  // condition holds iff no f(S) is positive.
+  const std::size_t subsets = std::size_t{1} << n;
+  scratch.assign(subsets, 0);
+  int* f = scratch.data();
+  for (const std::uint32_t mask : masks) ++f[mask & open];
+  for (int r = 0; r < n; ++r) f[std::size_t{1} << r] -= clamped(r);
+  for (std::size_t bit = 1; bit < subsets; bit <<= 1)
+    for (std::size_t base = 0; base < subsets; base += 2 * bit)
+      for (std::size_t s = base; s < base + bit; ++s) f[s + bit] += f[s];
+  int worst = 0;
+  for (std::size_t s = 0; s < subsets; ++s) worst = std::max(worst, f[s]);
+  return worst > 0 ? HallVerdict::kInfeasible : HallVerdict::kHallHolds;
+}
+
 bool certify(const TransportProblem& p, const TransportSolution& s,
              std::string* why) {
   const auto fail = [why](const std::string& msg) {

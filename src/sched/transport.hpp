@@ -149,6 +149,39 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
 /// and throws std::invalid_argument where transport_assign would.
 [[nodiscard]] std::vector<int> greedy_assign(const TransportProblem& p);
 
+/// The most regions hall_verdict takes: its scratch holds 2^n ints.
+inline constexpr int kHallMaxRegions = 30;
+
+/// How hall_verdict decided.  Every verdict but kInfeasible means that
+/// each job fits an allowed region within the quotas.
+enum class HallVerdict : std::uint8_t {
+  /// Every job allows a region whose quota is at least the job count.
+  kRoomyRegion,
+  /// Every job allows an open region (quota > 0), the open quotas sum to
+  /// at least the job count, and the jobs that do not allow every open
+  /// region number no more than the smallest open quota.
+  kOpenRegions,
+  /// need(S) <= quota(S) over every region subset S.
+  kHallHolds,
+  /// need(S) > quota(S) for some region subset S.
+  kInfeasible,
+};
+
+/// Decides whether a transportation instance is feasible from its allowed
+/// pairs alone, without solving it.  `masks` holds one bitmask per job, bit
+/// r set when the job may go to region r; bits of regions whose quota is
+/// <= 0 are ignored.  By Hall's condition for b-matching (P. Hall, 1935)
+/// every job fits iff, for every region subset S, the jobs allowed only in
+/// S number no more than S's quota: need(S) <= quota(S), with quota(S) the
+/// sum over S of max(quota_r, 0).  Two O(jobs) gates, each sufficient for
+/// feasibility, answer first (kRoomyRegion, kOpenRegions); only when both
+/// fail does one subset-sum pass over the 2^n counts in `scratch` check
+/// every S.  Costs O(jobs + n 2^n).  Throws std::invalid_argument when
+/// there are more than kHallMaxRegions regions.
+[[nodiscard]] HallVerdict hall_verdict(const std::vector<std::uint32_t>& masks,
+                                       const std::vector<int>& quota,
+                                       std::vector<int>& scratch);
+
 /// Checks that `s` is an optimal solution of `p` by its dual certificate:
 /// the assignment uses only allowed pairs and respects every quota, the
 /// objective is the sum of chosen costs, v_r <= 0 with v_r = 0 where quota

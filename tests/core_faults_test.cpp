@@ -1,8 +1,10 @@
 // Graceful-degradation coverage for the scheduler (core/waterwise.hpp):
 // the retry-then-degrade ladder never drops a job silently even when every
-// MILP attempt is failed by injection, injected failures stay byte-identical
-// across solver thread counts, a total outage defers explicitly and places
-// everything after the blackout, a chunk-solve exception surfaces fail-fast
+// MILP attempt is failed by injection, a chunk whose hard form fails Hall's
+// condition solves only its soft form and counts the same fault events,
+// injected failures stay byte-identical across solver thread counts, a
+// total outage defers explicitly and places everything after the
+// blackout, a chunk-solve exception surfaces fail-fast
 // with chunk/window context, the per-region state machine walks
 // Normal -> Degraded -> Recovery -> Normal with its hard-cap rails engaged,
 // and the controller under fault injection sees one environment.
@@ -179,6 +181,110 @@ TEST(RetryLadder, GreedyRungPlacesEachJobInItsLeastCostRegion) {
     EXPECT_EQ(d.job_id, rig.jobs[static_cast<std::size_t>(j)].id);
     EXPECT_EQ(d.region, best) << "job " << j;
   }
+}
+
+/// solve_one on the rig's whole batch as one chunk (index 0) at time 0
+/// against `quota`.  The scheduler must not weigh the history term.
+ChunkResult solve_chunk(const WaterWiseScheduler& ww, const DirectRig& rig,
+                        const std::vector<int>& quota, double tol) {
+  WindowSnapshot snapshot;
+  for (int r = 0; r < rig.env.num_regions(); ++r) {
+    snapshot.intensity.push_back(rig.fp.sample(r, 0.0));
+    snapshot.price.push_back(rig.env.electricity_price(r, 0.0));
+    snapshot.history.push_back(0.0);
+  }
+  ChunkPlan plan;
+  for (const dc::PendingJob& p : rig.batch) plan.jobs.push_back(&p);
+  plan.quota = quota;
+  const FixedCapacity view(quota);
+  dc::ScheduleContext ctx;
+  ctx.tol = tol;
+  ctx.env = &rig.env;
+  ctx.footprint = &rig.fp;
+  ctx.capacity = &view;
+  ChunkResult out;
+  ww.solve_one(plan, ctx, snapshot, out);
+  return out;
+}
+
+/// The chunk's hard or soft form, rebuilt from its cost table: the soft
+/// form prices a positive exceedance, the hard form forbids the pair.
+sched::TransportProblem chunk_form(const ChunkWorkspace& ws,
+                                   const std::vector<int>& quota, bool soft) {
+  sched::TransportProblem p;
+  p.jobs = static_cast<int>(ws.penalty_rate.size());
+  p.quota = quota;
+  p.cost = ws.base;
+  const std::size_t n = quota.size();
+  for (std::size_t cell = 0; cell < ws.base.size(); ++cell) {
+    const double exceedance = ws.exceedance[cell];
+    const bool exceeds = exceedance > 0.0;
+    if (soft && exceeds)
+      p.cost[cell] += ws.penalty_rate[cell / n] * exceedance;
+    p.allowed.push_back(quota[cell % n] > 0 && (soft || !exceeds) ? 1 : 0);
+  }
+  return p;
+}
+
+TEST(RetryLadder, HallInfeasibleChunkSkipsTheHardProbe) {
+  // 15 jobs homed in region 2, which has 10 free slots.  At tol 0 every
+  // remote pair exceeds the delay allowance, so the hard form cannot place
+  // five of them: Hall's condition rejects it and the chunk solves only
+  // the soft form.
+  const DirectRig rig(15);
+  const int n = rig.env.num_regions();
+  std::vector<int> quota(static_cast<std::size_t>(n), 15);
+  quota[2] = 10;
+  WaterWiseConfig cfg;
+  cfg.enable_history = false;
+  cfg.solve_failure_rate = 0.0;
+  const ChunkResult out = solve_chunk(WaterWiseScheduler(cfg), rig, quota, 0.0);
+  const ChunkWorkspace& ws = out.workspace;
+  for (int j = 0; j < 15; ++j)
+    for (int r = 0; r < n; ++r)
+      ASSERT_EQ(ws.exceedance[static_cast<std::size_t>(j * n + r)] > 0.0,
+                r != 2)
+          << "job " << j << " region " << r;
+  ASSERT_FALSE(sched::transport_assign(chunk_form(ws, quota, false)).optimal());
+
+  EXPECT_EQ(out.stats.milp_solves, 1) << "the hard probe was solved";
+  EXPECT_EQ(out.stats.soft_fallbacks, 1);
+  EXPECT_EQ(out.stats.fault_events, 0);
+  const sched::TransportSolution soft =
+      sched::transport_assign(chunk_form(ws, quota, true));
+  ASSERT_TRUE(soft.optimal());
+  ASSERT_EQ(out.decisions.size(), 15u);
+  for (std::size_t j = 0; j < 15; ++j) {
+    EXPECT_EQ(out.decisions[j].job_id, rig.jobs[j].id);
+    EXPECT_EQ(out.decisions[j].region, soft.region[j]) << "job " << j;
+  }
+
+  // A fault seed whose draw fails attempt 0 and spares attempt 1.  The
+  // skipped probe still takes its draw, so the chunk counts the one fault
+  // event a solved probe would have, and the soft solve places as before.
+  WaterWiseConfig faulty = cfg;
+  faulty.solve_failure_rate = 0.5;
+  while (!env::injected_solve_failure(faulty.fault_seed, 0.0, 0, 0, 0.5) ||
+         env::injected_solve_failure(faulty.fault_seed, 0.0, 0, 1, 0.5))
+    ++faulty.fault_seed;
+  const ChunkResult hit =
+      solve_chunk(WaterWiseScheduler(faulty), rig, quota, 0.0);
+  EXPECT_EQ(hit.stats.fault_events, 1);
+  EXPECT_EQ(hit.stats.milp_solves, 1);
+  EXPECT_EQ(hit.stats.soft_fallbacks, 1);
+  EXPECT_EQ(hit.stats.solve_retries, 0);
+  ASSERT_EQ(hit.decisions.size(), 15u);
+  for (std::size_t j = 0; j < 15; ++j)
+    EXPECT_EQ(hit.decisions[j].region, out.decisions[j].region);
+
+  // With 15 slots at home the hard form fits: the probe is solved, and it
+  // places every job at home.
+  quota[2] = 15;
+  const ChunkResult roomy =
+      solve_chunk(WaterWiseScheduler(cfg), rig, quota, 0.0);
+  EXPECT_EQ(roomy.stats.milp_solves, 1);
+  EXPECT_EQ(roomy.stats.soft_fallbacks, 0);
+  for (const dc::Decision& d : roomy.decisions) EXPECT_EQ(d.region, 2);
 }
 
 TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {
