@@ -153,7 +153,6 @@ core::SchedulerStats schedule_windows(benchmark::State& state, Draw draw) {
   config.solve_failure_rate = 0.0;
   core::WaterWiseScheduler scheduler(config);
   dc::ScheduleContext ctx;
-  ctx.env = &env;
   ctx.footprint = &fp;
   ctx.capacity = &capacity;
   std::size_t placed = 0;

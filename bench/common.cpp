@@ -83,27 +83,14 @@ void banner(const std::string& experiment, const std::string& paper_ref) {
 dc::CampaignResult run_campaign(const std::vector<trace::Job>& jobs,
                                 dc::Scheduler& scheduler,
                                 const CampaignSpec& spec) {
-  env::Environment env = env::Environment::builtin(spec.env_config);
+  const env::Environment env = env::Environment::builtin(spec.env_config);
   const footprint::FootprintModel fp(env, footprint::ServerSpec{},
                                      spec.embodied_scale);
   dc::SimConfig sim = spec.sim;
   sim.tol = spec.tol;
   sim.capacity_scale = spec.capacity_scale;
   dc::Simulator simulator(env, fp, sim);
-  // Fault campaign: the ledger environment carries the true World view
-  // (scarcity shocks only); a second Controller-view pair feeds the
-  // scheduler biased observations; the simulator gates admissions on the
-  // schedule's effective capacities.
-  std::optional<env::Environment> observed_env;
-  std::optional<footprint::FootprintModel> observed_fp;
-  if (spec.faults != nullptr) {
-    env.attach_faults(spec.faults, env::FaultView::World);
-    observed_env.emplace(env::Environment::builtin(spec.env_config));
-    observed_env->attach_faults(spec.faults, env::FaultView::Controller);
-    observed_fp.emplace(*observed_env, footprint::ServerSpec{},
-                        spec.embodied_scale);
-    simulator.set_fault_injection(spec.faults, &*observed_fp);
-  }
+  simulator.set_fault_injection(spec.faults);
   return simulator.run(jobs, scheduler);
 }
 

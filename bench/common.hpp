@@ -58,9 +58,9 @@ struct CampaignSpec {
   double embodied_scale = 1.0;
   dc::SimConfig sim;  ///< tol/capacity_scale fields are overwritten.
   /// Fault-injection campaign (borrowed; must outlive the run).  When set,
-  /// run_campaign attaches it to the simulator (effective capacities, true
-  /// World-view ledger) and builds a second biased Controller-view
-  /// environment/footprint pair for the scheduler to observe.
+  /// run_campaign passes it to the simulator, which gates admissions on its
+  /// effective capacities, bills the World view and shows the scheduler the
+  /// Controller view of the campaign's one environment.
   const env::FaultSchedule* faults = nullptr;
 };
 

@@ -29,22 +29,28 @@ class WaterFirstScheduler final : public ww::dc::Scheduler {
     for (int r = 0; r < n; ++r)
       free[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
 
-    // Rank regions by water intensity now, carbon intensity as tie-break.
+    // Rank regions by water intensity now, carbon intensity as tie-break,
+    // as the controller observes them: ctx.footprint's samples carry a
+    // fault campaign's forecast bias and scarcity shocks.
+    std::vector<ww::footprint::Intensities> at;
+    ctx.footprint->sample_all(ctx.now, at);
     std::vector<int> order(static_cast<std::size_t>(n));
     for (int r = 0; r < n; ++r) order[static_cast<std::size_t>(r)] = r;
     std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const double wa = ctx.env->water_intensity(a, ctx.now);
-      const double wb = ctx.env->water_intensity(b, ctx.now);
+      const auto& sa = at[static_cast<std::size_t>(a)];
+      const auto& sb = at[static_cast<std::size_t>(b)];
+      const double wa = sa.water_intensity();
+      const double wb = sb.water_intensity();
       if (wa != wb) return wa < wb;
-      return ctx.env->carbon_intensity(a, ctx.now) <
-             ctx.env->carbon_intensity(b, ctx.now);
+      return sa.ci < sb.ci;
     });
 
+    const ww::env::Environment& env = ctx.footprint->environment();
     std::vector<ww::dc::Decision> decisions;
     for (const auto& p : batch) {
       for (const int r : order) {
         if (free[static_cast<std::size_t>(r)] <= 0) continue;
-        const double latency = ctx.env->transfer_latency_seconds(
+        const double latency = env.transfer_latency_seconds(
             p.job->home_region, r, p.job->package_bytes);
         // Respect the delay tolerance: skip regions whose transfer alone
         // would blow the allowance.

@@ -7,9 +7,10 @@ namespace ww::core {
 
 double urgency_score(const dc::PendingJob& job, const dc::ScheduleContext& ctx) {
   const int n = ctx.capacity->num_regions();
+  const env::Environment& env = ctx.footprint->environment();
   double latency_total = 0.0;
   for (int r = 0; r < n; ++r)
-    latency_total += ctx.env->transfer_latency_seconds(
+    latency_total += env.transfer_latency_seconds(
         job.job->home_region, r, job.job->package_bytes);
   const double latency_avg = latency_total / static_cast<double>(n);
   const double allowance = ctx.tol * job.est_exec_s;

@@ -95,11 +95,12 @@ void WaterWiseScheduler::take_snapshot(const dc::ScheduleContext& ctx,
   const auto n = static_cast<std::size_t>(ctx.capacity->num_regions());
   snap.price.resize(n);
   snap.history.resize(n);
+  const env::Environment& env = ctx.footprint->environment();
   for (std::size_t r = 0; r < n; ++r) {
     const int ri = static_cast<int>(r);
     // Only the Sec. 7 cost term reads the price.
     snap.price[r] = config_.lambda_cost > 0.0
-                        ? ctx.env->electricity_price(ri, ctx.now)
+                        ? env.electricity_price(ri, ctx.now)
                         : 0.0;
     snap.history[r] =
         config_.lambda_ref * (config_.lambda_co2 * history_->carbon_ref(ri) +
@@ -127,6 +128,7 @@ void WaterWiseScheduler::build_costs(
   // The Sec. 7 terms are filled only when the objective weighs them.
   const bool use_usd = config_.lambda_cost > 0.0;
   const bool use_perf = config_.lambda_perf > 0.0;
+  const env::Environment& env = ctx.footprint->environment();
   co2.resize(static_cast<std::size_t>(n));
   h2o.resize(static_cast<std::size_t>(n));
   usd.resize(use_usd ? static_cast<std::size_t>(n) : 0);
@@ -149,7 +151,7 @@ void WaterWiseScheduler::build_costs(
     const footprint::Breakdown embodied =
         ctx.footprint->embodied(p.est_exec_s);
     const env::TransferModel::Package package =
-        ctx.env->transfer_package(p.job->package_bytes);
+        env.transfer_package(p.job->package_bytes);
     for (int r = 0; r < n; ++r) {
       const std::size_t ri = static_cast<std::size_t>(r);
       // Decision-time estimates: current intensities, estimated E and t.
@@ -162,9 +164,8 @@ void WaterWiseScheduler::build_costs(
       co2[ri] = fb.carbon_g() + tb.carbon_g();
       h2o[ri] = fb.water_l() + tb.water_l();
       if (use_usd)
-        usd[ri] = ctx.env->pue(r) * p.est_energy_kwh * snapshot.price[ri];
-      const double latency =
-          ctx.env->transfer_latency_seconds(home, r, package);
+        usd[ri] = env.pue(r) * p.est_energy_kwh * snapshot.price[ri];
+      const double latency = env.transfer_latency_seconds(home, r, package);
       if (use_perf) perf[ri] = latency / std::max(1.0, p.est_exec_s);
       // Eq. 11 states the delay tolerance as one row per job over the
       // summed transfer latency.  Since exactly one x_mn is 1, that row
@@ -469,6 +470,8 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     if (sol != nullptr && sol->optimal()) rung = 2;
   }
 
+  // Each placed job starts when its package arrives.
+  const env::Environment& env = ctx.footprint->environment();
   if (sol == nullptr || !sol->optimal()) {
     // Rung 3: the greedy places what the quota admits from the problem the
     // last attempt solved.  That is the soft form, with each exceedance
@@ -487,8 +490,8 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
       --out.leftover[static_cast<std::size_t>(r)];
       ++out.stats.fallback_placements;
       const double start =
-          ctx.now + ctx.env->transfer_latency_seconds(p->job->home_region, r,
-                                                      p->job->package_bytes);
+          ctx.now + env.transfer_latency_seconds(p->job->home_region, r,
+                                                 p->job->package_bytes);
       out.decisions.push_back(dc::Decision{p->job->id, r, start, 1.0});
     }
     annotate(3);
@@ -500,7 +503,7 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     // Eq. 9 places every job and Eq. 10 caps placements at the quota.
     const int chosen = sol->region[j];
     --out.leftover[static_cast<std::size_t>(chosen)];
-    const double start = ctx.now + ctx.env->transfer_latency_seconds(
+    const double start = ctx.now + env.transfer_latency_seconds(
                                        p.job->home_region, chosen,
                                        p.job->package_bytes);
     out.decisions.push_back(dc::Decision{p.job->id, chosen, start, 1.0});
@@ -609,20 +612,12 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule(
 std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx,
     SchedulerStats& window) {
-#ifndef NDEBUG
-  // The intensities come from ctx.footprint and every other environment
-  // read from ctx.env; one controller view means one environment.
-  if (&ctx.footprint->environment() != ctx.env)
-    throw std::logic_error(
-        "WaterWise: ScheduleContext footprint is not built over its env");
-#endif
   const int n = ctx.capacity->num_regions();
   // Lazily size the learner to the environment.
   if (!history_) history_ = std::make_unique<HistoryLearner>(n, kHistoryWindow);
 
   // Sample every region once; the history learner, the health machine and
-  // the chunk costs all read these samples.  wi is Eq. 6,
-  // the expression env::Environment::water_intensity evaluates.
+  // the chunk costs all read these samples.
   const auto nr = static_cast<std::size_t>(n);
   ctx.footprint->sample_all(ctx.now, snapshot_.intensity);
   if (snapshot_.intensity.size() < nr)
@@ -634,7 +629,7 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   for (std::size_t r = 0; r < nr; ++r) {
     const footprint::Intensities& at = snapshot_.intensity[r];
     ci_[r] = at.ci;
-    wi_[r] = (at.wue + at.pue * at.ewif) * at.scarcity;
+    wi_[r] = at.water_intensity();
   }
   history_->observe(ci_, wi_);
 

@@ -282,8 +282,8 @@ struct WindowSnapshot {
   /// sampled for all regions at once by sample_all before the history
   /// observe, which reads it.
   std::vector<footprint::Intensities> intensity;
-  /// ctx.env->electricity_price(r, ctx.now), USD/kWh; 0 unless
-  /// lambda_cost > 0 (nothing else reads it).
+  /// electricity_price(r, ctx.now) of ctx.footprint's environment, USD/kWh;
+  /// 0 unless lambda_cost > 0 (nothing else reads it).
   std::vector<double> price;
   /// The weighted history term of Eq. 8,
   /// lambda_ref * (lambda_co2 * CO2ref_r + lambda_h2o * H2Oref_r); the

@@ -55,15 +55,14 @@ class CapacityView {
                                           double end) const = 0;
 };
 
-/// What a scheduler may observe at one batch window.  `footprint` must be
-/// built over `env` (`&footprint->environment() == env`): the two are one
-/// controller view, and WaterWise reads intensities through the footprint
-/// model and everything else through the environment.  WaterWise checks
-/// this in builds without NDEBUG and throws std::logic_error.
+/// What a scheduler may observe at one batch window.  `footprint` is the
+/// controller's view: every intensity comes from its sample(r, t), which
+/// carries a fault campaign's forecast bias and scarcity shocks, and
+/// everything else (price, PUE, transfer geometry) from
+/// `footprint->environment()`.
 struct ScheduleContext {
   double now = 0.0;
   double tol = 0.25;  ///< Delay tolerance (fraction; 0.25 = 25%).
-  const env::Environment* env = nullptr;
   const footprint::FootprintModel* footprint = nullptr;
   const CapacityView* capacity = nullptr;
 };

@@ -205,6 +205,16 @@ Simulator::Simulator(const env::Environment& env,
     throw std::invalid_argument("Simulator: delay tolerance must be >= 0");
 }
 
+void Simulator::set_fault_injection(const env::FaultSchedule* faults) {
+  if (faults != nullptr && faults->num_regions() != env_->num_regions())
+    throw std::invalid_argument(
+        "Simulator: fault schedule has " +
+        std::to_string(faults->num_regions()) +
+        " regions but the environment has " +
+        std::to_string(env_->num_regions()));
+  faults_ = faults;
+}
+
 std::vector<int> Simulator::region_capacities() const {
   std::vector<int> caps;
   caps.reserve(static_cast<std::size_t>(env_->num_regions()));
@@ -231,6 +241,13 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
     for (const int c : caps) timelines.emplace_back(c);
   }
   TimelineView view(&timelines, faults_);
+  // Under fault injection the ledger below integrates the true World view
+  // and the controller observes the biased Controller view, both over the
+  // one environment.  Without a schedule both are the plain model.
+  const footprint::FootprintModel ledger =
+      footprint_->with_faults(faults_, env::FaultView::World);
+  const footprint::FootprintModel observed =
+      footprint_->with_faults(faults_, env::FaultView::Controller);
 
   CampaignResult result;
   result.scheduler_name = scheduler.name();
@@ -294,13 +311,7 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
       ScheduleContext ctx;
       ctx.now = now;
       ctx.tol = config_.tol;
-      // Under fault injection the controller observes the biased Controller
-      // view; the ledger below keeps integrating the true World view.
-      ctx.env = observed_footprint_ != nullptr
-                    ? &observed_footprint_->environment()
-                    : env_;
-      ctx.footprint =
-          observed_footprint_ != nullptr ? observed_footprint_ : footprint_;
+      ctx.footprint = &observed;
       view.set_now(now);
       ctx.capacity = &view;
 
@@ -354,8 +365,8 @@ CampaignResult Simulator::run(const std::vector<trace::Job>& jobs,
         // --- ledger ---------------------------------------------------------
         const double energy = job.energy_kwh();  // power scaling conserves it
         const footprint::Breakdown fb =
-            footprint_->job_integrated(d.region, start, duration, energy);
-        const footprint::Breakdown tb = footprint_->transfer(
+            ledger.job_integrated(d.region, start, duration, energy);
+        const footprint::Breakdown tb = ledger.transfer(
             job.home_region, d.region, job.package_bytes, now);
         result.total_carbon_g += fb.carbon_g() + tb.carbon_g();
         result.total_water_l += fb.water_l() + tb.water_l();

@@ -15,6 +15,7 @@
 #include "dc/capacity_timeline.hpp"
 #include "dc/metrics.hpp"
 #include "dc/scheduler.hpp"
+#include "env/faults.hpp"
 #include "trace/job.hpp"
 
 namespace ww::dc {
@@ -43,21 +44,18 @@ class Simulator {
   [[nodiscard]] CampaignResult run(const std::vector<trace::Job>& jobs,
                                    Scheduler& scheduler);
 
-  /// Attaches a fault-injection campaign (env/faults.hpp).  All pointers are
-  /// borrowed and must outlive the simulator.  `faults` drives the effective
+  /// Attaches a fault-injection campaign (env/faults.hpp).  The schedule is
+  /// borrowed and must outlive the simulator.  It drives the effective
   /// per-region capacity (outages and flaps gate *new* placements; running
   /// jobs drain through — degraded infrastructure stops accepting work, it
-  /// does not kill work in flight).  `observed_fp`, when given, replaces
-  /// the ScheduleContext's footprint model and, with it, its environment
-  /// (`observed_fp->environment()`), so the controller sees the biased
-  /// Controller view while the ledger keeps integrating the true World
-  /// view.  Pass nullptrs to detach.
-  void set_fault_injection(
-      const env::FaultSchedule* faults,
-      const footprint::FootprintModel* observed_fp = nullptr) noexcept {
-    faults_ = faults;
-    observed_footprint_ = observed_fp;
-  }
+  /// does not kill work in flight).  It also splits the footprint model
+  /// into the campaign's two views of the one environment: the ledger
+  /// integrates the World view (scarcity shocks), and the ScheduleContext
+  /// carries the Controller view (shocks plus forecast bias); these
+  /// replace any overlay the footprint model was given.  Throws
+  /// std::invalid_argument, naming both counts, when the schedule's region
+  /// count differs from the environment's.  Pass nullptr to detach.
+  void set_fault_injection(const env::FaultSchedule* faults);
 
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
   /// Effective server count per region after capacity scaling.
@@ -68,7 +66,6 @@ class Simulator {
   const footprint::FootprintModel* footprint_;
   SimConfig config_;
   const env::FaultSchedule* faults_ = nullptr;
-  const footprint::FootprintModel* observed_footprint_ = nullptr;
 };
 
 }  // namespace ww::dc

@@ -101,12 +101,11 @@ RegionSample Environment::sample(int r, double t) const {
   if (r < 0 || static_cast<std::size_t>(r) >= regions_.size())
     throw std::out_of_range("Environment: region " + std::to_string(r) +
                             " out of range");
-  return sample_at(static_cast<std::size_t>(r), hour_point(t, horizon_hours()),
-                   t);
+  return sample_at(static_cast<std::size_t>(r),
+                   hour_point(t, horizon_hours()));
 }
 
-RegionSample Environment::sample_at(std::size_t r, const HourPoint& p,
-                                    double t) const {
+RegionSample Environment::sample_at(std::size_t r, const HourPoint& p) const {
   const RegionRuntime& rt = regions_[r];
   const EnergyMixModel::Intensity mix = rt.mix->intensity(p, config_.dataset);
   RegionSample s;
@@ -115,29 +114,11 @@ RegionSample Environment::sample_at(std::size_t r, const HourPoint& p,
   s.wue = config_.water_intensity_scale * rt.weather->wue(p);
   s.wsf = rt.spec.wsf;
   s.pue = rt.spec.pue;
-  if (faults_ != nullptr) {
-    const int ri = static_cast<int>(r);
-    if (fault_view_ == FaultView::Controller) {
-      s.ci *= faults_->carbon_bias(ri, t);
-      const double water_bias = faults_->water_bias(ri, t);
-      s.ewif *= water_bias;
-      s.wue *= water_bias;
-    }
-    // Scarcity shocks are world-level: a drought raises the true Eq. 6
-    // weighting, so both the ledger and the controller see it.
-    s.wsf += faults_->wsf_shock(ri, t);
-  }
   return s;
 }
 
 double Environment::wsf(int r) const {
   return regions_.at(static_cast<std::size_t>(r)).spec.wsf;
-}
-
-void Environment::attach_faults(const FaultSchedule* faults,
-                                FaultView view) noexcept {
-  faults_ = faults;
-  fault_view_ = view;
 }
 
 double Environment::pue(int r) const {

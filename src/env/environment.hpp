@@ -6,7 +6,10 @@
 // carbon intensity, EWIF, WUE, WSF, PUE, water intensity (Eq. 6), and
 // inter-region transfer latency/energy.  Sensitivity experiments plug in via
 // multiplicative perturbation knobs (the +-10% studies of Sec. 6) and the
-// dataset switch (Electricity Maps vs. WRI, Fig. 6).
+// dataset switch (Electricity Maps vs. WRI, Fig. 6).  It models the world
+// without faults: a fault campaign's overlay belongs to the footprint model
+// (footprint::FootprintModel::with_faults), so one Environment serves both
+// the ledger and the controller.
 #pragma once
 
 #include <memory>
@@ -15,7 +18,6 @@
 #include <vector>
 
 #include "env/energy_mix.hpp"
-#include "env/faults.hpp"
 #include "env/latency.hpp"
 #include "env/region.hpp"
 #include "env/weather.hpp"
@@ -23,22 +25,13 @@
 
 namespace ww::env {
 
-/// Which side of a fault campaign this Environment instance models.
-///
-/// World: the ground truth the simulator's ledger integrates — only
-/// world-level faults apply (water-scarcity shocks; capacity faults are
-/// consumed by the Simulator, not the Environment).
-/// Controller: what the scheduler observes — world-level faults *plus* the
-/// systematic forecast-bias multipliers on carbon/water intensities.
-enum class FaultView { World, Controller };
-
 /// Everything the footprint equations read about one region at one
 /// instant, as Environment::sample(r, t) returns it.
 struct RegionSample {
   double ci = 0.0;    ///< carbon_intensity(r, t), gCO2/kWh.
   double ewif = 0.0;  ///< ewif(r, t), L/kWh.
   double wue = 0.0;   ///< wue(r, t), L/kWh.
-  double wsf = 0.0;   ///< wsf(r, t).
+  double wsf = 0.0;   ///< wsf(r).
   double pue = 1.0;   ///< pue(r).
 };
 
@@ -97,7 +90,7 @@ class Environment {
   void sample_all(double t, Visit&& visit) const {
     const HourPoint p = hour_point(t, horizon_hours());
     for (std::size_t r = 0; r < regions_.size(); ++r)
-      visit(static_cast<int>(r), sample_at(r, p, t));
+      visit(static_cast<int>(r), sample_at(r, p));
   }
 
   /// Grid carbon intensity, gCO2/kWh.
@@ -110,26 +103,12 @@ class Environment {
   [[nodiscard]] double wue(int r, double t) const { return sample(r, t).wue; }
   /// Water scarcity factor (dimensionless, base spec value).
   [[nodiscard]] double wsf(int r) const;
-  /// Water scarcity factor at instant t: the base value plus any active
-  /// injected scarcity shock (identical to wsf(r) without attached faults).
-  [[nodiscard]] double wsf(int r, double t) const { return sample(r, t).wsf; }
   /// Power usage effectiveness.
   [[nodiscard]] double pue(int r) const;
   /// Water intensity, Eq. 6: (WUE + PUE * EWIF) * (1 + WSF).
   [[nodiscard]] double water_intensity(int r, double t) const {
     const RegionSample s = sample(r, t);
     return (s.wue + s.pue * s.ewif) * (1.0 + s.wsf);
-  }
-
-  /// Attaches a fault-injection overlay (env/faults.hpp).  The schedule is
-  /// borrowed, not owned — the caller keeps it alive for the Environment's
-  /// lifetime.  World view applies only world-level faults (WSF shocks);
-  /// Controller view additionally biases the observed carbon/water
-  /// intensities.  Pass nullptr to detach.
-  void attach_faults(const FaultSchedule* faults,
-                     FaultView view = FaultView::World) noexcept;
-  [[nodiscard]] const FaultSchedule* faults() const noexcept {
-    return faults_;
   }
 
   /// Time-of-use electricity price, USD/kWh (Sec. 7 cost extension):
@@ -180,10 +159,10 @@ class Environment {
   [[nodiscard]] std::size_t horizon_hours() const noexcept {
     return static_cast<std::size_t>(config_.horizon_days) * 24;
   }
-  /// Region r's sample at t, whose interpolation point is `p`: the models'
-  /// rows at p, the sensitivity scales, then the fault overlay.
-  [[nodiscard]] RegionSample sample_at(std::size_t r, const HourPoint& p,
-                                       double t) const;
+  /// Region r's sample at the interpolation point `p`: the models' rows
+  /// at p, then the sensitivity scales.
+  [[nodiscard]] RegionSample sample_at(std::size_t r,
+                                       const HourPoint& p) const;
 
   struct RegionRuntime {
     RegionSpec spec;
@@ -194,8 +173,6 @@ class Environment {
   std::vector<RegionRuntime> regions_;
   std::unique_ptr<TransferModel> transfer_;
   EnvironmentConfig config_;
-  const FaultSchedule* faults_ = nullptr;  ///< Borrowed; see attach_faults.
-  FaultView fault_view_ = FaultView::World;
 };
 
 }  // namespace ww::env

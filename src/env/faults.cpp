@@ -204,15 +204,6 @@ double FaultSchedule::capacity_factor(int region, double t) const {
   return factor;
 }
 
-double FaultSchedule::min_capacity_factor(int region, double t0,
-                                          double t1) const {
-  double factor = 1.0;
-  for (const FaultWindow& w : windows(region))
-    if (w.start < t1 && t0 < w.end)
-      factor = std::min(factor, w.capacity_factor);
-  return factor;
-}
-
 double FaultSchedule::carbon_bias(int region, double t) const {
   double bias = 1.0;
   for (const FaultWindow& w : windows(region))

@@ -20,6 +20,12 @@
 //                            (a real drought raises the true scarcity
 //                            weighting of Eq. 6, and the controller sees it).
 //
+// dc::Simulator::set_fault_injection takes a schedule and turns it into the
+// two views of one fault campaign over one env::Environment: the capacity
+// effects gate its admissions, and footprint::FootprintModel::with_faults
+// gives the ledger the World view and the controller the Controller view
+// (see FaultView).
+//
 // Windows are generated from util::Rng named seed streams, so an injected
 // campaign is a pure function of (trace, schedule seed): byte-identical at
 // any WW_SCHED_THREADS setting.  Tests and storm benches can also place
@@ -37,6 +43,15 @@
 #include <vector>
 
 namespace ww::env {
+
+/// Which side of a fault campaign a footprint model sees.
+///
+/// World: the ground truth the simulator's ledger integrates.  Only the
+/// world-level faults apply: water-scarcity shocks.  The capacity faults
+/// are the simulator's, not the footprint model's.
+/// Controller: what the scheduler observes: the world-level faults plus
+/// the forecast-bias multipliers on carbon and water intensities.
+enum class FaultView { World, Controller };
 
 /// One fault window on one region.  Neutral values (factor 1, bias 1,
 /// shock 0) mean "no effect on that axis"; each window perturbs one axis.
@@ -76,15 +91,11 @@ struct FaultScheduleConfig {
   double shock_mean_seconds = 14400.0;
   double shock_wsf_min = 0.5;
   double shock_wsf_max = 1.5;
-
-  /// Deterministic injected solve-failure rate in [0, 1], consumed by
-  /// core::WaterWiseConfig (the schedule only carries it so one config
-  /// describes a whole storm).
-  double solve_failure_rate = 0.0;
 };
 
 /// Immutable after construction; queries are const and lock-free, so one
-/// schedule can back a fault-aware Environment and Simulator concurrently.
+/// schedule can back a simulator and both of its footprint views
+/// concurrently.
 class FaultSchedule {
  public:
   /// Generates windows from the config's seed: per (region, kind) child
@@ -119,9 +130,6 @@ class FaultSchedule {
   /// active windows (an outage dominates a concurrent flap).  1 when no
   /// window is active.
   [[nodiscard]] double capacity_factor(int region, double t) const;
-  /// Minimum capacity factor anywhere in [t0, t1].
-  [[nodiscard]] double min_capacity_factor(int region, double t0,
-                                           double t1) const;
   /// Observed-intensity bias multipliers at instant t (product over active
   /// windows; 1 when none).
   [[nodiscard]] double carbon_bias(int region, double t) const;

@@ -14,28 +14,37 @@ FootprintModel::FootprintModel(const env::Environment& env, ServerSpec server,
       embodied_scale_(embodied_scale),
       server_embodied_water_l_(server_.embodied_water_l()) {}
 
-namespace {
-
-Intensities intensities(const env::RegionSample& s) {
+Intensities FootprintModel::intensities(int r, double t,
+                                        const env::RegionSample& s) const {
   Intensities at;
   at.ci = s.ci;
   at.ewif = s.ewif;
   at.wue = s.wue;
-  at.scarcity = 1.0 + s.wsf;
+  double wsf = s.wsf;
+  if (faults_ != nullptr) {
+    if (view_ == env::FaultView::Controller) {
+      at.ci *= faults_->carbon_bias(r, t);
+      const double water_bias = faults_->water_bias(r, t);
+      at.ewif *= water_bias;
+      at.wue *= water_bias;
+    }
+    // Scarcity shocks are world-level: a drought raises the true Eq. 6
+    // weighting, so both the ledger and the controller see it.
+    wsf += faults_->wsf_shock(r, t);
+  }
+  at.scarcity = 1.0 + wsf;
   at.pue = s.pue;
   return at;
 }
 
-}  // namespace
-
 Intensities FootprintModel::sample(int r, double t) const {
-  return intensities(env_->sample(r, t));
+  return intensities(r, t, env_->sample(r, t));
 }
 
 void FootprintModel::sample_all(double t, std::vector<Intensities>& out) const {
   out.resize(static_cast<std::size_t>(env_->num_regions()));
-  env_->sample_all(t, [&out](int r, const env::RegionSample& s) {
-    out[static_cast<std::size_t>(r)] = intensities(s);
+  env_->sample_all(t, [this, t, &out](int r, const env::RegionSample& s) {
+    out[static_cast<std::size_t>(r)] = intensities(r, t, s);
   });
 }
 

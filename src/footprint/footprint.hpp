@@ -19,11 +19,18 @@
 // many jobs at the same instant (the scheduler's batch window) samples
 // each region once and passes the samples; the results are bit-identical
 // because there is only one formula.
+//
+// A fault campaign reads its intensities through a model with a fault
+// overlay (`with_faults`): the World view adds the water-scarcity shocks,
+// and the Controller view adds the forecast biases on top.  Both views
+// sample the same env::Environment; dc::Simulator builds them from its
+// fault schedule.
 #pragma once
 
 #include <vector>
 
 #include "env/environment.hpp"
+#include "env/faults.hpp"
 
 namespace ww::footprint {
 
@@ -72,13 +79,18 @@ struct Breakdown {
 };
 
 /// One region's intensities at one instant, as its Environment reports
-/// them (fault overlay and sensitivity scales included).
+/// them (sensitivity scales included), with the model's fault overlay.
 struct Intensities {
   double ci = 0.0;        ///< Carbon intensity, gCO2/kWh.
   double ewif = 0.0;      ///< Energy water intensity factor, L/kWh.
   double wue = 0.0;       ///< Water usage effectiveness, L/kWh.
   double scarcity = 1.0;  ///< 1 + WSF(t), the Eq. 2/3/6 scarcity weight.
   double pue = 1.0;       ///< Power usage effectiveness.
+
+  /// Water intensity, Eq. 6: (WUE + PUE * EWIF) * (1 + WSF).
+  [[nodiscard]] double water_intensity() const noexcept {
+    return (wue + pue * ewif) * scarcity;
+  }
 };
 
 class FootprintModel {
@@ -87,8 +99,21 @@ class FootprintModel {
   explicit FootprintModel(const env::Environment& env, ServerSpec server = {},
                           double embodied_scale = 1.0);
 
+  /// This model with `faults` overlaid in `view` (env::FaultView): every
+  /// sample then adds the active WSF shocks to the environment's WSF, and
+  /// the Controller view also multiplies CI by the carbon bias and EWIF and
+  /// WUE by the water bias.  nullptr gives the model without an overlay.
+  /// The schedule is borrowed and must outlive the returned model.
+  [[nodiscard]] FootprintModel with_faults(const env::FaultSchedule* faults,
+                                           env::FaultView view) const {
+    FootprintModel viewed = *this;
+    viewed.faults_ = faults;
+    viewed.view_ = view;
+    return viewed;
+  }
+
   /// Region `r`'s intensities at instant `t`, from one
-  /// env::Environment::sample(r, t).
+  /// env::Environment::sample(r, t) and the fault overlay.
   [[nodiscard]] Intensities sample(int r, double t) const;
   /// Every region's sample(r, t), in region order, into `out` (resized to
   /// the region count), from one env::Environment::sample_all(t, ...):
@@ -173,11 +198,6 @@ class FootprintModel {
     return b;
   }
 
-  /// Eq. 6 convenience forward.
-  [[nodiscard]] double water_intensity(int r, double t) const {
-    return env_->water_intensity(r, t);
-  }
-
   [[nodiscard]] const ServerSpec& server() const noexcept { return server_; }
   [[nodiscard]] const env::Environment& environment() const noexcept {
     return *env_;
@@ -191,6 +211,12 @@ class FootprintModel {
   ServerSpec server_;
   double embodied_scale_;
   double server_embodied_water_l_;  ///< server_.embodied_water_l().
+  const env::FaultSchedule* faults_ = nullptr;  ///< Borrowed; see with_faults.
+  env::FaultView view_ = env::FaultView::World;
+
+  /// Region r's environment sample `s` at instant t, with the overlay.
+  [[nodiscard]] Intensities intensities(int r, double t,
+                                        const env::RegionSample& s) const;
 };
 
 }  // namespace ww::footprint

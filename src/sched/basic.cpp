@@ -24,6 +24,7 @@ std::vector<dc::Decision> BaselineScheduler::schedule(
 std::vector<dc::Decision> RoundRobinScheduler::schedule(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
   const int n = ctx.capacity->num_regions();
+  const env::Environment& env = ctx.footprint->environment();
   std::vector<int> free(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
     free[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
@@ -41,7 +42,7 @@ std::vector<dc::Decision> RoundRobinScheduler::schedule(
     }
     if (chosen < 0) continue;
     --free[static_cast<std::size_t>(chosen)];
-    const double start = ctx.now + ctx.env->transfer_latency_seconds(
+    const double start = ctx.now + env.transfer_latency_seconds(
                                        p.job->home_region, chosen,
                                        p.job->package_bytes);
     decisions.push_back(dc::Decision{p.job->id, chosen, start, 1.0});
@@ -52,6 +53,7 @@ std::vector<dc::Decision> RoundRobinScheduler::schedule(
 std::vector<dc::Decision> LeastLoadScheduler::schedule(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
   const int n = ctx.capacity->num_regions();
+  const env::Environment& env = ctx.footprint->environment();
   std::vector<int> free(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
     free[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
@@ -62,7 +64,7 @@ std::vector<dc::Decision> LeastLoadScheduler::schedule(
     if (*it <= 0) continue;
     const int chosen = static_cast<int>(it - free.begin());
     --*it;
-    const double start = ctx.now + ctx.env->transfer_latency_seconds(
+    const double start = ctx.now + env.transfer_latency_seconds(
                                        p.job->home_region, chosen,
                                        p.job->package_bytes);
     decisions.push_back(dc::Decision{p.job->id, chosen, start, 1.0});

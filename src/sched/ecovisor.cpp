@@ -30,8 +30,8 @@ std::vector<dc::Decision> EcovisorScheduler::schedule(
     // campaign start; when the grid is dirtier than the anchor, power is
     // capped proportionally (stretching the job), shifting energy toward
     // hopefully-cleaner hours.
-    const double anchor = ctx.env->carbon_intensity(home, kAnchorTime);
-    const double current = ctx.env->carbon_intensity(home, ctx.now);
+    const double anchor = ctx.footprint->sample(home, kAnchorTime).ci;
+    const double current = ctx.footprint->sample(home, ctx.now).ci;
     double scale = 1.0;
     if (current > anchor && current > 0.0)
       scale = std::clamp(anchor / current, kMinPowerScale, 1.0);

@@ -41,6 +41,7 @@ class Overlay {
 std::vector<dc::Decision> GreedyOptScheduler::schedule(
     const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx) {
   const int n = ctx.capacity->num_regions();
+  const env::Environment& env = ctx.footprint->environment();
   Overlay overlay(ctx.capacity);
 
   // Most-constrained (least remaining slack) jobs pick their slots first.
@@ -68,7 +69,7 @@ std::vector<dc::Decision> GreedyOptScheduler::schedule(
     double best_start = 0.0;
 
     for (int r = 0; r < n; ++r) {
-      const double transfer = ctx.env->transfer_latency_seconds(
+      const double transfer = env.transfer_latency_seconds(
           job.home_region, r, job.package_bytes);
       const double earliest = ctx.now + transfer;
       const double window = latest_start - earliest;

@@ -175,7 +175,6 @@ TEST(SchedulerContention, ManySmallWindowsOversubscribedMatchesSerial) {
       dc::ScheduleContext ctx;
       ctx.now = 60.0 * window;
       ctx.tol = 0.5;
-      ctx.env = &env;
       ctx.footprint = &fp;
       ctx.capacity = &view;
       const auto decisions = ww.schedule(batch, ctx);

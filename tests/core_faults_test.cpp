@@ -7,7 +7,8 @@
 // blackout, a chunk-solve exception surfaces fail-fast
 // with chunk/window context, the per-region state machine walks
 // Normal -> Degraded -> Recovery -> Normal with its hard-cap rails engaged,
-// and the controller under fault injection sees one environment.
+// and under fault injection the controller sees the forecast bias while the
+// ledger bills the truth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,11 +16,13 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/waterwise.hpp"
 #include "dc/simulator.hpp"
 #include "env/faults.hpp"
+#include "sched/basic.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -94,7 +97,6 @@ struct DirectRig {
     dc::ScheduleContext ctx;
     ctx.now = now;
     ctx.tol = tol;
-    ctx.env = &env;
     ctx.footprint = &fp;
     ctx.capacity = &view;
     return ww.schedule(batch, ctx);
@@ -159,7 +161,6 @@ TEST(RetryLadder, GreedyRungPlacesEachJobInItsLeastCostRegion) {
   const FixedCapacity view(caps);
   dc::ScheduleContext ctx;
   ctx.tol = 0.5;
-  ctx.env = &rig.env;
   ctx.footprint = &rig.fp;
   ctx.capacity = &view;
   ChunkResult out;
@@ -199,7 +200,6 @@ ChunkResult solve_chunk(const WaterWiseScheduler& ww, const DirectRig& rig,
   const FixedCapacity view(quota);
   dc::ScheduleContext ctx;
   ctx.tol = tol;
-  ctx.env = &rig.env;
   ctx.footprint = &rig.fp;
   ctx.capacity = &view;
   ChunkResult out;
@@ -328,15 +328,14 @@ TEST(TotalOutage, DefersExplicitlyAndPlacesEverythingAfterTheBlackout) {
   env::FaultSchedule faults(5);
   for (int r = 0; r < 5; ++r) faults.add_outage(r, 0.0, 3600.0);
 
-  env::Environment world = env::Environment::builtin(small_env());
-  world.attach_faults(&faults, env::FaultView::World);
-  const footprint::FootprintModel world_fp(world);
+  const env::Environment env = env::Environment::builtin(small_env());
+  const footprint::FootprintModel fp(env);
 
   const auto jobs = burst_trace(25, 0.0);
   dc::SimConfig sim_cfg;
   sim_cfg.tol = 0.5;
   sim_cfg.record_jobs = true;
-  dc::Simulator sim(world, world_fp, sim_cfg);
+  dc::Simulator sim(env, fp, sim_cfg);
   sim.set_fault_injection(&faults);
 
   WaterWiseScheduler ww;
@@ -360,76 +359,53 @@ TEST(TotalOutage, DefersExplicitlyAndPlacesEverythingAfterTheBlackout) {
   EXPECT_EQ(ww.stats().degraded_windows, 0);
 }
 
-/// WaterWise, counting the contexts the simulator hands out whose
-/// footprint model is not built over their environment, or whose
-/// environment is not `expected`.
-class ViewRecorder final : public dc::Scheduler {
+/// Baseline placement that records, at every window, the carbon intensity
+/// of region 0 that the controller observes.
+class ObservedCarbon final : public dc::Scheduler {
  public:
-  explicit ViewRecorder(const env::Environment* expected)
-      : expected_(expected) {}
-  [[nodiscard]] std::string name() const override { return "recorder"; }
+  [[nodiscard]] std::string name() const override { return "observed-ci"; }
   [[nodiscard]] std::vector<dc::Decision> schedule(
       const std::vector<dc::PendingJob>& batch,
       const dc::ScheduleContext& ctx) override {
-    ++windows;
-    if (&ctx.footprint->environment() != ctx.env) ++mismatched;
-    if (ctx.env != expected_) ++unexpected_env;
-    return ww_.schedule(batch, ctx);
+    seen.emplace_back(ctx.now, ctx.footprint->sample(0, ctx.now).ci);
+    return baseline_.schedule(batch, ctx);
   }
-  int windows = 0;
-  int mismatched = 0;
-  int unexpected_env = 0;
+  std::vector<std::pair<double, double>> seen;  ///< (window, observed CI).
 
  private:
-  const env::Environment* expected_;
-  WaterWiseScheduler ww_;
+  sched::BaselineScheduler baseline_;
 };
 
-TEST(FaultInjection, ControllerSeesTheObservedFootprintsEnvironment) {
-  // The observed footprint model alone names the controller's view: the
-  // context's environment is the one that model is built over, never the
-  // ledger's World view.
+TEST(FaultInjection, ControllerSeesTheBiasWhileTheLedgerBillsTheTruth) {
+  // A forecast bias on region 0 doubles the carbon intensity the controller
+  // observes there.  The ledger bills the true intensities, so a policy
+  // that ignores intensities pays the same with the bias as without it.
   env::FaultSchedule faults(5);
-  faults.add_outage(0, 0.0, 600.0);
-  env::Environment world = env::Environment::builtin(small_env());
-  world.attach_faults(&faults, env::FaultView::World);
-  env::Environment observed = env::Environment::builtin(small_env());
-  observed.attach_faults(&faults, env::FaultView::Controller);
-  const footprint::FootprintModel world_fp(world);
-  const footprint::FootprintModel observed_fp(observed);
+  faults.add_forecast_bias(0, 0.0, 1.0e9, 2.0, 1.5);
+  const env::Environment env = env::Environment::builtin(small_env());
+  const footprint::FootprintModel fp(env);
   dc::SimConfig sim_cfg;
   sim_cfg.tol = 0.5;
+  const auto jobs = burst_trace(3, 0.0, /*home=*/0);
 
-  const auto jobs = burst_trace(3, 0.0);
-  for (const bool inject : {false, true}) {
-    dc::Simulator sim(world, world_fp, sim_cfg);
-    if (inject) sim.set_fault_injection(&faults, &observed_fp);
-    ViewRecorder rec(inject ? &observed : &world);
-    (void)sim.run(jobs, rec);
-    ASSERT_GT(rec.windows, 0);
-    EXPECT_EQ(rec.mismatched, 0) << "inject=" << inject;
-    EXPECT_EQ(rec.unexpected_env, 0) << "inject=" << inject;
+  dc::Simulator clean(env, fp, sim_cfg);
+  ObservedCarbon clean_rec;
+  const dc::CampaignResult truth = clean.run(jobs, clean_rec);
+  dc::Simulator biased(env, fp, sim_cfg);
+  biased.set_fault_injection(&faults);
+  ObservedCarbon rec;
+  const dc::CampaignResult billed = biased.run(jobs, rec);
+
+  ASSERT_FALSE(rec.seen.empty());
+  ASSERT_EQ(rec.seen.size(), clean_rec.seen.size());
+  for (std::size_t i = 0; i < rec.seen.size(); ++i) {
+    const auto [t, ci] = rec.seen[i];
+    EXPECT_EQ(ci, 2.0 * fp.sample(0, t).ci) << "t=" << t;
+    EXPECT_EQ(clean_rec.seen[i].second, fp.sample(0, t).ci) << "t=" << t;
   }
-}
-
-TEST(ScheduleContext, FootprintOverAnotherEnvironmentThrowsInDebugBuilds) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "the context check runs only in builds without NDEBUG";
-#else
-  const DirectRig rig(3);
-  const env::Environment other = env::Environment::builtin(small_env());
-  const footprint::FootprintModel other_fp(other);
-  const FixedCapacity view({5, 5, 5, 5, 5});
-  dc::ScheduleContext ctx;
-  ctx.tol = 0.5;
-  ctx.env = &rig.env;
-  ctx.footprint = &other_fp;
-  ctx.capacity = &view;
-  WaterWiseScheduler ww;
-  EXPECT_THROW((void)ww.schedule(rig.batch, ctx), std::logic_error);
-  ctx.footprint = &rig.fp;
-  EXPECT_EQ(ww.schedule(rig.batch, ctx).size(), rig.batch.size());
-#endif
+  EXPECT_EQ(billed.num_jobs, 3);
+  EXPECT_EQ(billed.total_carbon_g, truth.total_carbon_g);
+  EXPECT_EQ(billed.total_water_l, truth.total_water_l);
 }
 
 TEST(ChunkFailFast, ExceptionInPooledSolveSurfacesWithChunkContext) {
@@ -474,7 +450,6 @@ TEST(DegradedMode, StateMachineDegradesThenRecoversWithCapRails) {
     dc::ScheduleContext ctx;
     ctx.now = now;
     ctx.tol = 0.5;
-    ctx.env = &rig.env;
     ctx.footprint = &rig.fp;
     ctx.capacity = &view;
     return ww.schedule(empty, ctx);

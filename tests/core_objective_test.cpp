@@ -148,7 +148,6 @@ void expect_brute_force_optimum(int seed, WaterWiseConfig cfg) {
   dc::ScheduleContext ctx;
   ctx.now = now;
   ctx.tol = 1.0;  // wide enough that several regions stay feasible
-  ctx.env = &env;
   ctx.footprint = &fp;
   ctx.capacity = &cap;
 
@@ -230,9 +229,10 @@ TEST(CostTable, MatchesPerPairFormulasBitForBit) {
   faults.add_forecast_bias(1, 0.0, 1.0e9, 1.4, 0.8);
   faults.add_forecast_bias(4, 0.0, 1.0e9, 0.7, 1.3);
   faults.add_water_shock(3, 0.0, 1.0e9, 0.5);
-  env::Environment env = env::Environment::builtin(small_env());
-  env.attach_faults(&faults, env::FaultView::Controller);
-  const footprint::FootprintModel fp(env);
+  const env::Environment env = env::Environment::builtin(small_env());
+  const footprint::FootprintModel fp =
+      footprint::FootprintModel(env).with_faults(&faults,
+                                                 env::FaultView::Controller);
   const int n = env.num_regions();
   const double now = 7213.0;
 
@@ -251,7 +251,6 @@ TEST(CostTable, MatchesPerPairFormulasBitForBit) {
   const FixedCapacity cap(std::vector<int>(static_cast<std::size_t>(n), 4));
   dc::ScheduleContext ctx;
   ctx.now = now;
-  ctx.env = &env;
   ctx.footprint = &fp;
   ctx.capacity = &cap;
 

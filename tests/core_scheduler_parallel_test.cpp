@@ -91,7 +91,6 @@ struct DirectRig {
     dc::ScheduleContext ctx;
     ctx.now = 0.0;
     ctx.tol = tol;
-    ctx.env = &env;
     ctx.footprint = &fp;
     ctx.capacity = &view;
     return ww.schedule(batch, ctx);
@@ -603,12 +602,8 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreads) {
   fault_cfg.bias_windows_per_region_day = 6.0;
   const env::FaultSchedule faults(fault_cfg);
 
-  env::Environment world = env::Environment::builtin(small_env());
-  world.attach_faults(&faults, env::FaultView::World);
-  env::Environment observed = env::Environment::builtin(small_env());
-  observed.attach_faults(&faults, env::FaultView::Controller);
-  const footprint::FootprintModel world_fp(world);
-  const footprint::FootprintModel observed_fp(observed);
+  const env::Environment env = env::Environment::builtin(small_env());
+  const footprint::FootprintModel fp(env);
 
   const auto jobs = burst_trace(50, 0.0);
   dc::SimConfig sim_cfg;
@@ -622,8 +617,8 @@ TEST(ChunkParallel, FaultCampaignByteIdenticalAcrossThreads) {
     cfg.solve_failure_rate = 0.35;
     cfg.fault_seed = fault_cfg.seed;
     WaterWiseScheduler ww(cfg);
-    dc::Simulator sim(world, world_fp, sim_cfg);
-    sim.set_fault_injection(&faults, &observed_fp);
+    dc::Simulator sim(env, fp, sim_cfg);
+    sim.set_fault_injection(&faults);
     return sim.run(jobs, ww);
   };
 

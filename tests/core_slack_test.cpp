@@ -31,7 +31,6 @@ struct Rig {
     dc::ScheduleContext c;
     c.now = now;
     c.tol = tol;
-    c.env = &env;
     c.footprint = &fp;
     c.capacity = &cap;
     return c;

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dc/simulator.hpp"
+#include "env/faults.hpp"
 #include "sched/basic.hpp"
 #include "trace/generator.hpp"
 
@@ -411,6 +413,28 @@ TEST_F(SimulatorTest, ConfigValidation) {
   SimConfig neg;
   neg.tol = -0.5;
   EXPECT_THROW(Simulator(env_, fp_, neg), std::invalid_argument);
+}
+
+TEST_F(SimulatorTest, RejectsAFaultScheduleForAnotherRegionCount) {
+  // A short schedule would otherwise fail at its first window inside run(),
+  // and a long one would be accepted silently.
+  Simulator sim(env_, fp_, SimConfig{});
+  for (const int regions : {4, 6}) {
+    const env::FaultSchedule faults(regions);
+    try {
+      sim.set_fault_injection(&faults);
+      ADD_FAILURE() << "a " << regions << "-region schedule was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("has " + std::to_string(regions) + " regions"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("environment has 5"), std::string::npos) << msg;
+    }
+  }
+  const env::FaultSchedule five(5);
+  EXPECT_NO_THROW(sim.set_fault_injection(&five));
+  EXPECT_NO_THROW(sim.set_fault_injection(nullptr));
 }
 
 TEST_F(SimulatorTest, CapacityScaleChangesServerCounts) {

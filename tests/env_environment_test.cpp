@@ -168,17 +168,14 @@ TEST_F(EnvironmentTest, TransferForwardsMatchTheModel) {
 }
 
 /// sample(r, t) against each accessor, and against the documented
-/// arithmetic over an unscaled, fault-free environment of the same dataset:
-/// scale first, then the Controller view's bias; WSF plus the shock in both
-/// views; PUE from the spec or the override.  Bitwise throughout.
-void expect_sample_matches(const EnvironmentConfig& cfg,
-                           const FaultSchedule* faults, FaultView view) {
+/// arithmetic over an unscaled environment of the same dataset: the scales
+/// multiply the series, WSF is the spec's, PUE the spec's or the override.
+/// Bitwise throughout.
+void expect_sample_matches(const EnvironmentConfig& cfg) {
   EnvironmentConfig plain_cfg = small_config();
   plain_cfg.dataset = cfg.dataset;
   const Environment plain = Environment::builtin(plain_cfg);
-  Environment env = Environment::builtin(cfg);
-  env.attach_faults(faults, view);
-  const bool biased = faults != nullptr && view == FaultView::Controller;
+  const Environment env = Environment::builtin(cfg);
   for (int r = 0; r < env.num_regions(); ++r) {
     for (const double t : {-5000.0, 0.0, 1800.0, 5000.5, 86399.0,
                            env.horizon_seconds() - 1.0,
@@ -188,37 +185,22 @@ void expect_sample_matches(const EnvironmentConfig& cfg,
       EXPECT_EQ(s.ci, env.carbon_intensity(r, t));
       EXPECT_EQ(s.ewif, env.ewif(r, t));
       EXPECT_EQ(s.wue, env.wue(r, t));
-      EXPECT_EQ(s.wsf, env.wsf(r, t));
+      EXPECT_EQ(s.wsf, env.wsf(r));
       EXPECT_EQ(s.pue, env.pue(r));
       EXPECT_EQ(env.water_intensity(r, t),
                 (s.wue + s.pue * s.ewif) * (1.0 + s.wsf));
 
-      double ci = cfg.carbon_intensity_scale * plain.carbon_intensity(r, t);
-      double ewif = cfg.water_intensity_scale * plain.ewif(r, t);
-      double wue = cfg.water_intensity_scale * plain.wue(r, t);
-      double wsf = plain.wsf(r);
-      if (biased) {
-        ci *= faults->carbon_bias(r, t);
-        ewif *= faults->water_bias(r, t);
-        wue *= faults->water_bias(r, t);
-      }
-      if (faults != nullptr) wsf += faults->wsf_shock(r, t);
-      EXPECT_EQ(s.ci, ci);
-      EXPECT_EQ(s.ewif, ewif);
-      EXPECT_EQ(s.wue, wue);
-      EXPECT_EQ(s.wsf, wsf);
+      EXPECT_EQ(s.ci,
+                cfg.carbon_intensity_scale * plain.carbon_intensity(r, t));
+      EXPECT_EQ(s.ewif, cfg.water_intensity_scale * plain.ewif(r, t));
+      EXPECT_EQ(s.wue, cfg.water_intensity_scale * plain.wue(r, t));
+      EXPECT_EQ(s.wsf, plain.wsf(r));
       EXPECT_EQ(s.pue, cfg.pue_override.value_or(plain.pue(r)));
     }
   }
 }
 
 TEST(EnvironmentSample, MatchesAccessorsBitForBit) {
-  FaultSchedule faults(5);
-  faults.add_forecast_bias(0, 0.0, 3600.0, 2.0, 1.5);
-  faults.add_forecast_bias(3, -10000.0, 1.0e9, 1.3, 0.7);
-  faults.add_water_shock(1, 0.0, 3600.0, 1.25);
-  faults.add_water_shock(4, 1000.0, 1.0e9, 0.4);
-  faults.add_outage(2, 0.0, 3600.0);
   for (const WaterDataset dataset :
        {WaterDataset::ElectricityMaps, WaterDataset::WorldResourcesInstitute}) {
     for (const bool scaled : {false, true}) {
@@ -235,9 +217,7 @@ TEST(EnvironmentSample, MatchesAccessorsBitForBit) {
                                      : "WRI") +
                      (scaled ? " scaled" : "") +
                      (override_pue ? " pue_override" : ""));
-        expect_sample_matches(cfg, nullptr, FaultView::World);
-        expect_sample_matches(cfg, &faults, FaultView::World);
-        expect_sample_matches(cfg, &faults, FaultView::Controller);
+        expect_sample_matches(cfg);
       }
     }
   }
@@ -247,12 +227,9 @@ TEST(EnvironmentSample, MatchesAccessorsBitForBit) {
 /// instant is read first by sample_all on one environment and by sample on
 /// another fresh one, so a day that neither has generated yet is first
 /// generated by each path on its own.
-void expect_sample_all_matches(const EnvironmentConfig& cfg,
-                               const FaultSchedule* faults, FaultView view) {
-  Environment all = Environment::builtin(cfg);
-  Environment one = Environment::builtin(cfg);
-  all.attach_faults(faults, view);
-  one.attach_faults(faults, view);
+void expect_sample_all_matches(const EnvironmentConfig& cfg) {
+  const Environment all = Environment::builtin(cfg);
+  const Environment one = Environment::builtin(cfg);
   std::vector<RegionSample> got;
   for (const double t : {86400.0 * 5 + 4000.0, -5000.0, 0.0, 1800.0, 5000.5,
                          all.horizon_seconds() - 1.0,
@@ -278,11 +255,6 @@ void expect_sample_all_matches(const EnvironmentConfig& cfg,
 }
 
 TEST(EnvironmentSample, SampleAllMatchesSample) {
-  FaultSchedule faults(5);
-  faults.add_forecast_bias(0, 0.0, 3600.0, 2.0, 1.5);
-  faults.add_forecast_bias(3, -10000.0, 1.0e9, 1.3, 0.7);
-  faults.add_water_shock(1, 0.0, 3600.0, 1.25);
-  faults.add_water_shock(4, 1000.0, 1.0e9, 0.4);
   for (const WaterDataset dataset :
        {WaterDataset::ElectricityMaps, WaterDataset::WorldResourcesInstitute}) {
     for (const bool scaled : {false, true}) {
@@ -297,9 +269,7 @@ TEST(EnvironmentSample, SampleAllMatchesSample) {
                                    ? "EM"
                                    : "WRI") +
                    (scaled ? " scaled" : ""));
-      expect_sample_all_matches(cfg, nullptr, FaultView::World);
-      expect_sample_all_matches(cfg, &faults, FaultView::World);
-      expect_sample_all_matches(cfg, &faults, FaultView::Controller);
+      expect_sample_all_matches(cfg);
     }
   }
 }

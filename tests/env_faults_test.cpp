@@ -2,9 +2,8 @@
 // are a pure function of the seed, window magnitudes stay inside the
 // configured ranges, manual windows combine per the documented query rules
 // (min capacity factor, product bias, sum shock), the solve-failure
-// predicate is a pure deterministic hash with sane rate behaviour, and the
-// Environment overlay applies forecast bias only to the Controller view
-// while scarcity shocks hit both views.  Hostile magnitudes (NaN,
+// predicate is a pure deterministic hash with sane rate behaviour.  The
+// overlay's two views are footprint_test.cpp's.  Hostile magnitudes (NaN,
 // infinities, out-of-range factors, inverted ranges) are rejected, naming
 // the field, whether passed to add_*() or to a generated schedule's config.
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "env/environment.hpp"
 #include "env/faults.hpp"
 
 namespace ww::env {
@@ -131,9 +129,6 @@ TEST(FaultSchedule, ManualWindowsCombinePerQueryRules) {
   EXPECT_EQ(sched.capacity_factor(0, 160.0), 0.0);
   EXPECT_EQ(sched.capacity_factor(0, 250.0), 0.5);
   EXPECT_EQ(sched.capacity_factor(0, 500.0), 1.0);
-  EXPECT_EQ(sched.min_capacity_factor(0, 0.0, 90.0), 1.0);
-  EXPECT_EQ(sched.min_capacity_factor(0, 120.0, 180.0), 0.0);
-  EXPECT_EQ(sched.min_capacity_factor(0, 250.0, 600.0), 0.5);
 
   // Bias: product over active windows.
   EXPECT_DOUBLE_EQ(sched.carbon_bias(1, 100.0), 2.0);
@@ -319,40 +314,6 @@ TEST(InjectedSolveFailure, FailureFrequencyTracksTheRate) {
     if (a0 != a1) ++divergent;
   }
   EXPECT_GT(divergent, 200);
-}
-
-TEST(EnvironmentFaults, BiasIsControllerOnlyAndShocksHitBothViews) {
-  FaultSchedule sched(5);
-  sched.add_forecast_bias(0, 0.0, 3600.0, 2.0, 1.5);
-  sched.add_water_shock(1, 0.0, 3600.0, 1.25);
-  sched.add_outage(2, 0.0, 3600.0);
-
-  const Environment clean = Environment::builtin({});
-  Environment world = Environment::builtin({});
-  world.attach_faults(&sched, FaultView::World);
-  Environment controller = Environment::builtin({});
-  controller.attach_faults(&sched, FaultView::Controller);
-
-  const double t = 1800.0;
-  // Forecast bias perturbs only the controller's observed intensities.
-  EXPECT_DOUBLE_EQ(world.carbon_intensity(0, t), clean.carbon_intensity(0, t));
-  EXPECT_DOUBLE_EQ(controller.carbon_intensity(0, t),
-                   2.0 * clean.carbon_intensity(0, t));
-  EXPECT_DOUBLE_EQ(world.ewif(0, t), clean.ewif(0, t));
-  EXPECT_DOUBLE_EQ(controller.ewif(0, t), 1.5 * clean.ewif(0, t));
-  EXPECT_DOUBLE_EQ(controller.wue(0, t), 1.5 * clean.wue(0, t));
-  // Unbiased regions read through untouched in both views.
-  EXPECT_DOUBLE_EQ(controller.carbon_intensity(1, t),
-                   clean.carbon_intensity(1, t));
-
-  // A scarcity shock is real: both views see the raised WSF.
-  EXPECT_DOUBLE_EQ(world.wsf(1, t), clean.wsf(1) + 1.25);
-  EXPECT_DOUBLE_EQ(controller.wsf(1, t), clean.wsf(1) + 1.25);
-  EXPECT_DOUBLE_EQ(world.wsf(1, 7200.0), clean.wsf(1));
-  // An outage window carries no intensity effect in either view.
-  EXPECT_DOUBLE_EQ(world.carbon_intensity(2, t), clean.carbon_intensity(2, t));
-  EXPECT_DOUBLE_EQ(controller.carbon_intensity(2, t),
-                   clean.carbon_intensity(2, t));
 }
 
 }  // namespace

@@ -75,17 +75,13 @@ Outcome run_storm(dc::Scheduler& scheduler, const core::WaterWiseScheduler* ww,
                   const env::FaultSchedule& faults) {
   env::EnvironmentConfig env_cfg;
   env_cfg.horizon_days = 2;
-  env::Environment world = env::Environment::builtin(env_cfg);
-  world.attach_faults(&faults, env::FaultView::World);
-  env::Environment observed = env::Environment::builtin(env_cfg);
-  observed.attach_faults(&faults, env::FaultView::Controller);
-  const footprint::FootprintModel world_fp(world);
-  const footprint::FootprintModel observed_fp(observed);
+  const env::Environment env = env::Environment::builtin(env_cfg);
+  const footprint::FootprintModel fp(env);
   dc::SimConfig sim_cfg;
   sim_cfg.tol = 0.5;
   sim_cfg.record_jobs = true;
-  dc::Simulator sim(world, world_fp, sim_cfg);
-  sim.set_fault_injection(&faults, &observed_fp);
+  dc::Simulator sim(env, fp, sim_cfg);
+  sim.set_fault_injection(&faults);
   const dc::CampaignResult res = sim.run(jobs, scheduler);
   EXPECT_EQ(res.num_jobs, static_cast<long>(jobs.size()))
       << scheduler.name();

@@ -203,29 +203,69 @@ void expect_identical(const Breakdown& a, const Breakdown& b,
   EXPECT_EQ(a.embodied_water_l, b.embodied_water_l) << where;
 }
 
-/// The Eq. 1-3 operational terms written out against the Environment in
-/// the evaluation order the footprint model has always used, so the
-/// sample path is pinned to the formula, not only to itself.
-Breakdown reference_operational(const env::Environment& env, int r, double t,
-                                double e) {
+/// Region r's intensities at t written out against the Environment and the
+/// documented fault overlay: the Controller view's biases multiply the
+/// scaled series, and the shock is added to WSF before the scarcity weight
+/// is taken.  `faults` may be null.
+Intensities reference_sample(const env::Environment& env,
+                             const env::FaultSchedule* faults,
+                             env::FaultView view, int r, double t) {
+  Intensities at;
+  at.ci = env.carbon_intensity(r, t);
+  at.ewif = env.ewif(r, t);
+  at.wue = env.wue(r, t);
+  double wsf = env.wsf(r);
+  if (faults != nullptr) {
+    if (view == env::FaultView::Controller) {
+      at.ci *= faults->carbon_bias(r, t);
+      at.ewif *= faults->water_bias(r, t);
+      at.wue *= faults->water_bias(r, t);
+    }
+    wsf += faults->wsf_shock(r, t);
+  }
+  at.scarcity = 1.0 + wsf;
+  at.pue = env.pue(r);
+  return at;
+}
+
+void expect_identical(const Intensities& a, const Intensities& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.ci, b.ci) << where;
+  EXPECT_EQ(a.ewif, b.ewif) << where;
+  EXPECT_EQ(a.wue, b.wue) << where;
+  EXPECT_EQ(a.scarcity, b.scarcity) << where;
+  EXPECT_EQ(a.pue, b.pue) << where;
+}
+
+/// The Eq. 1-3 operational terms of `e` kWh at the intensities `at`, in the
+/// evaluation order the footprint model has always used, so the sample path
+/// is pinned to the formula, not only to itself.
+Breakdown reference_operational(const Intensities& at, double e) {
   Breakdown b;
-  const double scarcity = 1.0 + env.wsf(r, t);
-  b.operational_carbon_g = e * env.carbon_intensity(r, t);
-  b.offsite_water_l = env.pue(r) * e * env.ewif(r, t) * scarcity;
-  b.onsite_water_l = e * env.wue(r, t) * scarcity;
+  b.operational_carbon_g = e * at.ci;
+  b.offsite_water_l = at.pue * e * at.ewif * at.scarcity;
+  b.onsite_water_l = e * at.wue * at.scarcity;
   return b;
 }
 
 /// Checks every builtin region pair (from == to included) at several
-/// instants: job_at and transfer through samples equal the (r, t) forms,
-/// and both equal the written-out Eq. 1-3 reference.
+/// instants, through `env`'s footprint model with `faults` overlaid in
+/// `view`: sample_all equals sample, both equal the written-out overlay,
+/// water_intensity is Eq. 6 of it, job_at and transfer through samples
+/// equal the (r, t) forms, and both equal the written-out Eq. 1-3
+/// reference.
 void expect_sample_forms_identical(const env::Environment& env,
+                                   const env::FaultSchedule* faults,
+                                   env::FaultView view,
                                    const std::vector<double>& times) {
-  const FootprintModel model(env);
+  const FootprintModel model = FootprintModel(env).with_faults(faults, view);
   const int n = env.num_regions();
   const double e = 0.0375;
   const double exec = 431.0;
   const double bytes = 3.7e8;
+  const auto reference = [&](int r, double t) {
+    return reference_sample(env, faults, view, r, t);
+  };
   std::vector<Intensities> all;
   for (const double t : times) {
     model.sample_all(t, all);
@@ -234,18 +274,18 @@ void expect_sample_forms_identical(const env::Environment& env,
       const std::string at = "r=" + std::to_string(r) +
                              " t=" + std::to_string(t);
       const Intensities one = model.sample(r, t);
-      const Intensities& each = all[static_cast<std::size_t>(r)];
-      EXPECT_EQ(each.ci, one.ci) << at;
-      EXPECT_EQ(each.ewif, one.ewif) << at;
-      EXPECT_EQ(each.wue, one.wue) << at;
-      EXPECT_EQ(each.scarcity, one.scarcity) << at;
-      EXPECT_EQ(each.pue, one.pue) << at;
+      const Intensities want = reference(r, t);
+      expect_identical(all[static_cast<std::size_t>(r)], one, at);
+      expect_identical(one, want, at + " vs the overlay");
+      EXPECT_EQ(one.water_intensity(),
+                (want.wue + want.pue * want.ewif) * want.scarcity)
+          << at << " vs Eq. 6";
       const Breakdown direct = model.job_at(r, t, e, exec);
       expect_identical(model.job_at(model.sample(r, t), e, exec), direct, at);
-      Breakdown reference = reference_operational(env, r, t, e);
-      reference.embodied_carbon_g = direct.embodied_carbon_g;
-      reference.embodied_water_l = direct.embodied_water_l;
-      expect_identical(direct, reference, at + " vs Eq. 1-3");
+      Breakdown expected = reference_operational(want, e);
+      expected.embodied_carbon_g = direct.embodied_carbon_g;
+      expected.embodied_water_l = direct.embodied_water_l;
+      expect_identical(direct, expected, at + " vs Eq. 1-3");
     }
     for (int from = 0; from < n; ++from) {
       for (int to = 0; to < n; ++to) {
@@ -255,52 +295,86 @@ void expect_sample_forms_identical(const env::Environment& env,
         expect_identical(model.transfer(from, to, bytes, model.sample(from, t),
                                         model.sample(to, t)),
                          direct, at);
-        Breakdown reference;
+        Breakdown expected;
         if (from != to) {
           const double energy = env.transfer_energy_kwh(from, to, bytes);
-          reference += reference_operational(env, from, t, 0.5 * energy);
-          reference += reference_operational(env, to, t, 0.5 * energy);
+          expected += reference_operational(reference(from, t), 0.5 * energy);
+          expected += reference_operational(reference(to, t), 0.5 * energy);
         }
-        expect_identical(direct, reference, at + " vs Eq. 1-3");
+        expect_identical(direct, expected, at + " vs Eq. 1-3");
       }
     }
   }
 }
 
 TEST_F(FootprintTest, SampleOverloadsMatchPointForms) {
-  expect_sample_forms_identical(env_, {0.0, 1799.5, 40000.0, 86400.0 * 3 + 17});
+  expect_sample_forms_identical(env_, nullptr, env::FaultView::World,
+                                {0.0, 1799.5, 40000.0, 86400.0 * 3 + 17});
 }
 
 TEST(FootprintSample, SampleOverloadsMatchPointFormsUnderFaults) {
-  // A forecast-bias window (Controller view only) and a WSF shock (both
-  // views), active at some sampled instants and not at others.
+  // Forecast-bias windows (Controller view only) and WSF shocks (both
+  // views), active at some sampled instants and not at others, over the
+  // plain environment and over one with the other dataset, the sensitivity
+  // scales and a PUE override.
   env::FaultSchedule faults(5);
   faults.add_forecast_bias(1, 3600.0, 10800.0, 1.8, 1.3);
   faults.add_forecast_bias(4, 0.0, 7200.0, 0.6, 1.5);
+  faults.add_forecast_bias(3, -10000.0, 1.0e9, 1.3, 0.7);
   faults.add_water_shock(1, 5000.0, 20000.0, 0.9);
   faults.add_water_shock(3, 0.0, 9000.0, 1.2);
-  const std::vector<double> times = {100.0, 4000.0, 6000.0, 15000.0, 50000.0};
-  for (const env::FaultView view :
-       {env::FaultView::World, env::FaultView::Controller}) {
-    env::Environment env = env::Environment::builtin(small_config());
-    env.attach_faults(&faults, view);
-    expect_sample_forms_identical(env, times);
+  faults.add_outage(2, 0.0, 3600.0);
+  env::EnvironmentConfig scaled = small_config();
+  scaled.dataset = env::WaterDataset::WorldResourcesInstitute;
+  scaled.carbon_intensity_scale = 1.13;
+  scaled.water_intensity_scale = 0.87;
+  scaled.pue_override = 1.37;
+  for (const env::EnvironmentConfig& cfg : {small_config(), scaled}) {
+    const env::Environment env = env::Environment::builtin(cfg);
+    const std::vector<double> times = {-5000.0, 100.0,   4000.0,
+                                       6000.0,  15000.0, 50000.0,
+                                       env.horizon_seconds() + 7200.0};
+    for (const env::FaultView view :
+         {env::FaultView::World, env::FaultView::Controller})
+      expect_sample_forms_identical(env, &faults, view, times);
   }
+}
 
-  // The overlay is really active at t = 6000: the shock moves the sample's
-  // scarcity in both views and the bias moves only the Controller's CI.
-  env::Environment world = env::Environment::builtin(small_config());
-  env::Environment controller = env::Environment::builtin(small_config());
-  const env::Environment plain = env::Environment::builtin(small_config());
-  world.attach_faults(&faults, env::FaultView::World);
-  controller.attach_faults(&faults, env::FaultView::Controller);
-  const Intensities w = FootprintModel(world).sample(1, 6000.0);
-  const Intensities c = FootprintModel(controller).sample(1, 6000.0);
-  const Intensities p = FootprintModel(plain).sample(1, 6000.0);
-  EXPECT_DOUBLE_EQ(w.scarcity, p.scarcity + 0.9);
-  EXPECT_EQ(c.scarcity, w.scarcity);
-  EXPECT_EQ(w.ci, p.ci);
-  EXPECT_NE(c.ci, w.ci);
+TEST(FootprintFaults, BiasIsControllerOnlyAndShocksHitBothViews) {
+  env::FaultSchedule faults(5);
+  faults.add_forecast_bias(0, 0.0, 3600.0, 2.0, 1.5);
+  faults.add_water_shock(1, 0.0, 3600.0, 1.25);
+  faults.add_outage(2, 0.0, 3600.0);
+
+  const env::Environment env = env::Environment::builtin(small_config());
+  const FootprintModel clean(env);
+  const FootprintModel world =
+      clean.with_faults(&faults, env::FaultView::World);
+  const FootprintModel controller =
+      clean.with_faults(&faults, env::FaultView::Controller);
+  EXPECT_EQ(&world.environment(), &env);
+  EXPECT_EQ(&controller.environment(), &env);
+
+  const double t = 1800.0;
+  const Intensities c0 = clean.sample(0, t);
+  // Forecast bias perturbs only the controller's observed intensities.
+  EXPECT_EQ(world.sample(0, t).ci, c0.ci);
+  EXPECT_DOUBLE_EQ(controller.sample(0, t).ci, 2.0 * c0.ci);
+  EXPECT_EQ(world.sample(0, t).ewif, c0.ewif);
+  EXPECT_DOUBLE_EQ(controller.sample(0, t).ewif, 1.5 * c0.ewif);
+  EXPECT_DOUBLE_EQ(controller.sample(0, t).wue, 1.5 * c0.wue);
+  EXPECT_EQ(controller.sample(0, t).scarcity, c0.scarcity);
+  // Unbiased regions read through untouched in both views.
+  EXPECT_EQ(controller.sample(1, t).ci, clean.sample(1, t).ci);
+
+  // A scarcity shock is real: both views see the raised WSF.
+  EXPECT_DOUBLE_EQ(world.sample(1, t).scarcity,
+                   clean.sample(1, t).scarcity + 1.25);
+  EXPECT_EQ(controller.sample(1, t).scarcity, world.sample(1, t).scarcity);
+  EXPECT_EQ(world.sample(1, 7200.0).scarcity, clean.sample(1, 7200.0).scarcity);
+  // An outage window carries no intensity effect in either view.
+  EXPECT_EQ(world.sample(2, t).ci, clean.sample(2, t).ci);
+  EXPECT_EQ(controller.sample(2, t).ci, clean.sample(2, t).ci);
 }
 
 }  // namespace

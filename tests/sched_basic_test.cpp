@@ -58,7 +58,6 @@ struct Fixture {
     dc::ScheduleContext c;
     c.now = 0.0;
     c.tol = tol;
-    c.env = &env;
     c.footprint = &fp;
     c.capacity = cap;
     return c;

@@ -88,7 +88,6 @@ TEST(Ecovisor, ScaleBoundsRespected) {
   };
   const OneSlot cap;
   dc::ScheduleContext ctx;
-  ctx.env = &env;
   ctx.footprint = &fp;
   ctx.capacity = &cap;
   ctx.tol = 0.25;
