@@ -129,7 +129,7 @@ class FixedCapacity final : public dc::CapacityView {
 };
 
 // WaterWise batch windows end to end: region sampling, history observe,
-// cost table, transport solve and commit, on a fixed batch of
+// model build, transport solve and commit, on a fixed batch of
 // `state.range(0)` jobs whose home, package, estimated run time and energy
 // `draw(i, regions, rng, job, pending)` sets.  Every region has 10 free
 // servers, now advances 3 s a call (the default batch window) and every
@@ -201,6 +201,25 @@ void BM_ScheduleWindowHardInfeasible(benchmark::State& state) {
     state.SkipWithError("a window's hard form was feasible");
 }
 BENCHMARK(BM_ScheduleWindowHardInfeasible)->Arg(15);
+
+// A congested window: 25 long jobs homed round-robin, each allowed in
+// every region within its delay allowance, so the hard form is feasible,
+// but their cheapest regions hold only 10 free servers each, so the hard
+// solve must move jobs along augmenting paths.  It fails unless every
+// window's hard form solves.
+void BM_ScheduleWindowCongested(benchmark::State& state) {
+  const core::SchedulerStats stats = schedule_windows(
+      state, [](int i, int regions, util::Rng& rng, trace::Job& job,
+                dc::PendingJob& p) {
+        job.home_region = i % regions;
+        job.package_bytes = rng.uniform(1.0e8, 3.0e8);
+        p.est_exec_s = rng.uniform(1800.0, 3600.0);
+        p.est_energy_kwh = rng.uniform(0.05, 0.2);
+      });
+  if (stats.soft_fallbacks != 0)
+    state.SkipWithError("a window's hard form was infeasible");
+}
+BENCHMARK(BM_ScheduleWindowCongested)->Arg(25);
 
 // The simulator's admission step: try_reserve at the region's capacity,
 // with the prune each window makes.  A request arrives every 5 s and runs

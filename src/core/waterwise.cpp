@@ -1,7 +1,9 @@
 #include "core/waterwise.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -35,6 +37,65 @@ constexpr int kRecoverAfterClean = 3;
 constexpr int kRecoveryWindows = 3;
 constexpr double kDegradedCapFraction = 0.25;
 constexpr double kRecoveryCapFraction = 0.5;
+
+/// `value` where `keep` is set, else 0.0, selected on the bits: the value
+/// is computed whether or not it is kept, so a loop of these has no branch.
+double or_zero(double value, bool keep) {
+  const std::uint64_t mask =
+      std::uint64_t{0} - static_cast<std::uint64_t>(keep);
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(value) & mask);
+}
+
+/// One job's per-pair terms over the regions of `s`, whose columns are
+/// filled: the carbon `co2` and water `h2o` of running it in region r plus
+/// moving its package there from `home` (sampled as `at_home`), and the
+/// transfer `latency` and its `exceedance` of the job's remaining delay
+/// `allowance`.  Per pair that is
+/// FootprintModel::compose(operational(at, E), embodied) plus
+/// FootprintModel::transfer(home, r, package, at_home, at), with the same
+/// operations in the same order: the transfer's Breakdown starts at 0.0,
+/// adds both endpoints' operational terms at half the transfer energy,
+/// and is zero for r == home or energy <= 0; its embodied fields stay 0.0.
+/// Eq. 11 states the delay tolerance as one row per job over the summed
+/// transfer latency; since exactly one x_mn is 1, that row forbids every
+/// region whose latency exceeds the allowance, so the hard form forbids
+/// the pair and the soft form prices the exceedance.  The loop is
+/// branch-free and its outputs are restrict-qualified, so it vectorizes.
+void pair_terms(const WindowSnapshot& s, int home,
+                const footprint::Intensities& at_home, double energy_kwh,
+                const footprint::Breakdown& embodied,
+                const env::TransferModel::Package& package,
+                const env::TransferModel::Row& row, double allowance,
+                double* __restrict co2, double* __restrict h2o,
+                double* __restrict latency, double* __restrict exceedance) {
+  const double* const ci = s.ci.data();
+  const double* const ewif = s.ewif.data();
+  const double* const wue = s.wue.data();
+  const double* const scarcity = s.scarcity.data();
+  const double* const pue = s.pue.data();
+  const int n = static_cast<int>(s.ci.size());
+  for (int r = 0; r < n; ++r) {
+    const double op_carbon = energy_kwh * ci[r];
+    const double offsite = pue[r] * energy_kwh * ewif[r] * scarcity[r];
+    const double onsite = energy_kwh * wue[r] * scarcity[r];
+    const double energy = package.gb * row.kwh_per_gb[r];
+    const double half = 0.5 * energy;
+    const double tr_carbon = (0.0 + half * at_home.ci) + half * ci[r];
+    const double tr_offsite =
+        (0.0 + at_home.pue * half * at_home.ewif * at_home.scarcity) +
+        pue[r] * half * ewif[r] * scarcity[r];
+    const double tr_onsite = (0.0 + half * at_home.wue * at_home.scarcity) +
+                             half * wue[r] * scarcity[r];
+    const bool remote = r != home;
+    const bool moves = remote & !(energy <= 0.0);
+    co2[r] = (op_carbon + embodied.embodied_carbon_g) +
+             or_zero(tr_carbon + 0.0, moves);
+    h2o[r] = (offsite + onsite + embodied.embodied_water_l) +
+             or_zero(tr_offsite + tr_onsite + 0.0, moves);
+    latency[r] = or_zero(row.handshake_s[r] + package.serialize_s, remote);
+    exceedance[r] = latency[r] - allowance;
+  }
+}
 
 }  // namespace
 
@@ -108,33 +169,80 @@ void WaterWiseScheduler::take_snapshot(const dc::ScheduleContext& ctx,
   }
 }
 
+void WindowSnapshot::fill_columns() {
+  const std::size_t n = intensity.size();
+  for (std::vector<double>* column : {&ci, &ewif, &wue, &scarcity, &pue})
+    column->resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const footprint::Intensities& at = intensity[r];
+    ci[r] = at.ci;
+    ewif[r] = at.ewif;
+    wue[r] = at.wue;
+    scarcity[r] = at.scarcity;
+    pue[r] = at.pue;
+  }
+}
+
+void ChunkWorkspace::soften() {
+  if (soft) return;
+  soft = true;
+  // The soft form (Eq. 12-13) charges the exceedance: its penalty
+  // P_mn >= exceedance * x_mn has a positive cost and appears in no other
+  // row, so every optimum has P_mn = exceedance * x_mn and the penalty
+  // folds into x_mn's cost.  A region with no quota still takes no job.
+  const std::size_t n = problem.quota.size();
+  std::size_t at = 0;
+  for (const double rate : penalty_rate) {
+    for (std::size_t r = 0; r < n; ++r, ++at) {
+      const double exceeds = exceedance[at];
+      if (exceeds > 0.0) problem.cost[at] += rate * exceeds;
+      problem.allowed[at] = problem.quota[r] > 0 ? 1 : 0;
+    }
+  }
+}
+
 void WaterWiseScheduler::build_costs(
     const std::vector<const dc::PendingJob*>& chunk,
-    const dc::ScheduleContext& ctx, const WindowSnapshot& snapshot,
-    ChunkWorkspace& ws) const {
+    const std::vector<int>& quota, const dc::ScheduleContext& ctx,
+    const WindowSnapshot& snapshot, ChunkWorkspace& ws) const {
   const obs::Span span("sched.model_build");
   const int m = static_cast<int>(chunk.size());
   const int n = static_cast<int>(snapshot.intensity.size());
-  ws.base.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
-  ws.exceedance.resize(ws.base.size());
+  const auto un = static_cast<std::size_t>(n);
+  if (quota.size() != un || snapshot.ci.size() != un)
+    throw std::invalid_argument(
+        "WaterWise: the chunk quota and the snapshot columns must have one "
+        "entry per sampled region");
+  const std::size_t cells = static_cast<std::size_t>(m) * un;
+  sched::TransportProblem& problem = ws.problem;
+  problem.jobs = m;
+  problem.quota = quota;
+  problem.cost.resize(cells);
+  problem.allowed.resize(cells);
+  ws.soft = false;
+  ws.exceedance.resize(cells);
+  ws.latency.resize(cells);
   ws.penalty_rate.resize(static_cast<std::size_t>(m));
+  // Hall's masks hold one bit per region.
+  const bool masks = n <= sched::kHallMaxRegions;
+  ws.delay_masks.resize(masks ? static_cast<std::size_t>(m) : 0);
 
   // Objective: Eq. 8 normalized footprint costs + history reference terms,
   // plus the delay tolerance of Eq. 11 (hard) / Eq. 12-13 (soft).
-  std::vector<double>& co2 = ws.co2;
-  std::vector<double>& h2o = ws.h2o;
-  std::vector<double>& usd = ws.usd;
-  std::vector<double>& perf = ws.perf;
   // The Sec. 7 terms are filled only when the objective weighs them.
   const bool use_usd = config_.lambda_cost > 0.0;
   const bool use_perf = config_.lambda_perf > 0.0;
   const env::Environment& env = ctx.footprint->environment();
-  co2.resize(static_cast<std::size_t>(n));
-  h2o.resize(static_cast<std::size_t>(n));
-  usd.resize(use_usd ? static_cast<std::size_t>(n) : 0);
-  perf.resize(use_perf ? static_cast<std::size_t>(n) : 0);
+  const env::TransferModel& transfer = env.transfer_model();
+  ws.co2.resize(un);
+  ws.h2o.resize(un);
+  ws.usd.resize(use_usd ? un : 0);
+  ws.perf.resize(use_perf ? un : 0);
+  double* const co2 = ws.co2.data();
+  double* const h2o = ws.h2o.data();
   for (int j = 0; j < m; ++j) {
-    const dc::PendingJob& p = *chunk[static_cast<std::size_t>(j)];
+    const auto uj = static_cast<std::size_t>(j);
+    const dc::PendingJob& p = *chunk[uj];
     const int home = p.job->home_region;
     const footprint::Intensities& at_home =
         snapshot.intensity.at(static_cast<std::size_t>(home));
@@ -143,138 +251,97 @@ void WaterWiseScheduler::build_costs(
     const double waited = ctx.now - p.first_seen;
     const double budget = ctx.tol * kDelayEstimateMargin * p.est_exec_s;
     const double allowance = std::max(0.0, budget - waited);
-    ws.penalty_rate[static_cast<std::size_t>(j)] =
-        kSigma / std::max(1.0, ctx.tol * p.est_exec_s);
+    ws.penalty_rate[uj] = kSigma / std::max(1.0, ctx.tol * p.est_exec_s);
     // The region-independent parts of the footprint and transfer terms,
-    // once per job: the embodied terms and the package's size and
-    // serialization time.
+    // once per job: the embodied terms, the package's size and
+    // serialization time, and the home region's rows of the transfer
+    // tables.  Decision-time estimates: current intensities, estimated E
+    // and t.
     const footprint::Breakdown embodied =
         ctx.footprint->embodied(p.est_exec_s);
     const env::TransferModel::Package package =
         env.transfer_package(p.job->package_bytes);
-    for (int r = 0; r < n; ++r) {
-      const std::size_t ri = static_cast<std::size_t>(r);
-      // Decision-time estimates: current intensities, estimated E and t.
-      const footprint::Intensities& at = snapshot.intensity[ri];
-      const footprint::Breakdown fb = footprint::FootprintModel::compose(
-          footprint::FootprintModel::operational(at, p.est_energy_kwh),
-          embodied);
-      const footprint::Breakdown tb =
-          ctx.footprint->transfer(home, r, package, at_home, at);
-      co2[ri] = fb.carbon_g() + tb.carbon_g();
-      h2o[ri] = fb.water_l() + tb.water_l();
-      if (use_usd)
-        usd[ri] = env.pue(r) * p.est_energy_kwh * snapshot.price[ri];
-      const double latency = env.transfer_latency_seconds(home, r, package);
-      if (use_perf) perf[ri] = latency / std::max(1.0, p.est_exec_s);
-      // Eq. 11 states the delay tolerance as one row per job over the
-      // summed transfer latency.  Since exactly one x_mn is 1, that row
-      // forbids every region whose latency exceeds the allowance; run_model
-      // forbids the pair (hard) or prices the exceedance (soft).
-      ws.exceedance[static_cast<std::size_t>(j * n + r)] =
-          latency - allowance;
-    }
+    double* const latency = ws.latency.data() + uj * un;
+    double* const exceedance = ws.exceedance.data() + uj * un;
+    pair_terms(snapshot, home, at_home, p.est_energy_kwh, embodied, package,
+               transfer.row(home), allowance, co2, h2o, latency, exceedance);
+    if (use_usd)
+      for (std::size_t r = 0; r < un; ++r)
+        ws.usd[r] = snapshot.pue[r] * p.est_energy_kwh * snapshot.price[r];
+    if (use_perf)
+      for (std::size_t r = 0; r < un; ++r)
+        ws.perf[r] = latency[r] / std::max(1.0, p.est_exec_s);
     const double co2_max =
-        std::max(1e-12, *std::max_element(co2.begin(), co2.end()));
+        std::max(1e-12, *std::max_element(ws.co2.begin(), ws.co2.end()));
     const double h2o_max =
-        std::max(1e-12, *std::max_element(h2o.begin(), h2o.end()));
+        std::max(1e-12, *std::max_element(ws.h2o.begin(), ws.h2o.end()));
     const double usd_max =
-        use_usd ? std::max(1e-12, *std::max_element(usd.begin(), usd.end()))
-                : 0.0;
-    const double perf_max =
-        use_perf
-            ? std::max(1e-12, *std::max_element(perf.begin(), perf.end()))
+        use_usd
+            ? std::max(1e-12, *std::max_element(ws.usd.begin(), ws.usd.end()))
             : 0.0;
+    const double perf_max =
+        use_perf ? std::max(1e-12,
+                            *std::max_element(ws.perf.begin(), ws.perf.end()))
+                 : 0.0;
+    double* const cost = problem.cost.data() + uj * un;
+    std::uint8_t* const allowed = problem.allowed.data() + uj * un;
+    std::uint32_t mask = 0;
     for (int r = 0; r < n; ++r) {
-      const std::size_t ri = static_cast<std::size_t>(r);
-      double cost = config_.lambda_co2 * co2[ri] / co2_max +
-                    config_.lambda_h2o * h2o[ri] / h2o_max;
-      if (use_usd) cost += config_.lambda_cost * usd[ri] / usd_max;
-      if (use_perf) cost += config_.lambda_perf * perf[ri] / perf_max;
-      if (config_.enable_history) cost += snapshot.history[ri];
+      const auto ri = static_cast<std::size_t>(r);
+      double c = config_.lambda_co2 * co2[ri] / co2_max +
+                 config_.lambda_h2o * h2o[ri] / h2o_max;
+      if (use_usd) c += config_.lambda_cost * ws.usd[ri] / usd_max;
+      if (use_perf) c += config_.lambda_perf * ws.perf[ri] / perf_max;
+      if (config_.enable_history) c += snapshot.history[ri];
       // Deterministic tie-breaking epsilon: jobs of the same benchmark share
       // identical estimates, so without it many assignments tie exactly and
       // the decision would hinge on how the solver breaks ties.  The
       // epsilon makes the optimum unique.
-      cost += 1e-9 * static_cast<double>(j * n + r);
-      ws.base[static_cast<std::size_t>(j * n + r)] = cost;
+      c += 1e-9 * static_cast<double>(j * n + r);
+      cost[ri] = c;
+      // The hard form forbids a pair whose exceedance is positive; any
+      // other value, NaN included, leaves it allowed where there is quota.
+      const bool in_time = !(exceedance[ri] > 0.0);
+      allowed[ri] = quota[ri] > 0 && in_time ? 1 : 0;
+      if (masks) mask |= static_cast<std::uint32_t>(in_time) << r;
     }
+    if (masks) ws.delay_masks[uj] = mask;
   }
 }
 
 const sched::TransportSolution& WaterWiseScheduler::run_model(
-    ChunkWorkspace& ws, const std::vector<int>& quota, bool soft,
-    SchedulerStats& stats) const {
-  // Both forms are the m x n transportation problem: a dense job-major
-  // cost matrix, an allowed mask and the chunk's quota, filled into the
-  // workspace's problem in place.
-  sched::TransportProblem& problem = ws.problem;
-  problem.jobs = static_cast<int>(ws.penalty_rate.size());
-  problem.cost = ws.base;
-  problem.allowed.resize(problem.cost.size());
-  problem.quota = quota;
-  std::size_t at = 0;
-  for (const double penalty_rate : ws.penalty_rate) {
-    for (const int q : quota) {
-      // The soft form (Eq. 12-13) charges the exceedance: its penalty
-      // P_mn >= exceedance * x_mn has a positive cost and appears in no
-      // other row, so every optimum has P_mn = exceedance * x_mn and the
-      // penalty folds into x_mn's cost.  A region with no quota cannot take
-      // any job from this chunk.
-      const double exceedance = ws.exceedance[at];
-      bool allowed = q > 0;
-      if (exceedance > 0.0) {
-        if (soft)
-          problem.cost[at] += penalty_rate * exceedance;
-        else
-          allowed = false;
-      }
-      problem.allowed[at] = allowed ? 1 : 0;
-      ++at;
-    }
-  }
-
+    ChunkWorkspace& ws, SchedulerStats& stats) const {
   const util::Stopwatch watch;
   sched::TransportSolution& sol = ws.solution;
-  sched::transport_assign(problem, sol, ws.solver);
+  sched::transport_assign(ws.problem, sol, ws.solver);
   stats.solve_seconds += watch.elapsed_seconds();
   ++stats.milp_solves;
 #ifndef NDEBUG
   // Debug builds (the sanitizer CI job among them) certify every solve:
   // an optimal one by its duals, an infeasible one by its Hall set.
   std::string why;
-  if (!sched::certify(problem, sol, &why))
+  if (!sched::certify(ws.problem, sol, &why))
     throw std::logic_error("WaterWise: transport solve failed its "
                            "certificate: " + why);
 #endif
   return sol;
 }
 
-bool WaterWiseScheduler::hard_form_fits(const std::vector<int>& quota,
-                                        ChunkWorkspace& ws) const {
+bool WaterWiseScheduler::hard_form_fits(ChunkWorkspace& ws) const {
   const std::size_t m = ws.penalty_rate.size();
-  const std::size_t n = quota.size();
+  const std::size_t n = ws.problem.quota.size();
   if (n > static_cast<std::size_t>(sched::kHallMaxRegions) ||
       (std::size_t{1} << n) > m * n)
     return true;
-  // run_model's hard form forbids a pair whose exceedance is positive; any
-  // other value, NaN included, leaves it allowed.  hall_verdict drops the
-  // regions without quota.
-  ws.delay_masks.resize(m);
-  const double* exceedance = ws.exceedance.data();
-  for (std::uint32_t& mask : ws.delay_masks) {
-    mask = 0;
-    for (std::size_t r = 0; r < n; ++r)
-      mask |= static_cast<std::uint32_t>(!(exceedance[r] > 0.0)) << r;
-    exceedance += n;
-  }
-  const bool fits = sched::hall_verdict(ws.delay_masks, quota, ws.hall) !=
+  // hall_verdict drops the regions without quota.
+  const bool fits = sched::hall_verdict(ws.delay_masks, ws.problem.quota,
+                                        ws.hall) !=
                     sched::HallVerdict::kInfeasible;
 #ifndef NDEBUG
   // Debug builds (the sanitizer CI job among them) certify every skipped
   // probe by solving it.
   SchedulerStats unused;
-  if (!fits && run_model(ws, quota, /*soft=*/false, unused).optimal())
+  if (!fits && run_model(ws, unused).optimal())
     throw std::logic_error(
         "WaterWise: Hall's condition rejected a feasible hard form");
 #endif
@@ -414,9 +481,9 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     span.arg("decisions", out.decisions.size());
   };
 
-  // Every model form below reads this one cost table.
+  // Every model form below is this one model, built in its hard form.
   ChunkWorkspace& ws = out.workspace;
-  build_costs(plan.jobs, ctx, snapshot, ws);
+  build_costs(plan.jobs, plan.quota, ctx, snapshot, ws);
 
   // Whether an injected failure (WW_FAULT_SOLVES / config) discards the
   // outcome of attempt `attempt_no`, exactly as a solver crash would; each
@@ -431,11 +498,13 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     return true;
   };
   // One solve of the chunk model, nullptr when an injected failure discards
-  // its outcome.  Every attempt overwrites the workspace's solution.
+  // its outcome.  A soft attempt first switches the model to the soft form
+  // (once; a retry finds it switched).  Every attempt overwrites the
+  // workspace's solution.
   const auto attempt = [&](bool soft,
                            int attempt_no) -> const sched::TransportSolution* {
-    const sched::TransportSolution& sol =
-        run_model(ws, plan.quota, soft, out.stats);
+    if (soft) ws.soften();
+    const sched::TransportSolution& sol = run_model(ws, out.stats);
     return injected(attempt_no) ? nullptr : &sol;
   };
 
@@ -451,7 +520,7 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   // Remainder: spill-eligible, then an explicit deferral — never a drop.
   const sched::TransportSolution* sol = nullptr;
   if (config_.enable_soft_constraints) {
-    if (hard_form_fits(plan.quota, ws))
+    if (hard_form_fits(ws))
       sol = attempt(/*soft=*/false, 0);
     else
       injected(0);
@@ -471,7 +540,7 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
   }
 
   // Each placed job starts when its package arrives.
-  const env::Environment& env = ctx.footprint->environment();
+  const std::size_t n = plan.quota.size();
   if (sol == nullptr || !sol->optimal()) {
     // Rung 3: the greedy places what the quota admits from the problem the
     // last attempt solved.  That is the soft form, with each exceedance
@@ -490,8 +559,7 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
       --out.leftover[static_cast<std::size_t>(r)];
       ++out.stats.fallback_placements;
       const double start =
-          ctx.now + env.transfer_latency_seconds(p->job->home_region, r,
-                                                 p->job->package_bytes);
+          ctx.now + ws.latency[j * n + static_cast<std::size_t>(r)];
       out.decisions.push_back(dc::Decision{p->job->id, r, start, 1.0});
     }
     annotate(3);
@@ -503,9 +571,8 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
     // Eq. 9 places every job and Eq. 10 caps placements at the quota.
     const int chosen = sol->region[j];
     --out.leftover[static_cast<std::size_t>(chosen)];
-    const double start = ctx.now + env.transfer_latency_seconds(
-                                       p.job->home_region, chosen,
-                                       p.job->package_bytes);
+    const double start =
+        ctx.now + ws.latency[j * n + static_cast<std::size_t>(chosen)];
     out.decisions.push_back(dc::Decision{p.job->id, chosen, start, 1.0});
   }
   annotate(rung);
@@ -624,21 +691,18 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
     throw std::out_of_range(
         "WaterWise: the capacity view has more regions than the environment");
   snapshot_.intensity.resize(nr);
-  ci_.resize(nr);
+  snapshot_.fill_columns();
   wi_.resize(nr);
-  for (std::size_t r = 0; r < nr; ++r) {
-    const footprint::Intensities& at = snapshot_.intensity[r];
-    ci_[r] = at.ci;
-    wi_[r] = at.water_intensity();
-  }
-  history_->observe(ci_, wi_);
+  for (std::size_t r = 0; r < nr; ++r)
+    wi_[r] = snapshot_.intensity[r].water_intensity();
+  history_->observe(snapshot_.ci, wi_);
 
   caps_.resize(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
     caps_[static_cast<std::size_t>(r)] = ctx.capacity->free_at(r, ctx.now);
   // Degraded-mode state machine: observe this window, clamp faulty regions'
   // caps (serial — the machine is scheduler state, not chunk state).
-  update_region_health(ctx, ci_, wi_, caps_, window);
+  update_region_health(ctx, snapshot_.ci, wi_, caps_, window);
   int total_cap = 0;
   for (const int c : caps_) total_cap += c;
   if (batch.empty()) return {};

@@ -33,15 +33,18 @@
 // and water intensities from those samples, so the controller never reads
 // a region twice in one window.  Once the learner has observed, the
 // snapshot adds the weighted history term and, only when the Sec. 7 cost
-// term is weighted, the electricity price.  Each chunk fills its m x n
-// cost table from the snapshot (span `sched.model_build`), and transfer
-// distances come from the `env::TransferModel` table.  The terms that do
-// not depend on the region (the embodied footprint and the package's size
-// and serialization time) are computed once per job; per (job, region)
-// only the operational terms, the pair's transfer energy and handshake,
-// the sums and the normalizations remain.  Each is computed by the one
-// formula the ledger also uses, so decisions are bit-identical to
-// evaluating `job_at(r, now, ...)` per pair.
+// term is weighted, the electricity price, and copies the intensities into
+// region-major columns.  Each chunk builds its model from the snapshot in
+// one pass over its jobs (span `sched.model_build`), and transfer terms
+// come from the home region's rows of the `env::TransferModel` tables.
+// The terms that do not depend on the region (the embodied footprint and
+// the package's size and serialization time) are computed once per job;
+// per (job, region) only the operational terms, the pair's transfer energy
+// and handshake, the sums and the normalizations remain, in a branch-free
+// loop over the columns.  That loop repeats, operation for operation, the
+// formulas the ledger uses (`FootprintModel::operational`, `transfer`,
+// `compose`), so decisions are bit-identical to evaluating
+// `job_at(r, now, ...)` per pair.
 //
 // ## The plan -> solve -> commit pipeline
 //
@@ -56,7 +59,7 @@
 //      disjoint by construction, so concurrent chunks can never double-book
 //      a region.
 //   2. `solve_one()` is `const` and writes only its result slot: it builds
-//      one chunk's cost table from the window snapshot, solves the chunk
+//      one chunk's model from the window snapshot, solves the chunk
 //      against its private quota and fills a self-contained `ChunkResult`
 //      (decisions, a `SchedulerStats` delta, leftover quota, spill-eligible
 //      jobs).  Pure per-chunk work is what makes the fan-out sound at any
@@ -68,8 +71,8 @@
 // Workspace ownership: the scheduler owns all window scratch and refills it
 // every window — the observed intensities, capacities, selection, snapshot
 // and chunk plans, and one `ChunkResult` slot per chunk index.  Each slot
-// owns a `ChunkWorkspace` (cost table, normalisers, transport problem,
-// solution and solver scratch), so a pooled chunk solve touches only its
+// owns a `ChunkWorkspace` (the chunk's model, normalisers, solution and
+// solver scratch), so a pooled chunk solve touches only its
 // own slot; no buffer is thread-local and none is locked.  Once the
 // buffers have grown to the largest batch, a single-chunk window allocates
 // only the decision vector schedule() returns
@@ -102,13 +105,14 @@
 // first, wherever the test costs no more than the probe's fill, so the
 // probe is solved only when it can succeed; a rejected probe still takes
 // its injection draw, and the ladder moves on as after an infeasible
-// solve.  Every rung reads the chunk's one cost table: the greedy rung
-// (sched::greedy_assign) places jobs from the transportation problem the
-// last attempt solved, which is the soft form (exceedance priced) when soft
-// constraints are on and the hard form (delay-violating pairs forbidden) in
-// the ablation without them.  The transportation solver is exact and has
-// no budget, so a solve ends optimal or proven infeasible; only an injected
-// failure loses an outcome.  Every rung is deterministic, and every job
+// solve.  Every rung reads the chunk's one model, built in its hard form
+// and switched to the soft form in place by the first soft attempt: the
+// greedy rung (sched::greedy_assign) places jobs from the transportation
+// problem the last attempt solved, which is the soft form (exceedance
+// priced) when soft constraints are on and the hard form (delay-violating
+// pairs forbidden) in the ablation without them.  The transportation
+// solver is exact and has no budget, so a solve ends optimal or proven
+// infeasible; only an injected failure loses an outcome.  Every rung is deterministic, and every job
 // ends placed or counted in `SchedulerStats::deferred_jobs`; nothing is
 // silently dropped.
 //
@@ -282,6 +286,9 @@ struct WindowSnapshot {
   /// sampled for all regions at once by sample_all before the history
   /// observe, which reads it.
   std::vector<footprint::Intensities> intensity;
+  /// The fields of `intensity`, region-major, for the chunks' cost loop;
+  /// fill_columns() copies them.
+  std::vector<double> ci, ewif, wue, scarcity, pue;
   /// electricity_price(r, ctx.now) of ctx.footprint's environment, USD/kWh;
   /// 0 unless lambda_cost > 0 (nothing else reads it).
   std::vector<double> price;
@@ -289,6 +296,9 @@ struct WindowSnapshot {
   /// lambda_ref * (lambda_co2 * CO2ref_r + lambda_h2o * H2Oref_r); the
   /// costs read it only when enable_history is set.
   std::vector<double> history;
+
+  /// Copies `intensity` into the columns, resizing them to its size.
+  void fill_columns();
 };
 
 /// One chunk's share of a batch window: the jobs it must decide and the
@@ -302,18 +312,26 @@ struct ChunkPlan {
 };
 
 /// Scratch for one chunk solve, reused window after window: the chunk's
-/// Eq. 8-13 cost table, the per-region normaliser vectors it is built
-/// with, and the transportation problem, solution and solver scratch.
+/// Eq. 8-13 transportation model, the per-pair terms it is built from, the
+/// per-region normaliser vectors, and the solution and solver scratch.
 /// Each result slot owns one, so concurrent chunk solves share nothing.
 struct ChunkWorkspace {
-  /// Job-major m x n: the normalized Eq. 8 cost, the history term and the
-  /// tie-break epsilon.  Every model form the retry ladder solves reads it;
-  /// the hard and soft forms differ only in how they treat a positive
-  /// delay exceedance.
-  std::vector<double> base;
+  /// The chunk's model.  WaterWiseScheduler::build_costs writes its hard
+  /// form: job-major m x n costs (the normalized Eq. 8 cost, the history
+  /// term and the tie-break epsilon), each pair allowed when its region
+  /// has quota and its delay exceedance is not positive (Eq. 11), and the
+  /// chunk's quota.  soften() switches it to the soft form in place.
+  /// Every rung of the retry ladder reads it; the greedy rung places from
+  /// the form the last attempt solved.
+  sched::TransportProblem problem;
+  /// Whether `problem` holds the soft form.
+  bool soft = false;
   /// Job-major m x n: transfer latency minus the job's remaining delay
   /// allowance (Eq. 11); positive means the pair violates it.
   std::vector<double> exceedance;
+  /// Job-major m x n: the pair's transfer latency, seconds.  A placed job
+  /// starts when its package arrives, this long after the window.
+  std::vector<double> latency;
   /// Per job: the Eq. 12 penalty per second of exceedance.
   std::vector<double> penalty_rate;
   /// Per region, for the job being costed: carbon, water, electricity cost
@@ -322,14 +340,20 @@ struct ChunkWorkspace {
   /// lambda_perf is positive.
   std::vector<double> co2, h2o, usd, perf;
   /// Per job: the regions whose delay exceedance is not positive, as a
-  /// bitmask, and the 2^n-entry scratch of the Hall test over them
-  /// (sched::hall_verdict).  Filled only in windows that run the test.
+  /// bitmask (filled for chunks of at most sched::kHallMaxRegions
+  /// regions), and the 2^n-entry scratch of the Hall test over them
+  /// (sched::hall_verdict).
   std::vector<std::uint32_t> delay_masks;
   std::vector<int> hall;
-  /// The form the last attempt solved; the greedy rung places from it.
-  sched::TransportProblem problem;
   sched::TransportSolution solution;
   sched::TransportWorkspace solver;
+
+  /// Switches `problem` from the hard form to the soft form (Eq. 12-13) in
+  /// place: a pair whose exceedance is positive costs penalty_rate *
+  /// exceedance more, and every pair is allowed where its region has
+  /// quota.  Once the soft form is held it does nothing, so a retry never
+  /// adds the penalty twice.
+  void soften();
 };
 
 /// Outcome of one pure chunk solve: everything `commit()` needs, nothing
@@ -405,6 +429,17 @@ class WaterWiseScheduler final : public dc::Scheduler {
   void solve_one(const ChunkPlan& plan, const dc::ScheduleContext& ctx,
                  const WindowSnapshot& snapshot, ChunkResult& out) const;
 
+  /// solve_one's model build: the chunk's model against `quota` into `ws`
+  /// from the window snapshot (its columns filled), in one pass over the
+  /// jobs (span `sched.model_build`): the hard form of `ws.problem`, the
+  /// exceedance, latency and penalty rate of every pair or job, and each
+  /// job's delay mask.  Throws std::invalid_argument unless `quota` and
+  /// the snapshot's columns have one entry per sampled region.
+  void build_costs(const std::vector<const dc::PendingJob*>& chunk,
+                   const std::vector<int>& quota,
+                   const dc::ScheduleContext& ctx,
+                   const WindowSnapshot& snapshot, ChunkWorkspace& ws) const;
+
  private:
   /// plan_chunks() into `plans`: fills the first N plans, reusing their
   /// buffers, and returns N.  `plans` grows when N exceeds its size and
@@ -422,35 +457,25 @@ class WaterWiseScheduler final : public dc::Scheduler {
       std::size_t num_chunks, const dc::ScheduleContext& ctx,
       SchedulerStats& window);
 
-  /// Fills the cost table of `ws` for the chunk from the window snapshot
-  /// (span `sched.model_build`).
-  void build_costs(const std::vector<const dc::PendingJob*>& chunk,
-                   const dc::ScheduleContext& ctx,
-                   const WindowSnapshot& snapshot, ChunkWorkspace& ws) const;
-
-  /// Solves Eq. 8-13 for the chunk against `quota` as a transportation
-  /// problem (job-major m x n costs, forbidden pairs masked out) with
-  /// sched::transport_assign, filling `ws.problem` in place from the cost
-  /// table and solving into `ws.solution`, which it returns; `region[j]` is
-  /// job j's region.  `soft` adds penalty_rate * exceedance to a
-  /// delay-violating pair's cost instead of forbidding it, and a region
-  /// with no quota takes no job.  The solve count and time accumulate into
-  /// `stats`.  Builds without NDEBUG certify every solve, optimal or
-  /// infeasible, and throw std::logic_error on a failed certificate.
+  /// Solves the form `ws.problem` holds (Eq. 8-13 as a transportation
+  /// problem: job-major m x n costs, forbidden pairs masked out) with
+  /// sched::transport_assign into `ws.solution`, which it returns; copies
+  /// nothing.  `region[j]` is job j's region.  The solve count and time
+  /// accumulate into `stats`; the time brackets only the solve.  Builds
+  /// without NDEBUG certify every solve, optimal or infeasible, and throw
+  /// std::logic_error on a failed certificate.
   const sched::TransportSolution& run_model(ChunkWorkspace& ws,
-                                            const std::vector<int>& quota,
-                                            bool soft,
                                             SchedulerStats& stats) const;
 
-  /// Whether the hard form of the chunk against `quota` can be solved,
-  /// decided by Hall's condition (sched::hall_verdict) over the pairs
-  /// run_model's hard form allows: quota > 0 and exceedance <= 0.  The
+  /// Whether the hard form in `ws` can be solved, decided by Hall's
+  /// condition (sched::hall_verdict) over the delay masks build_costs
+  /// wrote and the chunk's quota: the pairs the hard form allows.  The
   /// test reads 2^n counts, so it runs only where 2^n <= m * n, no more
-  /// than the m x n fill of the probe it may save; elsewhere it answers
+  /// than the m x n work of the probe it may save; elsewhere it answers
   /// true and the probe decides.  Builds without NDEBUG solve every hard
   /// form the test rejects and throw std::logic_error unless it is
   /// infeasible.
-  bool hard_form_fits(const std::vector<int>& quota, ChunkWorkspace& ws) const;
+  bool hard_form_fits(ChunkWorkspace& ws) const;
 
   /// Per-region degraded-mode state (see "Graceful degradation").  Updated
   /// once per batch window, serially, before the chunk fan-out.
@@ -506,10 +531,11 @@ class WaterWiseScheduler final : public dc::Scheduler {
   Handles handles_;
   std::vector<RegionHealth> health_;
   // Window scratch, refilled every window so a steady-state window does not
-  // allocate: the observed intensities, capacities, selection and snapshot,
-  // the chunk plans with one result slot per chunk index (both only grow),
-  // and commit's spill pool, spill plan and spill slot.
-  std::vector<double> ci_, wi_;
+  // allocate: the observed water intensities (the carbon intensities are
+  // the snapshot's `ci` column), capacities, selection and snapshot, the
+  // chunk plans with one result slot per chunk index (both only grow), and
+  // commit's spill pool, spill plan and spill slot.
+  std::vector<double> wi_;
   std::vector<int> caps_;
   std::vector<const dc::PendingJob*> selected_;
   WindowSnapshot snapshot_;

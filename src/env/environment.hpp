@@ -143,6 +143,9 @@ class Environment {
   [[nodiscard]] double transfer_distance_km(int from, int to) const {
     return transfer_->distance_km(from, to);
   }
+  [[nodiscard]] const TransferModel& transfer_model() const noexcept {
+    return *transfer_;
+  }
 
   [[nodiscard]] const EnvironmentConfig& config() const noexcept {
     return config_;

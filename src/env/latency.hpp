@@ -78,6 +78,20 @@ class TransferModel {
     return energy_kwh(from, to, package(bytes));
   }
 
+  /// Row `from` of the per-pair tables: entry `to` of `handshake_s` and of
+  /// `kwh_per_gb` is the pair's term of latency_seconds and of energy_kwh.
+  /// The diagonal holds the terms of a zero-distance move; both forms above
+  /// return zero there instead.  Throws std::out_of_range for `from`
+  /// outside [0, num_regions()).
+  struct Row {
+    const double* handshake_s;
+    const double* kwh_per_gb;
+  };
+  [[nodiscard]] Row row(int from) const {
+    const std::size_t i = cell(from, 0);
+    return {handshake_s_.data() + i, kwh_per_gb_.data() + i};
+  }
+
   /// haversine_km between the two regions, read from the table; throws
   /// std::out_of_range for an index outside [0, num_regions()).
   [[nodiscard]] double distance_km(int from, int to) const {

@@ -1,6 +1,8 @@
 #include "sched/transport.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -57,16 +59,11 @@ bool precedes(double d, int x, double w, int via) {
   return d < w || (d == w && x < via);
 }
 
-/// Links job x into region r's list and merges its moves into row r of the
-/// residual arcs: w[r * n + s] is the least move c_ys - c_yr over allowed
-/// jobs y in r, and via[r * n + s] the job attaining it (-1: no arc).
-void link_job(const TransportProblem& p, int x, int r, TransportWorkspace& ws) {
-  const auto ux = static_cast<std::size_t>(x);
-  int& head = ws.head[static_cast<std::size_t>(r)];
-  ws.prev[ux] = -1;
-  ws.next[ux] = head;
-  if (head >= 0) ws.prev[static_cast<std::size_t>(head)] = x;
-  head = x;
+/// Merges job x's moves out of region r into row r of the residual arcs:
+/// w[r * n + s] is the least move c_ys - c_yr over allowed jobs y in r,
+/// and via[r * n + s] the job attaining it (-1: no arc).
+void merge_arcs(const TransportProblem& p, int x, int r,
+                TransportWorkspace& ws) {
   const int n = p.regions();
   const double here = p.cost[at(x, n, r)];
   for (int s = 0; s < n; ++s) {
@@ -79,8 +76,35 @@ void link_job(const TransportProblem& p, int x, int r, TransportWorkspace& ws) {
   }
 }
 
-/// Unlinks job x from region r's list and recomputes the columns of row r
-/// that x attained, by walking the jobs left in r.
+/// Builds row r of the residual arcs from r's job list.  A region's row is
+/// built the moment it is full and kept from then on: loads never fall,
+/// and the search relaxes only the rows of full regions.
+void build_row(const TransportProblem& p, int r, TransportWorkspace& ws) {
+  const int n = p.regions();
+  std::fill_n(ws.w.begin() + static_cast<std::ptrdiff_t>(at(r, n, 0)), n,
+              kInf);
+  std::fill_n(ws.via.begin() + static_cast<std::ptrdiff_t>(at(r, n, 0)), n,
+              -1);
+  for (int y = ws.head[static_cast<std::size_t>(r)]; y >= 0;
+       y = ws.next[static_cast<std::size_t>(y)])
+    merge_arcs(p, y, r, ws);
+  ws.built[static_cast<std::size_t>(r)] = 1;
+}
+
+/// Links job x into region r's list, and merges its moves into row r when
+/// that row is built.
+void link_job(const TransportProblem& p, int x, int r, TransportWorkspace& ws) {
+  const auto ux = static_cast<std::size_t>(x);
+  int& head = ws.head[static_cast<std::size_t>(r)];
+  ws.prev[ux] = -1;
+  ws.next[ux] = head;
+  if (head >= 0) ws.prev[static_cast<std::size_t>(head)] = x;
+  head = x;
+  if (ws.built[static_cast<std::size_t>(r)] != 0) merge_arcs(p, x, r, ws);
+}
+
+/// Unlinks job x from region r's list and, when row r is built, recomputes
+/// the columns of it that x attained by walking the jobs left in r.
 void unlink_job(const TransportProblem& p, int x, int r,
                 TransportWorkspace& ws) {
   const auto ux = static_cast<std::size_t>(x);
@@ -89,6 +113,7 @@ void unlink_job(const TransportProblem& p, int x, int r,
   (before >= 0 ? ws.next[static_cast<std::size_t>(before)]
                : ws.head[static_cast<std::size_t>(r)]) = after;
   if (after >= 0) ws.prev[static_cast<std::size_t>(after)] = before;
+  if (ws.built[static_cast<std::size_t>(r)] == 0) return;
   const int n = p.regions();
   for (int s = 0; s < n; ++s) {
     if (ws.via[at(r, n, s)] != x) continue;
@@ -173,6 +198,7 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
     out.v.assign(un, 0.0);
     ws.w.reserve(at(n, n, 0));
     ws.via.reserve(at(n, n, 0));
+    ws.built.reserve(un);
     ws.h.reserve(un);
     ws.dist.reserve(un);
     ws.pred.reserve(un);
@@ -185,10 +211,13 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
   }
 
   // Jobs [0, first) keep their regions and loads with every potential 0,
-  // the state their insertions reach; linking them in index order builds
-  // the residual arcs those insertions would have.
-  ws.w.assign(at(n, n, 0), kInf);
-  ws.via.assign(ws.w.size(), -1);
+  // the state their insertions reach.  They are linked into their regions'
+  // lists, and the rows of the regions they fill are built from those
+  // lists: the arcs those insertions would have kept.  The other rows are
+  // stale until their region fills; the search never reads them.
+  ws.w.resize(at(n, n, 0));
+  ws.via.resize(ws.w.size());
+  ws.built.assign(un, 0);
   ws.h.assign(un, 0.0);
   ws.dist.resize(un);
   ws.pred.resize(un);
@@ -204,6 +233,8 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
     const auto i = static_cast<std::size_t>(r);
     return ws.load[i] < p.quota[i];
   };
+  for (int r = 0; r < n; ++r)
+    if (!free_quota(r)) build_row(p, r, ws);
 
   for (int k = first; k < m; ++k) {
     // Dijkstra from job k over the reduced lengths w_rs + h_r - h_s >= 0.
@@ -298,6 +329,7 @@ void transport_assign(const TransportProblem& p, TransportSolution& out,
     ws.path.clear();
     out.region[static_cast<std::size_t>(k)] = r;
     link_job(p, k, r, ws);
+    if (!free_quota(t)) build_row(p, t, ws);
   }
 
   out.status = TransportSolution::Status::Optimal;
@@ -385,12 +417,19 @@ HallVerdict hall_verdict(const std::vector<std::uint32_t>& masks,
   }
   bool every_roomy = true;
   bool every_open = true;
+  bool pinned_or_roomy = true;
   int narrow = 0;
+  // pinned[r]: the jobs whose only open allowed region is r.
+  std::array<int, kHallMaxRegions> pinned{};
   for (const std::uint32_t mask : masks) {
     const std::uint32_t allowed = mask & open;
-    every_roomy = every_roomy && (allowed & roomy) != 0;
+    const bool reaches_roomy = (allowed & roomy) != 0;
+    const bool single = std::has_single_bit(allowed);
+    every_roomy = every_roomy && reaches_roomy;
     every_open = every_open && allowed != 0;
     narrow += static_cast<int>(allowed != open);
+    pinned_or_roomy = pinned_or_roomy && (single || reaches_roomy);
+    if (single) ++pinned[static_cast<std::size_t>(std::countr_zero(allowed))];
   }
   // Any job can take its roomy region, whatever the others take.
   if (every_roomy) return HallVerdict::kRoomyRegion;
@@ -399,6 +438,15 @@ HallVerdict hall_verdict(const std::vector<std::uint32_t>& masks,
   // fill the open quota left over.
   if (every_open && open_quota >= m && narrow <= smallest_open)
     return HallVerdict::kOpenRegions;
+  // Each pinned job takes its one region, which holds them all; every
+  // other job takes a roomy region, which holds all m jobs.
+  if (pinned_or_roomy) {
+    bool pinned_fit = true;
+    for (int r = 0; r < n; ++r)
+      pinned_fit =
+          pinned_fit && pinned[static_cast<std::size_t>(r)] <= clamped(r);
+    if (pinned_fit) return HallVerdict::kPinnedOrRoomy;
+  }
 
   // f(S) = need(S) - quota(S) for every region subset S: the count of jobs
   // whose open allowed set is exactly S, less each region's quota at its

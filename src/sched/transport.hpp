@@ -42,8 +42,15 @@
 // allowed region.  Most scheduler windows are uncongested and never get
 // past it: every job is placed, v = 0 and u_j = c_j,region(j).  Otherwise
 // the jobs placed so far keep their regions, every potential is still 0,
-// and the second phase links them into the residual graph and runs the
-// Dijkstra insertions from the stopping job on.
+// and the second phase links them into their regions' job lists and runs
+// the Dijkstra insertions from the stopping job on.
+//
+// The search relaxes only the rows of full regions, since it stops at the
+// first free region it settles, and loads never fall.  So a region's row
+// of residual arcs is built from its job list the moment the region is
+// full (at the end of the first phase, or when an insertion fills its end
+// region) and kept from then on; a job joining a region with free quota
+// is only linked into its list.
 //
 // The matrix sizes are checked up front; each allowed cost is checked for
 // finiteness where the solver first reads it (in the first phase or the
@@ -52,8 +59,8 @@
 //
 // A path's moves repair only the arcs they touch: a job leaving region a
 // recomputes the columns of row a it attained, by walking a's job list,
-// and a job entering b merges its O(n) arcs into row b.  A chunk costs
-// O(m n^2 + moves * row size).  The duals are read off the final
+// and a job entering a built row b merges its O(n) arcs into it.  A chunk
+// costs O(m n^2 + moves * row size).  The duals are read off the final
 // potentials, and an infeasible instance returns a Hall set as its proof.
 //
 // The tests check this solver against the dense-simplex oracle in
@@ -105,14 +112,16 @@ struct TransportSolution {
 };
 
 /// Solver scratch.  The per-region load; the n x n residual arcs `w` and
-/// the job `via` attaining each (-1: no arc); the region potentials `h`,
-/// kept so that w_rs + h_r - h_s >= 0 on every arc with all free regions
-/// at one potential; the Dijkstra labels, predecessors and settled flags;
-/// each region's jobs as an intrusive doubly linked list (`head` per
-/// region, `next` and `prev` per job); and the current path's moves.
-/// Every solve refills them, so a reused workspace carries nothing from
-/// one solve to the next, and reuse keeps them allocation-free once the
-/// buffers have grown to the largest instance.
+/// the job `via` attaining each (-1: no arc), whose row r is valid only
+/// while `built[r]` is set, which it is exactly for the regions that are
+/// full; the region potentials `h`, kept so that w_rs + h_r - h_s >= 0 on
+/// every valid arc with all free regions at one potential; the Dijkstra
+/// labels, predecessors and settled flags; each region's jobs as an
+/// intrusive doubly linked list (`head` per region, `next` and `prev` per
+/// job); and the current path's moves.  Every solve refills what it reads
+/// (a row only when its region fills), so a reused workspace carries
+/// nothing from one solve to the next, and reuse keeps them
+/// allocation-free once the buffers have grown to the largest instance.
 struct TransportWorkspace {
   struct Move {
     int job, from, to;
@@ -120,6 +129,7 @@ struct TransportWorkspace {
   std::vector<int> load;
   std::vector<double> w;
   std::vector<int> via;
+  std::vector<std::uint8_t> built;
   std::vector<double> h;
   std::vector<double> dist;
   std::vector<int> pred;
@@ -161,6 +171,10 @@ enum class HallVerdict : std::uint8_t {
   /// at least the job count, and the jobs that do not allow every open
   /// region number no more than the smallest open quota.
   kOpenRegions,
+  /// Every job allows exactly one open region or a region whose quota is
+  /// at least the job count, and no open region is the only one of more
+  /// jobs than its quota.
+  kPinnedOrRoomy,
   /// need(S) <= quota(S) over every region subset S.
   kHallHolds,
   /// need(S) > quota(S) for some region subset S.
@@ -173,10 +187,11 @@ enum class HallVerdict : std::uint8_t {
 /// <= 0 are ignored.  By Hall's condition for b-matching (P. Hall, 1935)
 /// every job fits iff, for every region subset S, the jobs allowed only in
 /// S number no more than S's quota: need(S) <= quota(S), with quota(S) the
-/// sum over S of max(quota_r, 0).  Two O(jobs) gates, each sufficient for
-/// feasibility, answer first (kRoomyRegion, kOpenRegions); only when both
-/// fail does one subset-sum pass over the 2^n counts in `scratch` check
-/// every S.  Costs O(jobs + n 2^n).  Throws std::invalid_argument when
+/// sum over S of max(quota_r, 0).  Three gates, each sufficient for
+/// feasibility and together one O(jobs + n) pass, answer first
+/// (kRoomyRegion, kOpenRegions, kPinnedOrRoomy); only when all fail does
+/// one subset-sum pass over the 2^n counts in `scratch` check every S.
+/// Costs O(jobs + n 2^n).  Throws std::invalid_argument when
 /// there are more than kHallMaxRegions regions.
 [[nodiscard]] HallVerdict hall_verdict(const std::vector<std::uint32_t>& masks,
                                        const std::vector<int>& quota,

@@ -130,9 +130,36 @@ TEST(RetryLadder, AllAttemptsInjectedStillPlacesEveryJobViaFallback) {
   EXPECT_EQ(s.deferred_jobs, 0);
 }
 
+/// The rig's whole batch as one chunk (index 0) at time 0 against `quota`:
+/// the window snapshot, plan and context that solve_one and build_costs
+/// read.  The scheduler must not weigh the history term.
+struct Chunk {
+  Chunk(const DirectRig& rig, const std::vector<int>& quota, double tol)
+      : view(quota) {
+    for (int r = 0; r < rig.env.num_regions(); ++r) {
+      snapshot.intensity.push_back(rig.fp.sample(r, 0.0));
+      snapshot.price.push_back(rig.env.electricity_price(r, 0.0));
+      snapshot.history.push_back(0.0);
+    }
+    snapshot.fill_columns();
+    for (const dc::PendingJob& p : rig.batch) plan.jobs.push_back(&p);
+    plan.quota = quota;
+    ctx.tol = tol;
+    ctx.footprint = &rig.fp;
+    ctx.capacity = &view;
+  }
+  Chunk(const Chunk&) = delete;
+  Chunk& operator=(const Chunk&) = delete;
+
+  FixedCapacity view;
+  WindowSnapshot snapshot;
+  ChunkPlan plan;
+  dc::ScheduleContext ctx;
+};
+
 TEST(RetryLadder, GreedyRungPlacesEachJobInItsLeastCostRegion) {
   // With every solve failed, the greedy rung places from the chunk's soft
-  // cost table: the Eq. 8 cost plus penalty_rate * exceedance where the
+  // form: the Eq. 8 cost plus penalty_rate * exceedance where the
   // exceedance is positive.  A heavy electricity-cost weight is a term a
   // ranking of regions by carbon and water intensity alone would miss.
   const DirectRig rig(12);
@@ -148,32 +175,18 @@ TEST(RetryLadder, GreedyRungPlacesEachJobInItsLeastCostRegion) {
   ASSERT_EQ(placed.size(), 12u);
   ASSERT_EQ(ww.stats().fallback_placements, 12);
 
-  // The same window's one chunk again, through solve_one, for its table.
-  WindowSnapshot snapshot;
-  for (int r = 0; r < n; ++r) {
-    snapshot.intensity.push_back(rig.fp.sample(r, 0.0));
-    snapshot.price.push_back(rig.env.electricity_price(r, 0.0));
-    snapshot.history.push_back(0.0);
-  }
-  ChunkPlan plan;
-  for (const dc::PendingJob& p : rig.batch) plan.jobs.push_back(&p);
-  plan.quota = caps;
-  const FixedCapacity view(caps);
-  dc::ScheduleContext ctx;
-  ctx.tol = 0.5;
-  ctx.footprint = &rig.fp;
-  ctx.capacity = &view;
+  // The same window's one chunk again, through solve_one, for its model:
+  // every attempt failed, so it holds the soft form.
+  const Chunk chunk(rig, caps, 0.5);
   ChunkResult out;
-  ww.solve_one(plan, ctx, snapshot, out);
+  ww.solve_one(chunk.plan, chunk.ctx, chunk.snapshot, out);
   const ChunkWorkspace& ws = out.workspace;
-  ASSERT_EQ(ws.base.size(), static_cast<std::size_t>(12 * n));
+  ASSERT_TRUE(ws.soft);
+  ASSERT_EQ(ws.problem.cost.size(), static_cast<std::size_t>(12 * n));
 
   for (int j = 0; j < 12; ++j) {
-    const double rate = ws.penalty_rate[static_cast<std::size_t>(j)];
     const auto soft_cost = [&](int r) {
-      const auto cell = static_cast<std::size_t>(j * n + r);
-      const double exceedance = ws.exceedance[cell];
-      return ws.base[cell] + (exceedance > 0.0 ? rate * exceedance : 0.0);
+      return ws.problem.cost[static_cast<std::size_t>(j * n + r)];
     };
     int best = 0;
     for (int r = 1; r < n; ++r)
@@ -184,46 +197,26 @@ TEST(RetryLadder, GreedyRungPlacesEachJobInItsLeastCostRegion) {
   }
 }
 
-/// solve_one on the rig's whole batch as one chunk (index 0) at time 0
-/// against `quota`.  The scheduler must not weigh the history term.
+/// solve_one on the rig's chunk against `quota`.
 ChunkResult solve_chunk(const WaterWiseScheduler& ww, const DirectRig& rig,
                         const std::vector<int>& quota, double tol) {
-  WindowSnapshot snapshot;
-  for (int r = 0; r < rig.env.num_regions(); ++r) {
-    snapshot.intensity.push_back(rig.fp.sample(r, 0.0));
-    snapshot.price.push_back(rig.env.electricity_price(r, 0.0));
-    snapshot.history.push_back(0.0);
-  }
-  ChunkPlan plan;
-  for (const dc::PendingJob& p : rig.batch) plan.jobs.push_back(&p);
-  plan.quota = quota;
-  const FixedCapacity view(quota);
-  dc::ScheduleContext ctx;
-  ctx.tol = tol;
-  ctx.footprint = &rig.fp;
-  ctx.capacity = &view;
+  const Chunk chunk(rig, quota, tol);
   ChunkResult out;
-  ww.solve_one(plan, ctx, snapshot, out);
+  ww.solve_one(chunk.plan, chunk.ctx, chunk.snapshot, out);
   return out;
 }
 
-/// The chunk's hard or soft form, rebuilt from its cost table: the soft
-/// form prices a positive exceedance, the hard form forbids the pair.
-sched::TransportProblem chunk_form(const ChunkWorkspace& ws,
-                                   const std::vector<int>& quota, bool soft) {
-  sched::TransportProblem p;
-  p.jobs = static_cast<int>(ws.penalty_rate.size());
-  p.quota = quota;
-  p.cost = ws.base;
-  const std::size_t n = quota.size();
-  for (std::size_t cell = 0; cell < ws.base.size(); ++cell) {
-    const double exceedance = ws.exceedance[cell];
-    const bool exceeds = exceedance > 0.0;
-    if (soft && exceeds)
-      p.cost[cell] += ws.penalty_rate[cell / n] * exceedance;
-    p.allowed.push_back(quota[cell % n] > 0 && (soft || !exceeds) ? 1 : 0);
-  }
-  return p;
+/// The rig's chunk model against `quota`: the hard form build_costs
+/// writes, or the soft form after the in-place switch.
+sched::TransportProblem chunk_form(const WaterWiseScheduler& ww,
+                                   const DirectRig& rig,
+                                   const std::vector<int>& quota, double tol,
+                                   bool soft) {
+  const Chunk chunk(rig, quota, tol);
+  ChunkWorkspace ws;
+  ww.build_costs(chunk.plan.jobs, quota, chunk.ctx, chunk.snapshot, ws);
+  if (soft) ws.soften();
+  return ws.problem;
 }
 
 TEST(RetryLadder, HallInfeasibleChunkSkipsTheHardProbe) {
@@ -238,20 +231,23 @@ TEST(RetryLadder, HallInfeasibleChunkSkipsTheHardProbe) {
   WaterWiseConfig cfg;
   cfg.enable_history = false;
   cfg.solve_failure_rate = 0.0;
-  const ChunkResult out = solve_chunk(WaterWiseScheduler(cfg), rig, quota, 0.0);
+  const WaterWiseScheduler ww(cfg);
+  const ChunkResult out = solve_chunk(ww, rig, quota, 0.0);
   const ChunkWorkspace& ws = out.workspace;
   for (int j = 0; j < 15; ++j)
     for (int r = 0; r < n; ++r)
       ASSERT_EQ(ws.exceedance[static_cast<std::size_t>(j * n + r)] > 0.0,
                 r != 2)
           << "job " << j << " region " << r;
-  ASSERT_FALSE(sched::transport_assign(chunk_form(ws, quota, false)).optimal());
+  ASSERT_FALSE(
+      sched::transport_assign(chunk_form(ww, rig, quota, 0.0, false))
+          .optimal());
 
   EXPECT_EQ(out.stats.milp_solves, 1) << "the hard probe was solved";
   EXPECT_EQ(out.stats.soft_fallbacks, 1);
   EXPECT_EQ(out.stats.fault_events, 0);
   const sched::TransportSolution soft =
-      sched::transport_assign(chunk_form(ws, quota, true));
+      sched::transport_assign(chunk_form(ww, rig, quota, 0.0, true));
   ASSERT_TRUE(soft.optimal());
   ASSERT_EQ(out.decisions.size(), 15u);
   for (std::size_t j = 0; j < 15; ++j) {
@@ -285,6 +281,53 @@ TEST(RetryLadder, HallInfeasibleChunkSkipsTheHardProbe) {
   EXPECT_EQ(roomy.stats.milp_solves, 1);
   EXPECT_EQ(roomy.stats.soft_fallbacks, 0);
   for (const dc::Decision& d : roomy.decisions) EXPECT_EQ(d.region, 2);
+}
+
+TEST(RetryLadder, RetryAfterAFailedSoftAttemptSolvesTheSoftFormOnce) {
+  // The Hall-infeasible chunk above: the hard probe is skipped, and attempt
+  // 1 switches the model to the soft form in place and solves it.  Under a
+  // fault seed whose draw fails attempt 1 and spares attempts 0 and 2, the
+  // ladder retries: the retry must solve exactly the soft costs (the
+  // penalty is not added twice) and place as the fault-free solve does.
+  const DirectRig rig(15);
+  const int n = rig.env.num_regions();
+  std::vector<int> quota(static_cast<std::size_t>(n), 15);
+  quota[2] = 10;
+  WaterWiseConfig cfg;
+  cfg.enable_history = false;
+  cfg.solve_failure_rate = 0.0;
+  const ChunkResult clean =
+      solve_chunk(WaterWiseScheduler(cfg), rig, quota, 0.0);
+  ASSERT_EQ(clean.stats.milp_solves, 1);
+  ASSERT_EQ(clean.decisions.size(), 15u);
+
+  WaterWiseConfig faulty = cfg;
+  faulty.solve_failure_rate = 0.5;
+  while (env::injected_solve_failure(faulty.fault_seed, 0.0, 0, 0, 0.5) ||
+         !env::injected_solve_failure(faulty.fault_seed, 0.0, 0, 1, 0.5) ||
+         env::injected_solve_failure(faulty.fault_seed, 0.0, 0, 2, 0.5))
+    ++faulty.fault_seed;
+  const WaterWiseScheduler ww(faulty);
+  const ChunkResult hit = solve_chunk(ww, rig, quota, 0.0);
+  EXPECT_EQ(hit.stats.fault_events, 1);
+  EXPECT_EQ(hit.stats.soft_fallbacks, 1);
+  EXPECT_EQ(hit.stats.solve_retries, 1);
+  EXPECT_EQ(hit.stats.milp_solves, 2) << "soft attempt and its retry";
+  EXPECT_EQ(hit.stats.fallback_placements, 0);
+
+  const ChunkWorkspace& ws = hit.workspace;
+  ASSERT_TRUE(ws.soft);
+  const sched::TransportProblem soft = chunk_form(ww, rig, quota, 0.0, true);
+  EXPECT_EQ(ws.problem.cost, soft.cost);
+  EXPECT_EQ(ws.problem.allowed, soft.allowed);
+  ASSERT_EQ(hit.decisions.size(), clean.decisions.size());
+  for (std::size_t j = 0; j < hit.decisions.size(); ++j) {
+    EXPECT_EQ(hit.decisions[j].job_id, clean.decisions[j].job_id);
+    EXPECT_EQ(hit.decisions[j].region, clean.decisions[j].region)
+        << "job " << j;
+    EXPECT_EQ(hit.decisions[j].start_time, clean.decisions[j].start_time)
+        << "job " << j;
+  }
 }
 
 TEST(RetryLadder, InjectedFailuresByteIdenticalAcrossThreadCounts) {

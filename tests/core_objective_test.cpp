@@ -217,12 +217,18 @@ TEST_P(ObjectiveEnumeration, Sec7TermsMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ObjectiveEnumeration, ::testing::Range(0, 25));
 
-// The chunk cost table computes the region-independent terms once per job.
-// Each entry must still equal, bit for bit, the per-pair formulas: job_at
-// plus transfer at the sampled intensities, normalized by the per-job
-// maxima, plus the history term and the tie-break epsilon; and the
-// exceedance must be the pair's transfer latency minus the job's remaining
-// delay allowance.
+// The chunk model computes the region-independent terms once per job and
+// the per-pair terms in one loop over region-major columns.  Each entry
+// must still equal, bit for bit, the per-pair formulas: the hard form's
+// cost is job_at plus transfer at the sampled intensities, normalized by
+// the per-job maxima, plus the history term and the tie-break epsilon; a
+// pair is allowed where its region has quota and its exceedance (the
+// pair's transfer latency minus the job's remaining delay allowance) is
+// not positive; a job's delay mask has the bits of its in-time regions;
+// and the stored latency is transfer_latency_seconds.  After the in-place
+// switch, the soft form's cost adds penalty_rate * exceedance where the
+// exceedance is positive and allows every region with quota, and a second
+// switch changes nothing.
 TEST(CostTable, MatchesPerPairFormulasBitForBit) {
   // Faults in the Controller view: a forecast bias and a scarcity shock.
   env::FaultSchedule faults(5);
@@ -249,86 +255,143 @@ TEST(CostTable, MatchesPerPairFormulasBitForBit) {
     batch[i].est_energy_kwh = 0.004 * static_cast<double>(i + 1);
   }
   const FixedCapacity cap(std::vector<int>(static_cast<std::size_t>(n), 4));
-  dc::ScheduleContext ctx;
-  ctx.now = now;
-  ctx.footprint = &fp;
-  ctx.capacity = &cap;
+  // One region without quota, so the allowed mask depends on both rules.
+  std::vector<int> quota(static_cast<std::size_t>(n), 4);
+  quota[1] = 0;
+  std::vector<const dc::PendingJob*> chunk;
+  for (const dc::PendingJob& p : batch) chunk.push_back(&p);
 
   struct Weights {
     double cost, perf;
     bool history;
   };
-  for (const Weights w : {Weights{0.0, 0.0, true}, Weights{0.3, 0.2, true},
-                          Weights{0.0, 0.6, false}, Weights{0.5, 0.0, true}}) {
-    SCOPED_TRACE("lambda_cost " + std::to_string(w.cost) + " lambda_perf " +
-                 std::to_string(w.perf));
-    WaterWiseConfig cfg;
-    cfg.lambda_cost = w.cost;
-    cfg.lambda_perf = w.perf;
-    cfg.enable_history = w.history;
-    cfg.solve_failure_rate = 0.0;
-    const WaterWiseScheduler ww(cfg);
-    const WaterWiseConfig& c = ww.config();
+  int exceeding = 0, in_time = 0;
+  // One workspace for every build, as a result slot is reused window after
+  // window: each build must start over from the hard form.
+  ChunkWorkspace ws;
+  // The default tolerance, and one tight enough that remote pairs exceed.
+  for (const double tol : {0.25, 0.02}) {
+    for (const Weights w :
+         {Weights{0.0, 0.0, true}, Weights{0.3, 0.2, true},
+          Weights{0.0, 0.6, false}, Weights{0.5, 0.0, true}}) {
+      SCOPED_TRACE("tol " + std::to_string(tol) + " lambda_cost " +
+                   std::to_string(w.cost) + " lambda_perf " +
+                   std::to_string(w.perf));
+      dc::ScheduleContext ctx;
+      ctx.now = now;
+      ctx.tol = tol;
+      ctx.footprint = &fp;
+      ctx.capacity = &cap;
+      WaterWiseConfig cfg;
+      cfg.lambda_cost = w.cost;
+      cfg.lambda_perf = w.perf;
+      cfg.enable_history = w.history;
+      cfg.solve_failure_rate = 0.0;
+      const WaterWiseScheduler ww(cfg);
+      const WaterWiseConfig& c = ww.config();
 
-    WindowSnapshot snapshot;
-    for (int r = 0; r < n; ++r) {
-      snapshot.intensity.push_back(fp.sample(r, now));
-      snapshot.price.push_back(w.cost > 0.0 ? env.electricity_price(r, now)
-                                            : 0.0);
-      snapshot.history.push_back(0.01 * static_cast<double>(r + 1));
-    }
-    ChunkPlan plan;
-    for (const dc::PendingJob& p : batch) plan.jobs.push_back(&p);
-    plan.quota.assign(static_cast<std::size_t>(n), 4);
-    ChunkResult out;
-    ww.solve_one(plan, ctx, snapshot, out);
-    const ChunkWorkspace& ws = out.workspace;
-    ASSERT_EQ(ws.base.size(), jobs.size() * static_cast<std::size_t>(n));
-    ASSERT_EQ(ws.exceedance.size(), ws.base.size());
-
-    const auto max_of = [](const std::vector<double>& v) {
-      return std::max(1e-12, *std::max_element(v.begin(), v.end()));
-    };
-    for (int j = 0; j < static_cast<int>(jobs.size()); ++j) {
-      const dc::PendingJob& p = batch[static_cast<std::size_t>(j)];
-      const int home = p.job->home_region;
-      const footprint::Intensities& at_home =
-          snapshot.intensity[static_cast<std::size_t>(home)];
-      std::vector<double> co2, h2o, usd, perf, latency;
+      WindowSnapshot snapshot;
       for (int r = 0; r < n; ++r) {
-        const footprint::Intensities& at =
-            snapshot.intensity[static_cast<std::size_t>(r)];
-        const footprint::Breakdown fb =
-            fp.job_at(at, p.est_energy_kwh, p.est_exec_s);
-        const footprint::Breakdown tb =
-            fp.transfer(home, r, p.job->package_bytes, at_home, at);
-        co2.push_back(fb.carbon_g() + tb.carbon_g());
-        h2o.push_back(fb.water_l() + tb.water_l());
-        usd.push_back(env.pue(r) * p.est_energy_kwh *
-                      snapshot.price[static_cast<std::size_t>(r)]);
-        latency.push_back(
-            env.transfer_latency_seconds(home, r, p.job->package_bytes));
-        perf.push_back(latency.back() / std::max(1.0, p.est_exec_s));
+        snapshot.intensity.push_back(fp.sample(r, now));
+        snapshot.price.push_back(w.cost > 0.0 ? env.electricity_price(r, now)
+                                              : 0.0);
+        snapshot.history.push_back(0.01 * static_cast<double>(r + 1));
       }
-      const double allowance =
-          std::max(0.0, ctx.tol * kDelayEstimateMargin * p.est_exec_s -
-                            (now - p.first_seen));
-      for (int r = 0; r < n; ++r) {
-        const auto ri = static_cast<std::size_t>(r);
-        const auto cell = static_cast<std::size_t>(j * n + r);
-        double cost = c.lambda_co2 * co2[ri] / max_of(co2) +
-                      c.lambda_h2o * h2o[ri] / max_of(h2o);
-        if (c.lambda_cost > 0.0) cost += c.lambda_cost * usd[ri] / max_of(usd);
-        if (c.lambda_perf > 0.0)
-          cost += c.lambda_perf * perf[ri] / max_of(perf);
-        if (c.enable_history) cost += snapshot.history[ri];
-        cost += 1e-9 * static_cast<double>(j * n + r);
-        EXPECT_EQ(ws.base[cell], cost) << "job " << j << " region " << r;
-        EXPECT_EQ(ws.exceedance[cell], latency[ri] - allowance)
-            << "job " << j << " region " << r;
+      snapshot.fill_columns();
+      ww.build_costs(chunk, quota, ctx, snapshot, ws);
+      const sched::TransportProblem& problem = ws.problem;
+      const std::size_t cells = jobs.size() * static_cast<std::size_t>(n);
+      ASSERT_FALSE(ws.soft);
+      ASSERT_EQ(problem.jobs, static_cast<int>(jobs.size()));
+      ASSERT_EQ(problem.quota, quota);
+      ASSERT_EQ(problem.cost.size(), cells);
+      ASSERT_EQ(problem.allowed.size(), cells);
+      ASSERT_EQ(ws.exceedance.size(), cells);
+      ASSERT_EQ(ws.latency.size(), cells);
+      ASSERT_EQ(ws.delay_masks.size(), jobs.size());
+
+      const auto max_of = [](const std::vector<double>& v) {
+        return std::max(1e-12, *std::max_element(v.begin(), v.end()));
+      };
+      // The expected hard and soft forms, from the per-pair formulas.
+      std::vector<double> hard(cells), soft(cells);
+      std::vector<std::uint8_t> hard_allowed(cells), soft_allowed(cells);
+      for (int j = 0; j < static_cast<int>(jobs.size()); ++j) {
+        const dc::PendingJob& p = batch[static_cast<std::size_t>(j)];
+        const int home = p.job->home_region;
+        const footprint::Intensities& at_home =
+            snapshot.intensity[static_cast<std::size_t>(home)];
+        std::vector<double> co2, h2o, usd, perf, latency;
+        for (int r = 0; r < n; ++r) {
+          const footprint::Intensities& at =
+              snapshot.intensity[static_cast<std::size_t>(r)];
+          const footprint::Breakdown fb =
+              fp.job_at(at, p.est_energy_kwh, p.est_exec_s);
+          const footprint::Breakdown tb =
+              fp.transfer(home, r, p.job->package_bytes, at_home, at);
+          co2.push_back(fb.carbon_g() + tb.carbon_g());
+          h2o.push_back(fb.water_l() + tb.water_l());
+          usd.push_back(env.pue(r) * p.est_energy_kwh *
+                        snapshot.price[static_cast<std::size_t>(r)]);
+          latency.push_back(
+              env.transfer_latency_seconds(home, r, p.job->package_bytes));
+          perf.push_back(latency.back() / std::max(1.0, p.est_exec_s));
+        }
+        const double allowance =
+            std::max(0.0, ctx.tol * kDelayEstimateMargin * p.est_exec_s -
+                              (now - p.first_seen));
+        const double rate = 10.0 / std::max(1.0, ctx.tol * p.est_exec_s);
+        EXPECT_EQ(ws.penalty_rate[static_cast<std::size_t>(j)], rate)
+            << "job " << j;
+        std::uint32_t mask = 0;
+        for (int r = 0; r < n; ++r) {
+          const auto ri = static_cast<std::size_t>(r);
+          const auto cell = static_cast<std::size_t>(j * n + r);
+          double cost = c.lambda_co2 * co2[ri] / max_of(co2) +
+                        c.lambda_h2o * h2o[ri] / max_of(h2o);
+          if (c.lambda_cost > 0.0)
+            cost += c.lambda_cost * usd[ri] / max_of(usd);
+          if (c.lambda_perf > 0.0)
+            cost += c.lambda_perf * perf[ri] / max_of(perf);
+          if (c.enable_history) cost += snapshot.history[ri];
+          cost += 1e-9 * static_cast<double>(j * n + r);
+          const double exceedance = latency[ri] - allowance;
+          const bool exceeds = exceedance > 0.0;
+          (exceeds ? exceeding : in_time) += 1;
+          hard[cell] = cost;
+          soft[cell] = exceeds ? cost + rate * exceedance : cost;
+          hard_allowed[cell] = quota[ri] > 0 && !exceeds ? 1 : 0;
+          soft_allowed[cell] = quota[ri] > 0 ? 1 : 0;
+          if (!exceeds) mask |= 1U << r;
+          EXPECT_EQ(ws.exceedance[cell], exceedance)
+              << "job " << j << " region " << r;
+          EXPECT_EQ(ws.latency[cell], latency[ri])
+              << "job " << j << " region " << r;
+        }
+        EXPECT_EQ(ws.delay_masks[static_cast<std::size_t>(j)], mask)
+            << "job " << j;
+      }
+      for (std::size_t cell = 0; cell < cells; ++cell) {
+        EXPECT_EQ(problem.cost[cell], hard[cell]) << "hard, cell " << cell;
+        EXPECT_EQ(problem.allowed[cell], hard_allowed[cell])
+            << "hard, cell " << cell;
+      }
+      // The soft form, switched in place; a second switch is a no-op.
+      for (int round = 0; round < 2; ++round) {
+        ws.soften();
+        ASSERT_TRUE(ws.soft);
+        for (std::size_t cell = 0; cell < cells; ++cell) {
+          EXPECT_EQ(problem.cost[cell], soft[cell])
+              << "soft round " << round << ", cell " << cell;
+          EXPECT_EQ(problem.allowed[cell], soft_allowed[cell])
+              << "soft round " << round << ", cell " << cell;
+        }
       }
     }
   }
+  // Both sides of the delay rule occur.
+  EXPECT_GT(exceeding, 0);
+  EXPECT_GT(in_time, 0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // sched::hall_verdict, the scheduler's feasibility test of a chunk's hard
 // form, against sched::transport_assign on the same transportation
 // instance: over seeded instances with 1-8 regions, 0-40 jobs, quotas in
-// [-1, jobs], empty masks, and all-narrow and all-open chunks, the verdict
+// [-1, jobs], empty masks, and all-narrow, all-open and pinned-or-roomy
+// chunks, the verdict
 // must say "feasible" exactly when the solver finds an assignment.  Each
 // gate may answer only on feasible instances, and the corpus must reach
 // the full subset test often, with both answers, so that a fault in it
@@ -26,6 +27,8 @@ const char* name(HallVerdict v) {
       return "roomy-region gate";
     case HallVerdict::kOpenRegions:
       return "open-regions gate";
+    case HallVerdict::kPinnedOrRoomy:
+      return "pinned-or-roomy gate";
     case HallVerdict::kHallHolds:
       return "subset test (holds)";
     case HallVerdict::kInfeasible:
@@ -36,7 +39,7 @@ const char* name(HallVerdict v) {
 
 /// One seeded instance: per-job region masks and quotas.  The mask shape
 /// and the quota range are drawn per instance, so the corpus mixes roomy,
-/// tight, narrow, open and empty-mask chunks.
+/// tight, narrow, open, pinned-or-roomy and empty-mask chunks.
 struct Instance {
   std::vector<std::uint32_t> masks;
   std::vector<int> quota;
@@ -52,8 +55,16 @@ Instance draw(util::Rng& rng) {
   const int top = tight ? std::max(1, 2 * m / n) : m;
   for (int r = 0; r < n; ++r)
     in.quota.push_back(static_cast<int>(rng.uniform_int(-1, top)));
-  const int shape = static_cast<int>(rng.uniform_int(0, 3));
+  const int shape = static_cast<int>(rng.uniform_int(0, 4));
   const double density = rng.uniform(0.1, 0.9);
+  // Shape 4's roomy regions (quota m), each region with probability 0.3.
+  std::uint32_t roomy = 0;
+  if (shape == 4)
+    for (int r = 0; r < n; ++r)
+      if (rng.bernoulli(0.3)) {
+        roomy |= 1U << r;
+        in.quota[static_cast<std::size_t>(r)] = m;
+      }
   for (int j = 0; j < m; ++j) {
     std::uint32_t mask = 0;
     switch (shape) {
@@ -68,9 +79,15 @@ Instance draw(util::Rng& rng) {
       case 2:  // all open
         mask = all;
         break;
-      default:  // mostly open, some narrow, some empty
+      case 3:  // mostly open, some narrow, some empty
         mask = rng.bernoulli(0.6) ? all : 1U << rng.uniform_int(0, n - 1);
         if (rng.bernoulli(0.05)) mask = 0;
+        break;
+      default:  // pinned to one region, or reaching a roomy one
+        mask = 1U << rng.uniform_int(0, n - 1);
+        if (roomy != 0 && rng.bernoulli(0.5 + 0.5 * density))
+          for (int r = 0; r < n; ++r)
+            if ((roomy >> r & 1U) != 0 || rng.bernoulli(0.3)) mask |= 1U << r;
         break;
     }
     in.masks.push_back(mask);
@@ -98,9 +115,9 @@ TEST(HallVerdict, MatchesTransportFeasibilityOnSeededInstances) {
   std::vector<int> scratch;
   TransportSolution sol;
   TransportWorkspace ws;
-  std::array<int, 4> seen{};
+  std::array<int, 5> seen{};
   int infeasible = 0;
-  for (int i = 0; i < 20000; ++i) {
+  for (int i = 0; i < 30000; ++i) {
     const Instance in = draw(rng);
     const HallVerdict v = hall_verdict(in.masks, in.quota, scratch);
     transport_assign(problem_of(in, rng), sol, ws);
@@ -149,7 +166,19 @@ TEST(HallVerdict, GatesAnswerWithoutTheSubsetTest) {
   // the rest.
   EXPECT_EQ(hall_verdict({0b01, 0b10, 0b11, 0b11}, {2, 2}, scratch),
             HallVerdict::kOpenRegions);
+  // Jobs 0-2 may go only to region 0 or only to region 1, within their
+  // quotas of 2 and 1; jobs 3 and 4 reach region 2, which holds all five.
+  // All five jobs are narrow, more than the smallest open quota of 1, so
+  // the open gate does not answer.
+  EXPECT_EQ(hall_verdict({0b001, 0b001, 0b010, 0b110, 0b101}, {2, 1, 5},
+                         scratch),
+            HallVerdict::kPinnedOrRoomy);
   EXPECT_TRUE(scratch.empty()) << "a gate answered after the subset pass";
+  // One more job pinned to region 1 overfills it, and the subset pass
+  // finds that.
+  EXPECT_EQ(hall_verdict({0b001, 0b001, 0b010, 0b010, 0b101}, {2, 1, 5},
+                         scratch),
+            HallVerdict::kInfeasible);
 }
 
 TEST(HallVerdict, RejectsMoreRegionsThanItsScratchHolds) {

@@ -785,7 +785,10 @@ TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
   // One solution and workspace carried across instances of varying size,
   // infeasible ones included, must give the bytes a fresh solve gives.
   // Instances on either side of the uncongested condition alternate, so
-  // the shortcut and the general path run on one workspace in turn.
+  // the shortcut and the general path run on one workspace in turn.  The
+  // rows of residual arcs are built only as regions fill, so regions that
+  // fill mid-solve, regions without quota and rows left by a larger solve
+  // are covered too.
   TransportSolution reused;
   TransportWorkspace ws;
   const auto expect_same = [&](const TransportProblem& p,
@@ -823,6 +826,77 @@ TEST(Transport, ReusedWorkspaceMatchesFreshSolves) {
       }
     }
   }
+  // Regions that fill mid-solve, in every order: every job is cheapest in
+  // region 0, and regions 1-3 fill in the order of their cost offsets, so
+  // each insertion after the first phase fills, or adds to, a region
+  // whose row of arcs was not yet built.  Each answer is checked against
+  // enumeration too.
+  util::Rng fill_rng(97);
+  std::vector<int> order = {1, 2, 3};
+  int orders = 0;
+  do {
+    for (int trial = 0; trial < 4; ++trial) {
+      TransportProblem p;
+      p.jobs = 8;
+      p.quota = {2, 2, 2, 2};
+      for (int j = 0; j < p.jobs; ++j)
+        for (int r = 0; r < 4; ++r) {
+          double c = 0.0;
+          for (int i = 0; i < 3; ++i)
+            if (order[static_cast<std::size_t>(i)] == r)
+              c = 1.0 + i + fill_rng.uniform(0.0, 1.5);
+          p.cost.push_back(c);
+          p.allowed.push_back(r == 0 || fill_rng.bernoulli(0.85) ? 1 : 0);
+        }
+      const std::string tag = "fill order " + std::to_string(orders) +
+                              " trial " + std::to_string(trial);
+      expect_same(p, tag);
+      const BruteForce ref = brute_force(p);
+      ASSERT_EQ(reused.optimal(), ref.feasible) << tag;
+      if (ref.feasible) {
+        EXPECT_TRUE(near(reused.objective, ref.objective)) << tag;
+      }
+    }
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  // An allowed region with no quota (0 or -1) that is the cheapest region
+  // of some jobs: the first phase stops at the first of them, and the
+  // search settles that region, full with no job in it and no arc out.
+  util::Rng shut_rng(101);
+  for (int trial = 0; trial < 300; ++trial) {
+    TransportProblem p = random_small(shut_rng, trial % 2 == 1);
+    const int n = p.regions();
+    const int shut = static_cast<int>(shut_rng.uniform_int(0, n - 1));
+    p.quota[static_cast<std::size_t>(shut)] =
+        static_cast<int>(shut_rng.uniform_int(-1, 0));
+    for (int j = 0; j < p.jobs; ++j)
+      if (shut_rng.bernoulli(0.5)) {
+        p.allowed[at(j, n, shut)] = 1;
+        p.cost[at(j, n, shut)] = -10.0;
+      }
+    const std::string tag = "shut region trial " + std::to_string(trial);
+    expect_same(p, tag);
+    const BruteForce ref = brute_force(p);
+    ASSERT_EQ(reused.optimal(), ref.feasible) << tag;
+    if (ref.feasible) {
+      EXPECT_TRUE(near(reused.objective, ref.objective)) << tag;
+    }
+  }
+
+  // A small congested solve right after a large one over the same region
+  // count: the large solve leaves built rows, and the small one must read
+  // none of them before its own regions fill.
+  util::Rng stale_rng(103);
+  for (int round = 0; round < 20; ++round) {
+    const TransportProblem large = tie_heavy(stale_rng, 40, 6);
+    const TransportProblem small =
+        tie_heavy(stale_rng, static_cast<int>(stale_rng.uniform_int(2, 8)), 6);
+    const std::string tag = "stale rows round " + std::to_string(round);
+    expect_same(large, tag + " large");
+    expect_same(small, tag + " small");
+  }
+
   // Alternating sizes: a large solve, a single job, then a mid-size one
   // over a different region count, each congested and then with room for
   // every job everywhere.  Arcs, move flags or labels left over from an
