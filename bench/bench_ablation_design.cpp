@@ -61,16 +61,18 @@ int main() {
     dc::CampaignResult base, ww;
   };
   std::vector<Row> rows(cases.size());
-  util::global_parallel_for(0, cases.size() * 2, [&](std::size_t k) {
-    const std::size_t i = k / 2;
-    if (k % 2 == 0) {
-      bench::CampaignSpec base_spec = cases[i].spec;
-      rows[i].base = bench::run_policy(jobs, bench::Policy::Baseline, base_spec);
-    } else {
-      rows[i].ww = bench::run_policy(jobs, bench::Policy::WaterWise,
-                                     cases[i].spec, cases[i].cfg);
-    }
-  });
+  util::global_parallel_for(
+      bench::bench_jobs(), cases.size() * 2, [&](std::size_t k) {
+        const std::size_t i = k / 2;
+        if (k % 2 == 0) {
+          bench::CampaignSpec base_spec = cases[i].spec;
+          rows[i].base =
+              bench::run_policy(jobs, bench::Policy::Baseline, base_spec);
+        } else {
+          rows[i].ww = bench::run_policy(jobs, bench::Policy::WaterWise,
+                                         cases[i].spec, cases[i].cfg);
+        }
+      });
 
   util::Table table({"Variant", "Carbon saving %", "Water saving %",
                      "Service norm", "Violation %"});

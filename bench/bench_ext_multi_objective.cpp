@@ -52,14 +52,15 @@ int main() {
   spec.tol = 0.5;
   dc::CampaignResult base;
   std::vector<dc::CampaignResult> results(cases.size());
-  util::global_parallel_for(0, cases.size() + 1, [&](std::size_t k) {
-    if (k == cases.size()) {
-      base = bench::run_policy(jobs, bench::Policy::Baseline, spec);
-      return;
-    }
-    results[k] =
-        bench::run_policy(jobs, bench::Policy::WaterWise, spec, cases[k].cfg);
-  });
+  util::global_parallel_for(
+      bench::bench_jobs(), cases.size() + 1, [&](std::size_t k) {
+        if (k == cases.size()) {
+          base = bench::run_policy(jobs, bench::Policy::Baseline, spec);
+          return;
+        }
+        results[k] = bench::run_policy(jobs, bench::Policy::WaterWise, spec,
+                                       cases[k].cfg);
+      });
 
   util::Table table({"Objective", "Carbon saving %", "Water saving %",
                      "Cost saving %", "Service norm"});

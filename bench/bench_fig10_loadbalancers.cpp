@@ -13,7 +13,7 @@ int main() {
   spec.tol = 0.5;
 
   dc::CampaignResult base, rr, ll, ww;
-  util::global_parallel_for(0, 4, [&](std::size_t k) {
+  util::global_parallel_for(bench::bench_jobs(), 4, [&](std::size_t k) {
     switch (k) {
       case 0: base = bench::run_policy(jobs, bench::Policy::Baseline, spec); break;
       case 1: rr = bench::run_policy(jobs, bench::Policy::RoundRobin, spec); break;

@@ -228,7 +228,7 @@ int main() {
   // Schedulers constructed here (not via run_policy) so their solver
   // counters survive the campaign and can be reported below.
   core::WaterWiseScheduler ww_borg, ww_ali;
-  util::global_parallel_for(0, 2, [&](std::size_t k) {
+  util::global_parallel_for(bench::bench_jobs(), 2, [&](std::size_t k) {
     if (k == 0)
       r_borg = bench::run_campaign(borg, ww_borg, spec);
     else

@@ -17,13 +17,16 @@ int main() {
     dc::CampaignResult base, carbon, water;
   };
   std::vector<Row> rows(tolerances.size());
-  util::global_parallel_for(0, tolerances.size(), [&](std::size_t i) {
-    bench::CampaignSpec spec;
-    spec.tol = tolerances[i];
-    rows[i].base = bench::run_policy(jobs, bench::Policy::Baseline, spec);
-    rows[i].carbon = bench::run_policy(jobs, bench::Policy::CarbonGreedyOpt, spec);
-    rows[i].water = bench::run_policy(jobs, bench::Policy::WaterGreedyOpt, spec);
-  });
+  util::global_parallel_for(
+      bench::bench_jobs(), tolerances.size(), [&](std::size_t i) {
+        bench::CampaignSpec spec;
+        spec.tol = tolerances[i];
+        rows[i].base = bench::run_policy(jobs, bench::Policy::Baseline, spec);
+        rows[i].carbon =
+            bench::run_policy(jobs, bench::Policy::CarbonGreedyOpt, spec);
+        rows[i].water =
+            bench::run_policy(jobs, bench::Policy::WaterGreedyOpt, spec);
+      });
 
   std::cout << "\nFig. 3(a): savings vs. baseline (% , higher is better)\n";
   util::Table table({"Delay tolerance", "Scheme", "Carbon saving %",

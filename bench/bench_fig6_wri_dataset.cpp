@@ -11,38 +11,9 @@ int main() {
       trace::generate_trace(trace::borg_config(7, bench::campaign_days()));
   const std::vector<double> tolerances = {0.25, 0.50, 0.75, 1.00};
 
-  struct Row {
-    dc::CampaignResult base, carbon, water, ww;
-  };
-  std::vector<Row> rows(tolerances.size());
-  util::global_parallel_for(0, tolerances.size() * 4, [&](std::size_t k) {
-    const std::size_t i = k / 4;
-    bench::CampaignSpec spec;
-    spec.tol = tolerances[i];
-    spec.env_config.dataset = env::WaterDataset::WorldResourcesInstitute;
-    switch (k % 4) {
-      case 0: rows[i].base = bench::run_policy(jobs, bench::Policy::Baseline, spec); break;
-      case 1: rows[i].carbon = bench::run_policy(jobs, bench::Policy::CarbonGreedyOpt, spec); break;
-      case 2: rows[i].water = bench::run_policy(jobs, bench::Policy::WaterGreedyOpt, spec); break;
-      case 3: rows[i].ww = bench::run_policy(jobs, bench::Policy::WaterWise, spec); break;
-    }
-  });
-
-  util::Table table({"Delay tolerance", "Scheme", "Carbon saving %",
-                     "Water saving %"});
-  for (std::size_t i = 0; i < tolerances.size(); ++i) {
-    const std::string tol = util::Table::fixed(tolerances[i] * 100.0, 0) + "%";
-    const auto& b = rows[i].base;
-    auto add = [&](const char* label, const dc::CampaignResult& r) {
-      table.add_row({tol, label,
-                     util::Table::fixed(r.carbon_saving_pct_vs(b), 2),
-                     util::Table::fixed(r.water_saving_pct_vs(b), 2)});
-    };
-    add("Carbon-Greedy-Opt", rows[i].carbon);
-    add("Water-Greedy-Opt", rows[i].water);
-    add("WaterWise", rows[i].ww);
-  }
-  table.print(std::cout);
+  bench::CampaignSpec spec;
+  spec.env_config.dataset = env::WaterDataset::WorldResourcesInstitute;
+  bench::run_tolerance_sweep(jobs, tolerances, spec);
   std::cout << "\nShape check vs. paper: savings persist under the alternative\n"
                "water dataset (paper: >18% carbon, >11% water vs. baseline).\n";
   return 0;

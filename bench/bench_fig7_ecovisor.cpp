@@ -17,17 +17,27 @@ int main() {
     dc::CampaignResult base, eco, ww;
   };
   std::vector<Row> rows(datasets.size());
-  util::global_parallel_for(0, datasets.size() * 3, [&](std::size_t k) {
-    const std::size_t i = k / 3;
-    bench::CampaignSpec spec;
-    spec.tol = 0.5;
-    spec.env_config.dataset = datasets[i];
-    switch (k % 3) {
-      case 0: rows[i].base = bench::run_policy(jobs, bench::Policy::Baseline, spec); break;
-      case 1: rows[i].eco = bench::run_policy(jobs, bench::Policy::Ecovisor, spec); break;
-      case 2: rows[i].ww = bench::run_policy(jobs, bench::Policy::WaterWise, spec); break;
-    }
-  });
+  util::global_parallel_for(
+      bench::bench_jobs(), datasets.size() * 3, [&](std::size_t k) {
+        const std::size_t i = k / 3;
+        bench::CampaignSpec spec;
+        spec.tol = 0.5;
+        spec.env_config.dataset = datasets[i];
+        switch (k % 3) {
+          case 0:
+            rows[i].base =
+                bench::run_policy(jobs, bench::Policy::Baseline, spec);
+            break;
+          case 1:
+            rows[i].eco =
+                bench::run_policy(jobs, bench::Policy::Ecovisor, spec);
+            break;
+          case 2:
+            rows[i].ww =
+                bench::run_policy(jobs, bench::Policy::WaterWise, spec);
+            break;
+        }
+      });
 
   util::Table table({"Dataset", "Scheme", "Carbon saving %", "Water saving %"});
   for (std::size_t i = 0; i < datasets.size(); ++i) {

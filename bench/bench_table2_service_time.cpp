@@ -18,7 +18,8 @@ int main() {
   std::vector<std::vector<dc::CampaignResult>> results(
       policies.size(), std::vector<dc::CampaignResult>(tolerances.size()));
   util::global_parallel_for(
-      0, policies.size() * tolerances.size(), [&](std::size_t k) {
+      bench::bench_jobs(), policies.size() * tolerances.size(),
+      [&](std::size_t k) {
         const std::size_t p = k / tolerances.size();
         const std::size_t t = k % tolerances.size();
         bench::CampaignSpec spec;

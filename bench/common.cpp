@@ -65,6 +65,7 @@ void banner(const std::string& experiment, const std::string& paper_ref) {
   // Read every process knob before printing, so a malformed one stops the
   // bench before any output instead of aborting it mid-campaign.
   const double days = campaign_days();
+  (void)bench_jobs();
   try {
     (void)core::default_solve_failure_rate();
     (void)core::WaterWiseScheduler().effective_solver_threads();
@@ -126,6 +127,41 @@ dc::CampaignResult run_policy(const std::vector<trace::Job>& jobs,
                               const core::WaterWiseConfig& ww_config) {
   const auto scheduler = make_scheduler(policy, ww_config);
   return run_campaign(jobs, *scheduler, spec);
+}
+
+std::vector<ToleranceRow> run_tolerance_sweep(
+    const std::vector<trace::Job>& jobs, const std::vector<double>& tolerances,
+    const CampaignSpec& spec) {
+  std::vector<ToleranceRow> rows(tolerances.size());
+  util::global_parallel_for(
+      bench_jobs(), tolerances.size() * 4, [&](std::size_t k) {
+        static constexpr Policy kPolicies[] = {
+            Policy::Baseline, Policy::CarbonGreedyOpt, Policy::WaterGreedyOpt,
+            Policy::WaterWise};
+        ToleranceRow& row = rows[k / 4];
+        dc::CampaignResult* slots[] = {&row.base, &row.carbon, &row.water,
+                                       &row.ww};
+        CampaignSpec tol_spec = spec;
+        tol_spec.tol = tolerances[k / 4];
+        *slots[k % 4] = run_policy(jobs, kPolicies[k % 4], tol_spec);
+      });
+
+  util::Table table({"Delay tolerance", "Scheme", "Carbon saving %",
+                     "Water saving %"});
+  for (std::size_t i = 0; i < tolerances.size(); ++i) {
+    const std::string tol = util::Table::fixed(tolerances[i] * 100.0, 0) + "%";
+    const auto& b = rows[i].base;
+    auto add = [&](const char* label, const dc::CampaignResult& r) {
+      table.add_row({tol, label,
+                     util::Table::fixed(r.carbon_saving_pct_vs(b), 2),
+                     util::Table::fixed(r.water_saving_pct_vs(b), 2)});
+    };
+    add("Carbon-Greedy-Opt", rows[i].carbon);
+    add("Water-Greedy-Opt", rows[i].water);
+    add("WaterWise", rows[i].ww);
+  }
+  table.print(std::cout);
+  return rows;
 }
 
 bool check_chunk_parallel_equivalence(const std::vector<trace::Job>& jobs,

@@ -47,8 +47,9 @@ namespace ww::bench {
     dc::CampaignRunner& runner);
 
 /// Prints the standard bench banner (figure/table id + provenance).  It
-/// first reads WW_BENCH_SCALE, WW_FAULT_SOLVES and WW_SCHED_THREADS; a
-/// malformed value is reported on stderr and the bench exits with status 2.
+/// first reads WW_BENCH_SCALE, WW_BENCH_JOBS, WW_FAULT_SOLVES and
+/// WW_SCHED_THREADS; a malformed value is reported on stderr and the bench
+/// exits with status 2.
 void banner(const std::string& experiment, const std::string& paper_ref);
 
 struct CampaignSpec {
@@ -91,6 +92,21 @@ enum class Policy {
 [[nodiscard]] dc::CampaignResult run_policy(
     const std::vector<trace::Job>& jobs, Policy policy,
     const CampaignSpec& spec, const core::WaterWiseConfig& ww_config = {});
+
+/// One delay tolerance of a policy comparison: the Baseline reference and
+/// the three schedulers whose savings are measured against it.
+struct ToleranceRow {
+  dc::CampaignResult base, carbon, water, ww;
+};
+
+/// Runs Baseline, Carbon-Greedy-Opt, Water-Greedy-Opt and WaterWise on
+/// `jobs` at every delay tolerance (overriding spec.tol), fanned out through
+/// util::global_parallel_for(bench_jobs(), ...), then prints the carbon and
+/// water savings of the last three against the Baseline per tolerance.
+/// Returns the rows in tolerance order.
+std::vector<ToleranceRow> run_tolerance_sweep(
+    const std::vector<trace::Job>& jobs, const std::vector<double>& tolerances,
+    const CampaignSpec& spec = {});
 
 /// Chunk-parallel equivalence check shared by the campaign drivers: runs a
 /// WaterWise campaign over `jobs` with chunking forced (max_jobs_per_solve

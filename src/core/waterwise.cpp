@@ -13,6 +13,7 @@
 #include "obs/trace.hpp"
 #include "util/flags.hpp"
 #include "util/timer.hpp"
+#include "util/work_steal.hpp"
 
 namespace ww::core {
 
@@ -37,6 +38,14 @@ constexpr int kRecoverAfterClean = 3;
 constexpr int kRecoveryWindows = 3;
 constexpr double kDegradedCapFraction = 0.25;
 constexpr double kRecoveryCapFraction = 0.5;
+
+/// Rethrows `e`, a solve's failure, as std::runtime_error with the window's
+/// context: "WaterWise: <stage> failed at window t=<now>: <e.what()>".
+[[noreturn]] void throw_in_window(const std::string& stage, double now,
+                                  const std::exception& e) {
+  throw std::runtime_error("WaterWise: " + stage + " failed at window t=" +
+                           std::to_string(now) + ": " + e.what());
+}
 
 /// `value` where `keep` is set, else 0.0, selected on the bits: the value
 /// is computed whether or not it is kept, so a loop of these has no branch.
@@ -460,12 +469,10 @@ void WaterWiseScheduler::solve_one(const ChunkPlan& plan,
                                    const dc::ScheduleContext& ctx,
                                    const WindowSnapshot& snapshot,
                                    ChunkResult& out) const {
-  out.index = plan.index;
   out.decisions.clear();
   out.leftover = plan.quota;
   out.unplaced.clear();
   out.stats = SchedulerStats{};
-  out.error.clear();
 
   obs::Span span("sched.chunk_solve");
   span.arg("chunk", plan.index);
@@ -588,17 +595,6 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
   // Slot k holds chunk k, so every loop below runs in chunk-index order,
   // never completion order.
 
-  // Fail fast on any chunk whose solve threw inside the pooled fan-out:
-  // surface the lowest-index failure with chunk/window context instead of
-  // committing a batch that silently lost a chunk's decisions.
-  for (std::size_t k = 0; k < num_chunks; ++k) {
-    const ChunkResult& r = slots_[k];
-    if (r.error.empty()) continue;
-    throw std::runtime_error("WaterWise: chunk " + std::to_string(r.index) +
-                             " solve failed at window t=" +
-                             std::to_string(ctx.now) + ": " + r.error);
-  }
-
   const auto merge = [&](const ChunkResult& r) {
     window += r.stats;
     decisions.insert(decisions.end(), r.decisions.begin(), r.decisions.end());
@@ -646,10 +642,9 @@ std::vector<dc::Decision> WaterWiseScheduler::commit(
   try {
     solve_one(spill_plan_, ctx, snapshot_, spill_result_);
   } catch (const std::exception& e) {
-    throw std::runtime_error("WaterWise: spill re-solve (chunk " +
-                             std::to_string(spill_plan_.index) +
-                             ") failed at window t=" + std::to_string(ctx.now) +
-                             ": " + e.what());
+    throw_in_window(
+        "spill re-solve (chunk " + std::to_string(spill_plan_.index) + ")",
+        ctx.now, e);
   }
   merge(spill_result_);
   // Whatever even the spill re-solve could not place defers explicitly:
@@ -727,47 +722,27 @@ std::vector<dc::Decision> WaterWiseScheduler::schedule_impl(
   // Jobs the slack manager (or cap truncation) left out defer explicitly.
   window.deferred_jobs += static_cast<long>(batch.size() - selected_.size());
 
-  // Plan -> solve -> commit: quota partition, pure per-chunk solves (fanned
-  // across the pool when configured) that share the window's snapshot,
-  // deterministic in-order merge.  Slot k receives chunk k.
+  // Plan -> solve -> commit: quota partition, pure per-chunk solves that
+  // share the window's snapshot, deterministic in-order merge.  Slot k
+  // receives chunk k.
   take_snapshot(ctx, snapshot_);
   const std::size_t num_chunks = fill_plans(selected_, caps_, plans_);
   window.chunks_planned += static_cast<long>(num_chunks);
   if (slots_.size() < num_chunks) slots_.resize(num_chunks);
-  // Exception safety across the fan-out: a throwing chunk solve records its
-  // message in ChunkResult::error (never crosses the pool boundary raw);
-  // commit() re-throws the lowest-index failure with chunk/window context.
-  const auto guarded_solve = [&](std::size_t k) {
-    try {
-      solve_one(plans_[k], ctx, snapshot_, slots_[k]);
-    } catch (const std::exception& e) {
-      slots_[k].index = plans_[k].index;
-      slots_[k].error = e.what();
-    } catch (...) {
-      slots_[k].index = plans_[k].index;
-      slots_[k].error = "unknown exception";
-    }
-  };
-  const std::size_t threads = effective_solver_threads();
-  if (threads > 1 && num_chunks > 1) {
-    // Fan chunk solves onto the process-global work-stealing pool.  When
-    // this window is itself a task on that pool (a campaign scenario), the
-    // spawns land on the current worker's own deque and idle workers steal
-    // them — one scheduler for both axes, no nested-pool oversubscription.
-    // TaskGroup::wait() helps while waiting, so this thread executes
-    // pending chunks instead of parking.  guarded_solve never throws
-    // (errors land in ChunkResult::error), each task writes only its own
-    // slot and workspace, and commit() below merges in chunk-index order,
-    // so steal interleavings cannot reach the outputs.
-    util::WorkStealingPool& pool = util::WorkStealingPool::global();
-    pool.ensure_workers(threads);
-    util::TaskGroup group(pool);
-    for (std::size_t k = 0; k < num_chunks; ++k)
-      group.spawn([&guarded_solve, k] { guarded_solve(k); });
-    group.wait();
-  } else {
-    for (std::size_t k = 0; k < num_chunks; ++k) guarded_solve(k);
-  }
+  // One fan-out call: inline for one chunk or one solver thread, else on
+  // the global pool, where a window that is itself a campaign scenario
+  // task spawns its chunks on its worker's own deque.  Each solve writes
+  // only its own slot and workspace, so steal order cannot reach the
+  // outputs.  A failing chunk aborts the window with the lowest failing
+  // chunk's error and its chunk and window context.
+  util::global_parallel_for(
+      effective_solver_threads(), num_chunks, [&](std::size_t k) {
+        try {
+          solve_one(plans_[k], ctx, snapshot_, slots_[k]);
+        } catch (const std::exception& e) {
+          throw_in_window("chunk " + std::to_string(k) + " solve", ctx.now, e);
+        }
+      });
   return commit(num_chunks, ctx, window);
 }
 

@@ -50,8 +50,8 @@
 //
 // Batches larger than `max_jobs_per_solve` decompose into independent chunk
 // models.  Chunk solves are structured as a three-stage pipeline so they can
-// fan out across the process-global work-stealing pool
-// (`util::WorkStealingPool::global()`) without any shared mutable state:
+// fan out through `util::global_parallel_for` without any shared mutable
+// state:
 //
 //   1. `plan_chunks()` partitions the window's remaining capacity into
 //      per-chunk quotas up front (proportional largest-remainder per region,
@@ -63,7 +63,12 @@
 //      against its private quota and fills a self-contained `ChunkResult`
 //      (decisions, a `SchedulerStats` delta, leftover quota, spill-eligible
 //      jobs).  Pure per-chunk work is what makes the fan-out sound at any
-//      thread count.
+//      thread count.  `schedule_impl` runs the solves through one
+//      `util::global_parallel_for(effective_solver_threads(), chunks, ...)`
+//      call: inline on the calling thread for one chunk or one thread, on
+//      the process-global work-stealing pool otherwise.  A throwing solve
+//      aborts the window; the call rethrows the lowest failing chunk's
+//      error, which names the chunk and the window time.
 //   3. `commit()` merges results in chunk-index order — the only stage that
 //      touches scheduler state — returns unused quota to a spill pool, and
 //      re-solves any spill-eligible remainder serially against that pool.
@@ -80,10 +85,11 @@
 //
 // Determinism contract: each `ChunkResult` is a pure function of its
 // `ChunkPlan` (the solver itself is deterministic and keeps no global
-// state; a reused slot is overwritten in full), and the commit order is
-// the chunk index, never completion order.  Decision streams and campaign
-// aggregates are therefore byte-identical for every `solver_threads`
-// value and under any steal interleaving of the shared pool;
+// state; a reused slot is overwritten in full), the commit order is the
+// chunk index, never completion order, and a failure is always the lowest
+// failing chunk's.  Decision streams, campaign aggregates and errors are
+// therefore byte-identical for every `solver_threads` value and under any
+// steal interleaving of the shared pool;
 // tests/core_scheduler_parallel_test.cpp, bench_fig8/11/12's equivalence
 // check, and bench_fig13's startup self-check enforce it.  Work stealing
 // is observable only through the process-wide
@@ -138,7 +144,6 @@
 #include "dc/scheduler.hpp"
 #include "obs/registry.hpp"
 #include "sched/transport.hpp"
-#include "util/work_steal.hpp"
 
 namespace ww::core {
 
@@ -359,8 +364,8 @@ struct ChunkWorkspace {
 /// Outcome of one pure chunk solve: everything `commit()` needs, nothing
 /// shared with any other chunk.  The scheduler keeps one slot per chunk
 /// index and refills it every window, so its vectors keep their capacity.
+/// A solve that throws leaves its slot unspecified; the window aborts.
 struct ChunkResult {
-  int index = 0;
   std::vector<dc::Decision> decisions;
   /// Quota slots the solve did not consume; returned to the spill pool.
   std::vector<int> leftover;
@@ -370,10 +375,6 @@ struct ChunkResult {
   /// quota.
   std::vector<const dc::PendingJob*> unplaced;
   SchedulerStats stats;  ///< Per-chunk delta, merged by commit().
-  /// Non-empty when the chunk solve threw: commit() re-throws fail-fast with
-  /// this message plus chunk/window context, lowest chunk index first, so an
-  /// exception inside the pooled fan-out can never be swallowed.
-  std::string error;
   ChunkWorkspace workspace;
 };
 
@@ -511,7 +512,10 @@ class WaterWiseScheduler final : public dc::Scheduler {
   /// schedule() minus the observability wrapper (spans, the window
   /// counter and the queue-depth histogram); keeps the decision logic free
   /// of instrumentation.  All of the window's counters accumulate into
-  /// `window`.
+  /// `window`.  Fans the chunk solves out through one global_parallel_for
+  /// call; a chunk solve's exception leaves as std::runtime_error
+  /// "WaterWise: chunk <k> solve failed at window t=<now>: <message>", the
+  /// lowest failing chunk's.
   [[nodiscard]] std::vector<dc::Decision> schedule_impl(
       const std::vector<dc::PendingJob>& batch, const dc::ScheduleContext& ctx,
       SchedulerStats& window);
@@ -545,8 +549,8 @@ class WaterWiseScheduler final : public dc::Scheduler {
   std::vector<const dc::PendingJob*> unplaced_;
   ChunkPlan spill_plan_;
   ChunkResult spill_result_;
-  // No scheduler-local pool: multi-chunk windows fan out on the process
-  // global util::WorkStealingPool, so campaign scenario tasks and chunk
+  // No scheduler-local pool: multi-chunk windows fan out through
+  // util::global_parallel_for, so campaign scenario tasks and chunk
   // subtasks share one set of workers (no nested-pool oversubscription).
 };
 

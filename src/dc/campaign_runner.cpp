@@ -61,16 +61,12 @@ std::vector<ScenarioOutcome> CampaignRunner::run_all() {
                    watch.elapsed_seconds()};
   };
 
-  if (config_.jobs == 1) {
-    for (std::size_t i = 0; i < scenarios_.size(); ++i) run_one(i);
-  } else {
-    // Scenarios fan onto the process-global work-stealing pool — the same
-    // pool the schedulers inside them use for chunk solves, so a campaign
-    // of K scenarios × C chunks shares one set of workers instead of
-    // oversubscribing K·C threads across nested pools.  Outcome slots are
-    // written by add() index, so stealing never reorders results.
-    util::global_parallel_for(config_.jobs, scenarios_.size(), run_one);
-  }
+  // Scenarios fan out through the same call the schedulers inside them use
+  // for chunk solves, so a campaign of K scenarios × C chunks shares one set
+  // of workers instead of oversubscribing K·C threads across nested pools.
+  // Outcome slots are written by add() index, so stealing never reorders
+  // results.
+  util::global_parallel_for(config_.jobs, scenarios_.size(), run_one);
   return outcomes;
 }
 

@@ -1,5 +1,5 @@
-// Parallel campaign engine: fans independent Simulator runs across the
-// process-global work-stealing pool with shared-nothing per-scenario state.
+// Parallel campaign engine: fans independent Simulator runs out through
+// util::global_parallel_for with shared-nothing per-scenario state.
 //
 // A campaign is an ordered list of scenarios (lambda sweeps, capacity
 // scaling, region subsets, ...).  Each scenario body builds everything it
@@ -52,10 +52,11 @@ struct ScenarioOutcome {
 };
 
 struct CampaignConfig {
-  /// Concurrency floor for the fan-out: the global work-stealing pool is
-  /// grown to at least this many workers (0 selects hardware concurrency;
-  /// 1 runs scenarios inline on the calling thread).  Scenario tasks and
-  /// the chunk subtasks their schedulers spawn share those workers.
+  /// Threads for the scenario fan-out, passed to util::global_parallel_for:
+  /// 1 runs scenarios inline on the calling thread, in add() order, without
+  /// touching the pool; N grows the global work-stealing pool to at least N
+  /// workers; 0 selects hardware concurrency.  Scenario tasks and the chunk
+  /// subtasks their schedulers spawn share those workers.
   std::size_t jobs = 0;
   /// Master seed; per-scenario streams are derived children.
   std::uint64_t seed = 7;
@@ -80,9 +81,9 @@ class CampaignRunner {
     return config_;
   }
 
-  /// Runs every scenario across the pool and returns outcomes in add()
-  /// order.  With jobs == 1 the scenarios run inline on the calling thread.
-  /// The first scenario exception (in add() order) is rethrown.
+  /// Runs every scenario through util::global_parallel_for(jobs, ...) and
+  /// returns outcomes in add() order.  The exception of the lowest-index
+  /// failing scenario (in add() order) is rethrown.
   [[nodiscard]] std::vector<ScenarioOutcome> run_all();
 
   /// Merges outcomes into one comparison table: absolute figures of merit

@@ -1,6 +1,7 @@
 #include "util/work_steal.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,34 @@ struct TlsWorker {
 };
 
 thread_local TlsWorker tls_current;
+
+/// parallel_for's join: how many of its tasks have not finished. Its tasks
+/// never throw (parallel_for catches each body's exception), so the group
+/// holds no error.
+///
+/// Lifetime: a finishing task decrements pending_ while holding mutex_, and
+/// settle() takes mutex_ after done() holds, so once settle() returns the
+/// last task has provably released the lock and never touches the group
+/// again — the stack-allocated group is then safe to destroy even though
+/// that task may still be running epilogue code against the pool.
+class TaskGroup {
+ public:
+  void add() { pending_.fetch_add(1, std::memory_order_acq_rel); }
+  /// Marks one task finished; true for the last one.
+  bool finish() {
+    const std::lock_guard lock(mutex_);
+    return pending_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  }
+  [[nodiscard]] bool done() const {
+    return pending_.load(std::memory_order_acquire) == 0;
+  }
+  /// Call once done() holds, before destroying the group.
+  void settle() { const std::lock_guard lock(mutex_); }
+
+ private:
+  std::atomic<std::size_t> pending_{0};
+  std::mutex mutex_;
+};
 
 }  // namespace
 
@@ -177,108 +206,56 @@ void WorkStealingPool::parallel_for(
     fn(0);
     return;
   }
-  // Fail fast (iterations queued after the first failure are skipped),
-  // drain every task before returning, and rethrow the exception of the
-  // lowest failing index — deterministic regardless of which worker stole
-  // what.
-  std::vector<std::exception_ptr> errors(n);
-  std::atomic<bool> failed{false};
-  TaskGroup group(*this);
-  for (std::size_t i = 0; i < n; ++i) {
-    group.spawn([&fn, &errors, &failed, i] {
-      if (failed.load(std::memory_order_acquire)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-        failed.store(true, std::memory_order_release);
-      }
-    });
-  }
-  group.wait();
-  for (std::size_t i = 0; i < n; ++i)
-    if (errors[i]) std::rethrow_exception(errors[i]);
-}
-
-void global_parallel_for(std::size_t threads, std::size_t n,
-                         const std::function<void(std::size_t)>& fn) {
-  WorkStealingPool& pool = WorkStealingPool::global();
-  pool.ensure_workers(WorkStealingPool::resolve_threads(threads));
-  pool.parallel_for(n, fn);
-}
-
-// --- TaskGroup --------------------------------------------------------------
-
-TaskGroup::TaskGroup(WorkStealingPool& pool) : pool_(pool) {}
-
-TaskGroup::~TaskGroup() {
+  // Skip an index only when a lower one has failed: the lowest index whose
+  // body throws then always runs, so the rethrown exception does not depend
+  // on which worker stole what, nor on whether this loop is nested.
+  std::atomic<std::size_t> failed_index{n};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  TaskGroup group;
+  const auto join = [this, &group] {
+    while (!group.done()) {
+      // Help while waiting: run any pending pool task (this loop's or
+      // another's) instead of parking the thread. Only when every deque is
+      // observed empty — all remaining work running on other threads — do
+      // we park on the pool's wake channel: submit() notifies it for every
+      // new task and the loop's last task notifies it on completion.
+      if (try_run_one()) continue;
+      wait_for_work([&group] { return group.done(); });
+    }
+    group.settle();
+  };
   try {
-    wait();
+    for (std::size_t i = 0; i < n; ++i) {
+      group.add();
+      submit([this, &fn, &failed_index, &error_mutex, &error, &group, i] {
+        if (failed_index.load(std::memory_order_acquire) > i) {
+          try {
+            fn(i);
+          } catch (...) {
+            const std::lock_guard lock(error_mutex);
+            if (i < failed_index.load(std::memory_order_relaxed)) {
+              error = std::current_exception();
+              failed_index.store(i, std::memory_order_release);
+            }
+          }
+        }
+        // The loop's locals are off limits once finish() returns true: the
+        // joining thread may return and destroy them. The pool outlives
+        // the loop.
+        if (group.finish()) notify_all_workers();
+      });
+    }
   } catch (...) {
-    // Destructor join swallows task exceptions; call wait() to observe them.
-  }
-}
-
-void TaskGroup::spawn(std::function<void()> fn) {
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  try {
-    // `&pool = pool_` is captured separately because the epilogue below may
-    // run after wait() has returned and the group been destroyed; past that
-    // point the wrapper must not read through `this` (see below).
-    pool_.submit([this, &pool = pool_, fn = std::move(fn)]() mutable {
-      std::exception_ptr err;
-      try {
-        fn();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      bool last = false;
-      {
-        // Decrement pending_ while holding mutex_. wait() re-takes mutex_
-        // after observing pending_ == 0, so by the time it can return this
-        // wrapper has provably released the lock — decrementing first and
-        // locking after would let a waiter slip through, destroy the group,
-        // and leave us locking a dead mutex.
-        const std::lock_guard lock(mutex_);
-        if (err && !error_) error_ = std::move(err);
-        last = pending_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-      }
-      // Group members are off limits from here on. Wake any waiter parked
-      // on the pool's channel (idle workers re-check their predicate and
-      // park again). The captured pool reference outlives the group.
-      if (last) pool.notify_all_workers();
-    });
-  } catch (...) {
-    // submit() threw (pool stopping, or bad_alloc building the wrapper):
-    // the task will never run, so roll back the count a wait() — including
-    // the destructor's — would otherwise block on forever.
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    // submit() threw (pool stopping, or bad_alloc): that task will never
+    // run, so undo its count; the spawned ones reference this frame, so
+    // drain them before unwinding.
+    (void)group.finish();
+    join();
     throw;
   }
-}
-
-void TaskGroup::wait() {
-  while (pending_.load(std::memory_order_acquire) != 0) {
-    // Help while waiting: run any pending pool task (this group's or
-    // another's) instead of parking the thread. Only when every deque is
-    // observed empty — all remaining work running on other threads — do we
-    // park, on the pool's wake channel: submit() notifies it for every new
-    // task (so late-spawned work is helped immediately) and the last task's
-    // wrapper notifies it on group completion, so no timed repoll is needed.
-    if (pool_.try_run_one()) continue;
-    pool_.wait_for_work(
-        [this] { return pending_.load(std::memory_order_acquire) == 0; });
-  }
-  // pending_ reached 0, so no wrapper will touch error_ again; taking
-  // mutex_ here additionally guarantees the last wrapper has *released* the
-  // lock it decremented under, making it safe for the caller to destroy the
-  // group the moment we return.
-  std::exception_ptr err;
-  {
-    const std::lock_guard lock(mutex_);
-    err = std::exchange(error_, nullptr);
-  }
-  if (err) std::rethrow_exception(err);
+  join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace ww::util

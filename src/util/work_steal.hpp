@@ -1,22 +1,24 @@
 // Process-global work-stealing task pool for scenarios × chunks.
 //
 // The campaign layer (dc::CampaignRunner) fans scenarios and the scheduler
-// (core::WaterWiseScheduler) fans chunk MILP solves. Running those two axes on
-// separate per-owner pools either oversubscribes (K·C tasks on K·C
-// threads) or idles workers behind the nested-pool barrier. This pool merges
-// the axes: every worker owns a deque (owner pushes/pops the bottom, LIFO;
-// thieves steal the top, FIFO), so a scenario task running on a worker spawns
-// its chunk subtasks into the *same* scheduler, and an idle worker — or a
-// thread blocked in TaskGroup::wait() — helps by stealing pending tasks
-// instead of sleeping (help-while-waiting join).
+// (core::WaterWiseScheduler) fans chunk solves, both through one call,
+// global_parallel_for(threads, n, fn). Running those two axes on separate
+// per-owner pools either oversubscribes (K·C tasks on K·C threads) or idles
+// workers behind the nested-pool barrier. This pool merges the axes: every
+// worker owns a deque (owner pushes/pops the bottom, LIFO; thieves steal the
+// top, FIFO), so a scenario task running on a worker spawns its chunk
+// subtasks into the *same* scheduler, and an idle worker — or a thread
+// blocked in parallel_for's join — helps by stealing pending tasks instead
+// of sleeping (help-while-waiting join).
 //
-// Determinism contract: the pool never orders results. Callers commit results
-// in spawn-index order (scenario index, chunk index) into caller-owned slots,
-// so aggregates and decision streams are byte-identical at any worker count
-// and under any steal interleaving. Stealing is observable only through the
-// counters below (tasks_stolen / steal_attempts / queue_depth), which are
-// *observational* — like decision latency, they are excluded from
-// byte-identity comparisons.
+// Determinism contract: the pool never orders results. Callers write results
+// into caller-owned slots by index (scenario index, chunk index) and commit
+// them in index order, and parallel_for rethrows the exception of the lowest
+// failing index, so aggregates, decision streams and errors are
+// byte-identical at any worker count and under any steal interleaving.
+// Stealing is observable only through the counters below (tasks_stolen /
+// steal_attempts / queue_depth), which are *observational* — like decision
+// latency, they are excluded from byte-identity comparisons.
 #pragma once
 
 #include <atomic>
@@ -53,58 +55,6 @@ class StealDeque {
   std::deque<std::function<void()>> tasks_;
 };
 
-class WorkStealingPool;
-
-/// Structured fork-join scope: spawn tasks into a pool, then wait() for all
-/// of them. wait() is a *helping* join — while the group has pending tasks,
-/// the waiting thread pops its own deque (if it is a pool worker) and steals
-/// from others, so a scenario task blocked on its chunk subtasks executes
-/// pending work instead of parking a worker. When every deque is observed
-/// empty the waiter parks on the pool's wake channel, which both new
-/// submissions and this group's completion notify — no timed repoll. The
-/// first exception thrown by a spawned task is captured and rethrown from
-/// wait(); capture order under concurrency is nondeterministic, so callers
-/// needing a deterministic error (lowest index) should use parallel_for or
-/// catch inside the task, as WaterWiseScheduler's guarded_solve does.
-///
-/// Lifetime: a finishing task decrements pending_ while holding mutex_, and
-/// wait() takes mutex_ after observing pending_ == 0 before returning, so by
-/// the time wait() returns the last task wrapper has provably released the
-/// lock and never touches the group again — the (typically stack-allocated)
-/// group is then safe to destroy even though that wrapper may still be
-/// running epilogue code against the pool.
-class TaskGroup {
- public:
-  explicit TaskGroup(WorkStealingPool& pool);
-  /// Waits for stragglers but swallows their exceptions; call wait()
-  /// explicitly to observe them.
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues fn. From a pool worker this pushes the worker's own deque
-  /// (LIFO, stealable from the top); from any other thread it goes to the
-  /// pool's injection queue.
-  void spawn(std::function<void()> fn);
-
-  /// Blocks until every spawned task has finished, helping with pending pool
-  /// work (any task, not just this group's) while waiting. Rethrows the
-  /// first captured task exception.
-  void wait();
-
- private:
-  WorkStealingPool& pool_;
-  std::atomic<std::size_t> pending_{0};
-  // Guards error_ and the pending_ decrement (see class comment: the
-  // decrement-under-lock is what makes destroying the group right after
-  // wait() returns safe). Group completion is signalled through the pool's
-  // wake channel, not a per-group condition variable, so parked waiters and
-  // idle workers share one notification path.
-  std::mutex mutex_;
-  std::exception_ptr error_;
-};
-
 /// Work-stealing pool. One process-global instance (global()) serves the
 /// campaign and scheduler layers; tests may construct private instances.
 class WorkStealingPool {
@@ -138,10 +88,11 @@ class WorkStealingPool {
   void ensure_workers(std::size_t n);
 
   /// Runs fn(i) for i in [0, n) on the pool and waits, helping while
-  /// waiting. After the first failure, still-queued iterations are skipped
-  /// (fail-fast), every task is drained before returning, and the exception
-  /// for the *lowest* failing index is rethrown — deterministic regardless
-  /// of steal interleaving.
+  /// waiting; n == 1 runs fn(0) on the caller. An index is skipped only
+  /// when a *lower* index has already failed, every task is drained before
+  /// returning, and the exception of the lowest failing index is rethrown.
+  /// So the lowest index whose body throws is always run and always the one
+  /// reported, regardless of steal interleaving or nesting.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // --- Observational counters (never part of byte-identity comparisons) ---
@@ -167,8 +118,6 @@ class WorkStealingPool {
   static constexpr std::size_t kMaxWorkers = 512;
 
  private:
-  friend class TaskGroup;
-
   struct Worker {
     StealDeque deque;
     std::thread thread;
@@ -184,9 +133,9 @@ class WorkStealingPool {
   bool try_run_one();
 
   /// Parks the calling thread on the pool's wake channel until done() holds
-  /// or queued work appears. Used by TaskGroup::wait(): submit() notifies
-  /// the channel on every enqueue and a group's last task wrapper notifies
-  /// it on completion, so external waiters never need a timed repoll.
+  /// or queued work appears. Used by parallel_for's join: submit() notifies
+  /// the channel on every enqueue and a loop's last task notifies it on
+  /// completion, so external waiters never need a timed repoll.
   void wait_for_work(const std::function<bool()>& done);
 
   void worker_loop(std::size_t id);
@@ -212,10 +161,23 @@ class WorkStealingPool {
   std::atomic<std::uint64_t> tasks_run_{0};
 };
 
-/// Shorthand: global().parallel_for(n, fn) after ensuring at least
-/// resolve_threads(threads) workers. `threads` follows the same convention
-/// as everywhere else (0 => hardware_concurrency).
-void global_parallel_for(std::size_t threads, std::size_t n,
-                         const std::function<void(std::size_t)>& fn);
+/// The one fan-out call. When `threads` resolves to 1 (resolve_threads:
+/// 0 => hardware_concurrency) or n <= 1, it runs fn(0), ..., fn(n - 1)
+/// inline on the calling thread, in index order: it neither creates nor
+/// touches the pool, and it does not allocate. Otherwise it grows the
+/// global pool to resolve_threads(threads) workers and runs
+/// global().parallel_for(n, fn), which rethrows the exception of the lowest
+/// failing index.
+template <typename Fn>
+void global_parallel_for(std::size_t threads, std::size_t n, Fn&& fn) {
+  if (n <= 1 || WorkStealingPool::resolve_threads(threads) == 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  WorkStealingPool& pool = WorkStealingPool::global();
+  pool.ensure_workers(WorkStealingPool::resolve_threads(threads));
+  // A reference wrapper is stored in place: the callable is not copied.
+  pool.parallel_for(n, std::ref(fn));
+}
 
 }  // namespace ww::util

@@ -1,8 +1,8 @@
 // Contention stress for the work-stealing pool and the chunk-parallel
 // scheduler, written to give ThreadSanitizer real interleavings to chew
 // on: worker counts oversubscribe the cores on purpose, tasks are tiny so
-// the deque locks are hot, nested TaskGroups reproduce the scenario x
-// chunk fan-out on one shared pool, and every result is still checked
+// the deque locks are hot, nested parallel_for loops reproduce the
+// scenario x chunk fan-out on one shared pool, and every result is still checked
 // byte-identical against a serial run.  The TSan CI job runs this suite
 // (default plus WW_SCHED_THREADS=2 and =4 reruns); under ASan/Release it
 // doubles as a functional oversubscription test.
@@ -49,8 +49,8 @@ TEST(WorkStealContention, TinyTasksUnderOversubscription) {
 
 TEST(WorkStealContention, NestedFanOutScenarioTimesChunkShape) {
   // The unified-pool replacement for the old nested-pool case: one pool,
-  // an outer TaskGroup fanning "scenarios", each scenario task spawning
-  // its "chunk" subtasks into the *same* pool through a nested TaskGroup
+  // an outer parallel_for fanning "scenarios", each scenario task fanning
+  // its "chunk" subtasks into the *same* pool through a nested parallel_for
   // and helping while it waits.  With only 4 workers for 6 x 32 tasks,
   // every join must help or this deadlocks — stealing and helping are
   // exercised hard, and the per-slot commits stay index-ordered.
@@ -58,26 +58,15 @@ TEST(WorkStealContention, NestedFanOutScenarioTimesChunkShape) {
   constexpr std::size_t kScenarios = 6;
   constexpr std::size_t kChunks = 32;
   std::vector<long> scenario_sum(kScenarios, 0);
-  {
-    util::TaskGroup outer(pool);
-    for (std::size_t s = 0; s < kScenarios; ++s) {
-      outer.spawn([&pool, &scenario_sum, s] {
-        std::vector<long> chunk(kChunks, 0);
-        {
-          util::TaskGroup inner(pool);
-          for (std::size_t c = 0; c < kChunks; ++c)
-            inner.spawn([&chunk, s, c] {
-              chunk[c] = static_cast<long>(s * 1000 + c);
-            });
-          inner.wait();
-        }
-        long sum = 0;
-        for (const long v : chunk) sum += v;
-        scenario_sum[s] = sum;  // disjoint per-scenario slot
-      });
-    }
-    outer.wait();
-  }
+  pool.parallel_for(kScenarios, [&pool, &scenario_sum](std::size_t s) {
+    std::vector<long> chunk(kChunks, 0);
+    pool.parallel_for(kChunks, [&chunk, s](std::size_t c) {
+      chunk[c] = static_cast<long>(s * 1000 + c);
+    });
+    long sum = 0;
+    for (const long v : chunk) sum += v;
+    scenario_sum[s] = sum;  // disjoint per-scenario slot
+  });
   for (std::size_t s = 0; s < kScenarios; ++s) {
     const long base = static_cast<long>(s) * 1000 * kChunks;
     const long tail = kChunks * (kChunks - 1) / 2;

@@ -1,9 +1,10 @@
 // Unit tests for the process-global work-stealing pool: deque ordering
-// (owner LIFO / thief FIFO), randomized nested fork-join trees checked
+// (owner LIFO / thief FIFO), randomized nested parallel_for trees checked
 // against a serial reference with an order-sensitive fold, the
-// help-while-waiting join, steal-counter sanity, and exception
-// propagation from stolen tasks.  All shapes are derived from util::Rng
-// named streams, so every run exercises bit-identical trees.
+// help-while-waiting join, steal-counter sanity, the lowest-failing-index
+// rethrow (nested too), and global_parallel_for's inline path.  All shapes
+// are derived from util::Rng named streams, so every run exercises
+// bit-identical trees.
 #include "util/work_steal.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -77,6 +79,27 @@ TEST(WorkStealingPool, GlobalParallelForCoversAllIndices) {
   EXPECT_GE(WorkStealingPool::global().size(), 2u);
 }
 
+TEST(WorkStealingPool, GlobalParallelForOneThreadRunsInlineInOrder) {
+  // threads == 1 is the serial path: every index on the calling thread, in
+  // index order, and the pool is not grown (nor handed a task).
+  const std::size_t workers = WorkStealingPool::global().size();
+  const std::uint64_t tasks = WorkStealingPool::global().tasks_run();
+  const auto caller = std::this_thread::get_id();
+  std::mutex mutex;  // guards the record should indices run elsewhere
+  std::vector<std::size_t> order;
+  bool on_caller = true;
+  global_parallel_for(1, 64, [&](std::size_t i) {
+    const std::lock_guard lock(mutex);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(on_caller);
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(WorkStealingPool::global().size(), workers);
+  EXPECT_EQ(WorkStealingPool::global().tasks_run(), tasks);
+}
+
 // --- Randomized nested fork-join trees vs a serial reference --------------
 
 struct Node {
@@ -112,14 +135,9 @@ std::uint64_t serial_fold(const Node& n) {
 std::uint64_t parallel_fold(WorkStealingPool& pool, const Node& n) {
   if (n.kids.empty()) return static_cast<std::uint64_t>(n.value);
   std::vector<std::uint64_t> kid(n.kids.size(), 0);
-  {
-    TaskGroup group(pool);
-    for (std::size_t i = 0; i < n.kids.size(); ++i)
-      group.spawn([&pool, &n, &kid, i] {
-        kid[i] = parallel_fold(pool, n.kids[i]);  // disjoint slot per child
-      });
-    group.wait();
-  }
+  pool.parallel_for(n.kids.size(), [&pool, &n, &kid](std::size_t i) {
+    kid[i] = parallel_fold(pool, n.kids[i]);  // disjoint slot per child
+  });
   auto h = static_cast<std::uint64_t>(n.value);
   for (const std::uint64_t v : kid) h = h * 31 + v;  // child-index order
   return h;
@@ -127,7 +145,7 @@ std::uint64_t parallel_fold(WorkStealingPool& pool, const Node& n) {
 
 TEST(WorkStealingPool, RandomizedNestedForkJoinMatchesSerial) {
   // Depth-3 and depth-4 trees with fanout 2..8: thousands of tasks whose
-  // spawning tasks themselves block in helping joins.  Nested TaskGroups
+  // spawning tasks themselves block in helping joins.  Nested parallel_for
   // on one pool is exactly the scenario x chunk shape the scheduler runs.
   WorkStealingPool pool(4);
   const Rng root(20260808);
@@ -144,77 +162,76 @@ TEST(WorkStealingPool, RandomizedNestedForkJoinMatchesSerial) {
 }
 
 TEST(WorkStealingPool, WaitHelpsWhileSoleWorkerIsBlocked) {
-  // One worker, pinned by a task that spins until released: every task the
-  // main thread then spawns can only finish if TaskGroup::wait() runs it
-  // on the *waiting* thread (help-while-waiting).  A parking join would
-  // deadlock here; a helping join finishes all eight before the release.
+  // One worker, pinned by one of two spinning tasks that a second thread
+  // runs through parallel_for (that thread runs the other one itself).
+  // Every task the main thread's parallel_for then queues can only finish
+  // if its join runs it on the *waiting* thread (help-while-waiting).  A
+  // parking join would deadlock here; a helping join finishes all eight
+  // before the release.
   WorkStealingPool pool(1);
-  std::atomic<bool> started{false};
+  std::atomic<int> started{0};
   std::atomic<bool> release{false};
-  TaskGroup blocker(pool);
-  blocker.spawn([&started, &release] {
-    started.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  // det-ok: test-only blocker thread, off the pool by design
+  std::thread blocker([&pool, &started, &release] {
+    pool.parallel_for(2, [&started, &release](std::size_t) {
+      started.fetch_add(1, std::memory_order_acq_rel);
+      while (!release.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    });
   });
-  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  while (started.load(std::memory_order_acquire) < 2)
+    std::this_thread::yield();
 
   std::atomic<int> ran{0};
-  {
-    TaskGroup group(pool);
-    for (int i = 0; i < 8; ++i)
-      group.spawn(
-          [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    group.wait();
-  }
-  // The sole worker is still spinning in the blocker, so the helping
+  pool.parallel_for(
+      8, [&ran](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+  // The sole worker is still spinning in a blocker task, so the helping
   // waiter must have executed all eight itself.
   EXPECT_EQ(ran.load(), 8);
   EXPECT_FALSE(release.load());
   release.store(true, std::memory_order_release);
-  blocker.wait();
+  blocker.join();
 }
 
 TEST(WorkStealingPool, GroupDestroyedImmediatelyAfterWaitIsSafe) {
-  // Regression for a completion-path lifetime race: the last task's wrapper
-  // used to decrement pending_ *before* locking mutex_ to notify, so a
-  // waiter could observe pending_ == 0, return from wait(), and destroy the
-  // stack-allocated group while the wrapper was still about to lock the now
-  // dead mutex.  Thousands of short-lived groups whose tasks finish right
-  // as wait() returns keep that window hot; the suite's TSan job flags the
-  // use-after-free if the decrement ever moves back outside the lock.
+  // Regression for a completion-path lifetime race: the last task used to
+  // decrement its loop's pending count *before* locking the join's mutex to
+  // notify, so a waiter could observe zero, return from parallel_for, and
+  // destroy the stack-allocated join while the task was still about to
+  // lock the now dead mutex.  Thousands of short-lived loops whose tasks
+  // finish right as the join returns keep that window hot; the suite's
+  // TSan job flags the use-after-free if the decrement ever moves back
+  // outside the lock.
   WorkStealingPool pool(4);
   std::atomic<long> ran{0};
-  for (int wave = 0; wave < 1500; ++wave) {
-    TaskGroup group(pool);
-    for (int i = 0; i < 4; ++i)
-      group.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    group.wait();
-  }  // group destroyed immediately after wait() on every iteration
+  for (int wave = 0; wave < 1500; ++wave)
+    pool.parallel_for(4, [&ran](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });  // the join is destroyed as parallel_for returns, every iteration
   EXPECT_EQ(ran.load(), 1500L * 4);
   EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(WorkStealingPool, ParkedWaiterWakesOnGroupCompletion) {
   // The waiter parks on the pool's wake channel once every deque is empty
-  // (the only remaining task is *running* on a worker); the last task's
-  // wrapper must notify that channel or wait() would hang forever.  The
-  // release comes from a separate thread so the waiting main thread really
-  // has nothing to help with.
+  // (the remaining tasks are *running*); the loop's last task must notify
+  // that channel or parallel_for would hang forever.  The release comes
+  // from a separate thread, so once the waiting main thread has finished
+  // any task it took itself, it really has nothing to help with.
   WorkStealingPool pool(2);
-  std::atomic<bool> started{false};
+  std::atomic<int> started{0};
   std::atomic<bool> release{false};
-  TaskGroup group(pool);
-  group.spawn([&started, &release] {
-    started.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
   // det-ok: test-only releaser thread, off the pool by design
   std::thread releaser([&started, &release] {
-    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+    while (started.load(std::memory_order_acquire) < 2)
+      std::this_thread::yield();
     for (int i = 0; i < 1000; ++i) std::this_thread::yield();
     release.store(true, std::memory_order_release);
   });
-  group.wait();  // must wake on the completion notification, not a timeout
+  pool.parallel_for(2, [&started, &release](std::size_t) {
+    started.fetch_add(1, std::memory_order_acq_rel);
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });  // must wake on the completion notification, not a timeout
   releaser.join();
   EXPECT_TRUE(release.load());
 }
@@ -244,66 +261,60 @@ TEST(WorkStealingPool, StealCountersAreSane) {
 
 // --- Exception propagation ------------------------------------------------
 
-TEST(WorkStealingPool, TaskGroupWaitRethrowsTaskException) {
-  WorkStealingPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> ok_ran{0};
-  group.spawn([] { throw std::runtime_error("spawned failure"); });
-  for (int i = 0; i < 4; ++i)
-    group.spawn([&ok_ran] { ok_ran.fetch_add(1); });
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  // TaskGroup does not fail fast: the healthy siblings all still ran.
-  EXPECT_EQ(ok_ran.load(), 4);
-}
-
 TEST(WorkStealingPool, ParallelForRethrowsLowestFailingIndex) {
-  // Every index that executes throws an error naming itself; the legacy
-  // contract requires the rethrown exception to be the lowest index that
-  // actually failed, regardless of which workers stole what.
+  // Every index throws an error naming itself.  An index is skipped only
+  // after a lower one failed, so index 0 always runs and is always the one
+  // rethrown, regardless of which workers stole what.
   WorkStealingPool pool(4);
   constexpr std::size_t kTasks = 64;
-  std::vector<std::atomic<int>> threw(kTasks);
   try {
-    pool.parallel_for(kTasks, [&threw](std::size_t i) {
-      threw[i].store(1, std::memory_order_relaxed);
+    pool.parallel_for(kTasks, [](std::size_t i) {
       throw std::runtime_error(std::to_string(i));
     });
     FAIL() << "parallel_for did not rethrow";
   } catch (const std::runtime_error& e) {
-    std::size_t lowest = kTasks;
-    for (std::size_t i = 0; i < kTasks; ++i)
-      if (threw[i].load(std::memory_order_relaxed) != 0) {
-        lowest = i;
-        break;
+    EXPECT_STREQ(e.what(), "0");
+  }
+  EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
+TEST(WorkStealingPool, NestedParallelForRethrowsLowestFailingIndex) {
+  // The scenario x chunk shape with failing chunks: each of four outer
+  // tasks runs an inner loop of eight whose indices 0 and 7 throw.  Under
+  // nesting, workers and helping joins pick up inner tasks in any order, so
+  // index 7 often fails first; the inner loop must still report index 0.
+  WorkStealingPool pool(2);
+  for (int rep = 0; rep < 200; ++rep) {
+    std::vector<std::string> reported(4);
+    pool.parallel_for(4, [&pool, &reported](std::size_t outer) {
+      try {
+        pool.parallel_for(8, [](std::size_t i) {
+          if (i == 0 || i == 7) throw std::runtime_error(std::to_string(i));
+        });
+        reported[outer] = "no exception";
+      } catch (const std::runtime_error& e) {
+        reported[outer] = e.what();
       }
-    ASSERT_LT(lowest, kTasks);
-    EXPECT_EQ(e.what(), std::to_string(lowest));
+    });
+    for (std::size_t outer = 0; outer < reported.size(); ++outer)
+      ASSERT_EQ(reported[outer], "0") << "rep " << rep << " outer " << outer;
   }
   EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(WorkStealingPool, NestedGroupPropagatesThroughOuterTask) {
-  // An inner group's failure rethrows from the inner wait() inside the
-  // outer task, which the outer group captures and rethrows from its own
-  // wait(): errors surface through nested fork-join scopes, not into
-  // std::terminate on a worker thread.
+  // An inner loop's failure rethrows from the inner parallel_for inside an
+  // outer task, which the outer loop rethrows in turn: errors surface
+  // through nested fork-join scopes, not into std::terminate on a worker
+  // thread.
   WorkStealingPool pool(2);
-  TaskGroup outer(pool);
-  outer.spawn([&pool] {
-    TaskGroup inner(pool);
-    inner.spawn([] { throw std::logic_error("inner failure"); });
-    inner.wait();
-  });
-  EXPECT_THROW(outer.wait(), std::logic_error);
-}
-
-TEST(WorkStealingPool, GroupDestructorSwallowsUnobservedError) {
-  WorkStealingPool pool(2);
-  {
-    TaskGroup group(pool);
-    group.spawn([] { throw std::runtime_error("never observed"); });
-    // No wait(): the destructor must join and swallow, not terminate.
-  }
+  EXPECT_THROW(pool.parallel_for(2,
+                                 [&pool](std::size_t) {
+                                   pool.parallel_for(2, [](std::size_t) {
+                                     throw std::logic_error("inner failure");
+                                   });
+                                 }),
+               std::logic_error);
   EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
